@@ -88,6 +88,12 @@ CHECKS = (
     Check("obs.n_local_certified", "equal", atol=2),
     Check("obs.disabled_overhead_pct", "max", gate=False),
     Check("obs.enabled_overhead_pct", "max", gate=False),
+    # 2SBound's summed work over a fixed query set is deterministic; any
+    # drift means expansion or bound bookkeeping changed a decision.
+    Check("twosbound.rounds", "equal"),
+    Check("twosbound.seen_f", "equal"),
+    Check("twosbound.seen_t", "equal"),
+    Check("twosbound.seen_r", "equal"),
     Check("gateway.cold_tenant_first_touch_prefetch", "min", tol=0.3),
     # Wall-clock ratios: wide bands (CI noise), still catch a collapse.
     Check("batch_engine.batch_speedup", "min", tol=0.5),

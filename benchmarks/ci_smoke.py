@@ -8,7 +8,9 @@ artifact — giving every commit a comparable record of the perf trajectory
 (batch speedup, walk throughput, matmat kernel timings, cache hit-rate,
 warm/cold serving latency, micro-batch amortization, and the ``workers=2``
 sharded-solver leg: walltime per worker count plus the power/auto parity
-columns must hold even on a one-core CI runner).
+columns must hold even on a one-core CI runner).  The ``twosbound``
+section is computed here: the summed work of online 2SBound over a fixed
+query set.
 
 A missing or non-smoke input is recomputed in its smoke configuration, so
 the script also works standalone::
@@ -33,6 +35,8 @@ os.environ["REPRO_BENCH_GATEWAY_SMOKE"] = "1"
 os.environ["REPRO_BENCH_OBS_SMOKE"] = "1"
 
 from benchmarks.common import RESULTS_DIR  # noqa: E402
+from repro.datasets import BibNetConfig, generate_bibnet  # noqa: E402
+from repro.topk import twosbound_topk  # noqa: E402
 
 
 def _metrics(name: str, rerun) -> dict:
@@ -43,6 +47,23 @@ def _metrics(name: str, rerun) -> dict:
         if payload.get("mode") == "smoke":
             return payload
     _, metrics = rerun()
+    return metrics
+
+
+def _twosbound() -> dict:
+    """2SBound work summed over 20 paper queries on the smoke BibNet.
+
+    No clock and no randomness enter these counts, so they repeat exactly:
+    a change to expansion order, border bookkeeping or bound arithmetic
+    that alters one decision moves them.
+    """
+    bib = generate_bibnet(BibNetConfig(n_papers=300, n_authors=120, seed=13))
+    results = [
+        twosbound_topk(bib.graph, q, 10, epsilon=0.005) for q in bib.paper_nodes[::15].tolist()
+    ]
+    metrics = {"queries": len(results)}
+    for key in ("rounds", "seen_f", "seen_t", "seen_r"):
+        metrics[key] = sum(getattr(r, key) for r in results)
     return metrics
 
 
@@ -91,6 +112,7 @@ def main() -> int:
         # in-bench), the enabled-mode delta is tracked report-only, and the
         # deterministic cache-hit / certified counts are gated exactly.
         "obs": _metrics("obs", lambda: bench_obs.run_obs(*bench_obs._setup())),
+        "twosbound": _twosbound(),
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / "ci_smoke.json"

@@ -54,6 +54,8 @@ class DiGraph:
         weights = sp.csr_matrix(weights, dtype=np.float64)
         if weights.shape[0] != weights.shape[1]:
             raise ValueError(f"weights must be square, got shape {weights.shape}")
+        if not np.isfinite(weights.data).all():
+            raise ValueError("edge weights must be finite")
         if weights.nnz and weights.data.min() < 0:
             raise ValueError("edge weights must be non-negative")
         weights.eliminate_zeros()

@@ -70,7 +70,7 @@ def topk_conditions_met(candidate: TopKCandidate, k: int, epsilon: float) -> boo
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if epsilon < 0:
+    if not epsilon >= 0:  # NaN too: with it, the n < k test below always passes
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     n = candidate.order.shape[0]
     k_eff = min(k, n)

@@ -28,14 +28,21 @@ at least two steps.  On graphs whose transition matrix has self-loops
 (e.g. the dangling-node convention) the discount is disabled automatically,
 keeping the bound sound.
 
-Submatrix staleness: rebuilding the in-neighbor submatrix of ``Sf`` on every
-expansion is the dominant cost, so it is rebuilt only when ``Sf`` has grown
-materially.  Refinement with a stale structure stays sound because the
-external-mass term multiplies a *cap* covering every node that was unseen at
-build time: such a node is either still unseen (bounded by the current
-unseen bound) or was seen after the build (bounded by its own current upper
-bound); the cap is the max of the two.  Nodes seen after the build keep
-their Stage-I bounds until the next rebuild — looser, never wrong.
+Submatrix staleness: a build reads the in-lists of ``Sf`` in one bulk call
+(:meth:`GraphAccess.in_rows`) and assembles the CSR from the kept entries
+with array operations.  On the 40-paper 2SBound pool of BibNet-2200 (k=10,
+epsilon=0.005, one Xeon core) the builds of both sides take about 17% of
+query time, down from about 60% with per-node reads.  The matrix is still
+rebuilt only when ``Sf`` has grown by ``rebuild_growth``: on that pool this
+skips 10 f-side and 27 t-side builds in 201 rounds, and rebuilding on every
+growth would also change the bounds refinement reaches and hence the work
+(197 rounds instead of 201) — a change of algorithm, not of speed.
+Refinement with a stale structure stays sound because the external-mass
+term multiplies a *cap* covering every node that was unseen at build time:
+such a node is either still unseen (bounded by the current unseen bound) or
+was seen after the build (bounded by its own current upper bound); the cap
+is the max of the two.  Nodes seen after the build keep their Stage-I
+bounds until the next rebuild — looser, never wrong.
 """
 
 from __future__ import annotations
@@ -48,6 +55,21 @@ from repro.topk.graphaccess import GraphAccess
 
 REFINE_TOL = 1e-12
 MAX_REFINE_ITERS = 200
+
+
+def submatrix(
+    row_ids: np.ndarray, pos: np.ndarray, probs: np.ndarray, size: int
+) -> "tuple[sp.csr_matrix, np.ndarray]":
+    """Stage-II matrix from gathered adjacency entries, and the entries left out.
+
+    Entry ``j`` holds ``probs[j]`` for row ``row_ids[j]`` (nondecreasing) and
+    column ``pos[j]``; entries with ``pos < 0`` lie outside the matrix and
+    are returned as a mask for the caller's external-mass sums.
+    """
+    kept = pos >= 0
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_ids[kept], minlength=size), out=indptr[1:])
+    return sp.csr_matrix((probs[kept], pos[kept], indptr), shape=(size, size)), ~kept
 
 
 class FBoundSide:
@@ -147,12 +169,8 @@ class FBoundSide:
         ``include_heavy=True`` (the finalize path) also fetches hub in-lists
         so every row participates.
         """
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        data: list[np.ndarray] = []
-        size = len(self.seen_list)
-        ext = np.zeros(size)
         seen_arr = np.asarray(self.seen_list, dtype=np.int64)
+        size = seen_arr.size
         in_lengths = self.access.in_degrees(seen_arr)
         if include_heavy or self.heavy_degree is None:
             frozen = np.zeros(size, dtype=bool)
@@ -160,29 +178,12 @@ class FBoundSide:
             # Heavy rows (hub in-lists) keep their Stage-I bounds; their
             # values still feed other rows as columns, which is sound.
             frozen = in_lengths > self.heavy_degree
-        self.access.prefetch(seen_arr[~frozen], out=False, incoming=True)
-        for i, node in enumerate(self.seen_list):
-            if frozen[i]:
-                continue
-            neighbors, probs = self.access.in_edges(node)
-            if neighbors.size == 0:
-                continue
-            pos = self._index[neighbors]
-            seen_mask = pos >= 0
-            if seen_mask.any():
-                rows.append(np.full(int(seen_mask.sum()), i, dtype=np.int64))
-                cols.append(pos[seen_mask])
-                data.append(probs[seen_mask])
-            if (~seen_mask).any():
-                ext[i] = float(probs[~seen_mask].sum())
-        if rows:
-            self._sub = sp.csr_matrix(
-                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(size, size),
-            )
-        else:
-            self._sub = sp.csr_matrix((size, size))
-        self._ext = ext
+        rows = np.flatnonzero(~frozen)
+        self.access.prefetch(seen_arr[rows], out=False, incoming=True)
+        counts, neighbors, probs = self.access.in_rows(seen_arr[rows])
+        row_ids = np.repeat(rows, counts)
+        self._sub, outside = submatrix(row_ids, self._index[neighbors], probs, size)
+        self._ext = np.bincount(row_ids[outside], weights=probs[outside], minlength=size)
         self._frozen = frozen
         self._built_size = size
 

@@ -21,6 +21,36 @@ import numpy as np
 from repro.graph.digraph import DiGraph
 
 
+def gather_csr_rows(
+    indptr: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Locate the concatenated CSR row slices of ``rows`` without a Python loop.
+
+    Returns ``(counts, row_ids, flat)``: row ``rows[i]`` holds ``counts[i]``
+    entries, and entry ``j`` of the concatenation sits at ``flat[j]`` of the
+    CSR ``indices``/``data`` arrays and belongs to ``rows[row_ids[j]]``.
+    """
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    # absolute index = repeated row start + offset within the row
+    row_ids = np.repeat(np.arange(rows.size), counts)
+    positions = np.arange(row_ids.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return counts, row_ids, starts[row_ids] + positions
+
+
+def _concat_rows(
+    rows: "list[tuple[np.ndarray, np.ndarray]]",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    counts = np.asarray([neighbors.size for neighbors, _ in rows], dtype=np.int64)
+    if not rows:
+        return counts, np.empty(0, dtype=np.int64), np.empty(0)
+    return (
+        counts,
+        np.concatenate([neighbors for neighbors, _ in rows]),
+        np.concatenate([probs for _, probs in rows]),
+    )
+
+
 class GraphAccess(abc.ABC):
     """Read-only adjacency access with transition probabilities."""
 
@@ -40,6 +70,21 @@ class GraphAccess(abc.ABC):
     @abc.abstractmethod
     def out_degree(self, node: int) -> int:
         """Raw out-degree of ``node`` (for the BCA benefit heuristic)."""
+
+    def out_rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bulk :meth:`out_edges`: ``(counts, neighbors, probs)`` of ``nodes``.
+
+        The out-lists are concatenated in input order (repeats included):
+        the first ``counts[0]`` entries of ``neighbors``/``probs`` are
+        ``out_edges(nodes[0])``, and so on.  The default reads node by node
+        through :meth:`out_edges`, so wrappers that count or fetch per node
+        keep their behaviour; local access overrides it with one gather.
+        """
+        return _concat_rows([self.out_edges(v) for v in np.asarray(nodes).tolist()])
+
+    def in_rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bulk :meth:`in_edges`, laid out as :meth:`out_rows`."""
+        return _concat_rows([self.in_edges(v) for v in np.asarray(nodes).tolist()])
 
     def out_degrees(self, nodes: np.ndarray) -> np.ndarray:
         """Bulk out-degrees (default: per-node loop; override for speed)."""
@@ -98,6 +143,12 @@ class LocalGraphAccess(GraphAccess):
     def in_edges(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         return self._graph.in_edges(node)
 
+    def out_rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _gather(self._graph.transition, nodes)
+
+    def in_rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _gather(self._graph._transition_by_col, nodes)
+
     def out_degree(self, node: int) -> int:
         return int(self._out_degrees[node])
 
@@ -114,6 +165,11 @@ class LocalGraphAccess(GraphAccess):
         if self._has_self_loops is None:
             self._has_self_loops = bool(self._graph.transition.diagonal().any())
         return self._has_self_loops
+
+
+def _gather(matrix, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    counts, _, flat = gather_csr_rows(matrix.indptr, np.asarray(nodes, dtype=np.int64))
+    return counts, matrix.indices[flat], matrix.data[flat]
 
 
 class InstrumentedGraphAccess(GraphAccess):

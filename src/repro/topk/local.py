@@ -73,6 +73,7 @@ from repro.core.queries import Query, normalize_query
 from repro.core.roundtrip_plus import DEFAULT_BETA, combine_beta
 from repro.graph.digraph import DiGraph
 from repro.ops import TransitionOperator, get_operator
+from repro.topk.graphaccess import gather_csr_rows
 from repro.utils.validation import check_in_range
 
 #: Residuals below this are numerical noise; a push state whose residuals
@@ -332,14 +333,8 @@ class ColumnPush:
         amounts = r[frontier].copy()
         self.estimate[frontier] += self.alpha * amounts
         r[frontier] = 0.0
-        starts = self._indptr[frontier]
-        counts = self._indptr[frontier + 1] - starts
         if total:
-            # Gather the concatenated CSR row slices without a python loop:
-            # absolute index = repeated row start + offset within the row.
-            row_ids = np.repeat(np.arange(frontier.size), counts)
-            positions = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-            flat = starts[row_ids] + positions
+            _, row_ids, flat = gather_csr_rows(self._indptr, frontier)
             spread = self._data[flat] * ((1.0 - self.alpha) * amounts)[row_ids]
             r += np.bincount(self._indices[flat], weights=spread, minlength=r.size)
         # A t-side node with no in-edges retires its residual entirely —

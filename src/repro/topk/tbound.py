@@ -27,9 +27,12 @@ active-set sizes imply its implementation avoided exactly that):
 
 1. **Border status without in-lists.**  A node's border status needs only
    its in-degree (cheap metadata) and the count of its in-neighbors already
-   in ``St``, which is maintained incrementally from the out-lists of nodes
-   entering ``St``.  Full in-neighbor lists are fetched only for border
-   nodes actually chosen for expansion.
+   in ``St``.  Both counts are n-sized arrays maintained from the out-lists
+   of nodes entering ``St``: an expansion adds all its new nodes as one
+   batch, whose out-lists update the counts with two ``np.bincount`` calls
+   (the same counts as adding the nodes one at a time), and the border is
+   ``seen & (unseen_in_count > 0)``.  Full in-neighbor lists are fetched
+   only for border nodes actually chosen for expansion.
 2. **Heavy nodes.**  Nodes whose out-degree exceeds ``heavy_degree`` enter
    ``St`` *lazily*: their out-lists are not fetched, their bounds stay at
    the Stage-I initialization, and their arcs are absent from the
@@ -45,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.topk.fbound import MAX_REFINE_ITERS, REFINE_TOL
+from repro.topk.fbound import MAX_REFINE_ITERS, REFINE_TOL, submatrix
 from repro.topk.graphaccess import GraphAccess
 from repro.utils.validation import check_in_range, check_node_id
 
@@ -80,20 +83,18 @@ class TBoundSide:
         n = access.n_nodes
         self.seen = np.zeros(n, dtype=bool)
         self.seen_list: list[int] = []
-        self._index = np.full(n, -1, dtype=np.int64)
         self.lower = np.zeros(n)
         self.upper = np.ones(n)
         #: lazily-included high-degree nodes (see module docstring)
         self._is_heavy = np.zeros(n, dtype=bool)
         #: in-list length per seen node (metadata, fetched at add time)
-        self._in_degree: dict[int, int] = {}
+        self._in_degree = np.zeros(n, dtype=np.int64)
         #: arcs into each node from (light) St members, maintained
         #: incrementally from out-lists as nodes enter St.
-        self._seen_in_count: dict[int, int] = {}
+        self._seen_in_count = np.zeros(n, dtype=np.int64)
         #: in-neighbors still outside St, per seen node (may over-count for
         #: nodes with heavy in-neighbors — a sound border superset).
-        self._unseen_in_count: dict[int, int] = {}
-        self._border: set[int] = set()
+        self._unseen_in_count = np.zeros(n, dtype=np.int64)
 
         self._sub: "sp.csr_matrix | None" = None
         self._ext_unseen: "np.ndarray | None" = None
@@ -105,95 +106,68 @@ class TBoundSide:
         self.rebuild_growth = 1.1
 
         self.unseen_upper = 1.0 - self.alpha
-        out_deg = int(access.out_degrees(np.asarray([self.query]))[0])
-        in_deg = int(access.in_degrees(np.asarray([self.query]))[0])
-        self._add_node(self.query, in_deg, out_deg, lower=self.alpha, upper=1.0)
+        self._add_nodes(np.asarray([self.query]), lower=self.alpha, upper=1.0)
 
     # ------------------------------------------------------------------ #
 
-    def _is_heavy_degree(self, out_degree: int) -> bool:
-        return self.heavy_degree is not None and out_degree > self.heavy_degree
-
-    def _add_node(
-        self,
-        node: int,
-        in_degree: int,
-        out_degree: int,
-        lower: float = 0.0,
-        upper: "float | None" = None,
+    def _add_nodes(
+        self, nodes: np.ndarray, lower: float = 0.0, upper: "float | None" = None
     ) -> None:
-        """Bring ``node`` into ``St``, computing its border status from
-        metadata and updating the incremental in-counts of its out-targets."""
-        if self.seen[node]:
-            return
-        self.seen[node] = True
-        self._index[node] = len(self.seen_list)
-        self.seen_list.append(node)
-        self.lower[node] = lower
-        self.upper[node] = self.unseen_upper if upper is None else upper
-        self._in_degree[node] = in_degree
+        """Bring unseen ``nodes`` into ``St`` in this order, computing their
+        border status from metadata and updating the incremental in-counts
+        of their out-targets."""
+        out_degs = self.access.out_degrees(nodes)
+        in_degs = self.access.in_degrees(nodes)
+        self.seen[nodes] = True
+        self.seen_list.extend(nodes.tolist())
+        self.lower[nodes] = lower
+        self.upper[nodes] = self.unseen_upper if upper is None else upper
+        self._in_degree[nodes] = in_degs
+        self._unseen_in_count[nodes] = np.maximum(in_degs - self._seen_in_count[nodes], 0)
+        if self.heavy_degree is not None:
+            self._is_heavy[nodes[out_degs > self.heavy_degree]] = True
+        light = nodes[~self._is_heavy[nodes]]
+        if light.size:
+            self.access.prefetch(light, out=True, incoming=False)
+            self._count_out_arcs(light)
 
-        unseen_in = max(in_degree - self._seen_in_count.get(node, 0), 0)
-        self._unseen_in_count[node] = unseen_in
-        if unseen_in > 0:
-            self._border.add(node)
+    def _count_out_arcs(self, sources: np.ndarray) -> None:
+        """Credit the out-arcs of light ``sources`` (all in ``St``) to the
+        in-counts of their targets.
 
-        if self._is_heavy_degree(out_degree):
-            self._is_heavy[node] = True
-            return
-
-        out_neighbors, _ = self.access.out_edges(node)
-        for y in out_neighbors.tolist():
-            y = int(y)
-            self._seen_in_count[y] = self._seen_in_count.get(y, 0) + 1
-            if self.seen[y] and y != node:
-                remaining = self._unseen_in_count.get(y, 0)
-                if remaining > 0:
-                    self._unseen_in_count[y] = remaining - 1
-                    if remaining - 1 == 0:
-                        self._border.discard(y)
+        An arc into a seen node other than its source closes one of that
+        node's unseen in-neighbors; arcs into unseen nodes are remembered
+        for when those nodes arrive.  Within one batch this equals adding
+        the sources one at a time: an arc from a later source counts toward
+        an earlier target's closed arcs, from an earlier one toward a later
+        target's in-count.
+        """
+        counts, targets, _ = self.access.out_rows(sources)
+        n = self.seen.size
+        self._seen_in_count += np.bincount(targets, minlength=n)
+        closing = targets[targets != np.repeat(sources, counts)]
+        self._unseen_in_count = np.maximum(
+            self._unseen_in_count - np.bincount(closing, minlength=n), 0
+        )
 
     @property
-    def border(self) -> set[int]:
+    def border(self) -> np.ndarray:
         """The current border nodes ``∂(St)`` (a superset is possible when
         heavy in-neighbors hide arcs — still sound for Eq. 22)."""
-        return self._border
+        return np.flatnonzero(self.seen & (self._unseen_in_count > 0))
 
     @property
     def exhausted(self) -> bool:
         """``St`` is closed under in-neighbors: the unseen bound is zero."""
-        return not self._border
+        return not self.border.size
 
     def _recompute_unseen_upper(self) -> None:
-        if self._border:
-            best = max(self.upper[node] for node in self._border)
-            self.unseen_upper = min(self.unseen_upper, (1.0 - self.alpha) * float(best))
+        border = self.border
+        if border.size:
+            best = float(self.upper[border].max())
+            self.unseen_upper = min(self.unseen_upper, (1.0 - self.alpha) * best)
         else:
             self.unseen_upper = 0.0
-
-    def _promote(self, node: int) -> None:
-        """Lift a heavy node into the refinable (light) set.
-
-        Fetches only its out-list — enough for its Eq. 17–18 row — and
-        replays the incremental in-count updates its lazy entry skipped.
-        Promotion happens when a heavy node's static bound becomes the
-        expansion bottleneck: refining it is far cheaper than absorbing its
-        whole in-neighborhood.
-        """
-        if not self._is_heavy[node]:
-            return
-        self._is_heavy[node] = False
-        out_neighbors, _ = self.access.out_edges(node)
-        for y in out_neighbors.tolist():
-            y = int(y)
-            self._seen_in_count[y] = self._seen_in_count.get(y, 0) + 1
-            if self.seen[y] and y != node:
-                remaining = self._unseen_in_count.get(y, 0)
-                if remaining > 0:
-                    self._unseen_in_count[y] = remaining - 1
-                    if remaining - 1 == 0:
-                        self._border.discard(y)
-        self._sub = None  # structure changed: force a rebuild
 
     def expand(self) -> list[int]:
         """Stage I: absorb the in-neighbors of the ``m`` best border nodes.
@@ -205,49 +179,39 @@ class TBoundSide:
         f-side benefit heuristic.
 
         Heavy nodes selected by the max-upper rule are *promoted* rather
-        than expanded on first selection (see :meth:`_promote`); once
-        refinable, they are expanded only if they remain the bottleneck.
+        than expanded on first selection: promotion fetches only the
+        node's out-list — enough for its Eq. 17–18 row — and replays the
+        in-count updates its lazy entry skipped.  Refining a heavy node
+        whose static bound became the bottleneck is far cheaper than
+        absorbing its whole in-neighborhood; once refinable, it is expanded
+        only if it remains the bottleneck.
         """
-        if not self._border:
+        border = self.border
+        if not border.size:
             return []
-        chosen = sorted(
-            self._border,
-            key=lambda u: (-self.upper[u], self._in_degree.get(u, 0), u),
-        )[: self.m]
-        promoted = [u for u in chosen if self._is_heavy[u]]
-        if promoted:
-            self.access.prefetch(np.asarray(promoted, dtype=np.int64), out=True)
-            for u in promoted:
-                self._promote(u)
-            chosen = [u for u in chosen if u not in set(promoted)]
-            if not chosen:
+        order = np.lexsort((border, self._in_degree[border], -self.upper[border]))
+        chosen = border[order[: self.m]]
+        heavy = self._is_heavy[chosen]
+        promoted = chosen[heavy]
+        if promoted.size:
+            self.access.prefetch(promoted, out=True)
+            self._is_heavy[promoted] = False
+            self._count_out_arcs(promoted)
+            self._sub = None  # structure changed: force a rebuild
+            chosen = chosen[~heavy]
+            if not chosen.size:
                 self._recompute_unseen_upper()
-                return promoted
-        self.access.prefetch(np.asarray(chosen, dtype=np.int64), out=False, incoming=True)
-        incoming = [self.access.in_edges(u)[0] for u in chosen]
-        new_nodes = np.unique(np.concatenate(incoming)) if incoming else np.empty(0, np.int64)
-        new_nodes = new_nodes[~self.seen[new_nodes]] if new_nodes.size else new_nodes
+                return promoted.tolist()
+        self.access.prefetch(chosen, out=False, incoming=True)
+        _, incoming, _ = self.access.in_rows(chosen)
+        # New nodes enter in order of first appearance in the in-lists.
+        distinct, first = np.unique(incoming, return_index=True)
+        new_nodes = incoming[np.sort(first[~self.seen[distinct]])]
         if new_nodes.size:
-            out_degs = self.access.out_degrees(new_nodes)
-            in_degs = self.access.in_degrees(new_nodes)
-            light = new_nodes[~np.asarray([self._is_heavy_degree(int(d)) for d in out_degs])]
-            if light.size:
-                self.access.prefetch(light, out=True, incoming=False)
-            degree_of = {
-                int(v): (int(i), int(o))
-                for v, i, o in zip(new_nodes.tolist(), in_degs.tolist(), out_degs.tolist())
-            }
-            for u, in_neighbors in zip(chosen, incoming):
-                for w in in_neighbors.tolist():
-                    w = int(w)
-                    if w in degree_of:
-                        ind, outd = degree_of[w]
-                        self._add_node(w, ind, outd)
-        for u in chosen:
-            self._unseen_in_count[u] = 0
-            self._border.discard(u)
+            self._add_nodes(new_nodes)
+        self._unseen_in_count[chosen] = 0
         self._recompute_unseen_upper()
-        return promoted + chosen if promoted else chosen
+        return promoted.tolist() + chosen.tolist()
 
     # ------------------------------------------------------------------ #
 
@@ -265,42 +229,19 @@ class TBoundSide:
             if heavies.size:
                 self.access.prefetch(heavies, out=True, incoming=False)
             self._is_heavy[:] = False
-        matrix_nodes = [v for v in self.seen_list if not self._is_heavy[v]]
+        seen_arr = np.asarray(self.seen_list, dtype=np.int64)
+        matrix_nodes = seen_arr[~self._is_heavy[seen_arr]]
+        size = matrix_nodes.size
         self._matrix_pos[:] = -1
-        for pos, v in enumerate(matrix_nodes):
-            self._matrix_pos[v] = pos
-        size = len(matrix_nodes)
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        data: list[np.ndarray] = []
-        ext_unseen = np.zeros(size)
-        ext_heavy = np.zeros(size)
-        for i, node in enumerate(matrix_nodes):
-            neighbors, probs = self.access.out_edges(node)
-            if neighbors.size == 0:
-                continue
-            pos = self._matrix_pos[neighbors]
-            in_matrix = pos >= 0
-            if in_matrix.any():
-                rows.append(np.full(int(in_matrix.sum()), i, dtype=np.int64))
-                cols.append(pos[in_matrix])
-                data.append(probs[in_matrix])
-            rest = ~in_matrix
-            if rest.any():
-                rest_nodes = neighbors[rest]
-                heavy_mask = self._is_heavy[rest_nodes] & self.seen[rest_nodes]
-                ext_heavy[i] = float(probs[rest][heavy_mask].sum())
-                ext_unseen[i] = float(probs[rest][~heavy_mask].sum())
-        if rows:
-            self._sub = sp.csr_matrix(
-                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(size, size),
-            )
-        else:
-            self._sub = sp.csr_matrix((size, size))
-        self._ext_unseen = ext_unseen
-        self._ext_heavy = ext_heavy
-        self._matrix_nodes = np.asarray(matrix_nodes, dtype=np.int64)
+        self._matrix_pos[matrix_nodes] = np.arange(size)
+        counts, neighbors, probs = self.access.out_rows(matrix_nodes)
+        row_ids = np.repeat(np.arange(size), counts)
+        self._sub, outside = submatrix(row_ids, self._matrix_pos[neighbors], probs, size)
+        heavy = outside & self._is_heavy[neighbors] & self.seen[neighbors]
+        unseen = outside & ~heavy
+        self._ext_unseen = np.bincount(row_ids[unseen], weights=probs[unseen], minlength=size)
+        self._ext_heavy = np.bincount(row_ids[heavy], weights=probs[heavy], minlength=size)
+        self._matrix_nodes = matrix_nodes
         self._built_size = len(self.seen_list)
 
     def _maybe_rebuild(self) -> None:
@@ -344,25 +285,14 @@ class TBoundSide:
         # Caps for mass leaving the matrix: build-time-unseen nodes are now
         # either still unseen (<= current unseen bound) or seen post-build
         # (<= their static upper); heavy nodes keep their static uppers.
-        built_set = set(nodes.tolist())
-        post = np.asarray(
-            [v for v in self.seen_list if v not in built_set and not self._is_heavy[v]],
-            dtype=np.int64,
-        )
-        post_max = float(self.upper[post].max()) if post.size else 0.0
-        heavy_nodes = np.flatnonzero(self._is_heavy & self.seen)
-        heavy_cap = float(self.upper[heavy_nodes].max()) if heavy_nodes.size else 0.0
-
-        border_pos = np.asarray(
-            sorted(
-                self._matrix_pos[u] for u in self._border if self._matrix_pos[u] >= 0
-            ),
-            dtype=np.int64,
-        )
-        border_static = [u for u in self._border if self._matrix_pos[u] < 0]
-        border_static_max = (
-            float(max(self.upper[u] for u in border_static)) if border_static else 0.0
-        )
+        in_matrix = self._matrix_pos >= 0
+        post = self.seen & ~in_matrix & ~self._is_heavy
+        post_max = float(self.upper.max(where=post, initial=0.0))
+        heavy_cap = float(self.upper.max(where=self.seen & self._is_heavy, initial=0.0))
+        border = self.border
+        border_pos = self._matrix_pos[border]
+        border_static_max = float(self.upper[border[border_pos < 0]].max(initial=0.0))
+        border_pos = border_pos[border_pos >= 0]
 
         max_iters = (
             1 if (self.refine_mode == "single" and not force_fixpoint) else MAX_REFINE_ITERS

@@ -128,7 +128,7 @@ def twosbound_topk(
     query = check_node_id(query, access.n_nodes, "query")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if epsilon < 0:
+    if not epsilon >= 0:  # NaN too (see topk_conditions_met)
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     config = SchemeConfig.from_name(scheme)
 

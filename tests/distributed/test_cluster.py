@@ -17,6 +17,14 @@ class TestClusterQueries:
             local = twosbound_topk(g, q, 10, epsilon=0.01)
             remote, stats = cluster.query(q, 10, epsilon=0.01)
             assert remote.nodes == local.nodes
+            assert np.array_equal(remote.lower, local.lower)
+            assert np.array_equal(remote.upper, local.upper)
+            assert (remote.rounds, remote.seen_f, remote.seen_t, remote.seen_r) == (
+                local.rounds,
+                local.seen_f,
+                local.seen_t,
+                local.seen_r,
+            )
             assert stats.active_set_bytes > 0
             assert stats.messages > 0
 

@@ -24,6 +24,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-negative"):
             DiGraph(w)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        w = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, bad], [1.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            DiGraph(w)
+
     def test_rejects_label_length_mismatch(self):
         w = sp.csr_matrix((2, 2))
         with pytest.raises(ValueError, match="labels"):

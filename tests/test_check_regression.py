@@ -53,6 +53,7 @@ def _payload() -> dict:
             "disabled_overhead_pct": 0.4,
             "enabled_overhead_pct": 20.0,
         },
+        "twosbound": {"rounds": 80, "seen_f": 3000, "seen_t": 2500, "seen_r": 1900},
     }
 
 

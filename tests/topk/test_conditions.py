@@ -106,3 +106,5 @@ class TestConditions:
             topk_conditions_met(c, 0, 0.0)
         with pytest.raises(ValueError):
             topk_conditions_met(c, 1, -0.1)
+        with pytest.raises(ValueError):
+            topk_conditions_met(c, 1, float("nan"))

@@ -1,9 +1,16 @@
 """Tests for the graph-access layer."""
 
 import numpy as np
+import pytest
 
 from repro.graph import DiGraph, graph_from_edges
-from repro.topk import InstrumentedGraphAccess, LocalGraphAccess
+from repro.topk import (
+    SCHEMES,
+    GraphAccess,
+    InstrumentedGraphAccess,
+    LocalGraphAccess,
+    twosbound_topk,
+)
 
 
 class TestLocalAccess:
@@ -74,3 +81,62 @@ class TestInstrumentedAccess:
         n1, _ = access.out_edges(2)
         n2, _ = inner.out_edges(2)
         assert np.array_equal(n1, n2)
+
+
+class PerNodeAccess(GraphAccess):
+    """Only the abstract per-node reads: every bulk method is the default."""
+
+    def __init__(self, graph: DiGraph) -> None:
+        self._local = LocalGraphAccess(graph)
+
+    @property
+    def n_nodes(self) -> int:
+        return self._local.n_nodes
+
+    def out_edges(self, node):
+        return self._local.out_edges(node)
+
+    def in_edges(self, node):
+        return self._local.in_edges(node)
+
+    def out_degree(self, node):
+        return self._local.out_degree(node)
+
+    @property
+    def has_self_loops(self) -> bool:
+        return self._local.has_self_loops
+
+
+class TestBulkRows:
+    # node 3 has no in-edges; node 4 is dangling (self-loop in P)
+    GRAPH_EDGES = [(0, 1), (0, 2, 3.0), (1, 2), (1, 4), (2, 0), (3, 0), (3, 2)]
+
+    @pytest.mark.parametrize("nodes", [[], [3], [4], [4, 4, 0], [2, 0, 2], [0, 1, 2, 3, 4]])
+    def test_local_gather_equals_per_node_default(self, nodes):
+        g = graph_from_edges(5, self.GRAPH_EDGES)
+        local, per_node = LocalGraphAccess(g), PerNodeAccess(g)
+        nodes = np.asarray(nodes, dtype=np.int64)
+        for got, want in (
+            (local.out_rows(nodes), per_node.out_rows(nodes)),
+            (local.in_rows(nodes), per_node.in_rows(nodes)),
+        ):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+        counts, neighbors, probs = local.out_rows(nodes)
+        assert counts.sum() == neighbors.size == probs.size
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_twosbound_identical_through_default_bulk_path(self, small_bibnet, scheme):
+        g = small_bibnet.graph
+        for q in small_bibnet.paper_nodes[:4].tolist() + small_bibnet.author_nodes[:2].tolist():
+            fast = twosbound_topk(g, q, 10, epsilon=0.005, scheme=scheme)
+            slow = twosbound_topk(PerNodeAccess(g), q, 10, epsilon=0.005, scheme=scheme)
+            assert slow.nodes == fast.nodes
+            assert np.array_equal(slow.lower, fast.lower)
+            assert np.array_equal(slow.upper, fast.upper)
+            assert (slow.rounds, slow.seen_f, slow.seen_t, slow.seen_r) == (
+                fast.rounds,
+                fast.seen_f,
+                fast.seen_t,
+                fast.seen_r,
+            )

@@ -65,6 +65,25 @@ class TestBorderSemantics:
             in_n, _ = LocalGraphAccess(toy_graph).in_edges(u)
             assert np.count_nonzero(~side.seen[in_n]) > 0
 
+    @settings(max_examples=30, deadline=None)
+    @given(random_digraph_strategy(max_nodes=10))
+    def test_in_counts_match_one_at_a_time_adds(self, g):
+        # Adding nodes one at a time leaves every seen, unexpanded node with
+        # its in-degree minus the arcs it receives from other St members (a
+        # self-loop never counts); batch adds must leave the same counts.
+        p = g.transition.tocsc()
+        side = TBoundSide(LocalGraphAccess(g), 0, 0.25, m=2, heavy_degree=None)
+        expanded: set[int] = set()
+        while True:
+            for v in np.flatnonzero(side.seen).tolist():
+                sources = p.indices[p.indptr[v] : p.indptr[v + 1]]
+                closed = np.count_nonzero(side.seen[sources] & (sources != v))
+                want = 0 if v in expanded else max(sources.size - closed, 0)
+                assert side._unseen_in_count[v] == want
+            if side.exhausted:
+                break
+            expanded.update(side.expand())
+
     def test_closure_means_exhausted_and_zero_unseen(self, toy_graph):
         q = toy_graph.node_by_label("t1")
         side = run_side(toy_graph, q, rounds=100)

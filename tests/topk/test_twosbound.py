@@ -124,6 +124,8 @@ class TestDegenerateCases:
         with pytest.raises(ValueError):
             twosbound_topk(toy_graph, 0, 1, epsilon=-0.1)
         with pytest.raises(ValueError):
+            twosbound_topk(toy_graph, 0, 1, epsilon=float("nan"))
+        with pytest.raises(ValueError):
             twosbound_topk(toy_graph, 0, 1, scheme="fancy")
         with pytest.raises(ValueError):
             twosbound_topk(toy_graph, 99, 1)
