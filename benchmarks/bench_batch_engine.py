@@ -1,6 +1,6 @@
 """Batch engine throughput: sequential single-query paths vs the engine.
 
-Three comparisons:
+Two comparisons:
 
 (a) F-Rank queries/sec — ``q`` sequential ``frank_vector`` solves against a
     single ``frank_batch`` call with ``q`` columns (one multi-column sparse
@@ -10,17 +10,10 @@ Three comparisons:
     ``walk_steps`` does) against the vectorized :class:`WalkEngine`; both
     estimate the same F-Rank distribution with equal sample counts and the
     max-abs errors are reported side by side.
-(c) Kernel sweep — one ``operator @ X`` sweep per registered
-    :mod:`repro.ops` matmat kernel at several column widths, bit-equality
-    asserted against the scipy baseline; machine-readable timings go to
-    ``benchmarks/results/kernels.json``.  The sweep runs on a graph large
-    enough that ``X`` overflows L2 (where the ROADMAP's "gather-bound"
-    ceiling actually bites).
 
-``REPRO_BENCH_BATCH_SMOKE=1`` switches to the Fig. 2 toy graph / a small
-BibNet with small counts (the CI smoke configuration); the default is the
-effectiveness-scale synthetic BibNet (and, for the kernel sweep, the
-efficiency-scale one).
+``REPRO_BENCH_BATCH_SMOKE=1`` switches to the Fig. 2 toy graph with small
+counts (the CI smoke configuration); the default is the
+effectiveness-scale synthetic BibNet.
 """
 
 from __future__ import annotations
@@ -34,7 +27,6 @@ from repro.core.frank import frank_vector
 from repro.core.montecarlo import sample_geometric_length, walk_steps
 from repro.datasets import BibNetConfig, generate_bibnet, toy_bibliographic_graph
 from repro.engine import WalkEngine, frank_batch
-from repro.ops import available_kernels, capabilities, get_operator
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Timer
 
@@ -152,95 +144,3 @@ def test_bench_batch_engine(benchmark):
     )
     report("batch_engine", text)
     report_json("batch_engine", metrics)
-
-
-def _kernel_setup():
-    """(graph, widths, repeats) for the kernel-comparison sweep."""
-    if _smoke():
-        graph = generate_bibnet(BibNetConfig(n_papers=300, n_authors=120, seed=13)).graph
-        return graph, (8, 32), 3
-    # Efficiency-scale BibNet (the fig. 11 size): X at 64 columns is ~15 MB
-    # here, far past L2, which is where scipy's matmat goes gather-bound.
-    graph = generate_bibnet(BibNetConfig(n_papers=14000, n_authors=4500, seed=13)).graph
-    return graph, (16, 64), 20
-
-
-def run_kernel_sweep(graph, widths, repeats) -> "tuple[str, dict]":
-    """Time one ``operator @ X`` sweep per registered matmat kernel.
-
-    Times the overwrite form into a preallocated output (the shape of every
-    solver sweep) after one warm pass per kernel (which also builds the
-    blocked kernel's slab preparation — cached on the operator, exactly as
-    in steady-state serving).  Bit-equality against the scipy baseline is
-    asserted before any number is reported.
-    """
-    top = get_operator(graph, transpose=True)
-    usable = [name for name, reason in available_kernels().items() if reason is None]
-    caps = capabilities()
-    rng = np.random.default_rng(29)
-    lines = [
-        "Sparse matmat kernels (one operator @ X sweep, F-orientation)",
-        f"graph: {graph.n_nodes} nodes / {graph.n_edges} arcs; "
-        f"kernels: {', '.join(usable)}; L2 target {caps['l2_bytes'] >> 10} KiB; "
-        f"mode: {'smoke' if _smoke() else 'full'}",
-        "",
-        f"{'width':>6s}" + "".join(f"  {name:>12s}" for name in usable) + "  speedup(blocked)",
-    ]
-    per_width: "dict[str, dict]" = {}
-    for q in widths:
-        x = rng.random((graph.n_nodes, q))
-        out = np.empty_like(x)
-        timings: "dict[str, float]" = {}
-        reference = None
-        for name in usable:
-            top.matmat(x, out=out, kernel=name)  # warm: page-faults + slab prep
-            # Min over laps of 3 sweeps: robust against scheduler noise on
-            # shared CI runners (the mean is dominated by interruptions).
-            laps = []
-            for _ in range(repeats):
-                with Timer() as t:
-                    for _ in range(3):
-                        top.matmat(x, out=out, kernel=name)
-                laps.append(t.elapsed_ms / 3)
-            timings[name] = min(laps)
-            if name == "scipy":
-                reference = out.copy()
-            else:
-                assert np.array_equal(out, reference), f"kernel {name} diverged at q={q}"
-        blocked_speedup = (
-            timings["scipy"] / timings["blocked"] if "blocked" in timings else None
-        )
-        per_width[str(q)] = {
-            "per_sweep_ms": timings,
-            "speedup_blocked_vs_scipy": blocked_speedup,
-        }
-        lines.append(
-            f"{q:6d}"
-            + "".join(f"  {timings[name]:9.2f} ms" for name in usable)
-            + (f"  {blocked_speedup:8.2f}x" if blocked_speedup is not None else "       n/a")
-        )
-    lines.append("")
-    lines.append(
-        "bit-exactness: every kernel's output compared equal to the scipy "
-        "baseline before timing was reported"
-    )
-    metrics = {
-        "mode": "smoke" if _smoke() else "full",
-        "n_nodes": graph.n_nodes,
-        "n_edges": graph.n_edges,
-        "kernels": usable,
-        "capabilities": {key: caps[key] for key in ("csr_matvecs", "numba")},
-        "l2_bytes": caps["l2_bytes"],
-        "repeats": repeats,
-        "widths": per_width,
-    }
-    return "\n".join(lines), metrics
-
-
-def test_bench_kernel_sweep(benchmark):
-    graph, widths, repeats = _kernel_setup()
-    text, metrics = benchmark.pedantic(
-        run_kernel_sweep, args=(graph, widths, repeats), rounds=1, iterations=1
-    )
-    report("kernels", text)
-    report_json("kernels", metrics)

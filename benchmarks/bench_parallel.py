@@ -27,14 +27,6 @@ effectiveness-scale BibNet at ``workers`` in {2, 4}.  The acceptance gate
 sequential path by >= 2.5x; the sharded-vs-batch ratio is recorded too —
 on a single-core host it sits near or below 1.0 (the shards time-slice one
 CPU), which the report states rather than hides.
-
-A second leg (``test_bench_threaded`` -> ``results/threaded.{txt,json}``)
-measures the PR-9 single-query levers: the ``threaded`` matmat kernel at
-1/2/4 threads (matvec-shaped and wide sweeps, bit-equality against scipy
-asserted before any number is reported) and the row-sharded single-query
-``frank_vector(..., workers=N)`` against the sequential solve — the
-speedup is asserted only when the host actually has cores to show it;
-a one-core container gets the honest dispatch-overhead note instead.
 """
 
 from __future__ import annotations
@@ -47,13 +39,7 @@ from benchmarks.common import report, report_json
 from repro.core.frank import frank_vector
 from repro.datasets import BibNetConfig, generate_bibnet, toy_bibliographic_graph
 from repro.engine import frank_batch
-from repro.ops import KERNEL_THREADS_ENV_VAR, get_operator
-from repro.parallel import (
-    ROWSHARD_MIN_NNZ_ENV_VAR,
-    active_route,
-    effective_workers,
-    get_pool,
-)
+from repro.parallel import effective_workers, get_pool
 from repro.utils.timer import Timer
 
 
@@ -171,157 +157,3 @@ def test_bench_parallel(benchmark):
     )
     report("parallel", text)
     report_json("parallel", metrics)
-
-
-def _threaded_setup():
-    """(graph, thread_counts, workers, repeats) for the threaded/row-shard leg."""
-    if _smoke():
-        graph = generate_bibnet(BibNetConfig(n_papers=300, n_authors=120, seed=13)).graph
-        return graph, (1, 2), 2, 3
-    # Efficiency-scale BibNet (fig. 11 size): wide X blows past L2, so the
-    # sweep is gather-bound — the regime the threaded row split targets.
-    graph = generate_bibnet(BibNetConfig(n_papers=14000, n_authors=4500, seed=13)).graph
-    return graph, (1, 2, 4), 4, 10
-
-
-def run_threaded(graph, thread_counts, workers, repeats) -> "tuple[str, dict]":
-    """Threads-vs-walltime for the ``threaded`` kernel + row-sharded query.
-
-    Leg one times one ``operator @ X`` sweep with ``REPRO_KERNEL_THREADS``
-    in ``thread_counts`` at widths 1 (matvec-shaped) and 16 (the batch
-    shape), asserting bit-equality against the scipy kernel before any
-    timing is reported — the kernel's contract is "same bits, any thread
-    count".  Leg two times one ``frank_vector`` solve sequentially and
-    row-sharded at ``workers``; the routing threshold is forced low so the
-    sharded path engages at every scale, and the speedup is only *asserted*
-    on a multi-core full-mode run (a one-core host time-slices the shards,
-    which the report says out loud instead of hiding).
-    """
-    top = get_operator(graph, transpose=True)
-    rng = np.random.default_rng(41)
-    lines = [
-        "Threaded kernel + row-sharded single query (threads vs walltime)",
-        f"graph: {graph.n_nodes} nodes / {graph.n_edges} arcs "
-        f"({top.nnz} nnz); cpus: {os.cpu_count()}; "
-        f"mode: {'smoke' if _smoke() else 'full'}",
-        "",
-        f"{'width':>6s} {'threads':>8s} {'per sweep':>12s} {'vs scipy':>9s}",
-    ]
-
-    kernel_ms: "dict[str, dict[str, float]]" = {}
-    saved_threads = os.environ.get(KERNEL_THREADS_ENV_VAR)
-    try:
-        for q in (1, 16):
-            x = rng.random((graph.n_nodes, q))
-            out = np.empty_like(x)
-            reference = np.empty_like(x)
-            top.matmat(x, out=reference, kernel="scipy")  # warm + reference bits
-            laps = []
-            for _ in range(repeats):
-                with Timer() as t:
-                    for _ in range(3):
-                        top.matmat(x, out=out, kernel="scipy")
-                laps.append(t.elapsed_ms / 3)
-            scipy_ms = min(laps)
-            per_threads: "dict[str, float]" = {"scipy": scipy_ms}
-            lines.append(f"{q:6d} {'scipy':>8s} {scipy_ms:9.2f} ms {'1.00x':>9s}")
-            for threads in thread_counts:
-                os.environ[KERNEL_THREADS_ENV_VAR] = str(threads)
-                top.matmat(x, out=out, kernel="threaded")  # warm: partition prep
-                assert np.array_equal(out, reference), (
-                    f"threaded kernel diverged at width={q} threads={threads}"
-                )
-                laps = []
-                for _ in range(repeats):
-                    with Timer() as t:
-                        for _ in range(3):
-                            top.matmat(x, out=out, kernel="threaded")
-                    laps.append(t.elapsed_ms / 3)
-                per_threads[str(threads)] = min(laps)
-                lines.append(
-                    f"{q:6d} {threads:8d} {per_threads[str(threads)]:9.2f} ms "
-                    f"{scipy_ms / per_threads[str(threads)]:8.2f}x"
-                )
-            kernel_ms[str(q)] = per_threads
-    finally:
-        if saved_threads is None:
-            os.environ.pop(KERNEL_THREADS_ENV_VAR, None)
-        else:
-            os.environ[KERNEL_THREADS_ENV_VAR] = saved_threads
-
-    # Leg two: one lone query, row-sharded across the process pool.  Force
-    # the routing threshold low so the leg exercises the sharded path even
-    # at smoke scale (the production default only routes big graphs).
-    query = int(rng.choice(graph.n_nodes))
-    saved_nnz = os.environ.get(ROWSHARD_MIN_NNZ_ENV_VAR)
-    os.environ[ROWSHARD_MIN_NNZ_ENV_VAR] = "1"
-    try:
-        get_pool(workers)
-        sequential = frank_vector(graph, query)
-        sharded = frank_vector(graph, query, workers=workers)  # warm + parity
-        route = active_route()
-        assert route is not None and route.routed, f"row sharding did not engage: {route}"
-        assert np.array_equal(sequential, sharded), "row-sharded solve must be bit-exact"
-        with Timer() as t_seq:
-            frank_vector(graph, query)
-        with Timer() as t_shard:
-            frank_vector(graph, query, workers=workers)
-    finally:
-        if saved_nnz is None:
-            os.environ.pop(ROWSHARD_MIN_NNZ_ENV_VAR, None)
-        else:
-            os.environ[ROWSHARD_MIN_NNZ_ENV_VAR] = saved_nnz
-
-    speedup = t_seq.elapsed_ms / t_shard.elapsed_ms
-    lines.append("")
-    lines.append(
-        f"  single query, sequential:      {t_seq.elapsed_ms:9.1f} ms"
-    )
-    lines.append(
-        f"  single query, workers={workers}:       {t_shard.elapsed_ms:9.1f} ms  "
-        f"({speedup:5.2f}x; {route.shards} row shards, bit-exact)"
-    )
-    multi_core = (os.cpu_count() or 1) >= 2
-    if not multi_core:
-        lines.append(
-            "  note: single-CPU host — the row shards time-slice one core, so "
-            "this ratio measures pool dispatch overhead, not parallel scaling"
-        )
-    elif not _smoke():
-        assert speedup >= 1.1, (
-            f"workers={workers} single-query speedup {speedup:.2f}x < 1.1x "
-            f"on a {os.cpu_count()}-cpu host"
-        )
-        lines.append(
-            f"acceptance: workers={workers} beats the sequential single query — holds"
-        )
-
-    metrics = {
-        "mode": "smoke" if _smoke() else "full",
-        "n_nodes": graph.n_nodes,
-        "n_edges": graph.n_edges,
-        "nnz": top.nnz,
-        "cpus": os.cpu_count(),
-        "thread_counts": list(thread_counts),
-        "kernel_ms": kernel_ms,
-        "kernel_bit_exact": True,  # asserted above, for every width x threads
-        "singlequery_workers": workers,
-        "singlequery_shards": route.shards,
-        "singlequery_sequential_ms": t_seq.elapsed_ms,
-        "singlequery_sharded_ms": t_shard.elapsed_ms,
-        "singlequery_speedup": speedup,
-        "singlequery_bit_exact": True,  # asserted above
-    }
-    return "\n".join(lines), metrics
-
-
-def test_bench_threaded(benchmark):
-    graph, thread_counts, workers, repeats = _threaded_setup()
-    text, metrics = benchmark.pedantic(
-        run_threaded,
-        args=(graph, thread_counts, workers, repeats),
-        rounds=1,
-        iterations=1,
-    )
-    report("threaded", text)
-    report_json("threaded", metrics)

@@ -2,10 +2,10 @@
 
 Merges the metrics the smoke benchmarks wrote via ``report_json``
 (``benchmarks/results/batch_engine.json``, ``serving.json``,
-``parallel.json``, ``threaded.json`` and ``kernels.json``) into
+``parallel.json``, ``gateway.json`` and ``obs.json``) into
 ``benchmarks/results/ci_smoke.json``, which the CI workflow uploads as an
 artifact — giving every commit a comparable record of the perf trajectory
-(batch speedup, walk throughput, matmat kernel timings, cache hit-rate,
+(batch speedup, walk throughput, cache hit-rate,
 warm/cold serving latency, micro-batch amortization, and the ``workers=2``
 sharded-solver leg: walltime per worker count plus the power/auto parity
 columns must hold even on a one-core CI runner).  The ``twosbound``
@@ -84,22 +84,11 @@ def main() -> int:
             "batch_engine",
             lambda: bench_batch_engine.run_batch_engine(*bench_batch_engine._setup()),
         ),
-        "kernels": _metrics(
-            "kernels",
-            lambda: bench_batch_engine.run_kernel_sweep(*bench_batch_engine._kernel_setup()),
-        ),
         "serving": _metrics(
             "serving", lambda: bench_serving.run_serving(*bench_serving._setup())
         ),
         "parallel": _metrics(
             "parallel", lambda: bench_parallel.run_parallel(*bench_parallel._setup())
-        ),
-        # The threaded leg records the PR-9 single-query levers: the
-        # threaded kernel's threads-vs-walltime table (bit-equality against
-        # scipy asserted in-bench) and the row-sharded single-query solve.
-        "threaded": _metrics(
-            "threaded",
-            lambda: bench_parallel.run_threaded(*bench_parallel._threaded_setup()),
         ),
         # The gateway leg records the serving-path health numbers per commit:
         # GDSF-vs-LRU hit rates, admission shed rate, queue-depth bound, and

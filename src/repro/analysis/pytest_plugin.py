@@ -45,10 +45,7 @@ _static_edges: "dict[tuple[str, str], str]" = {}
 #: name because _ExecutorManagerThread is anonymous ("Thread-N") on some
 #: Python versions.
 _THREAD_ALLOWLIST_TYPES = frozenset({"_ExecutorManagerThread"})
-#: "repro-kernel" is the threaded matmat kernel's shared pool
-#: (repro.ops.kernels): process-wide by design, torn down by
-#: shutdown_thread_pool() / atexit, so its workers are not a module's leak.
-_THREAD_ALLOWLIST_PREFIXES = ("QueueFeederThread", "QueueManagerThread", "repro-kernel")
+_THREAD_ALLOWLIST_PREFIXES = ("QueueFeederThread", "QueueManagerThread")
 
 _JOIN_GRACE_SECONDS = 2.0
 

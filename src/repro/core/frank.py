@@ -35,27 +35,6 @@ class ConvergenceWarning(RuntimeWarning):
     """Power iteration exhausted ``max_iter`` before the residual fell below ``tol``."""
 
 
-def _power_loop(mv, teleport, alpha, tol, max_iter):
-    """The reference iteration ``x <- alpha*s + (1-alpha) * mv(x)``.
-
-    ``mv`` is any ``operator @ x`` callable — the operator's own ``matvec``
-    or a row-sharded :meth:`repro.parallel.rows.ShardedMatvec.matvec`; both
-    produce bit-identical products, so the loop (and its stopping point) is
-    the same either way.  Returns ``(x, final_delta)``.
-    """
-    x = alpha * teleport
-    base = alpha * teleport
-    damp = 1.0 - alpha
-    delta = np.inf
-    for _ in range(max_iter):
-        x_next = base + damp * mv(x)
-        delta = float(np.abs(x_next - x).sum())
-        x = x_next
-        if delta < tol:
-            break
-    return x, delta
-
-
 def power_iteration(
     operator,
     teleport: np.ndarray,
@@ -63,27 +42,15 @@ def power_iteration(
     tol: float = 1e-12,
     max_iter: int = 1000,
     warn_on_nonconvergence: bool = True,
-    workers: "int | None" = None,
-    graph=None,
 ) -> np.ndarray:
     """Solve ``x = alpha * teleport + (1 - alpha) * operator @ x`` by iteration.
 
     Shared by F-Rank (``operator = P^T``) and T-Rank (``operator = P``).
     ``operator`` is a :class:`repro.ops.TransitionOperator` or any scipy
-    sparse matrix (wrapped on the fly); the single-vector product is
-    kernel-independent, so this reference path is bit-stable no matter what
-    ``REPRO_KERNEL`` selects.  Converges for any row-/column-substochastic
+    sparse matrix (wrapped on the fly); each sweep is the operator's
+    single-vector ``matvec``.  Converges for any row-/column-substochastic
     operator because the update is an L1 contraction with factor
     ``1 - alpha``.
-
-    ``workers`` (with ``graph``, the operator's owning graph) row-shards
-    every sweep across the :mod:`repro.parallel` pool when the routing plan
-    says it pays (:func:`repro.parallel.rows.plan_row_shards`): worker ``k``
-    computes a contiguous nnz-balanced row range of ``operator @ x`` against
-    the shared-memory CSR, so one big query saturates the host.  Results are
-    **bit-identical** to the sequential path for any worker count; when the
-    sequential path is chosen anyway, the reason is recorded in
-    :func:`repro.parallel.rows.active_route` rather than silently ignored.
 
     If ``max_iter`` is exhausted while the L1 residual is still >= ``tol``,
     a :class:`ConvergenceWarning` is emitted (pass
@@ -95,29 +62,16 @@ def power_iteration(
     if max_iter <= 0:
         raise ValueError(f"max_iter must be > 0, got {max_iter}")
     top = as_operator(operator)
-    sharded = None
-    if workers is not None and int(workers) > 1:
-        # Lazy import: repro.parallel imports this module for the warning
-        # class, so the dependency must stay one-way at import time.
-        from repro.parallel import rows as _rows
-
-        if graph is None or top.transpose is None:
-            _rows.record_route(
-                _rows.RouteReport(
-                    False,
-                    0,
-                    "row sharding needs the operator's owning graph "
-                    "(pass graph=; detached operators stay sequential)",
-                )
-            )
-        else:
-            sharded = _rows.open_row_sharded_matvec(graph, top.transpose, workers)
-    try:
-        mv = sharded.matvec if sharded is not None else top.matvec
-        x, delta = _power_loop(mv, teleport, alpha, tol, max_iter)
-    finally:
-        if sharded is not None:
-            sharded.close()
+    x = alpha * teleport
+    base = alpha * teleport
+    damp = 1.0 - alpha
+    delta = np.inf
+    for _ in range(max_iter):
+        x_next = base + damp * top.matvec(x)
+        delta = float(np.abs(x_next - x).sum())
+        x = x_next
+        if delta < tol:
+            break
     if warn_on_nonconvergence and delta >= tol:
         warnings.warn(
             f"power iteration did not converge within max_iter={max_iter} "
@@ -135,22 +89,18 @@ def frank_vector(
     tol: float = 1e-12,
     max_iter: int = 1000,
     warn_on_nonconvergence: bool = True,
-    workers: "int | None" = None,
 ) -> np.ndarray:
     """F-Rank of every node for ``query`` (== Personalized PageRank).
 
     Returns a dense vector ``f`` with ``f[v] = f(q, v)``; entries are
     non-negative and sum to one.  For many queries at once use
     :func:`repro.engine.frank_batch`, which runs a single multi-column
-    power iteration instead of one solve per query.  ``workers`` row-shards
-    this one query's sweeps across the process pool when the graph is big
-    enough to pay for it — bit-identical results for any worker count (see
-    :func:`power_iteration`).
+    power iteration instead of one solve per query.
     """
     s = teleport_vector(graph, query)
     return power_iteration(
         get_operator(graph, transpose=True), s, alpha, tol=tol, max_iter=max_iter,
-        warn_on_nonconvergence=warn_on_nonconvergence, workers=workers, graph=graph,
+        warn_on_nonconvergence=warn_on_nonconvergence,
     )
 
 

@@ -26,9 +26,9 @@ validate Proposition 2 and to regenerate the paper's Fig. 4 table.
 
 All solves delegate to the batch engine with a single column, so every
 operator product runs through the shared :mod:`repro.ops` subsystem (the
-per-graph prepared CSR and the pluggable matmat kernels); the
-``method="power"`` pin below keeps single-query results bit-identical to
-the historical per-node power iteration under every kernel.
+per-graph prepared CSR and its matmat kernel); the ``method="power"`` pin
+below keeps single-query results bit-identical to the historical per-node
+power iteration.
 """
 
 from __future__ import annotations

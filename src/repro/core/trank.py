@@ -32,7 +32,6 @@ def trank_vector(
     alpha: float = DEFAULT_ALPHA,
     tol: float = 1e-12,
     max_iter: int = 1000,
-    workers: "int | None" = None,
 ) -> np.ndarray:
     """T-Rank of every node for ``query``.
 
@@ -40,14 +39,10 @@ def trank_vector(
     multi-node query, linearity applies: the result is the weighted
     combination of the single-node T-Rank vectors (equivalently, the
     probability of ending at a query node drawn from the query weights).
-    ``workers`` row-shards this one query's sweeps across the process pool
-    exactly as in :func:`repro.core.frank.frank_vector` (bit-identical for
-    any worker count).
     """
     s = teleport_vector(graph, query)
     return power_iteration(
-        get_operator(graph, transpose=False), s, alpha, tol=tol, max_iter=max_iter,
-        workers=workers, graph=graph,
+        get_operator(graph, transpose=False), s, alpha, tol=tol, max_iter=max_iter
     )
 
 

@@ -19,10 +19,9 @@ exactly.  Online serving stacks on the same two batch entry points:
 ``frank_batch`` / ``trank_batch`` (optionally sharded with ``workers=``),
 which is also how the gateway's background
 :class:`repro.gateway.Prefetcher` materializes hot columns during idle
-capacity.  Every operator product dispatches through
-:mod:`repro.ops` (the prepared per-graph :class:`~repro.ops.TransitionOperator`
-and the pluggable ``REPRO_KERNEL`` matmat kernels), and ``method="power"``
-results are bit-identical under every kernel.
+capacity.  Every operator product goes through :mod:`repro.ops` (the
+prepared per-graph :class:`~repro.ops.TransitionOperator` and its matmat
+kernel).
 """
 
 from repro.engine.batch import (

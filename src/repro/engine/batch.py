@@ -33,12 +33,9 @@ Two solve methods share that multi-column sweep:
   acceleration assumptions.  Roughly 3-7x faster than sequential
   single-query solves on one core.
 
-All operator products dispatch through :class:`repro.ops.TransitionOperator`
-— the per-graph prepared CSR (both orientations, per-dtype variants, damped
-copies) lives in :mod:`repro.ops`, and the actual CSR matmat kernel is
-pluggable (``REPRO_KERNEL``: scipy / blocked / numba).  ``method="power"``
-results are bit-identical across kernels, so the kernel choice is purely a
-throughput knob.
+All operator products go through :class:`repro.ops.TransitionOperator` —
+the per-graph prepared CSR (both orientations, per-dtype variants, damped
+copies) and its matmat kernel live in :mod:`repro.ops`.
 """
 
 from __future__ import annotations
@@ -85,20 +82,10 @@ def _record_solve(span_, method: str, x: np.ndarray, norms: np.ndarray, sweeps: 
         kernel=report.name,
         dtype=str(x.dtype),
     )
-    with obs.span(
-        "ops.kernel",
-        kernel=report.name,
-        requested=report.requested or "",
-        fallback=report.fallback_reason or "",
-    ):
+    with obs.span("ops.kernel", kernel=report.name, fallback=report.fallback_reason or ""):
         pass
     _OBS_SOLVES.inc(method=method)
     _OBS_SWEEPS.inc(int(sweeps))
-
-
-def _prepared_operator(graph: DiGraph, transpose: bool, dtype):
-    """Backward-compatible shim: the prepared CSR now lives in :mod:`repro.ops`."""
-    return get_operator(graph, transpose).matrix(dtype)
 
 
 def stack_teleports(graph: DiGraph, queries: Sequence[Query]) -> np.ndarray:
@@ -276,7 +263,6 @@ def power_iteration_batch(
     max_iter: int = 1000,
     warn_on_nonconvergence: bool = True,
     method: str = "auto",
-    operator_f32=None,
 ) -> np.ndarray:
     """Solve ``X = alpha * teleports + (1 - alpha) * operator @ X`` column-wise.
 
@@ -286,8 +272,8 @@ def power_iteration_batch(
     ``n x q``; the result has the same shape.  With ``method="power"``,
     column ``j`` is exactly what :func:`repro.core.frank.power_iteration`
     returns for teleport column ``j`` (identical update and per-column
-    stopping rule, with converged columns masked out of subsequent sweeps)
-    — bit-identical under every registered matmat kernel.  With
+    stopping rule, with converged columns masked out of subsequent sweeps),
+    bit for bit.  With
     ``method="auto"`` (the default) a mixed-precision Chebyshev-accelerated
     path produces columns whose *verified* float64 L1 residual is below
     ``tol`` — within ``tol / alpha`` of the exact fixed point, and within
@@ -298,11 +284,6 @@ def power_iteration_batch(
     ``tol`` when the sweep budget ``max_iter`` is exhausted trigger one
     :class:`repro.core.frank.ConvergenceWarning` (opt out with
     ``warn_on_nonconvergence=False``).
-
-    ``operator_f32`` lets callers passing a raw sparse matrix supply a
-    pre-built float32 copy for the accelerated path; it is ignored when
-    ``operator`` is already a :class:`~repro.ops.TransitionOperator` (the
-    operator caches its own variants).
     """
     alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False)
     check_positive(tol, "tol")
@@ -310,7 +291,7 @@ def power_iteration_batch(
         raise ValueError(f"max_iter must be > 0, got {max_iter}")
     if method not in ("auto", "power"):
         raise ValueError(f"method must be 'auto' or 'power', got {method!r}")
-    top = as_operator(operator, float32=operator_f32)
+    top = as_operator(operator)
     teleports = np.asarray(teleports, dtype=np.float64)
     if teleports.ndim != 2:
         raise ValueError(f"teleports must be 2-D (n x q), got shape {teleports.shape}")
@@ -338,52 +319,6 @@ def power_iteration_batch(
     return x
 
 
-def _solve_batch_parallel(
-    graph: DiGraph,
-    queries: Sequence[Query],
-    transpose: bool,
-    alpha: float,
-    tol: float,
-    max_iter: int,
-    warn_on_nonconvergence: bool,
-    method: str,
-    workers: "int | None",
-) -> "np.ndarray | None":
-    """Parallel dispatch shared by :func:`frank_batch` / :func:`trank_batch`.
-
-    Tries the column-sharded pool first (big batches), then row-sharded
-    per-column sweeps (small ``method="power"`` batches on big graphs —
-    both bit-exact for any worker count).  Returns ``None`` when neither
-    pays; ``method="auto"`` small batches record why they stay sequential:
-    the Chebyshev stopping heuristics are batch-shape-dependent, so row
-    sharding them could change what a cached column converges to.
-    """
-    from repro.parallel import rows as _rows
-    from repro.parallel.pool import maybe_solve_batch_parallel
-
-    result = maybe_solve_batch_parallel(
-        graph, queries, transpose, alpha, tol, max_iter,
-        warn_on_nonconvergence, method, workers,
-    )
-    if result is not None:
-        return result
-    if method != "power":
-        _rows.record_route(
-            _rows.RouteReport(
-                False,
-                0,
-                f"batch of {len(queries)} is below the column-shard crossover "
-                "and method='auto' stays sequential (row-sharding the "
-                "accelerated path is not bit-stable; use method='power')",
-            )
-        )
-        return None
-    return _rows.maybe_solve_small_batch_rowsharded(
-        graph, queries, transpose, alpha, tol, max_iter,
-        warn_on_nonconvergence, workers,
-    )
-
-
 def frank_batch(
     graph: DiGraph,
     queries: Sequence[Query],
@@ -400,18 +335,18 @@ def frank_batch(
     verified ``tol``; bit-exact with ``method="power"``).
 
     ``workers`` shards the columns across the :mod:`repro.parallel` process
-    pool (the operator is shared zero-copy).  Batches too small to
-    column-shard (see :func:`repro.parallel.effective_workers`) row-shard
-    each column's sweeps instead when ``method="power"`` and the graph is
-    big enough (:func:`repro.parallel.rows.plan_row_shards`), so a lone
-    query with ``workers=4`` still saturates the host; otherwise the
-    sequential path runs and the reason is recorded in
-    :func:`repro.parallel.rows.active_route`.  Results are independent of
-    the worker count (bit-exact for ``method="power"``, within the verified
+    pool (the operator is shared zero-copy).  Batches below the pool's
+    crossover (see :func:`repro.parallel.effective_workers`) run the
+    sequential path; either way the decision is recorded in
+    :func:`repro.parallel.active_route`.  Results are independent of the
+    worker count (bit-exact for ``method="power"``, within the verified
     residual ``tol`` for ``method="auto"``).
     """
     if workers is not None:
-        result = _solve_batch_parallel(
+        # Lazy: repro.parallel imports repro.engine at module level.
+        from repro.parallel.pool import maybe_solve_batch_parallel
+
+        result = maybe_solve_batch_parallel(
             graph, queries, True, alpha, tol, max_iter,
             warn_on_nonconvergence, method, workers,
         )
@@ -443,11 +378,13 @@ def trank_batch(
 
     Column ``j`` equals ``trank_vector(graph, queries[j], alpha)`` (to the
     verified ``tol``; bit-exact with ``method="power"``).  ``workers``
-    behaves exactly as in :func:`frank_batch` (column shards for big
-    batches, row-sharded sweeps for small ``method="power"`` ones).
+    behaves exactly as in :func:`frank_batch`.
     """
     if workers is not None:
-        result = _solve_batch_parallel(
+        # Lazy: repro.parallel imports repro.engine at module level.
+        from repro.parallel.pool import maybe_solve_batch_parallel
+
+        result = maybe_solve_batch_parallel(
             graph, queries, False, alpha, tol, max_iter,
             warn_on_nonconvergence, method, workers,
         )

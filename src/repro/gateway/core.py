@@ -127,10 +127,9 @@ class RankGateway:
     workers:
         Worker-process count for cache-miss solves (forwarded to the
         default-built :class:`ColumnCache`; ignored when ``cache`` is
-        supplied).  Large miss batches column-shard across the
-        :mod:`repro.parallel` pool; small ``method="power"`` batches —
-        including a single cold query — row-shard each column's sweeps
-        instead, with bit-identical results either way.
+        supplied).  Miss batches past the pool's crossover column-shard
+        across the :mod:`repro.parallel` pool; smaller ones solve in
+        process, with bit-identical results either way.
     clock:
         Injectable monotonic clock shared by admission and stats (tests).
 
@@ -161,11 +160,10 @@ class RankGateway:
         if not graphs:
             raise ValueError("at least one graph must be registered")
         self._graphs: "dict[str, DiGraph]" = dict(graphs)
-        # workers reaches cache-miss solves through the shared cache: big
-        # miss batches column-shard across the pool, small method="power"
-        # ones row-shard each column's sweeps (repro.parallel.rows), so a
-        # lone cold query no longer pins one core.  Ignored when the caller
-        # supplies a ready cache (configure workers on that cache instead).
+        # workers reaches cache-miss solves through the shared cache: miss
+        # batches past the pool's crossover column-shard across the pool.
+        # Ignored when the caller supplies a ready cache (configure workers
+        # on that cache instead).
         self.cache = cache if cache is not None else ColumnCache(workers=workers)
         if isinstance(admission, AdmissionController):
             self.admission = admission

@@ -84,7 +84,6 @@ def _runtime_reports() -> dict:
     return {
         "kernel": {
             "name": kernel.name,
-            "requested": kernel.requested,
             "fallback_reason": kernel.fallback_reason,
         },
         "route": None
@@ -194,7 +193,6 @@ def render_prometheus(
         + _fmt_labels(
             {
                 "kernel": kernel["name"],
-                "requested": kernel["requested"] or "",
                 "fallback": kernel["fallback_reason"] or "",
             }
         )

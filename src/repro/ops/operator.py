@@ -9,21 +9,17 @@ float32 operator copy.  A kernel improvement could not land anywhere without
 touching all four.
 
 :class:`TransitionOperator` owns one *oriented* prepared CSR (``P`` or
-``P^T``) plus everything derived from it — per-dtype variants, per-kernel
-blocked preparations, damp-scaled copies for the Chebyshev phases — and
-dispatches ``matmat`` / ``matvec`` to the pluggable kernels in
-:mod:`repro.ops.kernels`.  Use :func:`get_operator` for graph-backed
-operators (cached per ``(graph, orientation)`` with weak references) and
-:meth:`TransitionOperator.from_csr` for detached ones (shared-memory worker
-attachments, ad-hoc matrices).
+``P^T``) plus everything derived from it — per-dtype variants and
+damp-scaled copies for the Chebyshev phases — and runs ``matmat`` through
+the kernel in :mod:`repro.ops.kernels`.  Use :func:`get_operator` for
+graph-backed operators (cached per ``(graph, orientation)`` with weak
+references) and :meth:`TransitionOperator.from_csr` for detached ones
+(shared-memory worker attachments, ad-hoc matrices).
 
 Guarantees
 ----------
-- ``matvec`` is kernel-independent (always the canonical scipy product), so
-  single-vector paths are bit-stable no matter what ``REPRO_KERNEL`` says.
-- ``matmat`` results are bit-identical across all registered kernels (the
-  blocked slab accumulation replays the unblocked addition order; see
-  :mod:`repro.ops.kernels`), asserted by the ``tests/ops`` parity suite.
+- ``matvec`` is the canonical scipy product on the base matrix, so
+  single-vector paths are bit-stable.
 - ``out=`` never aliases an input: ``matmat`` rejects overlapping ``out``
   and ``x`` buffers outright, closing the aliasing bug class the PR 3
   ``ColumnCache`` view fix dealt with downstream.
@@ -42,8 +38,7 @@ from repro import obs
 from repro.ops import kernels as _kernels
 
 _OBS_MATMAT = obs.counter(
-    "repro_kernel_matmat_total", "Kernel matmat dispatches by resolved kernel.",
-    labels=("kernel",),
+    "repro_kernel_matmat_total", "Kernel matmat calls by kernel.", labels=("kernel",)
 )
 
 #: dtypes a TransitionOperator serves; anything else is upcast to float64.
@@ -55,11 +50,6 @@ _SUPPORTED_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 #: uses one or two alphas, so a small LRU keeps the steady state hit.
 _DAMPED_CACHE_MAX = 4
 
-#: Most per-kernel preparations kept per operator.  A blocked-kernel
-#: preparation is a full re-sliced copy of the matrix, so the bound caps
-#: resident operator copies when batch widths roam across buckets.
-_PREPARED_CACHE_MAX = 4
-
 
 def _as_csr(matrix) -> sp.csr_matrix:
     if sp.issparse(matrix):
@@ -67,21 +57,22 @@ def _as_csr(matrix) -> sp.csr_matrix:
     else:
         csr = sp.csr_matrix(matrix)
     if not csr.has_sorted_indices:
-        # Sorted indices are load-bearing: the blocked kernel's bit-exactness
-        # argument assumes ascending-column accumulation order.
+        # Sorted indices are load-bearing: every product must add each row's
+        # contributions in ascending column order, whichever CSR the caller
+        # built, so equal operators give equal bits.
         csr = csr.copy()
         csr.sort_indices()
     return csr
 
 
 class TransitionOperator:
-    """A prepared, kernel-dispatching view of one oriented CSR operator.
+    """A prepared view of one oriented CSR operator.
 
     Construct via :func:`get_operator` (graph-backed, cached) or
     :meth:`from_csr` (detached).  Instances are immutable in value; all
-    mutation is memoization of derived state (dtype variants, kernel
-    preparations, damped copies) guarded by a lock, so an operator can be
-    shared across threads (the serving layer does).
+    mutation is memoization of derived state (dtype variants, damped
+    copies) guarded by a lock, so an operator can be shared across threads
+    (the serving layer does).
     """
 
     def __init__(self, matrix: sp.csr_matrix, *, transpose: "bool | None" = None) -> None:
@@ -91,9 +82,7 @@ class TransitionOperator:
         self._transpose = transpose
         self._variants: "dict[str, sp.csr_matrix]" = {base.dtype.name: base}
         self._base_dtype = base.dtype
-        self._prepared: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._damped: "OrderedDict[tuple, TransitionOperator]" = OrderedDict()
-        self._reordered: "dict[object, object]" = {}
         self._has_self_loops: "bool | None" = None
         self._lock = threading.Lock()
 
@@ -237,52 +226,19 @@ class TransitionOperator:
         dtype = array.dtype
         return dtype if dtype in _SUPPORTED_DTYPES else np.dtype(np.float64)
 
-    def _prepared_state(self, kernel: _kernels.Kernel, matrix: sp.csr_matrix, n_cols: int):
-        # Bucket the column count so one prepared state serves every nearby
-        # batch width without rebuilding slabs per call.  The upper clamp is
-        # lossless: past 1024 float64 columns the slab width has already hit
-        # the _MIN_SLAB_COLS floor, so a larger bucket prepares identically.
-        bucket = 1
-        while bucket < n_cols:
-            bucket <<= 1
-        bucket = min(max(bucket, 8), 1024)
-        # state_token folds in knobs the prepared state depends on (the
-        # threaded kernel's row partition tracks REPRO_KERNEL_THREADS).
-        key = (kernel.name, matrix.dtype.name, bucket, kernel.state_token())
-        with self._lock:
-            found = self._prepared.get(key)
-            if found is not None:
-                self._prepared.move_to_end(key)
-                return found[0]
-        # Prepare outside the lock (a blocked preparation re-slices the whole
-        # matrix); a racing duplicate preparation is wasted work, not a bug.
-        state = kernel.prepare(matrix, bucket)
-        with self._lock:
-            found = self._prepared.get(key)
-            if found is None:
-                found = (state,)
-                self._prepared[key] = found
-                while len(self._prepared) > _PREPARED_CACHE_MAX:
-                    self._prepared.popitem(last=False)
-            else:
-                self._prepared.move_to_end(key)
-        return found[0]
-
     def matmat(
         self,
         x: np.ndarray,
         out: "np.ndarray | None" = None,
         accumulate: bool = False,
-        kernel: "str | None" = None,
     ) -> np.ndarray:
-        """``operator @ x`` for a dense ``n x q`` block, kernel-dispatched.
+        """``operator @ x`` for a dense ``n x q`` block.
 
         - ``out=None`` allocates the result; otherwise the product is written
           into ``out`` (must be C-contiguous, matching shape/dtype, and must
           not alias ``x`` or the operator's own data — aliasing raises).
         - ``accumulate=True`` computes ``out += operator @ x`` (requires
           ``out``) with no temporary, the form the solver sweeps rely on.
-        - ``kernel`` overrides the process-wide selection for this call.
 
         The computation runs in ``x``'s dtype (float32 or float64; anything
         else is upcast to float64) against the matching prepared variant.
@@ -315,50 +271,22 @@ class TransitionOperator:
                 raise ValueError("out must be a writable C-contiguous buffer")
             if np.may_share_memory(out, x) or np.may_share_memory(out, matrix.data):
                 raise ValueError("out must not alias the operand or the operator")
-        kern, report = _kernels.resolve(kernel)
-        _kernels.warn_if_fallback(report)
-        _OBS_MATMAT.inc(kernel=report.name)
-        state = self._prepared_state(kern, matrix, x.shape[1])
-        kern.matmat(state, matrix, x, out, accumulate)
+        _OBS_MATMAT.inc(kernel=_kernels.KERNEL_NAME)
+        _kernels.matmat(matrix, x, out, accumulate)
         return out
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """``operator @ v`` for one dense vector.
 
-        Deliberately kernel-independent (the canonical scipy product on the
-        operator's base matrix, with scipy's usual dtype upcast): cache
-        blocking has nothing to win on a single gather column, and keeping
-        one code path makes every single-query solve bit-stable across
-        kernel selections — a float32 operand upcasts to the base precision
-        instead of silently degrading the whole solve.
+        The canonical scipy product on the operator's base matrix, with
+        scipy's usual dtype upcast: a float32 operand upcasts to the base
+        precision instead of silently degrading the whole solve.
         """
         return self._variants[self._base_dtype.name] @ np.asarray(v)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """``v @ operator`` (a row-vector step; kernel-independent)."""
+        """``v @ operator`` (a row-vector step)."""
         return np.asarray(np.asarray(v) @ self._variants[self._base_dtype.name]).ravel()
-
-    def reordered(self, node_types=None):
-        """The gather-friendly reordered view (memoized per type labeling).
-
-        Builds a :class:`repro.ops.reorder.ReorderedOperator` whose products
-        run through a degree/type-clustered symmetric permutation and equal
-        this operator's bit for bit (see :mod:`repro.ops.reorder`).  The
-        permutation is computed once at first call — effectively operator
-        build time for hot serving paths — and memoized; pass the graph's
-        ``node_types`` so BibNet's typed id clusters drive the grouping.
-        """
-        from repro.ops.reorder import ReorderedOperator
-
-        key = None if node_types is None else np.asarray(node_types).tobytes()
-        with self._lock:
-            found = self._reordered.get(key)
-            if found is not None:
-                return found
-        candidate = ReorderedOperator(self, node_types=node_types)
-        with self._lock:
-            found = self._reordered.setdefault(key, candidate)
-        return found
 
 
 # --------------------------------------------------------------------------- #
@@ -399,21 +327,16 @@ def get_operator(graph, transpose: bool = False) -> TransitionOperator:
     return found
 
 
-def as_operator(
-    operator,
-    float32: "sp.spmatrix | None" = None,
-) -> TransitionOperator:
+def as_operator(operator) -> TransitionOperator:
     """Coerce ``operator`` into a :class:`TransitionOperator`.
 
     Passes existing operators through unchanged; wraps scipy sparse
-    matrices detached (no graph cache).  ``float32`` is forwarded to
-    :meth:`TransitionOperator.from_csr` for pre-built low-precision
-    variants.
+    matrices detached (no graph cache).
     """
     if isinstance(operator, TransitionOperator):
         return operator
     if sp.issparse(operator):
-        return TransitionOperator.from_csr(operator, float32=float32)
+        return TransitionOperator.from_csr(operator)
     raise TypeError(
         f"expected a TransitionOperator or scipy sparse matrix, got {type(operator)!r}"
     )

@@ -14,14 +14,9 @@ the multi-query paths onto a process pool:
   :class:`repro.distributed.StripeMap` for assignment), the
   :func:`effective_workers` crossover heuristic, and :func:`shutdown`
   (pool teardown + segment unlink, also wired to ``atexit``).
-- :mod:`repro.parallel.rows` — row-range sharding of a *single* query's
-  ``matvec`` sweeps over the same shm-attached operator
-  (:class:`ShardedMatvec` / :func:`open_row_sharded_matvec`), auto-routed
-  by :func:`plan_row_shards` when the graph's nnz crosses
-  ``REPRO_ROWSHARD_MIN_NNZ``, with every routing decision (and every
-  sequential fallback's reason) readable via :func:`active_route` — so
-  ``workers=`` finally speeds up one lone query instead of silently
-  no-opping.  ``matvec`` results are bit-identical for any shard count.
+- :mod:`repro.parallel.rows` — the last routing decision of a
+  ``workers=`` batch call (column-sharded, or sequential with the reason),
+  readable via :func:`active_route`.
 - :mod:`repro.parallel.walks` — :func:`sample_trip_terminals_parallel`,
   sharded Monte Carlo trips with per-shard ``SeedSequence.spawn`` streams
   (reproducible for fixed ``(seed, workers)``).
@@ -37,7 +32,8 @@ interactive misses stay sequential), ``run_task_suite(..., workers=4)``.
 ``method="power"`` results are
 bit-exact for any worker count; ``method="auto"`` stays within the verified
 residual tolerance.  Small batches fall back to the sequential path
-automatically (see :func:`effective_workers`).
+automatically (see :func:`effective_workers`).  Single-query solvers
+(``frank_vector``/``trank_vector``) always run in-process.
 """
 
 from repro.parallel.pool import (
@@ -50,16 +46,7 @@ from repro.parallel.pool import (
     shutdown,
     solve_columns_parallel,
 )
-from repro.parallel.rows import (
-    ROWSHARD_MIN_NNZ_ENV_VAR,
-    RouteReport,
-    RowShardPlan,
-    ShardedMatvec,
-    active_route,
-    open_row_sharded_matvec,
-    plan_row_shards,
-    rowshard_min_nnz,
-)
+from repro.parallel.rows import RouteReport, active_route
 from repro.parallel.shm import (
     CSRHandle,
     SharedCSR,
@@ -72,14 +59,8 @@ from repro.parallel.walks import PARALLEL_MIN_SAMPLES, sample_trip_terminals_par
 __all__ = [
     "PARALLEL_MIN_QUERIES",
     "PARALLEL_MIN_SAMPLES",
-    "ROWSHARD_MIN_NNZ_ENV_VAR",
     "RouteReport",
-    "RowShardPlan",
-    "ShardedMatvec",
     "active_route",
-    "open_row_sharded_matvec",
-    "plan_row_shards",
-    "rowshard_min_nnz",
     "PoolRetiredError",
     "WorkerPool",
     "effective_workers",

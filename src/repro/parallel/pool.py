@@ -34,7 +34,9 @@ Dispatching to the pool costs task pickling and result shipping (one
 ``n x q/workers`` float64 array per shard), so tiny batches are faster
 sequentially.  :func:`effective_workers` falls back to the sequential path
 unless the batch has at least ``max(PARALLEL_MIN_QUERIES, 2 * workers)``
-columns; ``workers=None``/``0``/``1`` always mean "sequential".
+columns; ``workers=None``/``0``/``1`` always mean "sequential".  Every
+decision of a ``workers=`` batch call, with the reason when it stays
+sequential, is recorded for :func:`repro.parallel.active_route`.
 
 Lifetime
 --------
@@ -63,6 +65,7 @@ from repro.core.frank import ConvergenceWarning
 from repro.core.queries import Query, normalize_query
 from repro.distributed.striping import StripeMap
 from repro.graph.digraph import DiGraph
+from repro.parallel.rows import RouteReport, record_route
 from repro.parallel.shm import CSRHandle, SharedCSR, attach_operator
 from repro.utils.validation import check_in_range, check_positive
 
@@ -373,9 +376,9 @@ def _worker_operator(handle: CSRHandle):
     """The shared-memory :class:`repro.ops.TransitionOperator` for ``handle``.
 
     Every derived object (the float32 variant — shared when the handle
-    published a ``data32`` segment, derived otherwise — plus damped copies
-    and kernel preparations) rides the operator, which rides the LRU entry,
-    so eviction drops it all together with the mapped segments.
+    published a ``data32`` segment, derived otherwise — plus damped copies)
+    rides the operator, which rides the LRU entry, so eviction drops it all
+    together with the mapped segments.
     """
     return _worker_entry(handle)["operator"]
 
@@ -398,9 +401,7 @@ def _solve_shard(
     Runs exactly :func:`repro.engine.batch.power_iteration_batch` on the
     shard's teleport stack, against the shared-memory
     :class:`~repro.ops.TransitionOperator` (float32 variant included, so the
-    accelerated path never copies the operator).  Workers inherit
-    ``REPRO_KERNEL`` from the parent environment; ``method="power"`` shards
-    are bit-exact under every kernel regardless.  Convergence warnings
+    accelerated path never copies the operator).  Convergence warnings
     cannot cross the process boundary, so their messages are captured and
     re-issued by the parent.
     """
@@ -524,11 +525,22 @@ def maybe_solve_batch_parallel(
 
     Returns ``None`` when the crossover heuristic picks the sequential path
     (the caller then runs its normal single-process solve); otherwise the
-    assembled ``n x q`` result.
+    assembled ``n x q`` result.  Either way the decision is recorded for
+    :func:`repro.parallel.active_route`.
     """
     n_shards = effective_workers(len(queries), workers)
     if n_shards == 0:
+        if workers is not None and int(workers) > 1:
+            crossover = max(PARALLEL_MIN_QUERIES, 2 * int(workers))
+            reason = (
+                f"batch of {len(queries)} is below the column-pool crossover "
+                f"max(PARALLEL_MIN_QUERIES, 2 * workers) = {crossover}"
+            )
+        else:
+            reason = f"workers={workers!r} selects the sequential path"
+        record_route(RouteReport(False, 0, reason))
         return None
+    record_route(RouteReport(True, n_shards, None))
     parsed = [normalize_query(graph, query) for query in queries]
     return solve_columns_parallel(
         graph,

@@ -1,133 +1,39 @@
-"""Row-range sharding of a single query's sweeps across the process pool.
+"""The last ``workers=`` routing decision, readable via :func:`active_route`.
 
-The column-sharded pool (:mod:`repro.parallel.pool`) needs many queries to
-have anything to split — one huge query still ran on one core, making
-``workers=`` a silent no-op on the very workload the paper's efficiency
-story cares about (one user, one big graph).  This module shards the *rows*
-of each ``operator @ x`` sweep instead: worker ``k`` computes the contiguous
-nnz-balanced row range ``out[r0:r1] = A[r0:r1] @ x`` against the same
-shared-memory CSR the column shards attach (:func:`shared_operator` /
-:func:`attach_operator` are reused verbatim), so a lone power iteration
-saturates every worker.
+A ``workers=``-carrying batch solve either column-shards across the process
+pool (:func:`repro.parallel.pool.maybe_solve_batch_parallel`) or runs
+sequentially because the batch is below the pool's crossover
+(:func:`repro.parallel.effective_workers`).  Either way the decision and its
+reason are recorded here, in the style of :func:`repro.ops.active_kernel`,
+so ``workers=`` is never silently ignored.
 
-Bit-exactness: rows are independent in a CSR matvec, and scipy's kernel on
-the row slice ``A[r0:r1]`` performs exactly the per-row accumulation it
-performs on those rows of the full matrix, so the assembled ``matvec``
-result is **bit-identical** to the sequential one for any shard count or
-partition — the property the serving cache's "workers never change what a
-column converges to" invariant rests on.  ``rmatvec`` is the one exception:
-its per-shard partials must be summed across shards, which re-associates
-additions; the sum runs in ascending shard order, so results are
-deterministic for a fixed shard count but only tol-close across counts.
-
-Per-sweep traffic: the query vector is written into a parent-owned shared
-scratch segment and the result read back from a second one, so a sweep
-ships only ``(handle, range, scratch specs)`` per task — never a vector —
-and the two segments are reused for every sweep of a solve (created at
-:func:`open_row_sharded_matvec`, unlinked by :meth:`ShardedMatvec.close`).
-
-Routing: :func:`plan_row_shards` decides when sharding pays (the per-sweep
-pool round-trip must amortize against ``nnz`` work; threshold
-``REPRO_ROWSHARD_MIN_NNZ``); every decision — routed or not — is recorded
-with its reason and readable via :func:`active_route`, in the style of
-:func:`repro.ops.active_kernel`, so ``workers=`` is never silently ignored
-again.
+The module keeps its historical path because readers import
+:func:`active_route` from it: :func:`repro.obs.snapshot` and the ledger
+harness's provenance record (``perfbench/run.py``).
 """
 
 from __future__ import annotations
 
-import os
 import threading
-import warnings
-from collections import OrderedDict
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from multiprocessing import shared_memory
-
-import numpy as np
-import scipy.sparse as sp
 
 from repro import obs
-from repro.ops.kernels import nnz_balanced_ranges
-from repro.parallel.shm import ArraySpec, _next_name
 
 _OBS_ROUTES = obs.counter(
     "repro_route_decisions_total",
-    "Single-query row-shard routing decisions by outcome.",
+    "Column-pool routing decisions of workers= batch solves by outcome.",
     labels=("routed",),
 )
-_OBS_ROWSHARD_SWEEPS = obs.counter(
-    "repro_rowshard_sweeps_total",
-    "Row-sharded matvec/rmatvec sweeps dispatched to the pool.",
-)
-_OBS_ROWSHARD_SHARDS = obs.gauge(
-    "repro_rowshard_shards", "Shard count of the most recent routed matvec."
-)
-
-#: Smallest operator nnz worth row-sharding: below it one sweep is cheaper
-#: than the pool round-trip it would take to split.  Overridable via the
-#: ``REPRO_ROWSHARD_MIN_NNZ`` environment variable.
-DEFAULT_ROWSHARD_MIN_NNZ = 150_000
-
-ROWSHARD_MIN_NNZ_ENV_VAR = "REPRO_ROWSHARD_MIN_NNZ"
-
-
-def rowshard_min_nnz() -> int:
-    """The routing threshold currently in effect (env override, else default)."""
-    env = os.environ.get(ROWSHARD_MIN_NNZ_ENV_VAR, "").strip()
-    if env:
-        try:
-            value = int(env)
-            if value >= 0:
-                return value
-        except ValueError:
-            pass
-    return DEFAULT_ROWSHARD_MIN_NNZ
-
-
-# --------------------------------------------------------------------------- #
-# Routing plan + fallback reporting (the "no silent no-op" contract)
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class RowShardPlan:
-    """Outcome of the row-shard routing decision.
-
-    ``shards >= 2`` means the sweep is split; ``shards == 0`` means the
-    sequential path, with ``reason`` saying why (never ``None`` then).
-    """
-
-    shards: int
-    reason: "str | None"
-
-    @property
-    def routed(self) -> bool:
-        return self.shards >= 2
-
-
-def plan_row_shards(nnz: int, workers: "int | None", n_rows: int) -> RowShardPlan:
-    """Decide whether (and how wide) to row-shard a single query's sweeps."""
-    if workers is None or int(workers) <= 1:
-        return RowShardPlan(0, f"workers={workers!r} selects the sequential path")
-    workers = int(workers)
-    threshold = rowshard_min_nnz()
-    if nnz < threshold:
-        return RowShardPlan(
-            0,
-            f"operator nnz {nnz} is below the row-shard threshold {threshold} "
-            f"({ROWSHARD_MIN_NNZ_ENV_VAR}); one sweep is cheaper than the "
-            "pool round-trip",
-        )
-    shards = min(workers, n_rows)
-    if shards < 2:
-        return RowShardPlan(0, f"operator has only {n_rows} row(s); nothing to split")
-    return RowShardPlan(shards, None)
 
 
 @dataclass(frozen=True)
 class RouteReport:
-    """The last single-query routing decision (cf. :class:`KernelReport`)."""
+    """One routing decision (cf. :class:`repro.ops.KernelReport`).
+
+    ``routed`` with ``shards >= 2`` means the columns were split across the
+    pool; otherwise ``shards == 0`` and ``reason`` says why the solve stayed
+    sequential.
+    """
 
     routed: bool
     shards: int
@@ -147,289 +53,9 @@ def record_route(report: RouteReport) -> None:
 
 
 def active_route() -> "RouteReport | None":
-    """The most recent single-query routing decision in this process.
+    """The most recent ``workers=`` routing decision in this process.
 
-    ``None`` until a ``workers=``-carrying single-query entry point runs.
-    A non-routed report's ``reason`` documents exactly why ``workers=`` took
-    the sequential path — the fix for the historical silent no-op.
+    ``None`` until a batch entry point runs with ``workers`` set.
     """
     with _route_lock:
         return _last_route
-
-
-# --------------------------------------------------------------------------- #
-# Parent-owned shared scratch vectors
-# --------------------------------------------------------------------------- #
-
-
-class _ScratchVector:
-    """One writable float64 shared vector owned by the parent process.
-
-    Unlike the operator segments (read-only once published, see
-    :func:`repro.parallel.shm._attach_array`), scratch is *meant* to be
-    mutable: the parent writes ``x`` before each sweep and workers write
-    disjoint ``y`` ranges, with the futures' completion ordering the
-    phases — so ``view`` stays writable on purpose and the buffer never
-    outlives :meth:`destroy`.  Names come from the same
-    ``rtr{pid}x{counter}`` sequence as operator segments (never reused),
-    so the worker-side attachment cache can key on the name alone and the
-    leak checks see these segments like any other.
-    """
-
-    __slots__ = ("shm", "spec", "view")
-
-    def __init__(self, n: int) -> None:
-        self.shm = shared_memory.SharedMemory(
-            create=True, size=max(1, n * 8), name=_next_name()
-        )
-        self.view = np.ndarray((n,), dtype=np.float64, buffer=self.shm.buf)
-        self.view[...] = 0.0
-        self.spec = ArraySpec(name=self.shm.name, dtype="float64", shape=(n,))
-
-    def destroy(self) -> None:
-        """Close and unlink the segment (tolerates a racing finalizer)."""
-        try:
-            self.shm.close()
-            self.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - racing finalizer
-            pass
-
-
-# --------------------------------------------------------------------------- #
-# Worker side
-# --------------------------------------------------------------------------- #
-
-#: Most scratch attachments a worker keeps mapped.  Scratch segments are
-#: per-solve, so old entries go stale once the parent unlinks them; the LRU
-#: bounds how long their pages stay alive in a worker (close() on eviction).
-_SCRATCH_CACHE_MAX = 8
-
-_scratch_cache: "OrderedDict[str, tuple[np.ndarray, shared_memory.SharedMemory]]" = (
-    OrderedDict()
-)
-
-
-def _attach_scratch(spec: ArraySpec) -> np.ndarray:
-    """Attach (cached) to a parent-owned scratch vector, writable.
-
-    Unlike :func:`repro.parallel.shm._attach_array` the mapping stays
-    writable and carries no publish guard: scratch is *meant* to be written
-    by exactly one side per phase (parent writes x before submitting;
-    workers write disjoint ``y`` ranges before the parent reads), and the
-    futures' completion orders those phases.
-    """
-    entry = _scratch_cache.get(spec.name)
-    if entry is None:
-        shm = shared_memory.SharedMemory(name=spec.name)
-        entry = (
-            np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf),
-            shm,
-        )
-        _scratch_cache[spec.name] = entry
-        while len(_scratch_cache) > _SCRATCH_CACHE_MAX:
-            _, (_, old) = _scratch_cache.popitem(last=False)
-            old.close()
-    else:
-        _scratch_cache.move_to_end(spec.name)
-    return entry[0]
-
-
-def _row_slice(handle, r0: int, r1: int) -> sp.csr_matrix:
-    """The worker's cached CSR row slice ``A[r0:r1]`` for ``handle``.
-
-    Slices live inside the worker's per-handle cache entry (see
-    :func:`repro.parallel.pool._worker_entry`), so evicting an operator
-    drops its slices and mapped segments together — a slice can never
-    outlive the arrays it views.
-    """
-    from repro.parallel.pool import _worker_entry
-
-    entry = _worker_entry(handle)
-    slices = entry.setdefault("row_slices", {})
-    sub = slices.get((r0, r1))
-    if sub is None:
-        matrix = entry["matrix"]
-        indptr = matrix.indptr
-        lo, hi = int(indptr[r0]), int(indptr[r1])
-        sub = sp.csr_matrix(
-            (matrix.data[lo:hi], matrix.indices[lo:hi], indptr[r0 : r1 + 1] - lo),
-            shape=(r1 - r0, matrix.shape[1]),
-            copy=False,
-        )
-        slices[(r0, r1)] = sub
-    return sub
-
-
-def _rowshard_matvec(handle, r0: int, r1: int, xspec: ArraySpec, yspec: ArraySpec) -> None:
-    """Worker task: ``y[r0:r1] = A[r0:r1] @ x`` against shared scratch.
-
-    Shards write disjoint ranges of ``y``, so no cross-worker coordination
-    is needed; the parent reads ``y`` only after every future resolves.
-    """
-    sub = _row_slice(handle, r0, r1)
-    x = _attach_scratch(xspec)
-    y = _attach_scratch(yspec)
-    y[r0:r1] = sub @ x
-
-
-def _rowshard_rmatvec(handle, r0: int, r1: int, xspec: ArraySpec) -> np.ndarray:
-    """Worker task: the full-length partial ``x[r0:r1] @ A[r0:r1]``."""
-    sub = _row_slice(handle, r0, r1)
-    x = _attach_scratch(xspec)
-    return np.asarray(x[r0:r1] @ sub).ravel()
-
-
-# --------------------------------------------------------------------------- #
-# Parent-side sharded sweep
-# --------------------------------------------------------------------------- #
-
-
-class ShardedMatvec:
-    """One query's ``matvec``/``rmatvec`` sweeps, row-sharded over the pool.
-
-    Open via :func:`open_row_sharded_matvec`; call :meth:`close` (or use as
-    a context manager) when the solve finishes — the scratch segments are
-    parent-owned and must be unlinked.  ``matvec`` results are bit-identical
-    to :meth:`TransitionOperator.matvec` for any shard count; ``rmatvec`` is
-    deterministic per shard count (see the module docstring).
-    """
-
-    def __init__(self, graph, transpose: bool, shards: int) -> None:
-        from repro.ops import get_operator
-        from repro.parallel.pool import shared_operator
-
-        self._handle = shared_operator(graph, transpose)
-        indptr = get_operator(graph, transpose).matrix(np.float64).indptr
-        self._ranges = nnz_balanced_ranges(indptr, shards)
-        self._workers = shards
-        n = int(self._handle.shape[0])
-        self._xs = _ScratchVector(n)
-        try:
-            self._ys = _ScratchVector(n)
-        except BaseException:
-            self._xs.destroy()
-            raise
-        self._closed = False
-
-    @property
-    def shards(self) -> int:
-        """Actual shard count (ranges can collapse on degenerate graphs)."""
-        return len(self._ranges)
-
-    def _submit_all(self, fn, *extra):
-        from repro.parallel.pool import _discard_default_pool, _pool_submit
-
-        futures = [
-            _pool_submit(self._workers, fn, self._handle, r0, r1, self._xs.spec, *extra)
-            for r0, r1 in self._ranges
-        ]
-        try:
-            return [future.result() for future in futures]
-        except BrokenProcessPool:
-            # A worker died hard: drop the executor so the next parallel
-            # call starts fresh (mirrors solve_columns_parallel).
-            _discard_default_pool()
-            raise
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """``operator @ v``, assembled from disjoint row ranges (bit-exact)."""
-        if self._closed:
-            raise RuntimeError("ShardedMatvec is closed")
-        _OBS_ROWSHARD_SWEEPS.inc()
-        self._xs.view[...] = v
-        self._submit_all(_rowshard_matvec, self._ys.spec)
-        return self._ys.view.copy()
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """``v @ operator`` as the ascending-shard-order sum of partials."""
-        if self._closed:
-            raise RuntimeError("ShardedMatvec is closed")
-        _OBS_ROWSHARD_SWEEPS.inc()
-        self._xs.view[...] = v
-        partials = self._submit_all(_rowshard_rmatvec)
-        out = np.zeros_like(self._xs.view)
-        for partial in partials:
-            out += partial
-        return out
-
-    def close(self) -> None:
-        """Unlink the scratch segments (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._xs.destroy()
-        self._ys.destroy()
-
-    def __enter__(self) -> "ShardedMatvec":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def open_row_sharded_matvec(graph, transpose: bool, workers: "int | None"):
-    """Open a :class:`ShardedMatvec` when the routing plan says it pays.
-
-    Returns ``None`` on the sequential path; either way the decision (with
-    its reason) is recorded for :func:`active_route`.  The caller owns the
-    returned object and must :meth:`~ShardedMatvec.close` it.
-    """
-    from repro.ops import get_operator
-
-    top = get_operator(graph, transpose)
-    plan = plan_row_shards(top.nnz, workers, top.shape[0])
-    record_route(RouteReport(plan.routed, plan.shards, plan.reason))
-    if not plan.routed:
-        return None
-    _OBS_ROWSHARD_SHARDS.set(float(plan.shards))
-    return ShardedMatvec(graph, transpose, plan.shards)
-
-
-def maybe_solve_small_batch_rowsharded(
-    graph,
-    queries,
-    transpose: bool,
-    alpha: float,
-    tol: float,
-    max_iter: int,
-    warn_on_nonconvergence: bool,
-    workers: "int | None",
-) -> "np.ndarray | None":
-    """Row-sharded fallback for ``method="power"`` batches too small to
-    column-shard.
-
-    The column pool needs ``max(8, 2 * workers)`` columns to amortize task
-    overhead; below that, each column's power iteration runs here against
-    one shared :class:`ShardedMatvec` (scratch reused across columns).
-    Results are bit-identical to the sequential ``method="power"`` batch —
-    both equal the single-query solver column for column — so the serving
-    cache's worker-count invariant is preserved.  Returns ``None`` when the
-    routing plan says sharding does not pay.
-    """
-    from repro.core.frank import ConvergenceWarning, _power_loop
-    from repro.core.queries import teleport_vector
-
-    sharded = open_row_sharded_matvec(graph, transpose, workers)
-    if sharded is None:
-        return None
-    x = np.empty((graph.n_nodes, len(queries)))
-    unconverged = 0
-    worst = 0.0
-    try:
-        for j, query in enumerate(queries):
-            s = teleport_vector(graph, query)
-            x[:, j], delta = _power_loop(sharded.matvec, s, alpha, tol, max_iter)
-            if delta >= tol:
-                unconverged += 1
-                worst = max(worst, delta)
-    finally:
-        sharded.close()
-    if warn_on_nonconvergence and unconverged:
-        warnings.warn(
-            f"{unconverged} of {len(queries)} row-sharded columns did not "
-            f"converge within max_iter={max_iter} (worst residual {worst:.3e} "
-            f">= tol={tol:g})",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    return x

@@ -6,6 +6,7 @@ helpers so that error messages are uniform and informative.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -46,10 +47,17 @@ def check_in_range(
 
 
 def check_positive(value: float, name: str, *, strict: bool = True) -> float:
-    """Validate that ``value`` is positive (strictly, by default)."""
+    """Validate that ``value`` is finite and positive (strictly, by default).
+
+    NaN fails every comparison, so it must be rejected explicitly: a NaN
+    ``tol`` would otherwise run a solver to ``max_iter`` (or stop it after
+    one sweep) without a word.
+    """
     if not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
     value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
     if strict and value <= 0:
         raise ValueError(f"{name} must be > 0, got {value}")
     if not strict and value < 0:

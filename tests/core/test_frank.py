@@ -8,8 +8,10 @@ from repro.core import (
     estimate_frank_mc,
     frank_constant_length,
     frank_vector,
+    power_iteration,
     ppr,
 )
+from repro.core.queries import teleport_vector
 from repro.graph import graph_from_edges
 from tests.conftest import brute_force_frank, random_digraph_strategy
 
@@ -63,6 +65,16 @@ class TestFRankVector:
     def test_alpha_validation(self, toy_graph, alpha):
         with pytest.raises(ValueError):
             frank_vector(toy_graph, 0, alpha)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tol_rejected(self, toy_graph, tol):
+        # Unchecked, NaN ran all max_iter sweeps without a warning and inf
+        # returned the one-sweep iterate.
+        s = teleport_vector(toy_graph, 0)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            power_iteration(toy_graph.transition.T.tocsr(), s, 0.25, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            frank_vector(toy_graph, 0, tol=tol)
 
 
 class TestConvergenceWarning:

@@ -106,6 +106,17 @@ class TestPowerIterationBatch:
         with pytest.raises(ValueError):
             power_iteration_batch(toy_graph.transition, s, alpha)
 
+    @pytest.mark.parametrize("method", ["power", "auto"])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tol_rejected(self, toy_graph, method, tol):
+        # Unchecked, "power" returned a one-sweep iterate and "auto" raised
+        # an unrelated error from inside the Chebyshev phase.
+        s = stack_teleports(toy_graph, [0])
+        with pytest.raises(ValueError, match="tol must be finite"):
+            power_iteration_batch(toy_graph.transition, s, 0.25, tol=tol, method=method)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            frank_batch(toy_graph, [0], tol=tol, method=method)
+
 
 class TestBatchParityToy:
     def test_frank_batch_matches_single(self, toy_graph):

@@ -1,7 +1,7 @@
-"""Capability probing: the fast paths must be *visibly* active in CI.
+"""Capability probing: the fast path must be *visibly* active in CI.
 
-The scipy kernel's accumulate form and the blocked kernel both depend on the
-private ``scipy.sparse._sparsetools.csr_matvecs`` entry point.  The import
+The kernel's accumulate form depends on the private
+``scipy.sparse._sparsetools.csr_matvecs`` entry point.  The import
 is feature-detected (an upstream rename degrades silently to the pure-``@``
 fallback in production), so this module pins the expectation in CI: if a
 scipy upgrade drops the symbol, these tests fail loudly and the dependency
@@ -9,10 +9,8 @@ gets fixed deliberately instead of rotting silently.
 """
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 
-from repro import ops
 from repro.ops import kernels as k
 
 
@@ -24,15 +22,9 @@ class TestCsrMatvecsCapability:
         assert k.HAS_CSR_MATVECS, (
             "scipy.sparse._sparsetools.csr_matvecs vanished from this scipy "
             f"({sp.__name__} {__import__('scipy').__version__}); the scipy "
-            "kernel fell back to the allocating path and the blocked kernel "
-            "is disabled — port the accumulate call before shipping"
+            "kernel fell back to the allocating path — port the accumulate "
+            "call before shipping"
         )
-
-    def test_capabilities_report_matches_flags(self):
-        caps = ops.capabilities()
-        assert caps["csr_matvecs"] == k.HAS_CSR_MATVECS
-        assert caps["numba"] == k.HAS_NUMBA
-        assert caps["l2_bytes"] > 0
 
     def test_accumulate_form_matches_scipy_product(self):
         rng = np.random.default_rng(3)
@@ -41,52 +33,3 @@ class TestCsrMatvecsCapability:
         out = np.zeros((40, 7))
         k._spmm_accumulate(matrix, x, out)
         assert np.array_equal(out, matrix @ x)
-
-
-class TestKernelAvailability:
-    def test_scipy_kernel_always_available(self):
-        assert ops.available_kernels()["scipy"] is None
-
-    def test_blocked_kernel_gates_on_csr_matvecs(self):
-        reason = ops.available_kernels()["blocked"]
-        if k.HAS_CSR_MATVECS:
-            assert reason is None
-        else:  # pragma: no cover - scipy internals moved
-            assert "csr_matvecs" in reason
-
-    def test_numba_kernel_gates_on_import(self):
-        reason = ops.available_kernels()["numba"]
-        if k.HAS_NUMBA:  # pragma: no cover - optional dependency
-            assert reason is None
-        else:
-            assert "numba" in reason
-
-    def test_unavailable_request_falls_back_with_reason(self, monkeypatch):
-        monkeypatch.setattr(k, "HAS_NUMBA", False)
-        kernel, report = k.resolve("numba")
-        assert kernel.name == "scipy"
-        assert report.is_fallback
-        assert report.requested == "numba"
-        assert "numba" in report.fallback_reason
-
-    def test_unknown_env_kernel_falls_back_with_reason(self, monkeypatch):
-        monkeypatch.setenv(ops.KERNEL_ENV_VAR, "fpga")
-        report = ops.active_kernel()
-        assert report.name == "scipy"
-        assert report.requested == "fpga"
-        assert "unknown kernel" in report.fallback_reason
-
-    def test_fallback_multiply_warns_once_per_process(self, toy_graph, monkeypatch):
-        import warnings
-
-        monkeypatch.setenv(ops.KERNEL_ENV_VAR, "fpga")
-        monkeypatch.setattr(k, "_warned_fallbacks", set())
-        top = ops.get_operator(toy_graph, transpose=True)
-        x = np.ones((toy_graph.n_nodes, 2))
-        with pytest.warns(RuntimeWarning, match="unknown kernel"):
-            top.matmat(x)
-        with warnings.catch_warnings():
-            # Solver sweeps resolve per multiply; the degradation must not
-            # warn again (it would be once per sweep otherwise).
-            warnings.simplefilter("error")
-            top.matmat(x)

@@ -59,16 +59,6 @@ class TestGraphCaching:
         assert (0.05 + 0.05 * (_DAMPED_CACHE_MAX + 2), "float32") in top._damped
         assert (0.05, "float32") not in top._damped
 
-    def test_prepared_cache_is_bounded(self, toy_graph):
-        from repro.ops.operator import _PREPARED_CACHE_MAX
-
-        top = ops.get_operator(toy_graph, True)
-        x8 = np.ones((toy_graph.n_nodes, 1))
-        for width in (1, 9, 17, 33, 65, 129, 257):
-            top.matmat(np.ones((toy_graph.n_nodes, width)), kernel="blocked")
-        top.matmat(x8, kernel="scipy")
-        assert len(top._prepared) <= _PREPARED_CACHE_MAX
-
     def test_damped_copies_are_cached_and_scaled(self, toy_graph):
         top = ops.get_operator(toy_graph, False)
         damped = top.damped(0.75, np.float32)

@@ -3,9 +3,7 @@
 Two invariant families, hypothesis-driven:
 
 - *kernel equivalence*: for arbitrary sparse matrices and operand widths,
-  the blocked kernel's (forced-slab) matmat is bit-identical to the scipy
-  kernel and to the raw scipy product, in both overwrite and accumulate
-  forms;
+  the operator's matmat is bit-identical to the raw scipy product;
 - *no aliasing*: buffers returned by the solvers are always freshly owned —
   never views of (or sharing memory with) the teleport inputs, the
   operator's arrays, or an ``out=`` scratch buffer.  This is the regression
@@ -16,13 +14,12 @@ Two invariant families, hypothesis-driven:
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ops
 from repro.engine import power_iteration_batch
 from repro.graph.transition import row_normalize
-from repro.ops import kernels as k
 
 
 @st.composite
@@ -41,31 +38,6 @@ def csr_and_block(draw):
 
 
 class TestKernelEquivalenceProperties:
-    @settings(
-        max_examples=40,
-        deadline=None,
-        # The monkeypatched slab constants are re-applied identically for
-        # every drawn example, so the function-scoped fixture is sound here.
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(case=csr_and_block())
-    def test_blocked_bit_equals_scipy_on_arbitrary_matrices(self, case, monkeypatch):
-        if ops.available_kernels()["blocked"] is not None:  # pragma: no cover
-            pytest.skip("blocked kernel unavailable")
-        matrix, x = case
-        monkeypatch.setattr(k, "_SLAB_TARGET_BYTES", 128)
-        monkeypatch.setattr(k, "_MIN_SLAB_COLS", 2)
-        top = ops.as_operator(matrix)
-        assert np.array_equal(
-            top.matmat(x, kernel="blocked"), top.matmat(x, kernel="scipy")
-        )
-        base = np.asarray(x.sum(axis=1, keepdims=True)) * np.ones((1, x.shape[1]))
-        acc_blocked = base.copy()
-        top.matmat(x, out=acc_blocked, accumulate=True, kernel="blocked")
-        acc_scipy = base.copy()
-        top.matmat(x, out=acc_scipy, accumulate=True, kernel="scipy")
-        assert np.array_equal(acc_blocked, acc_scipy)
-
     @settings(max_examples=25, deadline=None)
     @given(case=csr_and_block())
     def test_matmat_equals_raw_scipy_product(self, case):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro.parallel as parallel
+from repro.core.queries import normalize_query
 from repro.engine import frank_batch
 from repro.parallel.pool import (
     PARALLEL_MIN_QUERIES,
@@ -11,6 +12,7 @@ from repro.parallel.pool import (
     effective_workers,
     get_pool,
     shared_operator,
+    solve_columns_parallel,
 )
 from repro.parallel.shm import live_segment_names
 
@@ -34,6 +36,14 @@ class TestEffectiveWorkers:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             effective_workers(10, -1)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tol_rejected_before_dispatch(self, toy_graph, tol):
+        parsed = [normalize_query(toy_graph, q) for q in range(PARALLEL_MIN_QUERIES)]
+        before = set(live_segment_names())
+        with pytest.raises(ValueError, match="tol must be finite"):
+            solve_columns_parallel(toy_graph, parsed, True, 0.25, tol, 100, True, "power", 2)
+        assert set(live_segment_names()) == before
 
     def test_crossover_routes_small_batch_sequentially(self, toy_graph):
         # Below the crossover nothing is published and no pool is touched:

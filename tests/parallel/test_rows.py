@@ -1,68 +1,11 @@
-"""Tests for row-range sharding of a single query's sweeps (repro.parallel.rows)."""
+"""Tests for the ``workers=`` routing report (repro.parallel.rows)."""
 
 import numpy as np
-import pytest
 
-import repro.parallel as parallel
-from repro.core import frank_vector, power_iteration, trank_vector
-from repro.core.queries import teleport_vector
 from repro.engine import frank_batch, trank_batch
 from repro.gateway import RankGateway
-from repro.ops import get_operator
-from repro.parallel.rows import (
-    ROWSHARD_MIN_NNZ_ENV_VAR,
-    RouteReport,
-    ShardedMatvec,
-    active_route,
-    open_row_sharded_matvec,
-    plan_row_shards,
-    record_route,
-    rowshard_min_nnz,
-)
-from repro.parallel.shm import live_segment_names
-
-
-@pytest.fixture
-def force_routing(monkeypatch):
-    """Drop the nnz threshold so the test graphs route despite being small."""
-    monkeypatch.setenv(ROWSHARD_MIN_NNZ_ENV_VAR, "1")
-
-
-class TestPlanRowShards:
-    def test_workers_none_zero_one_stay_sequential(self):
-        for workers in (None, 0, 1):
-            plan = plan_row_shards(10**9, workers, 10**6)
-            assert not plan.routed
-            assert plan.shards == 0
-            assert "sequential" in plan.reason
-
-    def test_below_threshold_stays_sequential_with_documented_reason(self):
-        plan = plan_row_shards(rowshard_min_nnz() - 1, 4, 10**6)
-        assert not plan.routed
-        assert ROWSHARD_MIN_NNZ_ENV_VAR in plan.reason
-
-    def test_routed_plan_has_no_reason(self, force_routing):
-        plan = plan_row_shards(1000, 4, 1000)
-        assert plan.routed
-        assert plan.shards == 4
-        assert plan.reason is None
-
-    def test_shards_capped_by_row_count(self, force_routing):
-        assert plan_row_shards(1000, 8, 3).shards == 3
-
-    def test_single_row_has_nothing_to_split(self, force_routing):
-        plan = plan_row_shards(1000, 4, 1)
-        assert not plan.routed
-        assert "row" in plan.reason
-
-    def test_env_threshold_override(self, monkeypatch):
-        monkeypatch.setenv(ROWSHARD_MIN_NNZ_ENV_VAR, "42")
-        assert rowshard_min_nnz() == 42
-        # Garbage and negatives fall back to the default.
-        monkeypatch.setenv(ROWSHARD_MIN_NNZ_ENV_VAR, "nope")
-        assert rowshard_min_nnz() > 42
-        monkeypatch.setenv(ROWSHARD_MIN_NNZ_ENV_VAR, "-5")
-        assert rowshard_min_nnz() > 42
+from repro.parallel import PARALLEL_MIN_QUERIES
+from repro.parallel.rows import RouteReport, active_route, record_route
 
 
 class TestRouteReport:
@@ -71,125 +14,20 @@ class TestRouteReport:
         record_route(report)
         assert active_route() == report
 
-    def test_open_records_not_routed_below_threshold(self, small_bibnet):
-        assert open_row_sharded_matvec(small_bibnet.graph, True, workers=4) is None
-        route = active_route()
-        assert not route.routed
-        assert ROWSHARD_MIN_NNZ_ENV_VAR in route.reason
-
-    def test_open_records_routed(self, small_bibnet, force_routing):
-        sharded = open_row_sharded_matvec(small_bibnet.graph, True, workers=2)
-        try:
-            route = active_route()
-            assert route == RouteReport(routed=True, shards=2, reason=None)
-        finally:
-            sharded.close()
-
-
-class TestShardedMatvec:
-    def test_matvec_bit_identical_for_any_shard_count(self, small_bibnet, force_routing):
-        g = small_bibnet.graph
-        top = get_operator(g, transpose=True)
-        rng = np.random.default_rng(9)
-        v = rng.random(g.n_nodes)
-        expected = top.matvec(v)
-        for shards in (2, 3, 5):
-            with ShardedMatvec(g, transpose=True, shards=shards) as sharded:
-                assert np.array_equal(sharded.matvec(v), expected)
-
-    def test_rmatvec_deterministic_per_shard_count_and_tol_close(
-        self, small_bibnet, force_routing
-    ):
-        g = small_bibnet.graph
-        top = get_operator(g, transpose=True)
-        rng = np.random.default_rng(10)
-        v = rng.random(g.n_nodes)
-        expected = top.rmatvec(v)
-        with ShardedMatvec(g, transpose=True, shards=3) as sharded:
-            first = sharded.rmatvec(v)
-            # Ascending-shard-order summation: repeat calls are bit-identical.
-            assert np.array_equal(sharded.rmatvec(v), first)
-        np.testing.assert_allclose(first, expected, rtol=1e-12, atol=1e-15)
-
-    def test_scratch_segments_unlinked_on_close(self, small_bibnet, force_routing):
-        before = set(live_segment_names())
-        sharded = ShardedMatvec(small_bibnet.graph, transpose=True, shards=2)
-        during = set(live_segment_names()) - before
-        # Two scratch vectors, plus possibly the operator's published
-        # segments on a cold pool (those are owned by repro.parallel.shutdown).
-        assert len(during) >= 2
-        sharded.close()
-        sharded.close()  # idempotent
-        from repro.parallel.pool import published_segment_names
-
-        leaked = set(live_segment_names()) - before - published_segment_names()
-        assert leaked == set()
-
-    def test_closed_sharded_matvec_refuses_sweeps(self, small_bibnet, force_routing):
-        sharded = ShardedMatvec(small_bibnet.graph, transpose=True, shards=2)
-        sharded.close()
-        with pytest.raises(RuntimeError):
-            sharded.matvec(np.zeros(small_bibnet.graph.n_nodes))
-        with pytest.raises(RuntimeError):
-            sharded.rmatvec(np.zeros(small_bibnet.graph.n_nodes))
-
-
-class TestSingleQueryWorkers:
-    def test_frank_vector_bit_identical_across_worker_counts(
-        self, small_bibnet, force_routing
-    ):
-        g = small_bibnet.graph
-        expected = frank_vector(g, 5)
-        for workers in (2, 3):
-            assert np.array_equal(frank_vector(g, 5, workers=workers), expected)
-            assert active_route().routed
-
-    def test_trank_vector_bit_identical(self, small_bibnet, force_routing):
-        g = small_bibnet.graph
-        expected = trank_vector(g, 7)
-        assert np.array_equal(trank_vector(g, 7, workers=2), expected)
+    def test_column_sharded_batch_is_recorded(self, toy_graph):
+        queries = list(range(PARALLEL_MIN_QUERIES))
+        frank_batch(toy_graph, queries, method="power", workers=2)
         assert active_route() == RouteReport(routed=True, shards=2, reason=None)
 
-    def test_small_graph_falls_back_with_reason(self, toy_graph):
-        expected = frank_vector(toy_graph, 0)
-        assert np.array_equal(frank_vector(toy_graph, 0, workers=4), expected)
+    def test_workers_one_records_the_sequential_path(self, toy_graph):
+        frank_batch(toy_graph, [0, 1], workers=1)
         route = active_route()
         assert not route.routed
-        assert ROWSHARD_MIN_NNZ_ENV_VAR in route.reason
-
-    def test_detached_operator_stays_sequential_with_reason(
-        self, small_bibnet, force_routing
-    ):
-        # workers= without graph= cannot shard (no owning graph to publish).
-        g = small_bibnet.graph
-        top = get_operator(g, transpose=True)
-        s = teleport_vector(g, 5)
-        expected = power_iteration(top, s, 0.15)
-        got = power_iteration(top, s, 0.15, workers=4)
-        assert np.array_equal(got, expected)
-        route = active_route()
-        assert not route.routed
-        assert "graph" in route.reason
+        assert "workers=1" in route.reason
 
 
 class TestSmallBatchRouting:
-    def test_small_power_batch_rowsharded_bit_identical(self, small_bibnet, force_routing):
-        g = small_bibnet.graph
-        queries = [0, 5, 9]  # below the column-shard crossover
-        expected = frank_batch(g, queries, method="power")
-        got = frank_batch(g, queries, method="power", workers=2)
-        assert np.array_equal(got, expected)
-        assert active_route().routed
-
-    def test_small_trank_power_batch_rowsharded(self, small_bibnet, force_routing):
-        g = small_bibnet.graph
-        queries = [1, 2]
-        expected = trank_batch(g, queries, method="power")
-        assert np.array_equal(trank_batch(g, queries, method="power", workers=2), expected)
-
-    def test_small_auto_batch_stays_sequential_with_reason(
-        self, small_bibnet, force_routing
-    ):
+    def test_small_auto_batch_stays_sequential_with_reason(self, small_bibnet):
         g = small_bibnet.graph
         queries = [0, 5]
         expected = frank_batch(g, queries)  # method="auto", sequential
@@ -197,15 +35,16 @@ class TestSmallBatchRouting:
         assert np.array_equal(got, expected)
         route = active_route()
         assert not route.routed
-        assert "method='power'" in route.reason
+        assert "crossover" in route.reason
 
-    def test_no_segments_leak_after_rowsharded_batch(self, small_bibnet, force_routing):
-        from repro.parallel.pool import published_segment_names
-
-        before = set(live_segment_names()) - published_segment_names()
-        frank_batch(small_bibnet.graph, [0, 1, 2], method="power", workers=2)
-        after = set(live_segment_names()) - published_segment_names()
-        assert after == before
+    def test_small_power_batch_stays_sequential_with_reason(self, small_bibnet):
+        g = small_bibnet.graph
+        queries = [1, 2]
+        expected = trank_batch(g, queries, method="power")
+        assert np.array_equal(trank_batch(g, queries, method="power", workers=2), expected)
+        route = active_route()
+        assert route.shards == 0
+        assert "batch of 2" in route.reason
 
 
 class TestGatewayPlumbing:

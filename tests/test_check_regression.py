@@ -21,11 +21,6 @@ def _payload() -> dict:
             "walk_speedup": 150.0,
         },
         "parallel": {"auto_parity_max_abs": 4e-14},
-        "threaded": {
-            "kernel_bit_exact": True,
-            "singlequery_bit_exact": True,
-            "singlequery_speedup": 0.04,
-        },
         "serving": {
             "topk_parity": True,
             "cache_hit_rate": 0.59,

@@ -54,6 +54,13 @@ class TestCheckPositive:
         with pytest.raises(ValueError):
             check_positive(-1.0, "x", strict=False)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_rejects_non_finite(self, bad, strict):
+        # NaN fails every comparison, so a plain "<= 0" check lets it pass.
+        with pytest.raises(ValueError, match="finite"):
+            check_positive(bad, "x", strict=strict)
+
 
 class TestCheckNodeId:
     def test_valid(self):
