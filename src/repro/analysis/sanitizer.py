@@ -19,7 +19,8 @@ Three checks:
 - **Write-after-publish tripwire** — producers of shared read-only arrays
   (the column cache, shared-memory attach) call :func:`publish_guard`;
   :func:`check_published` reports any published array that has been flipped
-  writable again and re-freezes it.
+  writable again and re-freezes it.  Both live in the runtime module
+  :mod:`repro.utils.publish` (re-exported here); :func:`install` arms it.
 - The pytest plugin layers per-module thread/segment leak checks on top;
   see :mod:`repro.analysis.pytest_plugin`.
 
@@ -38,10 +39,11 @@ from __future__ import annotations
 import os
 import sys
 import threading
-import weakref
 from typing import Any, Callable
 
 from repro.analysis.cycles import canonical_cycle, find_cycles
+from repro.utils import publish as _publish
+from repro.utils.publish import check_published, publish_guard
 
 __all__ = [
     "LockOrderViolation",
@@ -189,6 +191,7 @@ def install() -> None:
     test are imported, so in practice the interesting locks are all seen.
     """
     global _installed, _active
+    _publish.arm()
     with _state_lock:
         if _installed:
             _active = True
@@ -203,6 +206,7 @@ def uninstall() -> None:
     """Restore the real factories and deactivate recording."""
     global _installed, _active
     _active = False
+    _publish.disarm()
     with _state_lock:
         if not _installed:
             return
@@ -221,8 +225,7 @@ def reset() -> None:
         _edges.clear()
         _lock_sites.clear()
     _held.stack.clear()
-    with _publish_lock:
-        _published.clear()
+    _publish.clear()
 
 
 # --------------------------------------------------------------------------- #
@@ -345,56 +348,3 @@ def find_unified_cycles(
 def _abs_site(site: str) -> str:
     path, _, line = site.rpartition(":")
     return f"{os.path.abspath(path)}:{line}"
-
-
-# --------------------------------------------------------------------------- #
-# Write-after-publish tripwire
-# --------------------------------------------------------------------------- #
-
-_publish_lock = _real_lock_factory()
-_published: "dict[int, tuple[weakref.ref, str]]" = {}
-
-
-def publish_guard(array: Any, label: str) -> None:
-    """Register a published read-only array with the tripwire.
-
-    No-op unless the sanitizer is active, so producers can call this
-    unconditionally on their hot paths.
-    """
-    if not _active:
-        return
-    try:
-        ref = weakref.ref(array)
-    except TypeError:  # pragma: no cover - non-weakref-able publishables
-        return
-    with _publish_lock:
-        _published[id(array)] = (ref, label)
-
-
-def check_published() -> "list[str]":
-    """Report published arrays that have been made writable again.
-
-    Each offender is re-frozen (``setflags(write=False)``) so one bad actor
-    cannot keep corrupting shared state after being reported.  Dead
-    references are pruned as a side effect.
-    """
-    violations = []
-    with _publish_lock:
-        entries = list(_published.items())
-    dead = []
-    for key, (ref, label) in entries:
-        array = ref()
-        if array is None:
-            dead.append(key)
-            continue
-        if getattr(array.flags, "writeable", False):
-            violations.append(
-                f"published array {label!r} became writable after publish "
-                "(someone called setflags/flags.writeable on shared data)"
-            )
-            array.setflags(write=False)
-    if dead:
-        with _publish_lock:
-            for key in dead:
-                _published.pop(key, None)
-    return violations

@@ -411,20 +411,20 @@ def _per_node_ft(
     warn_on_nonconvergence: bool,
     method: str,
     workers: "int | None" = None,
-) -> "tuple[np.ndarray, np.ndarray, dict[int, int]]":
+) -> "tuple[np.ndarray, np.ndarray, list[int]]":
     """Batched (F, T) columns for the union of single query nodes.
 
     RoundTripRank is *not* linear in the teleport vector — a multi-node query
     needs the per-node product ``f_i * t_i`` before the weighted sum — so the
     batch expands every distinct query node into its own column and solves
-    all of them in two multi-column sweeps (one for F, one for T).
+    all of them in two multi-column sweeps (one for F, one for T).  Returns
+    the two stacks and the node of each column.
     """
     all_nodes = np.unique(np.concatenate([nodes for nodes, _ in parsed]))
     columns = [int(v) for v in all_nodes]
-    col_of = {v: j for j, v in enumerate(columns)}
     f = frank_batch(graph, columns, alpha, tol, max_iter, warn_on_nonconvergence, method, workers)
     t = trank_batch(graph, columns, alpha, tol, max_iter, warn_on_nonconvergence, method, workers)
-    return f, t, col_of
+    return f, t, columns
 
 
 def normalize_columns(scores: np.ndarray, what: str) -> np.ndarray:
@@ -433,8 +433,12 @@ def normalize_columns(scores: np.ndarray, what: str) -> np.ndarray:
     A zero-mass column cannot be a distribution; it is returned as all zeros
     and a ``RuntimeWarning`` is emitted so callers notice the broken
     "sums to one" contract instead of silently consuming zeros.
+
+    Each total is summed over a contiguous copy of its column, so a
+    column's bits do not depend on how many other columns share the stack
+    (numpy adds a strided column in a different order than a lone one).
     """
-    totals = scores.sum(axis=0)
+    totals = np.asfortranarray(scores).sum(axis=0)
     zero = totals <= 0.0
     if zero.any():
         warnings.warn(
@@ -445,6 +449,48 @@ def normalize_columns(scores: np.ndarray, what: str) -> np.ndarray:
         )
     safe = np.where(zero, 1.0, totals)
     return scores / safe
+
+
+def combine_columns(
+    measure: str,
+    f: "np.ndarray | None",
+    t: "np.ndarray | None",
+    columns: "Sequence[int]",
+    parsed: "Sequence[tuple[np.ndarray, np.ndarray]]",
+    beta: float = 0.5,  # mirrors repro.core.roundtrip_plus.DEFAULT_BETA
+) -> np.ndarray:
+    """Per-query scores from per-node F/T column stacks, as an ``n x q`` stack.
+
+    ``f`` / ``t`` hold one solved column per node in ``columns`` (either may
+    be ``None`` when ``measure`` does not read it); ``parsed`` holds the
+    ``(nodes, weights)`` of each query (see
+    :func:`repro.core.queries.normalize_query`).  Column ``j`` is the
+    weighted sum over query ``j``'s nodes of ``f`` (``"frank"``), ``t``
+    (``"trank"``), ``f * t`` (``"roundtriprank"``, Proposition 2) or
+    ``f^(1-beta) * t^beta`` (``"roundtriprank_plus"``, Eq. 12).  Every path
+    that serves these measures from per-node columns (the batch engine, the
+    cached micro-batcher and the local top-k escalation) combines them
+    here, so equal columns give equal bits on every path.  Unnormalized.
+    """
+    # Imported lazily: roundtrip_plus rewires onto this module, so a
+    # module-level import would be circular.
+    from repro.core.roundtrip_plus import combine_beta
+
+    col_of = {v: j for j, v in enumerate(columns)}
+    n = (f if f is not None else t).shape[0]
+    scores = np.zeros((n, len(parsed)))
+    for j, (nodes, weights) in enumerate(parsed):
+        cols = [col_of[int(v)] for v in nodes]
+        if measure == "frank":
+            scores[:, j] = f[:, cols] @ weights
+        elif measure == "trank":
+            scores[:, j] = t[:, cols] @ weights
+        elif measure == "roundtriprank":
+            scores[:, j] = (f[:, cols] * t[:, cols]) @ weights
+        else:  # roundtriprank_plus
+            for col, weight in zip(cols, weights.tolist()):
+                scores[:, j] += weight * combine_beta(f[:, col], t[:, col], beta)
+    return scores
 
 
 def roundtriprank_batch(
@@ -473,13 +519,10 @@ def roundtriprank_batch(
     if len(queries) == 0:
         raise ValueError("queries must not be empty")
     parsed = [normalize_query(graph, q) for q in queries]
-    f, t, col_of = _per_node_ft(
+    f, t, columns = _per_node_ft(
         graph, parsed, alpha, tol, max_iter, warn_on_nonconvergence, method, workers
     )
-    scores = np.zeros((graph.n_nodes, len(queries)))
-    for j, (nodes, weights) in enumerate(parsed):
-        cols = [col_of[int(v)] for v in nodes]
-        scores[:, j] = (f[:, cols] * t[:, cols]) @ weights
+    scores = combine_columns("roundtriprank", f, t, columns, parsed)
     if normalize:
         scores = normalize_columns(scores, "roundtriprank_batch")
     return scores
@@ -502,19 +545,10 @@ def roundtriprank_plus_batch(
     — the ``f^(1-beta) * t^beta`` combination, unnormalized as in the
     single-query function.  ``workers`` behaves as in :func:`frank_batch`.
     """
-    # Imported lazily: roundtrip_plus rewires onto this module, so a
-    # module-level import would be circular.
-    from repro.core.roundtrip_plus import combine_beta
-
     if len(queries) == 0:
         raise ValueError("queries must not be empty")
     parsed = [normalize_query(graph, q) for q in queries]
-    f, t, col_of = _per_node_ft(
+    f, t, columns = _per_node_ft(
         graph, parsed, alpha, tol, max_iter, warn_on_nonconvergence, method, workers
     )
-    scores = np.zeros((graph.n_nodes, len(queries)))
-    for j, (nodes, weights) in enumerate(parsed):
-        for node, weight in zip(nodes.tolist(), weights.tolist()):
-            col = col_of[node]
-            scores[:, j] += weight * combine_beta(f[:, col], t[:, col], beta)
-    return scores
+    return combine_columns("roundtriprank_plus", f, t, columns, parsed, beta)

@@ -42,7 +42,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import scipy.sparse as sp
 
-from repro.analysis.sanitizer import publish_guard
+from repro.utils.publish import publish_guard
 
 _counter = itertools.count()
 _name_lock = threading.Lock()

@@ -17,8 +17,7 @@ makes *online* serving cheap, where queries arrive one at a time, repeat
 - :mod:`repro.serving.topk` — fused top-k extraction
   (:func:`~repro.serving.topk.roundtriprank_topk` and friends) returning
   ``(indices, scores)`` via ``np.argpartition`` partial selection instead of
-  full-vector sorts, with a :func:`~repro.serving.topk.candidates_from_bounds`
-  hook that prunes through the Sect. V bound machinery.
+  full-vector sorts.
 
 Cache key contract
 ------------------
@@ -60,7 +59,6 @@ from repro.serving.policies import (
     make_policy,
 )
 from repro.serving.topk import (
-    candidates_from_bounds,
     roundtriprank_batch_topk,
     roundtriprank_plus_batch_topk,
     roundtriprank_topk,
@@ -79,7 +77,6 @@ __all__ = [
     "LRUPolicy",
     "available_policies",
     "make_policy",
-    "candidates_from_bounds",
     "roundtriprank_batch_topk",
     "roundtriprank_plus_batch_topk",
     "roundtriprank_topk",

@@ -27,15 +27,16 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
 from repro.core.frank import DEFAULT_ALPHA
 from repro.core.queries import Query, normalize_query
-from repro.core.roundtrip_plus import DEFAULT_BETA, combine_beta
+from repro.core.roundtrip_plus import DEFAULT_BETA
 from repro.engine.batch import (
+    combine_columns,
     frank_batch,
     normalize_columns,
     roundtriprank_batch,
@@ -74,17 +75,21 @@ class _Request:
 
 @dataclass
 class BatcherStats:
-    """Counters describing how queries were assembled into solves."""
+    """Counters describing how queries were assembled into solves.
+
+    Scalars only: a lane that lives as long as its gateway flushes without
+    bound, so nothing here may grow per flush.
+    """
 
     n_submitted: int = 0
     n_flushes: int = 0
     n_size_flushes: int = 0
     n_deadline_flushes: int = 0
-    batch_sizes: "list[int]" = field(default_factory=list)
+    n_flushed: int = 0
 
     @property
     def mean_batch_size(self) -> float:
-        return float(np.mean(self.batch_sizes)) if self.batch_sizes else 0.0
+        return self.n_flushed / self.n_flushes if self.n_flushes else 0.0
 
 
 class MicroBatcher:
@@ -384,7 +389,7 @@ class MicroBatcher:
     def _solve(self, batch: "list[_Request]", trigger: str) -> None:
         with self._lock:  # stats share the queue lock: counters stay exact
             self.stats.n_flushes += 1
-            self.stats.batch_sizes.append(len(batch))
+            self.stats.n_flushed += len(batch)
             if trigger == "size":
                 self.stats.n_size_flushes += 1
             elif trigger == "deadline":
@@ -445,27 +450,13 @@ class MicroBatcher:
         cache = self.cache
         assert cache is not None
         union = sorted({int(v) for request in batch for v in request.nodes})
-        col_of = {v: j for j, v in enumerate(union)}
-        needs_f = self.measure != "trank"
-        needs_t = self.measure != "frank"
         f = t = None
-        if needs_f:
+        if self.measure != "trank":
             f = np.stack(cache.get_many(self.graph, "f", union, self.alpha), axis=1)
-        if needs_t:
+        if self.measure != "frank":
             t = np.stack(cache.get_many(self.graph, "t", union, self.alpha), axis=1)
-        scores = np.zeros((self.graph.n_nodes, len(batch)))
-        for j, request in enumerate(batch):
-            cols = [col_of[int(v)] for v in request.nodes]
-            w = request.weights
-            if self.measure == "frank":
-                scores[:, j] = f[:, cols] @ w
-            elif self.measure == "trank":
-                scores[:, j] = t[:, cols] @ w
-            elif self.measure == "roundtriprank":
-                scores[:, j] = (f[:, cols] * t[:, cols]) @ w
-            else:  # roundtriprank_plus
-                for col, weight in zip(cols, w.tolist()):
-                    scores[:, j] += weight * combine_beta(f[:, col], t[:, col], self.beta)
+        parsed = [(request.nodes, request.weights) for request in batch]
+        scores = combine_columns(self.measure, f, t, union, parsed, self.beta)
         if self.measure == "roundtriprank" and self.normalize:
             scores = normalize_columns(scores, "MicroBatcher(roundtriprank)")
         return scores

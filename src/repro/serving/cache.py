@@ -59,11 +59,11 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.analysis.sanitizer import publish_guard
 from repro.core.frank import DEFAULT_ALPHA
 from repro.engine.batch import frank_batch, trank_batch
 from repro.graph.digraph import DiGraph
 from repro.serving.policies import EvictionPolicy, make_policy
+from repro.utils.publish import publish_guard
 
 #: Default byte budget (a quarter GiB): ~32k float64 columns on a 1k-node
 #: graph, ~33 columns on a 1M-node graph.

@@ -12,12 +12,6 @@ ranking convention (score descending, node id ascending — what
 :func:`repro.eval.metrics.ranking_from_scores` produce), including across
 ties that straddle the ``k`` boundary.
 
-For callers that already ran the Sect. V bound machinery,
-:func:`candidates_from_bounds` turns a
-:class:`repro.topk.bounds.CombinedBounds` into a sound candidate subset
-(every possible top-``k`` member), which :func:`topk_select` then ranks via
-its ``candidate_mask`` hook — partial selection over a pruned set.
-
 ``method="local"`` on any entry point here routes the query through the
 certified local push solver (:func:`repro.topk.local.local_topk`) instead of
 the batch engine: same top-k set and ranking (certified, or escalated to the
@@ -28,7 +22,7 @@ scores are unnormalized lower estimates — see the exactness contract in
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,7 +30,6 @@ from repro.core.frank import DEFAULT_ALPHA
 from repro.core.queries import Query
 from repro.engine.batch import roundtriprank_batch, roundtriprank_plus_batch
 from repro.graph.digraph import DiGraph
-from repro.topk.bounds import CombinedBounds
 
 
 def topk_select(
@@ -87,19 +80,17 @@ def topk_select(
 
 
 def _batch_topk(
-    score_columns: np.ndarray,
-    k: int,
+    n_queries: int,
     exclude: "Sequence | None",
-    candidate_mask: "np.ndarray | None",
+    select: "Callable[[int, set | frozenset | None], tuple[np.ndarray, np.ndarray]]",
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Per-column :func:`topk_select` over an ``n x q`` score stack.
+    """Stack ``select(j, exclude_j)`` — one query's top-k pair — over the batch.
 
     ``exclude`` is ``None``, one shared ``set``/``frozenset``, or a sequence
     of one entry (set or ``None``) per query.  Returns ``(indices, values)``
     shaped ``(q, k')`` with ``k'`` the smallest result length across queries
     (``k`` unless exclusions shrink a column below ``k``).
     """
-    n_queries = score_columns.shape[1]
     if exclude is None or isinstance(exclude, (set, frozenset)):
         per_query_exclude = [exclude] * n_queries
     else:
@@ -109,18 +100,27 @@ def _batch_topk(
                 f"exclude must be one shared set or one entry per query; got "
                 f"{len(per_query_exclude)} entries for {n_queries} queries"
             )
-    all_idx, all_val = [], []
-    for j in range(n_queries):
-        excl = per_query_exclude[j]
-        idx, val = topk_select(
-            score_columns[:, j], k, exclude=excl, candidate_mask=candidate_mask
-        )
-        all_idx.append(idx)
-        all_val.append(val)
-    width = min(arr.shape[0] for arr in all_idx)
-    indices = np.stack([arr[:width] for arr in all_idx])
-    values = np.stack([arr[:width] for arr in all_val])
+    results = [select(j, excl) for j, excl in enumerate(per_query_exclude)]
+    width = min(idx.shape[0] for idx, _ in results)
+    indices = np.stack([idx[:width] for idx, _ in results])
+    values = np.stack([val[:width] for _, val in results])
     return indices, values
+
+
+def _columns_topk(
+    score_columns: np.ndarray,
+    k: int,
+    exclude: "Sequence | None",
+    candidate_mask: "np.ndarray | None",
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Per-column :func:`topk_select` over an ``n x q`` score stack."""
+    return _batch_topk(
+        score_columns.shape[1],
+        exclude,
+        lambda j, excl: topk_select(
+            score_columns[:, j], k, exclude=excl, candidate_mask=candidate_mask
+        ),
+    )
 
 
 def roundtriprank_topk(
@@ -177,7 +177,7 @@ def roundtriprank_batch_topk(
             exclude, candidate_mask, solver_kwargs,
         )
     scores = roundtriprank_batch(graph, queries, alpha, normalize, **solver_kwargs)
-    return _batch_topk(scores, k, exclude, candidate_mask)
+    return _columns_topk(scores, k, exclude, candidate_mask)
 
 
 def roundtriprank_plus_batch_topk(
@@ -203,7 +203,7 @@ def roundtriprank_plus_batch_topk(
             exclude, candidate_mask, solver_kwargs,
         )
     scores = roundtriprank_plus_batch(graph, queries, beta, alpha, **solver_kwargs)
-    return _batch_topk(scores, k, exclude, candidate_mask)
+    return _columns_topk(scores, k, exclude, candidate_mask)
 
 
 def _local_batch_topk(
@@ -220,7 +220,7 @@ def _local_batch_topk(
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Per-query local-push dispatch behind ``method="local"``.
 
-    Mirrors :func:`_batch_topk`'s exclude/width semantics; each query is an
+    Mirrors :func:`_columns_topk`'s exclude/width semantics; each query is an
     independent :func:`repro.topk.local.local_topk` call (the local solver
     is a single-query algorithm — batching buys nothing when the whole point
     is touching a neighborhood instead of the graph).  ``workers=`` is
@@ -231,59 +231,22 @@ def _local_batch_topk(
     kwargs = dict(solver_kwargs)
     kwargs.pop("method", None)
     kwargs.pop("workers", None)
-    n_queries = len(queries)
-    if n_queries == 0:
+    if len(queries) == 0:
         raise ValueError("queries must not be empty")
-    if exclude is None or isinstance(exclude, (set, frozenset)):
-        per_query_exclude = [exclude] * n_queries
-    else:
-        per_query_exclude = list(exclude)
-        if len(per_query_exclude) != n_queries:
-            raise ValueError(
-                f"exclude must be one shared set or one entry per query; got "
-                f"{len(per_query_exclude)} entries for {n_queries} queries"
-            )
-    all_idx, all_val = [], []
-    for j, query in enumerate(queries):
+
+    def select(j: int, excl) -> "tuple[np.ndarray, np.ndarray]":
         result = local_topk(
             graph,
-            query,
+            queries[j],
             k,
             alpha,
             measure=measure,
             beta=beta,
             normalize=normalize,
-            exclude=per_query_exclude[j],
+            exclude=excl,
             candidate_mask=candidate_mask,
             **kwargs,
         )
-        all_idx.append(result.indices)
-        all_val.append(result.scores)
-    width = min(arr.shape[0] for arr in all_idx)
-    indices = np.stack([arr[:width] for arr in all_idx])
-    values = np.stack([arr[:width] for arr in all_val])
-    return indices, values
+        return result.indices, result.scores
 
-
-def candidates_from_bounds(bounds: CombinedBounds, k: int, n_nodes: int) -> "np.ndarray | None":
-    """A sound candidate mask for exact top-``k`` from Sect. V-A2 bounds.
-
-    Keeps every node whose upper bound reaches the ``k``-th largest lower
-    bound within the r-neighborhood ``S`` — no true top-``k`` member can be
-    pruned.  Returns ``None`` when the bounds cannot prune soundly (fewer
-    than ``k`` nodes in ``S``, or unseen nodes may still reach the
-    threshold), in which case callers fall back to ranking all nodes.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if bounds.nodes.size < k:
-        return None
-    if bounds.lower.size == k:
-        threshold = float(bounds.lower.min())
-    else:
-        threshold = float(np.partition(bounds.lower, bounds.lower.size - k)[-k])
-    if bounds.unseen_upper >= threshold:
-        return None  # an unseen node could still belong to the top-k
-    mask = np.zeros(n_nodes, dtype=bool)
-    mask[bounds.nodes[bounds.upper >= threshold]] = True
-    return mask
+    return _batch_topk(len(queries), exclude, select)

@@ -1,10 +1,9 @@
-"""Shared utilities: validation, RNG handling, timing and an addressable heap.
+"""Shared utilities: validation, RNG handling and timing.
 
 These are the small substrate pieces the rest of the library builds on.
 Nothing in here knows about graphs or ranking.
 """
 
-from repro.utils.heap import AddressableMaxHeap
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.timer import Timer
 from repro.utils.validation import (
@@ -15,7 +14,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "AddressableMaxHeap",
     "ensure_rng",
     "spawn_rngs",
     "Timer",

@@ -19,6 +19,7 @@ from repro.engine import (
     stack_teleports,
     trank_batch,
 )
+from repro.engine.batch import normalize_columns
 
 #: A mix of every query flavor: single node, node list, weighted mapping.
 MIXED_QUERIES = [0, [0, 1], {2: 3.0, 5: 1.0}, 7, [3, 3, 4]]
@@ -169,6 +170,26 @@ class TestBatchParityBibnet:
         r_cols = roundtriprank_batch(graph, [5, 5, 5])
         assert np.abs(r_cols[:, 0] - r_cols[:, 1]).max() == 0.0
         assert np.abs(r_cols[:, 0] - r_cols[:, 2]).max() == 0.0
+
+
+class TestBatchWidthIndependence:
+    """A column's bits must not depend on which columns share its stack."""
+
+    @pytest.mark.parametrize(("n", "q"), [(1000, 2), (4099, 7), (30000, 32)])
+    def test_normalize_columns_matches_lone_column(self, n, q):
+        stack = np.random.default_rng(n + q).random((n, q))
+        together = normalize_columns(stack, "test")
+        for j in range(q):
+            alone = normalize_columns(stack[:, [j]], "test")[:, 0]
+            assert np.array_equal(together[:, j], alone), f"column {j} of {q}"
+
+    def test_roundtriprank_batch_column_independent_of_batch(self, small_bibnet):
+        graph = small_bibnet.graph
+        nodes = [int(v) for v in small_bibnet.paper_nodes[:8]]
+        together = roundtriprank_batch(graph, nodes, method="power")
+        for j, node in enumerate(nodes):
+            alone = roundtriprank_batch(graph, [node], method="power")[:, 0]
+            assert np.array_equal(together[:, j], alone), f"query {node}"
 
 
 class TestBatchValidation:

@@ -19,7 +19,7 @@ class TestSizeTrigger:
         assert all(f.done() for f in futures)
         assert batcher.stats.n_flushes == 1
         assert batcher.stats.n_size_flushes == 1
-        assert batcher.stats.batch_sizes == [3]
+        assert batcher.stats.mean_batch_size == 3.0
         for q, future in zip((0, 1, 2), futures):
             assert np.allclose(future.result(), roundtriprank(toy_graph, q), atol=1e-10)
 
@@ -97,7 +97,8 @@ class TestSingleQueryFallback:
         batcher = MicroBatcher(toy_graph)
         result = batcher.ask(5)
         assert np.allclose(result, roundtriprank(toy_graph, 5), atol=1e-10)
-        assert batcher.stats.batch_sizes == [1]
+        assert batcher.stats.n_flushes == 1
+        assert batcher.stats.mean_batch_size == 1.0
 
     def test_ask_topk(self, toy_graph):
         batcher = MicroBatcher(toy_graph)
@@ -106,6 +107,22 @@ class TestSingleQueryFallback:
         expected = np.argsort(-full, kind="stable")[:4]
         assert np.array_equal(indices, expected)
         assert np.allclose(values, full[expected], atol=1e-10)
+
+
+class TestStats:
+    def test_many_flushes_keep_only_scalars(self, toy_graph, monkeypatch):
+        # A gateway lane is never evicted while hot: its stats must not
+        # grow with the number of flushes it has served.
+        batcher = MicroBatcher(toy_graph)
+        scores = np.zeros((toy_graph.n_nodes, 1))
+        monkeypatch.setattr(batcher, "_score_columns", lambda batch: scores)
+        for _ in range(10_000):
+            batcher.submit(0)
+            batcher.flush()
+        assert batcher.stats.n_flushes == 10_000
+        assert batcher.stats.mean_batch_size == 1.0
+        for name, value in vars(batcher.stats).items():
+            assert isinstance(value, (int, float)), f"{name} is {type(value).__name__}"
 
 
 class TestMeasuresAndCache:
@@ -148,6 +165,16 @@ class TestMeasuresAndCache:
         info = cache.cache_info()
         assert info.misses == misses_after_first
         assert info.hits >= 2
+
+    def test_cached_column_bits_independent_of_flush_width(self, small_bibnet):
+        graph = small_bibnet.graph
+        nodes = [int(v) for v in small_bibnet.paper_nodes[:8]]
+        batcher = MicroBatcher(graph, cache=ColumnCache())
+        futures = [batcher.submit(v) for v in nodes]
+        batcher.flush()
+        for node, future in zip(nodes, futures):
+            # Same cached columns, flushed alone this time.
+            assert np.array_equal(future.result(), batcher.ask(node)), f"query {node}"
 
     def test_multi_node_query_linearity(self, toy_graph):
         batcher = MicroBatcher(toy_graph, cache=ColumnCache(), max_batch=2)

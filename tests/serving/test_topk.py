@@ -6,13 +6,11 @@ import pytest
 from repro.engine import roundtriprank_batch, roundtriprank_plus_batch
 from repro.eval.metrics import ranking_from_scores
 from repro.serving import (
-    candidates_from_bounds,
     roundtriprank_batch_topk,
     roundtriprank_plus_batch_topk,
     roundtriprank_topk,
     topk_select,
 )
-from repro.topk.bounds import CombinedBounds
 
 
 def full_ranking(scores, k):
@@ -110,42 +108,3 @@ class TestFusedMeasures:
         full = roundtriprank_batch(toy_graph, [query])[:, 0]
         assert np.array_equal(indices, full_ranking(full, 6))
 
-
-class TestBoundsHook:
-    def _bounds(self, nodes, lower, upper, unseen):
-        return CombinedBounds(
-            nodes=np.asarray(nodes, dtype=np.int64),
-            lower=np.asarray(lower, dtype=np.float64),
-            upper=np.asarray(upper, dtype=np.float64),
-            unseen_upper=float(unseen),
-        )
-
-    def test_prunes_hopeless_nodes_keeps_topk(self):
-        scores = np.array([0.4, 0.3, 0.05, 0.02, 0.01])
-        bounds = self._bounds(
-            nodes=[0, 1, 2, 3, 4],
-            lower=[0.35, 0.25, 0.04, 0.01, 0.005],
-            upper=[0.45, 0.35, 0.06, 0.03, 0.02],
-            unseen=0.001,
-        )
-        mask = candidates_from_bounds(bounds, 2, scores.shape[0])
-        assert mask is not None
-        assert mask[0] and mask[1]
-        assert not mask[3] and not mask[4]  # upper < 2nd-largest lower: pruned
-        indices, _ = topk_select(scores, 2, candidate_mask=mask)
-        assert np.array_equal(indices, full_ranking(scores, 2))
-
-    def test_returns_none_when_unseen_could_compete(self):
-        bounds = self._bounds(
-            nodes=[0, 1], lower=[0.2, 0.1], upper=[0.3, 0.2], unseen=0.15
-        )
-        assert candidates_from_bounds(bounds, 2, 5) is None
-
-    def test_returns_none_when_s_too_small(self):
-        bounds = self._bounds(nodes=[0], lower=[0.2], upper=[0.3], unseen=0.0)
-        assert candidates_from_bounds(bounds, 2, 5) is None
-
-    def test_invalid_k(self):
-        bounds = self._bounds(nodes=[0], lower=[0.2], upper=[0.3], unseen=0.0)
-        with pytest.raises(ValueError):
-            candidates_from_bounds(bounds, 0, 5)
