@@ -12,7 +12,9 @@ hot path:
   orientation)``.
 - the matmat kernel (:mod:`repro.ops.kernels`) — scipy's accumulate-form
   ``csr_matvecs`` product, with the allocating ``@`` as its fallback;
-  :func:`active_kernel` reports which form runs.
+  :func:`active_kernel` reports which form runs.  Its single-vector
+  sibling ``matvec_accumulate`` runs 2SBound's Stage-II sweeps
+  (:mod:`repro.topk.fbound`, :mod:`repro.topk.tbound`).
 
 Consumers: :mod:`repro.engine.batch` (all batch sweeps),
 :mod:`repro.core.frank` / :mod:`repro.core.trank` (single-query paths),

@@ -1,4 +1,5 @@
-"""The CSR matmat kernel behind :class:`repro.ops.TransitionOperator`.
+"""The CSR kernels: the matmat behind :class:`repro.ops.TransitionOperator`
+and the single-vector product behind 2SBound's Stage II.
 
 Every F-Rank / T-Rank / RoundTripRank solve reduces to repeated
 ``operator @ X`` sweeps over one CSR matrix, so the sparse matmat kernel is
@@ -8,8 +9,14 @@ sparsetools entry point when the running scipy still exposes it (no
 per-sweep allocation or zeroing), with the allocating ``@`` product as the
 fallback otherwise.
 
-:func:`active_kernel` reports which form is in use and, when the fallback
-runs, why.
+:func:`matvec_accumulate` is its single-vector sibling over raw CSR arrays:
+2SBound's Stage-II sweeps multiply matrices of a few hundred rows thousands
+of times per query, where scipy's per-call dispatch costs more than the
+arithmetic.  This module is the only one that imports scipy's private
+sparsetools.
+
+:func:`active_kernel` reports which matmat form is in use and, when the
+fallback runs, why.
 """
 
 from __future__ import annotations
@@ -19,18 +26,25 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-try:  # accumulate-form CSR matmat: no per-sweep allocation or zeroing
+try:  # scipy's private C++ CSR routines, feature-detected below
     from scipy.sparse import _sparsetools as _sptools
+except ImportError:  # pragma: no cover - scipy internals moved
+    _sptools = None
 
-    _csr_matvecs = _sptools.csr_matvecs
-except (ImportError, AttributeError):  # pragma: no cover - scipy internals moved
-    _csr_matvecs = None
+#: accumulate-form CSR matmat: no per-sweep allocation or zeroing
+_csr_matvecs = getattr(_sptools, "csr_matvecs", None)
+#: accumulate-form single-vector CSR product
+_csr_matvec = getattr(_sptools, "csr_matvec", None)
 
 #: Whether scipy exposed the private ``csr_matvecs`` accumulate-form entry
 #: point at import.  ``tests/ops/test_capabilities.py`` asserts this is
 #: ``True`` on the CI scipy version, so an upstream rename fails loudly in
 #: CI instead of silently degrading production to the allocating fallback.
 HAS_CSR_MATVECS = _csr_matvecs is not None
+
+#: Whether scipy exposed the private single-vector ``csr_matvec`` at import;
+#: pinned in CI like :data:`HAS_CSR_MATVECS`.
+HAS_CSR_MATVEC = _csr_matvec is not None
 
 #: The kernel's name in :func:`active_kernel` reports, obs spans and the
 #: ``repro_kernel_matmat_total`` counter label.
@@ -85,3 +99,20 @@ def matmat(matrix: sp.csr_matrix, x: np.ndarray, out: np.ndarray, accumulate: bo
         out += matrix @ x
     else:
         out[...] = matrix @ x
+
+
+def matvec_accumulate(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, x: np.ndarray, out: np.ndarray
+) -> None:
+    """``out += A @ x`` for the CSR matrix ``A = (data, indices, indptr)``.
+
+    ``A`` has ``indptr.size - 1`` rows and ``x.size`` columns; ``indptr`` and
+    ``indices`` share one integer dtype, ``data``, ``x`` and ``out`` are
+    contiguous float64.  Each row accumulates onto ``out`` in stored order,
+    so on a zeroed ``out`` the result is bit-identical to scipy's ``A @ x``,
+    the allocating product this falls back to without ``csr_matvec``.
+    """
+    if _csr_matvec is not None:
+        _csr_matvec(indptr.size - 1, x.size, indptr, indices, data, x, out)
+    else:
+        out += sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, x.size)) @ x

@@ -30,6 +30,7 @@ from repro.core.frank import DEFAULT_ALPHA
 from repro.core.queries import Query
 from repro.engine.batch import roundtriprank_batch, roundtriprank_plus_batch
 from repro.graph.digraph import DiGraph
+from repro.utils.validation import check_candidate_mask
 
 
 def topk_select(
@@ -44,7 +45,8 @@ def topk_select(
     Equivalent to ranking all eligible nodes with a stable descending sort
     and truncating to ``k`` — bit-identical indices, ties broken by node id —
     but via ``np.argpartition``, so the full-vector sort is avoided.  Fewer
-    than ``k`` eligible nodes return all of them; ``k`` must be >= 1.
+    than ``k`` eligible nodes return all of them; ``k`` must be >= 1 and a
+    ``candidate_mask`` must have one entry per score.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -53,7 +55,7 @@ def topk_select(
     if candidate_mask is not None or exclude:
         eligible = np.ones(scores.shape[0], dtype=bool)
         if candidate_mask is not None:
-            eligible &= np.asarray(candidate_mask, dtype=bool)
+            eligible &= check_candidate_mask(candidate_mask, scores.shape[0])
         if exclude:
             eligible[list(exclude)] = False
         idx = np.flatnonzero(eligible)

@@ -62,26 +62,34 @@ class BCAState:
 
     @property
     def max_residual(self) -> float:
-        """``max_u mu(q, u)`` — the first term of the Prop. 4 bound."""
+        """``max_u mu(q, u)`` — the first term of the Prop. 4 bound.
+
+        The frontier holds exactly the nodes with ``mu >= MIN_RESIDUAL``, so
+        while it is non-empty its maximum is the maximum over all of ``mu``.
+        """
         if not self._nonzero:
             return 0.0
-        return float(self.mu[self._nonzero_array()].max())
+        return float(self.mu.max())
 
     def process(self, node: int) -> None:
         """One BCA processing step on ``node`` (no-op on drained nodes)."""
-        amount = self.mu[node]
-        if amount < MIN_RESIDUAL:
+        if self.mu[node] < MIN_RESIDUAL:
             return
+        self._spread(node, *self.access.out_edges(node))
+
+    def _spread(self, node: int, neighbors: np.ndarray, probs: np.ndarray) -> None:
+        """Process ``node``, whose residual is at least ``MIN_RESIDUAL``,
+        given its out-list."""
+        amount = self.mu[node]
         self.rho[node] += self.alpha * amount
         self.total_residual -= self.alpha * amount
         # Zero first: a self-loop may spread residual right back to node.
         self.mu[node] = 0.0
         self._nonzero.discard(node)
-        neighbors, probs = self.access.out_edges(node)
         if neighbors.size:
             np.add.at(self.mu, neighbors, (1.0 - self.alpha) * amount * probs)
             grown = neighbors[self.mu[neighbors] >= MIN_RESIDUAL]
-            self._nonzero.update(int(v) for v in grown.tolist())
+            self._nonzero.update(grown.tolist())
         else:
             # No out-edges at all (isolated node without the self-loop
             # convention); its residual mass is simply retired.
@@ -102,12 +110,25 @@ class BCAState:
         return nodes[order].tolist()
 
     def expand(self, count: int) -> list[int]:
-        """One Stage-I expansion: process the ``count`` best-benefit nodes."""
+        """One Stage-I expansion: process the ``count`` best-benefit nodes.
+
+        Equivalent to :meth:`process` on each node in turn, with the batch's
+        out-lists read in one :meth:`GraphAccess.out_rows` call.  Every
+        selected node is on the frontier, and processing the others only
+        adds to its residual, so none is skipped as drained.
+        """
         nodes = self.select_best_benefit(count)
-        if nodes:
-            self.access.prefetch(np.asarray(nodes, dtype=np.int64), out=True)
-        for node in nodes:
-            self.process(node)
+        if not nodes:
+            return nodes
+        batch = np.asarray(nodes, dtype=np.int64)
+        self.access.prefetch(batch, out=True)
+        counts, neighbors, probs = self.access.out_rows(batch)
+        start = 0
+        for node, end in zip(nodes, np.cumsum(counts).tolist()):
+            # Per node, in order: a later node sees the residual spread to
+            # it by earlier ones.
+            self._spread(node, neighbors[start:end], probs[start:end])
+            start = end
         return nodes
 
     def run_to_tolerance(self, residual_tol: float, max_steps: int = 10_000_000) -> None:

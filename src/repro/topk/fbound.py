@@ -29,14 +29,18 @@ at least two steps.  On graphs whose transition matrix has self-loops
 keeping the bound sound.
 
 Submatrix staleness: a build reads the in-lists of ``Sf`` in one bulk call
-(:meth:`GraphAccess.in_rows`) and assembles the CSR from the kept entries
-with array operations.  On the 40-paper 2SBound pool of BibNet-2200 (k=10,
-epsilon=0.005, one Xeon core) the builds of both sides take about 17% of
-query time, down from about 60% with per-node reads.  The matrix is still
-rebuilt only when ``Sf`` has grown by ``rebuild_growth``: on that pool this
-skips 10 f-side and 27 t-side builds in 201 rounds, and rebuilding on every
-growth would also change the bounds refinement reaches and hence the work
-(197 rounds instead of 201) — a change of algorithm, not of speed.
+(:meth:`GraphAccess.in_rows`) and assembles the raw CSR arrays from the
+kept entries with array operations; each Stage-II sweep multiplies them
+with :func:`repro.ops.kernels.matvec_accumulate` into preallocated buffers.
+On the 40-paper 2SBound pool of BibNet-2200 (k=10, epsilon=0.005, a 2-CPU
+host), wall-clock timers per phase split query time as: Stage-II sweeps
+38% (t-side 24%, f-side 14%), f-side BCA expansion 25%, the builds of both
+sides 20%, t-side expansion 9%, and combining, sorting and the stopping
+conditions 7%.  The matrix is still rebuilt only when ``Sf`` has grown by
+``rebuild_growth``: on that pool this skips 10 f-side and 27 t-side builds
+in 201 rounds, and rebuilding on every growth would also change the bounds
+refinement reaches and hence the work (197 rounds instead of 201) — a
+change of algorithm, not of speed.
 Refinement with a stale structure stays sound because the external-mass
 term multiplies a *cap* covering every node that was unseen at build time:
 such a node is either still unseen (bounded by the current unseen bound) or
@@ -48,8 +52,8 @@ bounds until the next rebuild — looser, never wrong.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
+from repro.ops.kernels import matvec_accumulate
 from repro.topk.bca import BCAState
 from repro.topk.graphaccess import GraphAccess
 
@@ -59,17 +63,19 @@ MAX_REFINE_ITERS = 200
 
 def submatrix(
     row_ids: np.ndarray, pos: np.ndarray, probs: np.ndarray, size: int
-) -> "tuple[sp.csr_matrix, np.ndarray]":
+) -> "tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]":
     """Stage-II matrix from gathered adjacency entries, and the entries left out.
 
     Entry ``j`` holds ``probs[j]`` for row ``row_ids[j]`` (nondecreasing) and
     column ``pos[j]``; entries with ``pos < 0`` lie outside the matrix and
-    are returned as a mask for the caller's external-mass sums.
+    are returned as a mask for the caller's external-mass sums.  The matrix
+    is the raw CSR triple ``(indptr, indices, data)`` that
+    :func:`repro.ops.kernels.matvec_accumulate` multiplies.
     """
     kept = pos >= 0
     indptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(np.bincount(row_ids[kept], minlength=size), out=indptr[1:])
-    return sp.csr_matrix((probs[kept], pos[kept], indptr), shape=(size, size)), ~kept
+    return (indptr, pos[kept], probs[kept]), ~kept
 
 
 class FBoundSide:
@@ -110,7 +116,7 @@ class FBoundSide:
         self.lower = np.zeros(n)
         self.upper = np.ones(n)
         self._index = np.full(n, -1, dtype=np.int64)  # node -> position in seen_list
-        self._sub: "sp.csr_matrix | None" = None
+        self._sub: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
         self._ext: "np.ndarray | None" = None
         self._frozen: "np.ndarray | None" = None  # rows kept at Stage-I bounds
         self._built_size = 0  # |Sf| at the last submatrix build
@@ -220,37 +226,54 @@ class FBoundSide:
         nodes = np.asarray(self.seen_list[:size])
         low = self.lower[nodes]
         up = self.upper[nodes]
-        base = np.zeros(size)
         q_pos = self._index[self.query]
-        if 0 <= q_pos < size:
-            base[q_pos] = self.alpha
+        has_query = 0 <= q_pos < size
         damp = 1.0 - self.alpha
         # The ext term models mass from every node unseen at build time;
         # such a node is now either still unseen (<= current unseen bound)
         # or seen post-build (<= its current upper bound).
         post = np.asarray(self.seen_list[size:], dtype=np.int64)
         post_max = float(self.upper[post].max()) if post.size else 0.0
-        unseen_up = max(self.unseen_upper, post_max)
+        ext_up = self._ext * max(self.unseen_upper, post_max)
         max_iters = (
             1 if (self.refine_mode == "single" and not force_fixpoint) else MAX_REFINE_ITERS
         )
         frozen = self._frozen
         assert frozen is not None
+        any_frozen = bool(frozen.any())
+        indptr, indices, data = self._sub
+        new_low, new_up, diff = np.empty(size), np.empty(size), np.empty(size)
         iters = 0
         for _ in range(max_iters):
-            new_low = np.maximum(low, base + damp * (self._sub @ low))
-            new_up = np.minimum(up, base + damp * (self._sub @ up + self._ext * unseen_up))
-            if frozen.any():
+            # Eq. 17-18: max(low, alpha[q] + damp * (A @ low)) and
+            # min(up, alpha[q] + damp * (A @ up + ext * cap)), where alpha[q]
+            # is alpha at the query's row and zero elsewhere.  The bounds'
+            # bits depend on this order of operations.
+            new_low.fill(0.0)
+            matvec_accumulate(indptr, indices, data, low, new_low)
+            new_low *= damp
+            new_up.fill(0.0)
+            matvec_accumulate(indptr, indices, data, up, new_up)
+            new_up += ext_up
+            new_up *= damp
+            if has_query:
+                new_low[q_pos] += self.alpha
+                new_up[q_pos] += self.alpha
+            np.maximum(low, new_low, out=new_low)
+            np.minimum(up, new_up, out=new_up)
+            if any_frozen:
                 # Heavy rows have no structure in the matrix; their Eq. 17-18
                 # updates would be based on an empty in-list and must not
                 # apply.  Stage-I keeps tightening them between refines.
                 new_low[frozen] = low[frozen]
                 new_up[frozen] = up[frozen]
+            # Both differences are >= 0 by the max/min above.
             delta = max(
-                float(np.max(new_low - low, initial=0.0)),
-                float(np.max(up - new_up, initial=0.0)),
+                float(np.subtract(new_low, low, out=diff).max()),
+                float(np.subtract(up, new_up, out=diff).max()),
             )
-            low, up = new_low, new_up
+            low, new_low = new_low, low
+            up, new_up = new_up, up
             iters += 1
             if delta < REFINE_TOL:
                 break

@@ -46,8 +46,8 @@ active-set sizes imply its implementation avoided exactly that):
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
+from repro.ops.kernels import matvec_accumulate
 from repro.topk.fbound import MAX_REFINE_ITERS, REFINE_TOL, submatrix
 from repro.topk.graphaccess import GraphAccess
 from repro.utils.validation import check_in_range, check_node_id
@@ -96,7 +96,7 @@ class TBoundSide:
         #: nodes with heavy in-neighbors — a sound border superset).
         self._unseen_in_count = np.zeros(n, dtype=np.int64)
 
-        self._sub: "sp.csr_matrix | None" = None
+        self._sub: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
         self._ext_unseen: "np.ndarray | None" = None
         self._ext_heavy: "np.ndarray | None" = None
         self._matrix_nodes: "np.ndarray | None" = None
@@ -276,10 +276,7 @@ class TBoundSide:
             return 0
         low = self.lower[nodes]
         up = self.upper[nodes]
-        base = np.zeros(size)
         q_pos = self._matrix_pos[self.query]
-        if q_pos >= 0:
-            base[q_pos] = self.alpha
         damp = 1.0 - self.alpha
 
         # Caps for mass leaving the matrix: build-time-unseen nodes are now
@@ -289,34 +286,47 @@ class TBoundSide:
         post = self.seen & ~in_matrix & ~self._is_heavy
         post_max = float(self.upper.max(where=post, initial=0.0))
         heavy_cap = float(self.upper.max(where=self.seen & self._is_heavy, initial=0.0))
+        ext_heavy = self._ext_heavy * heavy_cap
         border = self.border
         border_pos = self._matrix_pos[border]
         border_static_max = float(self.upper[border[border_pos < 0]].max(initial=0.0))
         border_pos = border_pos[border_pos >= 0]
+        has_border = border_pos.size > 0
 
         max_iters = (
             1 if (self.refine_mode == "single" and not force_fixpoint) else MAX_REFINE_ITERS
         )
+        indptr, indices, data = self._sub
+        new_low, new_up, diff = np.empty(size), np.empty(size), np.empty(size)
         iters = 0
         for _ in range(max_iters):
             cap = max(self.unseen_upper, post_max)
-            new_low = np.maximum(low, base + damp * (self._sub @ low))
-            new_up = np.minimum(
-                up,
-                base
-                + damp
-                * (self._sub @ up + self._ext_unseen * cap + self._ext_heavy * heavy_cap),
-            )
+            # As on the f-side; the upper sum is, in this order,
+            # ((A @ up + ext_unseen * cap) + ext_heavy * heavy_cap) * damp.
+            new_low.fill(0.0)
+            matvec_accumulate(indptr, indices, data, low, new_low)
+            new_low *= damp
+            new_up.fill(0.0)
+            matvec_accumulate(indptr, indices, data, up, new_up)
+            new_up += np.multiply(self._ext_unseen, cap, out=diff)
+            new_up += ext_heavy
+            new_up *= damp
+            if q_pos >= 0:
+                new_low[q_pos] += self.alpha
+                new_up[q_pos] += self.alpha
+            np.maximum(low, new_low, out=new_low)
+            np.minimum(up, new_up, out=new_up)
             delta = max(
-                float(np.max(new_low - low, initial=0.0)),
-                float(np.max(up - new_up, initial=0.0)),
+                float(np.subtract(new_low, low, out=diff).max()),
+                float(np.subtract(up, new_up, out=diff).max()),
             )
-            low, up = new_low, new_up
+            low, new_low = new_low, low
+            up, new_up = new_up, up
             iters += 1
             # Eq. 22 re-tightening inside the sweep keeps the feedback loop:
             # shrinking border uppers shrink the unseen bound, which shrinks
             # the external mass of the next sweep.
-            in_matrix_max = float(up[border_pos].max()) if border_pos.size else 0.0
+            in_matrix_max = float(up[border_pos].max()) if has_border else 0.0
             self.unseen_upper = min(
                 self.unseen_upper,
                 (1.0 - self.alpha) * max(in_matrix_max, border_static_max),

@@ -34,7 +34,7 @@ from repro.topk.conditions import sort_candidates, topk_conditions_met
 from repro.topk.fbound import FBoundSide
 from repro.topk.graphaccess import GraphAccess, LocalGraphAccess
 from repro.topk.tbound import TBoundSide
-from repro.utils.validation import check_node_id
+from repro.utils.validation import check_candidate_mask, check_node_id
 
 #: the paper's expansion granularities (Sect. V-A3).
 DEFAULT_M_F = 100
@@ -111,8 +111,9 @@ def twosbound_topk(
     Parameters mirror the paper: ``k`` desired results, slack ``epsilon``
     (Sect. V-A1), expansion granularities ``m_f``/``m_t`` (100 and 5 in the
     paper), and ``scheme`` selecting the bound machinery (see module
-    docstring).  ``candidate_mask``/``exclude`` optionally restrict the
-    ranked universe (e.g. to a node type), as the evaluation tasks do.
+    docstring).  ``candidate_mask`` (one boolean per node) and ``exclude``
+    optionally restrict the ranked universe (e.g. to a node type), as the
+    evaluation tasks do.  ``max_rounds`` must be >= 1.
 
     The returned result is exact whenever both neighborhoods exhausted
     before the conditions fired (``converged`` is True either way; it is
@@ -130,6 +131,10 @@ def twosbound_topk(
         raise ValueError(f"k must be >= 1, got {k}")
     if not epsilon >= 0:  # NaN too (see topk_conditions_met)
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+    if candidate_mask is not None:
+        candidate_mask = check_candidate_mask(candidate_mask, access.n_nodes)
     config = SchemeConfig.from_name(scheme)
 
     f_side = FBoundSide(

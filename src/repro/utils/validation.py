@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 import numbers
 
+import numpy as np
+
 
 def check_probability(value: float, name: str) -> float:
     """Validate that ``value`` is a probability in the closed interval [0, 1].
@@ -89,3 +91,19 @@ def check_node_id(node: int, n_nodes: int, name: str = "node") -> int:
     if not 0 <= node < n_nodes:
         raise ValueError(f"{name} must be in [0, {n_nodes - 1}], got {node}")
     return node
+
+
+def check_candidate_mask(mask, n_nodes: int) -> np.ndarray:
+    """Validate a per-node ``candidate_mask`` and return it as a bool array.
+
+    A mask of any other shape than ``(n_nodes,)`` would broadcast or be
+    truncated by the indexing that applies it, silently ranking the wrong
+    candidates, so it is rejected here.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (n_nodes,):
+        raise ValueError(
+            "candidate_mask must have one entry per node: expected shape "
+            f"({n_nodes},), got {mask.shape}"
+        )
+    return mask

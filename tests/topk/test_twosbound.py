@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.graph import graph_from_edges
-from repro.topk import SCHEMES, naive_topk, twosbound_topk
+from repro.serving import topk_select
+from repro.topk import SCHEMES, local_topk, naive_topk, twosbound_topk
 from tests.conftest import connected_undirected_strategy, random_digraph_strategy
 
 
@@ -90,6 +91,22 @@ class TestFilters:
         labels = [toy_graph.label_of(v) for v in result.nodes]
         assert labels[0] == "v2"  # the balanced venue wins (Fig. 2 intuition)
 
+    @pytest.mark.parametrize("entry", ["topk_select", "naive_topk", "local_topk", "twosbound"])
+    @pytest.mark.parametrize("length", ["1", "n-1", "n+1"])
+    def test_candidate_mask_of_wrong_length_is_rejected(self, small_bibnet, entry, length):
+        g = small_bibnet.graph
+        n = g.n_nodes
+        size = {"1": 1, "n-1": n - 1, "n+1": n + 1}[length]
+        mask = np.ones(size, dtype=bool)
+        run = {
+            "topk_select": lambda: topk_select(np.ones(n), 3, candidate_mask=mask),
+            "naive_topk": lambda: naive_topk(g, 47, 3, candidate_mask=mask),
+            "local_topk": lambda: local_topk(g, 47, 3, candidate_mask=mask),
+            "twosbound": lambda: twosbound_topk(g, 47, 3, candidate_mask=mask),
+        }[entry]
+        with pytest.raises(ValueError, match=rf"candidate_mask.*\({n},\).*\({size},\)"):
+            run()
+
     def test_exclude_query(self, toy_graph):
         q = toy_graph.node_by_label("t1")
         result = twosbound_topk(
@@ -117,6 +134,11 @@ class TestDegenerateCases:
         q = int(small_bibnet.paper_nodes[0])
         result = twosbound_topk(small_bibnet.graph, q, 10, epsilon=0.0, max_rounds=1)
         assert not result.converged
+
+    @pytest.mark.parametrize("max_rounds", [0, -1])
+    def test_max_rounds_below_one_is_rejected(self, toy_graph, max_rounds):
+        with pytest.raises(ValueError, match="max_rounds"):
+            twosbound_topk(toy_graph, 0, 1, max_rounds=max_rounds)
 
     def test_validation(self, toy_graph):
         with pytest.raises(ValueError):
