@@ -24,7 +24,7 @@ the query-log graph three ways:
     against a BibNet-scale graph through *started* gateways (real deadline
     threads, real wall clock), once with ``local_topk=False`` (every miss
     waits out batch assembly, then pays a full dual power iteration) and
-    once with ``local_topk=True`` (the certified local push solver resolves
+    once with ``local_topk=True`` (the certified local top-k sweeps resolve
     inline).  Both paths must return bit-identical top-k indices, the
     certified outcome must dominate escalations, and the local path's p99
     cold-miss latency must beat the batcher path's (all asserted — the
@@ -89,8 +89,8 @@ def _miss_setup(n_queries: int, seed: int):
     nodes; the first draw is a sacrificial warm-up query (lane creation,
     deadline-thread start, and the local path's cached in-mass vector are
     deployment startup costs, not per-miss costs).  Which queries certify
-    vs escalate is deterministic for a fixed (graph, seed): the push
-    budget is counted in work units, not wall time.
+    vs escalate is deterministic for a fixed (graph, seed): the local
+    path's budget is counted in sweeps, not wall time.
     """
     bib = generate_bibnet(BibNetConfig(n_papers=2200, n_authors=740, seed=29))
     pool = np.random.default_rng(seed).permutation(bib.paper_nodes)
@@ -298,9 +298,9 @@ def run_gateway(graph, population, n_queries, miss_setup) -> "tuple[str, dict]":
     )
     # ---------------------------------------------------------------- (d) #
     # Cache-miss fast path: the same cold stream through a batcher-only
-    # gateway vs the certified local-push path, real wall clock.  p99 over
+    # gateway vs the certified local top-k path, real wall clock.  p99 over
     # misses is the headline — the local path's worst case (an escalation:
-    # push work, then the identical full solve through the shared cache)
+    # its sweeps, then the identical full solve through the shared cache)
     # must still undercut batch assembly + full dual solve.
     miss_graph, warmup_node, cold_nodes = miss_setup
     off_ms, off_topk, _ = _replay_cold_misses(

@@ -113,7 +113,7 @@ class RankGateway:
     beta:
         The ``roundtriprank_plus`` interpolation used by plus-measure lanes.
     local_topk:
-        Enable the certified local-push fast path for top-``k`` cache
+        Enable the certified local top-k fast path for top-``k`` cache
         misses (:func:`repro.topk.local.local_topk`).  An eligible query —
         ``k`` given, float64 cache — skips the micro-batcher entirely: it
         is solved inline after admission (queue depth 0 — nothing is ever
@@ -122,7 +122,7 @@ class RankGateway:
         set and ranking and *never* write partial columns into the cache;
         escalated queries solve their full columns through the shared cache
         (warming it exactly like a batcher miss) and match the batcher path
-        bit-for-bit.  Cached columns feed the push as zero-error states, so
+        bit-for-bit.  Cached columns join the sweeps as zero-error states, so
         a warm cache makes the fast path cheaper, not divergent.
     workers:
         Worker-process count for cache-miss solves (forwarded to the
@@ -389,11 +389,11 @@ class RankGateway:
 
         Admission sees queue depth 0 (nothing is enqueued), so only the
         rate limit can shed.  The cache participates twice, read-only on
-        the happy path: already-exact columns join the push as zero-error
+        the happy path: already-exact columns join the sweeps as zero-error
         states via ``column_probe``, and an escalation solves its full
         columns *through* ``cache.get_many`` — bit-identical arithmetic to
         :meth:`MicroBatcher._score_columns_cached`, and the columns it
-        stores are complete, so a partial push result can never poison the
+        stores are complete, so a partial sweep result can never poison the
         cache.
         """
         from repro.topk.local import local_topk as _local_topk

@@ -12,7 +12,7 @@ through:
 - :mod:`repro.obs.trace` — context-propagated :class:`Span` trees: one
   gateway query yields one trace covering admission, lane enqueue, the
   micro-batch flush, cache hits/misses, the engine solve (method, sweeps,
-  residual, kernel, dtype), the certified local push, and kernel dispatch.
+  residual, kernel, dtype), the certified local top-k, and kernel dispatch.
 - :mod:`repro.obs.export` — JSON snapshot (metrics + live-component
   collectors + kernel/route reports), Prometheus text format, bounded
   JSONL trace sink, and trace-tree summaries; ``python -m repro.obs``

@@ -157,11 +157,10 @@ class TransitionOperator:
     def csr_parts(self, dtype=np.float64) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Raw ``(indptr, indices, data)`` of the prepared CSR in ``dtype``.
 
-        Residual-access hook for the local push solvers
-        (:mod:`repro.topk.local`): they gather adjacency rows straight out of
-        these arrays instead of paying scipy's per-row fancy-indexing
-        allocations.  The arrays are the operator's own shared state —
-        callers must treat them as read-only.
+        The local top-k sweeps (:mod:`repro.topk.local`) hand these arrays
+        straight to :func:`repro.ops.kernels.matvec_accumulate` instead of
+        paying scipy's per-call dispatch.  The arrays are the operator's own
+        shared state — callers must treat them as read-only.
         """
         m = self.matrix(dtype)
         return m.indptr, m.indices, m.data
@@ -170,7 +169,7 @@ class TransitionOperator:
     def has_self_loops(self) -> bool:
         """Whether the operator's diagonal carries any mass (computed once).
 
-        The push solvers' Proposition-4-style error discount assumes return
+        The local solvers' Proposition-4-style error discount assumes return
         trips take at least two steps, which a self-loop breaks — the graph
         layer's dangling-node convention introduces exactly such loops, so
         bound code must consult this instead of assuming loop-freeness.

@@ -13,11 +13,11 @@ ranking convention (score descending, node id ascending — what
 ties that straddle the ``k`` boundary.
 
 ``method="local"`` on any entry point here routes the query through the
-certified local push solver (:func:`repro.topk.local.local_topk`) instead of
-the batch engine: same top-k set and ranking (certified, or escalated to the
-bit-identical exact solve), sublinear work on easy queries.  Certified
-scores are unnormalized lower estimates — see the exactness contract in
-:mod:`repro.topk.local`.
+certified early-stopped sweeps of :func:`repro.topk.local.local_topk`
+instead of the batch engine: same top-k set and ranking (certified, or
+escalated to the bit-identical exact solve), and an easy query stops after
+the sweeps its certificate needs.  Certified scores are unnormalized lower
+estimates — see the exactness contract in :mod:`repro.topk.local`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.core.frank import DEFAULT_ALPHA
 from repro.core.queries import Query
 from repro.engine.batch import roundtriprank_batch, roundtriprank_plus_batch
 from repro.graph.digraph import DiGraph
-from repro.utils.validation import check_candidate_mask
+from repro.utils.validation import check_candidate_mask, check_exclude
 
 
 def topk_select(
@@ -57,7 +57,7 @@ def topk_select(
         if candidate_mask is not None:
             eligible &= check_candidate_mask(candidate_mask, scores.shape[0])
         if exclude:
-            eligible[list(exclude)] = False
+            eligible[check_exclude(exclude, scores.shape[0])] = False
         idx = np.flatnonzero(eligible)
         scores = scores[idx]
 
@@ -171,7 +171,7 @@ def roundtriprank_batch_topk(
     selection; row ``j`` matches the full-vector ranking of query ``j``.
     ``exclude`` is either one node set shared by all queries or a sequence of
     one set per query.  ``method="local"`` dispatches to the certified local
-    push solver instead of the engine (identical set and ranking).
+    top-k solver instead of the engine (identical set and ranking).
     """
     if solver_kwargs.get("method") == "local":
         return _local_batch_topk(
@@ -197,7 +197,7 @@ def roundtriprank_plus_batch_topk(
 
     Row ``j`` matches the full-vector ranking of
     ``roundtriprank_plus(graph, queries[j], beta, alpha)``.
-    ``method="local"`` dispatches to the certified local push solver.
+    ``method="local"`` dispatches to the certified local top-k solver.
     """
     if solver_kwargs.get("method") == "local":
         return _local_batch_topk(
@@ -220,13 +220,12 @@ def _local_batch_topk(
     candidate_mask: "np.ndarray | None",
     solver_kwargs: dict,
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Per-query local-push dispatch behind ``method="local"``.
+    """Per-query local top-k dispatch behind ``method="local"``.
 
     Mirrors :func:`_columns_topk`'s exclude/width semantics; each query is an
-    independent :func:`repro.topk.local.local_topk` call (the local solver
-    is a single-query algorithm — batching buys nothing when the whole point
-    is touching a neighborhood instead of the graph).  ``workers=`` is
-    accepted and ignored for symmetry with the engine signature.
+    independent :func:`repro.topk.local.local_topk` call that stops at its
+    own certificate.  ``workers=`` is accepted and ignored for symmetry with
+    the engine signature.
     """
     from repro.topk.local import local_topk  # circular at module level
 

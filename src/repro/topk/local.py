@@ -1,41 +1,39 @@
-"""Sublinear local top-k: residual push with a certified exactness contract.
+"""Certified local top-k: early-stopped sweeps with an exactness contract.
 
-Every full solve pays O(n_edges * sweeps) even when the caller wants k=10.
-This module implements the ROADMAP "sublinear single-query path": F and T
-columns are grown *locally* by residual push on the raw CSR of a
-:class:`repro.ops.TransitionOperator` (Fujiwara-style exact top-k pruning
-over Wang-style backward-push estimates), with additive error bounds that
-let the driver *certify* the returned top-k set and ranking against the true
-fixed point — or fall back to the exact solver when it cannot.
+A full solve runs every F/T column to its 1e-12 fixed point even when the
+caller wants k=10.  This module runs the same power series only as far as
+the top-k needs: each column is a resumable sweep state whose additive error
+bounds (Wang-style backward-push bounds) turn into per-node score bounds,
+and the driver stops as soon as those bounds *certify* the returned top-k
+set and ranking against the true fixed point (Fujiwara-style exact top-k
+pruning) — or escalates to the exact solver when they cannot.
 
-Push recurrences (both sides share one vectorized routine, only the CSR
-orientation differs):
+Sweep recurrence (one routine for both sides; only the operator differs):
 
 - **F-Rank** (PPR *from* the query): ``f = alpha * e_q + (1-alpha) * P^T f``.
-  Forward push along rows of ``P`` (out-edges): retiring residual ``r(u)``
-  adds ``alpha * r(u)`` to the estimate at ``u`` and spreads
-  ``(1-alpha) * r(u) * P[u, w]`` to each out-neighbor ``w``, preserving the
-  invariant ``f = estimate + sum_u residual(u) * f_u``.
 - **T-Rank** (PPR *to* the query): ``t = alpha * e_q + (1-alpha) * P t``.
-  With ``M = alpha (I - (1-alpha) P)^{-1}``, column linearity gives
-  ``t_u = alpha * e_u + (1-alpha) * sum_w P[w, u] * t_w`` — so the same push
-  along rows of ``P^T`` (in-edges) maintains
-  ``t = estimate + sum_u residual(u) * t_u``.
+
+With ``O`` the side's solve operator (``P^T`` or ``P``: the cached CSR that
+:func:`repro.engine.batch.frank_batch` / ``trank_batch`` sweep) and
+``x_u = alpha (I - (1-alpha) O)^{-1} e_u`` the side's column of node ``u``,
+a state keeps an ``estimate`` and a ``residual`` with the invariant
+``x_q = estimate + sum_u residual(u) * x_u``.  A sweep retires the whole
+residual in one sparse matvec: ``estimate += alpha * r`` and
+``r <- (1-alpha) O r``, one term of the power series.  Work is counted in
+sweeps, and a query's states share ``MAX_SWEEPS`` of them.
 
 Error bounds (additive; the t-side is uniform, the f-side per-node):
 
 - t-side: rows of ``P`` sum to one, so ``sum_u t_u(v) = 1`` for every ``v``
-  and ``err_t(v) <= min(r_max, r_sum)`` — the residual *maximum* is the
-  operative bound, which is what makes backward push local.
+  and ``err_t(v) <= min(r_max, r_sum)``.
 - f-side: ``err_f(v) = sum_u r(u) f_u(v) <= r_max * c(v)`` where
   ``c(v) = sum_u f_u(v) = n * PPR_uniform(v)`` is the node's *in-mass* —
   one cached full solve per ``(graph, alpha)`` buys a per-node bound that
-  decays with ``r_max`` instead of ``r_sum`` (the uniform Proposition-4
+  decays with ``r_max`` instead of ``r_sum``.  The uniform Proposition-4
   bound ``alpha r_max + (1-alpha) r_sum``, discounted by ``1/(2-alpha)`` on
-  loop-free operators as in :class:`repro.topk.fbound.FBoundSide`, only
-  reaches a target width after near-global convergence; the in-mass bound
-  keeps forward push as local as backward push).  Both are sound, so the
-  pointwise minimum is used.
+  loop-free operators as in :class:`repro.topk.fbound.FBoundSide`, is
+  tighter on hubs early on.  Both are sound, so the pointwise minimum is
+  used.
 
 Certification contract (the part that keeps the project's exactness
 promise): a result is returned *certified* only when the per-node lower and
@@ -47,7 +45,7 @@ oracle's ranking.  Certified scores are the unnormalized lower estimates —
 ``normalize`` is deliberately ignored for them (ranking is invariant under
 the positive per-query rescaling; callers needing calibrated values should
 escalate or solve fully).  Whenever certification fails — exact ties, tiny
-gaps, exhausted work budget — the query escalates: it solves the full
+gaps, exhausted sweep budget — the query escalates: it solves the full
 F/T columns (``solve_columns``), combines them with
 :func:`repro.engine.batch.combine_columns` and ranks the result exactly, so
 an escalated answer is *bit-identical* to the full-solve path.
@@ -72,15 +70,15 @@ from repro.core.queries import Query, normalize_query
 from repro.core.roundtrip_plus import DEFAULT_BETA, combine_beta
 from repro.engine.batch import combine_columns, frank_batch, normalize_columns, trank_batch
 from repro.graph.digraph import DiGraph
-from repro.ops import TransitionOperator, get_operator
-from repro.topk.graphaccess import gather_csr_rows
+from repro.ops import get_operator
+from repro.ops.kernels import matvec_accumulate
 from repro.utils.validation import check_in_range
 
-#: Residuals below this are numerical noise; a push state whose residuals
+#: Residuals below this are numerical noise; a sweep state whose residuals
 #: all sit under the floor is drained (its bound will not improve).
 MIN_RESIDUAL = 1e-14
 
-#: Floor for the per-side residual drive target.  Below this the push
+#: Floor for the per-side residual drive target.  Below this the sweep
 #: bounds compete with the exact solvers' own 1e-12-scale error, so
 #: tightening further cannot make certification more trustworthy.
 MIN_TARGET = 1e-11
@@ -98,38 +96,28 @@ DEFAULT_TARGET = 1e-2
 #: Fallback shrink factor per round when the score gaps give no signal.
 TARGET_SHRINK = 16.0
 
-#: Push rounds before a query stops trying to certify and escalates.
+#: Sweep rounds before a query stops trying to certify and escalates.
 MAX_ROUNDS = 12
 
 #: Safety inflation added to the cached in-mass vector, dominating the
-#: 1e-12-tolerance solve error it carries (n * 3 * tol for the graphs the
-#: budget allows) so the f-side bound stays sound.
+#: 1e-12-tolerance solve error it carries (at most n * 3 * tol, under the
+#: slack below ~33k nodes) so the f-side bound stays sound.
 _INMASS_SLACK = 1e-7
-
-#: Per-edge cost advantage of a sparse matvec over the frontier gather
-#: (measured ~10-20x; kept conservative).  A frontier whose gathered edges
-#: exceed ``nnz / SWEEP_DISCOUNT`` runs as a dense sweep instead, and a
-#: sweep bills ``nnz / SWEEP_DISCOUNT`` gather-equivalent work units.
-SWEEP_DISCOUNT = 8
 
 #: Measures the local solver certifies.  ``roundtriprank_plus`` rides on the
 #: monotonicity of ``combine_beta`` in both arguments.
 LOCAL_MEASURES = ("roundtriprank", "roundtriprank_plus", "frank", "trank")
 
-
 #: Estimate gaps at or below this are margin-limited: certification could
 #: never separate them with ``CERT_MARGIN`` to spare, so the driver stops
-#: pushing and escalates as soon as the estimates resolve to this scale.
+#: sweeping and escalates once the bounds resolve a gap this small.
 ESCALATE_GAP = 4.0 * CERT_MARGIN
 
-
-def _default_work_budget(nnz: int) -> int:
-    # A full two-sided 1e-12 solve costs ~200 nnz-equivalents of matvec
-    # work; certification typically lands at 4-12 (dense sweeps bill at
-    # nnz / SWEEP_DISCOUNT), so this cap keeps the worst case (push, fail,
-    # escalate) within about one extra full solve while letting every
-    # realistically-certifiable query finish.
-    return max(8192, 12 * nnz)
+#: Sweeps a query may spend, summed over its F and T states, before it
+#: escalates.  At alpha = 0.25 a side's residual drops below 1e-12 in about
+#: 96 sweeps (0.75**96 ~ 1e-12), so a query that fails to certify costs
+#: about one extra full solve.  Read at call time.
+MAX_SWEEPS = 96
 
 
 # --------------------------------------------------------------------------- #
@@ -175,15 +163,16 @@ def inmass_vector(graph: DiGraph, alpha: float) -> np.ndarray:
 
 
 class ColumnPush:
-    """Resumable residual-push state for one (side, seed-node) column.
+    """Resumable certified-sweep state for one (side, seed-node) column.
 
-    ``kind`` selects the orientation: ``"f"`` pushes along rows of ``P``
-    (out-edges) and solves the F-Rank column of ``node``; ``"t"`` pushes
-    along rows of ``P^T`` (in-edges) and solves the T-Rank column.  The
+    ``kind`` selects the side: ``"f"`` sweeps ``P^T`` and solves the F-Rank
+    column of ``node``, ``"t"`` sweeps ``P`` and solves the T-Rank column.
+    The state derives its operator from ``graph`` (the same cached CSR the
+    batch solvers sweep) and, for ``"f"``, the in-mass vector.  The
     invariant ``solution = estimate + sum_u residual[u] * column_u`` holds
-    after every push; :meth:`error` turns the residual state into additive
+    after every sweep; :meth:`error` turns the residual into additive
     per-node error bounds and :meth:`drive` is the scalar residual signal
-    :meth:`advance` pushes down.
+    :meth:`advance` sweeps down.
     """
 
     __slots__ = (
@@ -198,46 +187,30 @@ class ColumnPush:
         "_indptr",
         "_indices",
         "_data",
-        "_matrix_t",
-        "_nnz",
+        "_spare",
         "_discount",
-        "_theta",
         "_r_max",
         "_r_sum",
     )
 
-    def __init__(
-        self,
-        operator: TransitionOperator,
-        node: int,
-        alpha: float,
-        kind: str,
-        inmass: "np.ndarray | None" = None,
-    ) -> None:
+    def __init__(self, graph: DiGraph, node: int, alpha: float, kind: str) -> None:
         if kind not in ("f", "t"):
             raise ValueError(f"kind must be 'f' or 't', got {kind!r}")
-        if kind == "f" and inmass is None:
-            raise ValueError("f-side pushes need the in-mass vector (see inmass_vector)")
+        operator = get_operator(graph, transpose=kind == "f")
         self.kind = kind
         self.node = int(node)
         self.alpha = float(alpha)
-        self.inmass = inmass
+        self.inmass = inmass_vector(graph, alpha) if kind == "f" else None
         self._indptr, self._indices, self._data = operator.csr_parts(np.float64)
-        # Transposed view of the push matrix (CSC shares the CSR buffers):
-        # lets a saturated frontier run as one sparse matvec instead of a
-        # gather — same arithmetic, roughly an order of magnitude cheaper
-        # per edge.
-        self._matrix_t = operator.matrix(np.float64).T
-        self._nnz = int(self._indices.size)
         n = operator.n_nodes
         self.estimate = np.zeros(n)
         self.residual = np.zeros(n)
         self.residual[self.node] = 1.0
+        self._spare = np.empty(n)
         # Prop. 4's repeated-return discount needs a loop-free diagonal.
         self._discount = kind == "f" and not operator.has_self_loops
         self.work = 0
         self.drained = False
-        self._theta = 0.25
         self._r_max: "float | None" = 1.0
         self._r_sum: "float | None" = 1.0
 
@@ -257,7 +230,7 @@ class ColumnPush:
         """Additive error bound: per-node array (f-side) or scalar (t-side).
 
         f-side: ``min(r_max * c, alpha r_max + (1-alpha) r_sum [/(2-alpha)])``
-        pointwise — the in-mass bound is what keeps forward push local, the
+        pointwise — the in-mass bound decays with the residual maximum, the
         uniform Prop. 4 bound tightens hubs early on.  t-side:
         ``min(r_max, r_sum)`` uniformly (``sum_u t_u(v) = 1`` exactly).
         """
@@ -270,72 +243,41 @@ class ColumnPush:
         return np.minimum(r_max * self.inmass, uniform)
 
     def advance(self, target: float, work_limit: int) -> None:
-        """Push until ``drive() <= target``, the work limit, or drain-out.
+        """Sweep until ``drive() <= target``, the sweep limit, or drain-out.
 
-        ``work_limit`` is an absolute cap on :attr:`work` (the driver hands
-        each state its share of the query's remaining budget).  Work is
-        counted in *gather-equivalent* edge units: a frontier batch costs
-        its gathered edges, a dense sweep costs ``nnz // SWEEP_DISCOUNT``
-        (one matvec touches every edge but at a fraction of the per-edge
-        gather cost), so the budget tracks wall-clock rather than raw edges.
+        ``work_limit`` is an absolute cap on :attr:`work`, the number of
+        sweeps this state has run (the driver hands each state its share of
+        the query's remaining budget).  A state whose residual maximum is at
+        most ``MIN_RESIDUAL`` is drained: another sweep would not tighten
+        its bounds.
         """
         while self.drive() > target and self.work < work_limit:
-            frontier = np.flatnonzero(self.residual >= self._theta)
-            if frontier.size == 0:
-                if self._theta <= MIN_RESIDUAL:
-                    self.drained = True
-                    return
-                self._theta = max(self._theta / 8.0, MIN_RESIDUAL)
-                continue
-            gathered = int((self._indptr[frontier + 1] - self._indptr[frontier]).sum())
-            if gathered * SWEEP_DISCOUNT >= self._nnz:
-                # The frontier covers enough of the matrix that one sparse
-                # matvec (= pushing *every* node with residual mass, in one
-                # shot) is cheaper than gathering the rows.
-                self._sweep()
-            else:
-                self._push(frontier, gathered)
+            if self._residual_stats()[0] <= MIN_RESIDUAL:
+                self.drained = True
+                return
+            self._sweep()
 
     def _sweep(self) -> None:
-        """Retire every residual at once via the transposed matvec.
+        """Retire the whole residual: one power-series step on the operator.
 
-        Identical semantics to pushing the full support as a frontier —
-        including dangling rows (their mass retires with no spread) and
-        self-loop refill — because ``spread = (1-alpha) * A^T r`` is exactly
-        the batched scatter.
+        ``estimate += alpha * r`` and ``r <- (1-alpha) O r``, with the
+        product accumulated into the zeroed spare buffer, which then becomes
+        the residual.  Dangling rows and self-loops need no special case:
+        they are entries of ``O`` like any other.
         """
         r = self.residual
         self.estimate += self.alpha * r
-        spread = self._matrix_t.dot(r)
+        spread = self._spare
+        spread.fill(0.0)
+        matvec_accumulate(self._indptr, self._indices, self._data, r, spread)
         spread *= 1.0 - self.alpha
-        self.residual = spread
-        self.work += max(1, self._nnz // SWEEP_DISCOUNT)
-        self._r_max = self._r_sum = None
-
-    def _push(self, frontier: np.ndarray, total: int) -> None:
-        """Retire the residual of every frontier node in one vectorized batch.
-
-        All spread amounts are taken from the residual values *before* the
-        batch (the push is linear, so batching is exact); self-loop refill
-        lands back in the residual through the scatter.  ``total`` is the
-        frontier's gathered edge count (the caller already has it).
-        """
-        r = self.residual
-        amounts = r[frontier].copy()
-        self.estimate[frontier] += self.alpha * amounts
-        r[frontier] = 0.0
-        if total:
-            _, row_ids, flat = gather_csr_rows(self._indptr, frontier)
-            spread = self._data[flat] * ((1.0 - self.alpha) * amounts)[row_ids]
-            r += np.bincount(self._indices[flat], weights=spread, minlength=r.size)
-        # A t-side node with no in-edges retires its residual entirely —
-        # sound: dropping a non-negative term only tightens the invariant.
-        self.work += total + int(frontier.size)
+        self.residual, self._spare = spread, r
+        self.work += 1
         self._r_max = self._r_sum = None
 
 
 class _ExactColumn:
-    """A fully-solved column (e.g. a cache hit) posing as a push state."""
+    """A fully-solved column (e.g. a cache hit) posing as a sweep state."""
 
     __slots__ = ("kind", "node", "estimate", "work", "drained")
 
@@ -425,7 +367,7 @@ _OBS_LOCAL = obs.counter(
     labels=("outcome",),
 )
 _OBS_WORK = obs.counter(
-    "repro_local_work_units_total", "Push work units spent by local top-k queries."
+    "repro_local_work_units_total", "Sweeps spent by local top-k queries."
 )
 
 
@@ -446,15 +388,15 @@ def local_topk(
     solve_columns: "Callable[[str, list[int]], np.ndarray] | None" = None,
     column_probe: "Callable[[str, int], np.ndarray | None] | None" = None,
 ) -> LocalTopKResult:
-    """Exact top-``k`` for one query via certified local push.
+    """Exact top-``k`` for one query via certified early-stopped sweeps.
 
-    Pushes residual mass locally around the query until the score bounds
-    certify the top-``k`` set and ranking (see the module docstring for the
-    contract), shrinking the residual target toward the observed
-    k-th/(k+1)-th score gap each round; when certification is impossible
-    within the work budget (:func:`_default_work_budget`) or ``MAX_ROUNDS``
-    the query escalates: its full F/T columns are solved and ranked
-    exactly, matching the full-solve path bit-for-bit.
+    Sweeps the query's F/T columns until the score bounds certify the
+    top-``k`` set and ranking (see the module docstring for the contract),
+    shrinking the residual target toward the observed k-th/(k+1)-th score
+    gap each round; when certification is impossible within ``MAX_SWEEPS``
+    sweeps or ``MAX_ROUNDS`` rounds the query escalates: its full F/T
+    columns are solved and ranked exactly, matching the full-solve path
+    bit-for-bit.
 
     Hooks: ``solve_columns(kind, nodes) -> n x m`` column stack replaces the
     engine solves (``frank_batch`` / ``trank_batch`` at ``tol`` /
@@ -477,19 +419,13 @@ def local_topk(
         needs_f = measure != "trank"
         needs_t = measure != "frank"
 
-        # Push orientation is the *opposite* of the solve orientation: the f
-        # recurrence multiplies by P^T but pushes along rows of P, and vice
-        # versa (see the module docstring).
         f_states = t_states = None
         if needs_f:
-            op = get_operator(graph, transpose=False)
-            c = inmass_vector(graph, alpha)
-            f_states = [_make_state(op, int(v), alpha, "f", column_probe, c) for v in nodes]
+            f_states = [_make_state(graph, int(v), alpha, "f", column_probe) for v in nodes]
         if needs_t:
-            op = get_operator(graph, transpose=True)
-            t_states = [_make_state(op, int(v), alpha, "t", column_probe, None) for v in nodes]
+            t_states = [_make_state(graph, int(v), alpha, "t", column_probe) for v in nodes]
         states = (f_states or []) + (t_states or [])
-        work_budget = _default_work_budget(graph.n_edges)
+        work_budget = MAX_SWEEPS
         target = DEFAULT_TARGET
 
         def total_work() -> int:
@@ -525,11 +461,12 @@ def local_topk(
                 or target <= MIN_TARGET
                 or rounds >= MAX_ROUNDS
                 or all(s.drained for s in states)
-                # Margin-limited: the estimates have resolved the binding gap
-                # and it is too small for CERT_MARGIN — or the widths already
-                # sit at the margin floor against an exact tie.  No amount of
-                # pushing certifies; the exact solve is the fast exit.
-                or (needed > 0.0 and needed <= ESCALATE_GAP)
+                # Margin-limited: the bounds have resolved the binding gap
+                # (the widths are down to it) and it is too small for
+                # CERT_MARGIN — or the widths already sit at the margin floor
+                # against an exact tie.  No amount of sweeping certifies; the
+                # exact solve is the fast exit.
+                or (needed > 0.0 and needed <= ESCALATE_GAP and width <= needed)
                 or (needed == 0.0 and 0.0 < width <= 2.0 * ESCALATE_GAP)
             )
             if out_of_road:
@@ -591,12 +528,13 @@ def local_topk(
             _OBS_WORK.inc(int(result.work))
     return result
 
-def _make_state(operator, node, alpha, kind, column_probe, inmass):
+
+def _make_state(graph, node, alpha, kind, column_probe):
     if column_probe is not None:
         column = column_probe(kind, node)
         if column is not None:
             return _ExactColumn(kind, node, column)
-    return ColumnPush(operator, node, alpha, kind, inmass=inmass)
+    return ColumnPush(graph, node, alpha, kind)
 
 
 def _certify(

@@ -34,7 +34,7 @@ from repro.topk.conditions import sort_candidates, topk_conditions_met
 from repro.topk.fbound import FBoundSide
 from repro.topk.graphaccess import GraphAccess, LocalGraphAccess
 from repro.topk.tbound import TBoundSide
-from repro.utils.validation import check_candidate_mask, check_node_id
+from repro.utils.validation import check_candidate_mask, check_exclude, check_node_id
 
 #: the paper's expansion granularities (Sect. V-A3).
 DEFAULT_M_F = 100
@@ -135,6 +135,8 @@ def twosbound_topk(
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     if candidate_mask is not None:
         candidate_mask = check_candidate_mask(candidate_mask, access.n_nodes)
+    if exclude:
+        check_exclude(exclude, access.n_nodes)
     config = SchemeConfig.from_name(scheme)
 
     f_side = FBoundSide(

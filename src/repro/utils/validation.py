@@ -107,3 +107,19 @@ def check_candidate_mask(mask, n_nodes: int) -> np.ndarray:
             f"({n_nodes},), got {mask.shape}"
         )
     return mask
+
+
+def check_exclude(exclude, n_nodes: int) -> "list[int]":
+    """Validate the node ids of an ``exclude`` collection; return them as ints.
+
+    A negative id would wrap around in the indexing that applies it and
+    silently drop another node; an out-of-range or non-integer one would
+    fail there with a bare ``IndexError`` or be ignored by membership
+    tests.  Each is rejected here with the offending id named.
+    """
+    ids = []
+    for node in exclude:
+        if not isinstance(node, numbers.Integral) or not 0 <= node < n_nodes:
+            raise ValueError(f"exclude ids must be node ids in [0, {n_nodes - 1}], got {node!r}")
+        ids.append(int(node))
+    return ids

@@ -29,6 +29,12 @@ def small_bibnet():
 
 
 @pytest.fixture(scope="session")
+def bibnet_2200():
+    """BibNet-2200 (4,784 nodes), the graph of the BibNet ledger workloads."""
+    return generate_bibnet(BibNetConfig(n_papers=2200, n_authors=740, seed=29))
+
+
+@pytest.fixture(scope="session")
 def small_qlog():
     """A small deterministic QLog shared across tests."""
     return generate_qlog(QLogConfig(n_concepts=120, seed=13))

@@ -1,5 +1,8 @@
 """Tests for the synthetic BibNet generator."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.datasets import BibNetConfig, generate_bibnet
@@ -22,6 +25,47 @@ class TestDeterminism:
             assert (a.graph.weights != b.graph.weights).nnz > 0
         else:
             assert a.graph.n_nodes != b.graph.n_nodes
+
+
+def graph_digest(graph) -> str:
+    """SHA-256 of the weight and transition CSR arrays plus the node types.
+
+    Every array is cast to a fixed little-endian dtype first, so the digest
+    pins values, not scipy's choice of index width.
+    """
+    h = hashlib.sha256()
+    for matrix in (graph.weights, graph.transition):
+        for array, dtype in (
+            (matrix.indptr, "<i8"),
+            (matrix.indices, "<i8"),
+            (matrix.data, "<f8"),
+        ):
+            h.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    h.update(np.ascontiguousarray(graph.node_types, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+#: :func:`graph_digest` of ``BibNetConfig(2200, 740, seed=29)``.
+BIBNET_2200_SHA256 = "fe2caeedbfa38c686cc3ac17a28e5ae7e25afb4517e02b5f782c03b2f8617b6d"
+
+#: :func:`graph_digest` of ``BibNetConfig(300, 120, seed=13)``.
+SMALL_BIBNET_SHA256 = "0c191aff685bb7b5ffeacaf0917bed03f4cc720f4ab4ec6377db01d32d093720"
+
+
+class TestPinnedBytes:
+    """The exact graphs the ledger and the shared fixtures are built on.
+
+    Every before/after ledger comparison assumes both commits generate
+    byte-identical graphs, and a faster generator must keep these digests.
+    """
+
+    def test_bibnet_2200_ledger_graph(self, bibnet_2200):
+        assert bibnet_2200.config == BibNetConfig(n_papers=2200, n_authors=740, seed=29)
+        assert graph_digest(bibnet_2200.graph) == BIBNET_2200_SHA256
+
+    def test_small_bibnet(self, small_bibnet):
+        assert small_bibnet.config == BibNetConfig(n_papers=300, n_authors=120, seed=13)
+        assert graph_digest(small_bibnet.graph) == SMALL_BIBNET_SHA256
 
 
 class TestSchema:

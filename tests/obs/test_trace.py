@@ -210,7 +210,7 @@ class TestLocalTopkStandalone:
         assert span_.attributes["rounds"] == result.rounds
 
     def test_local_topk_docstring_preserved(self):
-        assert "certified local push" in local_topk.__doc__
+        assert "certified early-stopped sweeps" in local_topk.__doc__
 
 
 class TestSinkBounds:

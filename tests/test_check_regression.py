@@ -117,6 +117,21 @@ class TestSeededRegressionTurnsRed:
         err = capsys.readouterr().err
         assert "n_local_certified" in err and "n_local_escalated" in err
 
+    def test_single_local_outcome_flip_fails(self, paths, capsys):
+        # The local outcomes repeat exactly (the budget counts sweeps), so
+        # one query flipping between certified and escalated is a change.
+        current, baseline = paths
+        payload = _payload()
+        payload["gateway"]["n_local_certified"] -= 1
+        payload["gateway"]["n_local_escalated"] += 1
+        payload["obs"]["n_local_certified"] -= 1
+        current.write_text(json.dumps(payload))
+        assert _run(current, baseline) == 1
+        err = capsys.readouterr().err
+        assert "gateway.n_local_certified" in err
+        assert "gateway.n_local_escalated" in err
+        assert "obs.n_local_certified" in err
+
     def test_equality_band_fails_in_both_directions(self, paths, capsys):
         current, baseline = paths
         payload = _payload()

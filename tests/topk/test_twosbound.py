@@ -107,6 +107,23 @@ class TestFilters:
         with pytest.raises(ValueError, match=rf"candidate_mask.*\({n},\).*\({size},\)"):
             run()
 
+    @pytest.mark.parametrize("entry", ["topk_select", "naive_topk", "local_topk", "twosbound"])
+    @pytest.mark.parametrize("bad", ["negative", "n", "non-integer"])
+    def test_exclude_of_invalid_id_is_rejected(self, small_bibnet, entry, bad):
+        g = small_bibnet.graph
+        n = g.n_nodes
+        # -(n - 203) would wrap around to node 203 under numpy indexing.
+        node = {"negative": 203 - n, "n": n, "non-integer": 2.5}[bad]
+        exclude = {node}
+        run = {
+            "topk_select": lambda: topk_select(np.ones(n), 3, exclude=exclude),
+            "naive_topk": lambda: naive_topk(g, 47, 3, exclude=exclude),
+            "local_topk": lambda: local_topk(g, 47, 3, exclude=exclude),
+            "twosbound": lambda: twosbound_topk(g, 47, 3, exclude=exclude),
+        }[entry]
+        with pytest.raises(ValueError, match=rf"exclude.*\[0, {n - 1}\].*{node}"):
+            run()
+
     def test_exclude_query(self, toy_graph):
         q = toy_graph.node_by_label("t1")
         result = twosbound_topk(

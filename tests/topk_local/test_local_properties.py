@@ -11,7 +11,7 @@ Two invariants over random weighted digraphs and alphas:
   scores are tied below solver tolerance, where any two exact solvers
   rank arbitrarily;
 - *bound soundness*: a certified result's reported score bounds bracket
-  the true scores, and every push state's residual error bound dominates
+  the true scores, and every sweep state's residual error bound dominates
   the true remaining error of its column.
 
 Edge weights are drawn continuous, so *exact* score ties have measure
@@ -27,14 +27,12 @@ from hypothesis import strategies as st
 
 from repro.core import frank_vector, trank_vector
 from repro.graph import DiGraph
-from repro.ops import get_operator
 from repro.serving.topk import (
     roundtriprank_batch_topk,
     roundtriprank_plus_batch_topk,
     topk_select,
 )
 from repro.topk import ColumnPush, local_topk
-from repro.topk.local import inmass_vector
 
 from test_local_topk import oracle_scores
 
@@ -98,22 +96,16 @@ class TestLocalTopKProperties:
     @given(case=graph_and_query())
     def test_residual_bound_dominates_true_error(self, case):
         graph, alpha, _, query = case
-        # Stop the pushes mid-flight at a loose target: the invariant must
+        # Stop the sweeps mid-flight at a loose target: the invariant must
         # hold in every intermediate state, not only at convergence.
-        f_push = ColumnPush(
-            get_operator(graph, transpose=False),
-            query,
-            alpha,
-            "f",
-            inmass=inmass_vector(graph, alpha),
-        )
+        f_push = ColumnPush(graph, query, alpha, "f")
         f_push.advance(1e-2, 10**9)
         f_true = frank_vector(graph, query, alpha)
         f_err = np.abs(f_true - f_push.estimate)
         assert np.all(f_push.estimate <= f_true + 1e-10)
         assert np.all(f_err <= f_push.error() + 1e-10)
 
-        t_push = ColumnPush(get_operator(graph, transpose=True), query, alpha, "t")
+        t_push = ColumnPush(graph, query, alpha, "t")
         t_push.advance(1e-2, 10**9)
         t_true = trank_vector(graph, query, alpha)
         t_err = np.abs(t_true - t_push.estimate)

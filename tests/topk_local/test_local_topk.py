@@ -1,4 +1,4 @@
-"""Tests for the certified local push top-k solver (repro.topk.local).
+"""Tests for the certified local top-k solver (repro.topk.local).
 
 The exactness contract under test: whatever the outcome flag says —
 ``certified`` (bounds proved the set and ranking) or ``escalated`` (the
@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core import combine_beta, frank_vector, normalize_query, trank_vector
-from repro.ops import get_operator
 from repro.serving.topk import topk_select
-from repro.topk import LOCAL_MEASURES, ColumnPush, local_topk
+from repro.topk import LOCAL_MEASURES, ColumnPush, local_topk, naive_topk
 from repro.topk import local as local_module
 from repro.topk.local import inmass_vector
 
@@ -101,8 +100,8 @@ class TestOracleParity:
 
 @pytest.fixture()
 def no_push_budget(monkeypatch):
-    """Force every query to escalate: zero push work before the exact solve."""
-    monkeypatch.setattr(local_module, "_default_work_budget", lambda nnz: 0)
+    """Force every query to escalate: zero sweeps before the exact solve."""
+    monkeypatch.setattr(local_module, "MAX_SWEEPS", 0)
 
 
 class TestEscalation:
@@ -152,6 +151,17 @@ class TestEscalation:
         assert sorted(set(calls)) == ["f", "t"]
 
 
+class TestMarginLimitedEscalation:
+    def test_waits_until_the_bounds_resolve_the_gap(self, bibnet_2200):
+        # After round 1 paper 4157's binding estimate gap is ~2e-10, inside
+        # ESCALATE_GAP, while its score bounds are still ~3e-3 wide: the gap
+        # is not resolved yet, and the next round certifies it.
+        graph = bibnet_2200.graph
+        result = local_topk(graph, 4157, 10, ALPHA)
+        assert result.certified
+        assert result.indices.tolist() == naive_topk(graph, 4157, 10, ALPHA).nodes
+
+
 class TestColumnProbe:
     def test_exact_columns_certify_without_work(self, small_bibnet):
         graph = small_bibnet.graph
@@ -197,13 +207,7 @@ class TestPushState:
     def test_f_push_brackets_true_column(self, toy_graph):
         node = 4
         truth = frank_vector(toy_graph, node, ALPHA)
-        push = ColumnPush(
-            get_operator(toy_graph, transpose=False),
-            node,
-            ALPHA,
-            "f",
-            inmass=inmass_vector(toy_graph, ALPHA),
-        )
+        push = ColumnPush(toy_graph, node, ALPHA, "f")
         push.advance(1e-4, 10**9)
         assert np.all(push.estimate <= truth + 1e-12)
         assert np.all(truth <= push.estimate + push.error() + 1e-12)
@@ -211,7 +215,7 @@ class TestPushState:
     def test_t_push_brackets_true_column(self, toy_graph):
         node = 4
         truth = trank_vector(toy_graph, node, ALPHA)
-        push = ColumnPush(get_operator(toy_graph, transpose=True), node, ALPHA, "t")
+        push = ColumnPush(toy_graph, node, ALPHA, "t")
         push.advance(1e-4, 10**9)
         assert np.all(push.estimate <= truth + 1e-12)
         assert np.all(truth <= push.estimate + push.error() + 1e-12)
@@ -219,7 +223,7 @@ class TestPushState:
     def test_advance_is_resumable_and_monotone(self, small_bibnet):
         graph = small_bibnet.graph
         node = int(small_bibnet.paper_nodes[0])
-        push = ColumnPush(get_operator(graph, transpose=True), node, ALPHA, "t")
+        push = ColumnPush(graph, node, ALPHA, "t")
         push.advance(1.0, 64)
         drive_coarse, work_coarse = push.drive(), push.work
         push.advance(1e-6, 10**9)
@@ -229,11 +233,8 @@ class TestPushState:
         assert np.all(truth <= push.estimate + push.error() + 1e-12)
 
     def test_kind_validation(self, toy_graph):
-        op = get_operator(toy_graph, transpose=False)
         with pytest.raises(ValueError, match="kind"):
-            ColumnPush(op, 0, ALPHA, "x")
-        with pytest.raises(ValueError, match="in-mass"):
-            ColumnPush(op, 0, ALPHA, "f")
+            ColumnPush(toy_graph, 0, ALPHA, "x")
 
 
 class TestInmassVector:
