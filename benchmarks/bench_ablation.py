@@ -1,10 +1,10 @@
-"""Ablations beyond the paper's figures (DESIGN.md Sect. 5).
+"""Ablations beyond the paper's figures.
 
 1. Expansion granularity m: the paper uses m = 100 (f-side) / m = 5
    (t-side) and reports insensitivity to small changes; we sweep both.
 2. Heavy-degree laziness: our implementation adds lazy handling of
-   hub-adjacency (DESIGN.md, Substitution notes); we measure its effect on
-   query time and active-set size.
+   hub-adjacency; we measure its effect on query time and active-set
+   size.
 """
 
 import numpy as np

@@ -8,9 +8,10 @@ artifact — giving every commit a comparable record of the perf trajectory
 (batch speedup, walk throughput, cache hit-rate,
 warm/cold serving latency, micro-batch amortization, and the ``workers=2``
 sharded-solver leg: walltime per worker count plus the power/auto parity
-columns must hold even on a one-core CI runner).  The ``twosbound``
-section is computed here: the summed work of online 2SBound over a fixed
-query set.
+columns must hold even on a one-core CI runner).  Two sections are
+computed here: ``twosbound``, the summed work of online 2SBound over a
+fixed query set, and ``datasets``, the build time of the ledger's
+BibNet-2200 graph.
 
 A missing or non-smoke input is recomputed in its smoke configuration, so
 the script also works standalone::
@@ -37,6 +38,7 @@ os.environ["REPRO_BENCH_OBS_SMOKE"] = "1"
 from benchmarks.common import RESULTS_DIR  # noqa: E402
 from repro.datasets import BibNetConfig, generate_bibnet  # noqa: E402
 from repro.topk import twosbound_topk  # noqa: E402
+from repro.utils.timer import Timer  # noqa: E402
 
 
 def _metrics(name: str, rerun) -> dict:
@@ -65,6 +67,21 @@ def _twosbound() -> dict:
     for key in ("rounds", "seen_f", "seen_t", "seen_r"):
         metrics[key] = sum(getattr(r, key) for r in results)
     return metrics
+
+
+def _datasets() -> dict:
+    """Best of three builds of BibNet-2200, the BibNet ledger workloads' graph.
+
+    Generating it is most of those workloads' set-up time.  A raw timing,
+    so check_regression reports it without gating it.
+    """
+    config = BibNetConfig(n_papers=2200, n_authors=740, seed=29)
+    times = []
+    for _ in range(3):
+        with Timer() as t:
+            generate_bibnet(config)
+        times.append(t.elapsed)
+    return {"bibnet_2200_s": min(times)}
 
 
 def main() -> int:
@@ -102,6 +119,7 @@ def main() -> int:
         # deterministic cache-hit / certified counts are gated exactly.
         "obs": _metrics("obs", lambda: bench_obs.run_obs(*bench_obs._setup())),
         "twosbound": _twosbound(),
+        "datasets": _datasets(),
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / "ci_smoke.json"

@@ -20,8 +20,8 @@ in one multi-column power iteration instead of ``q`` separate solves::
 
     columns = roundtriprank_batch(graph, [q1, q2, q3])
 
-See README.md for the architecture overview and DESIGN.md for the
-paper-to-module map.
+See README.md for the architecture overview and its Datasets section for
+the synthetic substitutes of the paper's data.
 """
 
 from repro.core import (

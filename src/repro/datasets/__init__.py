@@ -2,7 +2,7 @@
 
 The real DBLP/Citeseer network and MSN query log are not redistributable;
 :mod:`repro.datasets.bibnet` and :mod:`repro.datasets.qlog` generate
-structure-preserving synthetic substitutes (see DESIGN.md, Substitutions).
+structure-preserving synthetic substitutes (see README.md, Datasets).
 """
 
 from repro.datasets.bibnet import BibNet, BibNetConfig, generate_bibnet

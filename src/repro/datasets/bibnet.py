@@ -2,7 +2,7 @@
 
 The paper evaluates on a DBLP+Citeseer network of papers, authors, terms and
 venues.  That data is not redistributable, so this generator produces a
-structure-preserving synthetic replacement (DESIGN.md, Substitution 1):
+structure-preserving synthetic replacement (README.md, Datasets):
 
 - the same four node types and four edge types (directed paper->paper
   citations; undirected paper-term, paper-venue, paper-author);
@@ -25,12 +25,14 @@ yields the identical graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from repro.graph.builder import GraphBuilder
 from repro.graph.digraph import DiGraph
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_positive, check_positive_int, check_probability
 
 BIBNET_TYPE_NAMES = ["paper", "author", "term", "venue"]
 
@@ -121,24 +123,39 @@ class BibNetConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
+        for name in (
+            "n_papers",
+            "n_authors",
+            "broad_venues_per_area",
+            "terms_per_paper_min",
+            "terms_per_paper_max",
+            "authors_per_paper_min",
+            "authors_per_paper_max",
+            "n_years",
+        ):
+            check_positive_int(getattr(self, name), name)
+        for name in ("max_citations_per_paper", "rare_terms_per_paper"):
+            check_positive_int(getattr(self, name), name, strict=False)
+        for name in (
+            "p_broad_venue",
+            "p_cite_same_subtopic",
+            "p_cite_same_area",
+            "p_new_rare_term",
+        ):
+            check_probability(getattr(self, name), name)
+        check_positive(
+            self.author_productivity_exponent, "author_productivity_exponent", strict=False
+        )
         if self.n_papers < 10:
             raise ValueError("n_papers must be >= 10")
         if self.n_authors < 10:
             raise ValueError("n_authors must be >= 10")
-        if not 0 <= self.p_broad_venue <= 1:
-            raise ValueError("p_broad_venue must be in [0, 1]")
-        if self.terms_per_paper_min < 1 or self.terms_per_paper_max < self.terms_per_paper_min:
+        if self.terms_per_paper_max < self.terms_per_paper_min:
             raise ValueError("invalid terms_per_paper range")
-        if self.authors_per_paper_min < 1 or self.authors_per_paper_max < self.authors_per_paper_min:
+        if self.authors_per_paper_max < self.authors_per_paper_min:
             raise ValueError("invalid authors_per_paper range")
         if self.p_cite_same_subtopic + self.p_cite_same_area > 1:
             raise ValueError("citation locality probabilities exceed 1")
-        if self.rare_terms_per_paper < 0:
-            raise ValueError("rare_terms_per_paper must be >= 0")
-        if not 0 <= self.p_new_rare_term <= 1:
-            raise ValueError("p_new_rare_term must be in [0, 1]")
-        if self.n_years < 1:
-            raise ValueError("n_years must be >= 1")
 
 
 @dataclass
@@ -179,6 +196,25 @@ class BibNet:
         if not nodes:
             raise KeyError(f"no query words of {phrase!r} exist as terms")
         return nodes
+
+
+class _IdPool:
+    """Append-only node ids in an int64 array grown by doubling."""
+
+    def __init__(self) -> None:
+        self._ids = np.empty(16, dtype=np.int64)
+        self._size = 0
+
+    @property
+    def ids(self) -> np.ndarray:
+        """The ids appended so far, in order (a view, valid until the next append)."""
+        return self._ids[: self._size]
+
+    def append(self, node: int) -> None:
+        if self._size == self._ids.size:
+            self._ids = np.concatenate([self._ids, np.empty_like(self._ids)])
+        self._ids[self._size] = node
+        self._size += 1
 
 
 def generate_bibnet(config: "BibNetConfig | None" = None) -> BibNet:
@@ -265,7 +301,6 @@ def generate_bibnet(config: "BibNetConfig | None" = None) -> BibNet:
 
     # ----- authors --------------------------------------------------------- #
     author_nodes: list[int] = []
-    author_subtopics: list[list[int]] = []
     subtopic_authors: list[list[int]] = [[] for _ in range(n_subtopics)]
     subtopic_author_weights: list[list[float]] = [[] for _ in range(n_subtopics)]
     for a in range(config.n_authors):
@@ -277,7 +312,6 @@ def generate_bibnet(config: "BibNetConfig | None" = None) -> BibNet:
             secondary = int(rng.integers(n_subtopics))
             if secondary != primary:
                 interests.append(secondary)
-        author_subtopics.append(interests)
         productivity = float((a % 97 + 1.0) ** -config.author_productivity_exponent)
         # A deterministic Zipf-like weight; the modulus decouples productivity
         # from subtopic id so every subtopic gets both heavy and light authors.
@@ -290,42 +324,39 @@ def generate_bibnet(config: "BibNetConfig | None" = None) -> BibNet:
             aid = author_nodes[int(rng.integers(len(author_nodes)))]
             subtopic_authors[s].append(aid)
             subtopic_author_weights[s].append(1.0)
+    subtopic_author_ids = [np.asarray(ids, dtype=np.int64) for ids in subtopic_authors]
+    subtopic_author_probs = [w / w.sum() for w in map(np.asarray, subtopic_author_weights)]
 
     # ----- papers --------------------------------------------------------- #
-    paper_nodes: list[int] = []
     paper_authors: dict[int, list[int]] = {}
     paper_venue: dict[int, int] = {}
     paper_terms: dict[int, list[int]] = {}
     paper_subtopic: dict[int, int] = {}
-    paper_year: dict[int, int] = {}
-    papers_by_subtopic: list[list[int]] = [[] for _ in range(n_subtopics)]
-    papers_by_area: dict[str, list[int]] = {area: [] for area in areas}
-    citation_counts: dict[int, int] = {}
+    papers = _IdPool()
+    papers_by_subtopic = [_IdPool() for _ in range(n_subtopics)]
+    papers_by_area = {area: _IdPool() for area in areas}
 
     subtopic_popularity = rng.dirichlet(np.full(n_subtopics, 3.0))
-    rare_pool: list[list[int]] = [[] for _ in range(n_subtopics)]
-    rare_uses: dict[int, int] = {}
+    rare_pools = [_IdPool() for _ in range(n_subtopics)]
+    # Citation and rare-term draws weight a pool member by 1 + its use
+    # count: citations received by a paper, papers using a rare term.  Each
+    # paper adds one node and at most rare_terms_per_paper term nodes.
+    uses = np.zeros(
+        builder.n_nodes + config.n_papers * (1 + config.rare_terms_per_paper), dtype=np.int64
+    )
 
     for i in range(config.n_papers):
         pid = builder.add_node(f"paper:p{i}", "paper")
-        paper_nodes.append(pid)
-        year = i * config.n_years // config.n_papers
-        paper_year[pid] = year
         s = int(rng.choice(n_subtopics, p=subtopic_popularity))
         area = subtopic_area[s]
         paper_subtopic[pid] = s
 
         # Authors: weighted draw without replacement from the subtopic pool.
-        pool = subtopic_authors[s]
-        pool_w = np.asarray(subtopic_author_weights[s])
-        k_auth = int(
-            rng.integers(config.authors_per_paper_min, config.authors_per_paper_max + 1)
-        )
-        k_auth = min(k_auth, len(pool))
-        chosen = rng.choice(
-            len(pool), size=k_auth, replace=False, p=pool_w / pool_w.sum()
-        )
-        authors = [pool[j] for j in chosen.tolist()]
+        pool = subtopic_author_ids[s]
+        k_auth = int(rng.integers(config.authors_per_paper_min, config.authors_per_paper_max + 1))
+        k_auth = min(k_auth, pool.size)
+        chosen = rng.choice(pool.size, size=k_auth, replace=False, p=subtopic_author_probs[s])
+        authors = pool[chosen].tolist()
         paper_authors[pid] = authors
         for aid in authors:
             builder.add_edge(pid, aid, directed=False)
@@ -333,9 +364,7 @@ def generate_bibnet(config: "BibNetConfig | None" = None) -> BibNet:
         # Venue: broad (area-wide) with p_broad_venue, else the subtopic's
         # narrow venue.
         if rng.random() < config.p_broad_venue:
-            venue = int(
-                rng.choice(broad_venues[area], p=broad_prestige[area])
-            )
+            venue = int(rng.choice(broad_venues[area], p=broad_prestige[area]))
         else:
             venue = narrow_venue[s]
         paper_venue[pid] = venue
@@ -350,20 +379,18 @@ def generate_bibnet(config: "BibNetConfig | None" = None) -> BibNet:
 
         # Rare tail terms (Heaps' law): the vocabulary keeps growing with
         # the corpus, so hub-term degrees stay sub-linear in corpus size.
+        rare_pool = rare_pools[s]
         for _ in range(config.rare_terms_per_paper):
-            pool = rare_pool[s]
-            if not pool or rng.random() < config.p_new_rare_term:
-                term = builder.add_node(
-                    f"term:rare_{s}_{len(pool)}", "term"
-                )
-                pool.append(term)
-                rare_uses[term] = 0
+            pool = rare_pool.ids
+            if not pool.size or rng.random() < config.p_new_rare_term:
+                term = builder.add_node(f"term:rare_{s}_{pool.size}", "term")
+                rare_pool.append(term)
             else:
-                weights = np.asarray([1.0 + rare_uses[t] for t in pool])
-                term = pool[int(rng.choice(len(pool), p=weights / weights.sum()))]
+                w = 1.0 + uses[pool]
+                term = int(pool[rng.choice(pool.size, p=w / w.sum())])
             if term not in terms:
                 terms.append(term)
-                rare_uses[term] = rare_uses.get(term, 0) + 1
+                uses[term] += 1
 
         paper_terms[pid] = terms
         for t in terms:
@@ -376,24 +403,21 @@ def generate_bibnet(config: "BibNetConfig | None" = None) -> BibNet:
         for _ in range(n_cites):
             u = rng.random()
             if u < config.p_cite_same_subtopic:
-                candidates = papers_by_subtopic[s]
+                pool = papers_by_subtopic[s].ids
             elif u < config.p_cite_same_subtopic + config.p_cite_same_area:
-                candidates = papers_by_area[area]
+                pool = papers_by_area[area].ids
             else:
-                candidates = paper_nodes[:-1]
-            if not candidates:
+                pool = papers.ids
+            if not pool.size:
                 continue
-            weights = np.asarray(
-                [1.0 + citation_counts.get(c, 0) for c in candidates], dtype=np.float64
-            )
-            target = int(
-                np.asarray(candidates)[rng.choice(len(candidates), p=weights / weights.sum())]
-            )
-            if target != pid and target not in cited:
+            w = 1.0 + uses[pool]
+            target = int(pool[rng.choice(pool.size, p=w / w.sum())])
+            if target not in cited:
                 cited.add(target)
                 builder.add_edge(pid, target, directed=True)
-                citation_counts[target] = citation_counts.get(target, 0) + 1
+                uses[target] += 1
 
+        papers.append(pid)
         papers_by_subtopic[s].append(pid)
         papers_by_area[area].append(pid)
 
@@ -404,34 +428,32 @@ def generate_bibnet(config: "BibNetConfig | None" = None) -> BibNet:
         graph = apply_type_weights(graph, DEFAULT_BIBNET_TYPE_WEIGHTS)
 
     # ----- per-node timestamps (birth year) -------------------------------- #
-    timestamps = np.zeros(graph.n_nodes, dtype=np.int64)
-    for pid, year in paper_year.items():
-        timestamps[pid] = year
-    # Non-paper nodes are born with their first incident paper.
-    first_seen = np.full(graph.n_nodes, config.n_years - 1, dtype=np.int64)
-    for pid in paper_nodes:
-        year = paper_year[pid]
-        for nb in (
-            paper_authors[pid]
-            + paper_terms[pid]
-            + [paper_venue[pid]]
-        ):
-            if year < first_seen[nb]:
-                first_seen[nb] = year
-    node_types = graph.node_types
-    assert node_types is not None
-    paper_code = graph.type_code("paper")
-    for v in range(graph.n_nodes):
-        timestamps[v] = paper_year.get(v, first_seen[v]) if node_types[v] == paper_code else first_seen[v]
+    # A paper's year is its rank spread over n_years; every other node is
+    # born with its first incident paper (nodes no paper touches, with the
+    # last year).
+    paper_nodes = papers.ids.copy()
+    paper_year = np.arange(config.n_papers, dtype=np.int64) * config.n_years // config.n_papers
+    incident = [
+        paper_authors[pid] + paper_terms[pid] + [paper_venue[pid]] for pid in paper_nodes.tolist()
+    ]
+    timestamps = np.full(graph.n_nodes, config.n_years - 1, dtype=np.int64)
+    np.minimum.at(
+        timestamps,
+        np.fromiter(chain.from_iterable(incident), dtype=np.int64),
+        np.repeat(paper_year, [len(nodes) for nodes in incident]),
+    )
+    timestamps[paper_nodes] = paper_year
 
     return BibNet(
         graph=graph,
         config=config,
-        paper_nodes=np.asarray(paper_nodes, dtype=np.int64),
+        paper_nodes=paper_nodes,
         author_nodes=np.asarray(author_nodes, dtype=np.int64),
-        term_nodes=np.asarray(
-            sorted(list(term_ids.values()) + [t for pool in rare_pool for t in pool]),
-            dtype=np.int64,
+        term_nodes=np.sort(
+            np.concatenate(
+                [np.fromiter(term_ids.values(), dtype=np.int64)]
+                + [pool.ids for pool in rare_pools]
+            )
         ),
         venue_nodes=np.asarray(sorted(venue_area), dtype=np.int64),
         paper_authors=paper_authors,

@@ -4,7 +4,7 @@ The paper's QLog is an MSN search-engine log turned into a bipartite graph:
 search phrases and clicked URLs are nodes, an undirected edge connects a
 phrase to a URL it has clicks on, and the click count is the edge weight.
 The log is not redistributable, so this generator produces a
-structure-preserving substitute (DESIGN.md, Substitution 2):
+structure-preserving substitute (README.md, Datasets):
 
 - latent *concepts* each emit several equivalent phrasings: identical
   non-stop-word sets, shuffled word order, optional stop words — exactly the

@@ -67,19 +67,22 @@ def check_positive(value: float, name: str, *, strict: bool = True) -> float:
     return value
 
 
-def check_positive_int(value: int, name: str) -> int:
-    """Validate that ``value`` is a strictly positive integer and return it.
+def check_positive_int(value: int, name: str, *, strict: bool = True) -> int:
+    """Validate that ``value`` is a positive integer (strictly, by default).
 
     The shared sample-count contract: every Monte Carlo entry point (the
     estimators, the walk samplers, the sharded parallel sampler) rejects
     zero and negative counts through this helper so the failure mode is
-    loud and uniform instead of an empty-array surprise.
+    loud and uniform instead of an empty-array surprise.  ``strict=False``
+    admits zero, for counts that may be empty.
     """
     if not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     value = int(value)
-    if value <= 0:
+    if strict and value <= 0:
         raise ValueError(f"{name} must be > 0, got {value}")
+    if not strict and value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
     return value
 
 

@@ -35,6 +35,12 @@ def bibnet_2200():
 
 
 @pytest.fixture(scope="session")
+def bibnet_14000():
+    """The paper-scale BibNet (29,846 nodes) of Fig. 11's efficiency runs."""
+    return generate_bibnet(BibNetConfig(n_papers=14000, n_authors=4500, seed=42))
+
+
+@pytest.fixture(scope="session")
 def small_qlog():
     """A small deterministic QLog shared across tests."""
     return generate_qlog(QLogConfig(n_concepts=120, seed=13))

@@ -45,11 +45,53 @@ def graph_digest(graph) -> str:
     return h.hexdigest()
 
 
+def provenance_digest(bib) -> str:
+    """SHA-256 of what a BibNet carries besides the arrays of :func:`graph_digest`.
+
+    Covers the node labels, the birth years, the four role arrays and the
+    per-paper maps in insertion order (keys; list values as lengths plus
+    their concatenation).  ``eval.tasks`` reads ``paper_authors``, the
+    snapshots read ``node_timestamps``, and a rare term's label encodes its
+    pool position: reordering any of them leaves :func:`graph_digest` equal.
+    Every array is hashed with its length first, so ids cannot slide from
+    one array into the next.
+    """
+    h = hashlib.sha256()
+
+    def ints(values) -> None:
+        array = np.asarray(values, dtype="<i8")
+        h.update(np.int64(array.size).astype("<i8").tobytes())
+        h.update(np.ascontiguousarray(array).tobytes())
+
+    h.update("\n".join(bib.graph.labels).encode())
+    ints(bib.node_timestamps)
+    for nodes in (bib.paper_nodes, bib.author_nodes, bib.term_nodes, bib.venue_nodes):
+        ints(nodes)
+    for mapping in (bib.paper_authors, bib.paper_terms):
+        ints(list(mapping))
+        ints([len(values) for values in mapping.values()])
+        ints([node for values in mapping.values() for node in values])
+    for mapping in (bib.paper_venue, bib.paper_subtopic):
+        ints(list(mapping))
+        ints(list(mapping.values()))
+    return h.hexdigest()
+
+
+#: :func:`graph_digest` of ``BibNetConfig(14000, 4500, seed=42)``.
+BIBNET_14000_SHA256 = "6c29bc7554a367c5e26d7e72ce11fea9817bb7e880f776e7560a348e4e2f2887"
+
 #: :func:`graph_digest` of ``BibNetConfig(2200, 740, seed=29)``.
 BIBNET_2200_SHA256 = "fe2caeedbfa38c686cc3ac17a28e5ae7e25afb4517e02b5f782c03b2f8617b6d"
 
 #: :func:`graph_digest` of ``BibNetConfig(300, 120, seed=13)``.
 SMALL_BIBNET_SHA256 = "0c191aff685bb7b5ffeacaf0917bed03f4cc720f4ab4ec6377db01d32d093720"
+
+#: :func:`provenance_digest` of the same three configs.
+PROVENANCE_SHA256 = {
+    14000: "347c01df247db42f6a3cfe48e4aab19f4a3fba1aca435d86bde8577e8a411ab6",
+    2200: "73c0cd06270b8b560b675b8f2468447407217fe941fc12621dba9edd1056a03b",
+    300: "61792199566f39c541ef947f3eeb840954d42fd04b3c12a75d2e575de89036d5",
+}
 
 
 class TestPinnedBytes:
@@ -66,6 +108,16 @@ class TestPinnedBytes:
     def test_small_bibnet(self, small_bibnet):
         assert small_bibnet.config == BibNetConfig(n_papers=300, n_authors=120, seed=13)
         assert graph_digest(small_bibnet.graph) == SMALL_BIBNET_SHA256
+
+    def test_paper_scale_bibnet(self, bibnet_14000):
+        assert bibnet_14000.config == BibNetConfig(n_papers=14000, n_authors=4500, seed=42)
+        assert bibnet_14000.graph.n_nodes == 29_846
+        assert graph_digest(bibnet_14000.graph) == BIBNET_14000_SHA256
+
+    @pytest.mark.parametrize("fixture", ["small_bibnet", "bibnet_2200", "bibnet_14000"])
+    def test_provenance(self, fixture, request):
+        bib = request.getfixturevalue(fixture)
+        assert provenance_digest(bib) == PROVENANCE_SHA256[bib.config.n_papers]
 
 
 class TestSchema:
@@ -175,8 +227,23 @@ class TestConfigValidation:
             dict(authors_per_paper_min=0),
             dict(p_cite_same_subtopic=0.8, p_cite_same_area=0.3),
             dict(n_years=0),
+            # These used to pass construction: bad locality probabilities
+            # silently generated citations that ignore locality, and the
+            # rest failed mid-generation.
+            dict(p_cite_same_subtopic=float("nan")),
+            dict(p_cite_same_subtopic=-0.1),
+            dict(p_cite_same_area=float("nan")),
+            dict(p_cite_same_area=-0.1),
+            dict(broad_venues_per_area=0),
+            dict(max_citations_per_paper=-1),
+            dict(author_productivity_exponent=float("nan")),
         ],
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             BibNetConfig(**kwargs)
+
+    def test_rejects_fractional_size(self):
+        # Used to fail mid-generation, in range() over the paper count.
+        with pytest.raises(TypeError, match="n_papers"):
+            BibNetConfig(n_papers=50.5)

@@ -49,6 +49,7 @@ def _payload() -> dict:
             "enabled_overhead_pct": 20.0,
         },
         "twosbound": {"rounds": 80, "seen_f": 3000, "seen_t": 2500, "seen_r": 1900},
+        "datasets": {"bibnet_2200_s": 0.45},
     }
 
 
@@ -86,6 +87,7 @@ class TestGreenPath:
         current, baseline = paths
         payload = _payload()
         payload["gateway"]["lane_p99_ms"] *= 100.0  # info-only timing
+        payload["datasets"]["bibnet_2200_s"] *= 100.0  # info-only timing
         current.write_text(json.dumps(payload))
         assert _run(current, baseline) == 0
 

@@ -6,6 +6,7 @@ from repro.utils.validation import (
     check_in_range,
     check_node_id,
     check_positive,
+    check_positive_int,
     check_probability,
 )
 
@@ -60,6 +61,23 @@ class TestCheckPositive:
         # NaN fails every comparison, so a plain "<= 0" check lets it pass.
         with pytest.raises(ValueError, match="finite"):
             check_positive(bad, "x", strict=strict)
+
+
+class TestCheckPositiveInt:
+    def test_strict(self):
+        assert check_positive_int(1, "n") == 1
+        with pytest.raises(ValueError, match="n must be > 0"):
+            check_positive_int(0, "n")
+
+    def test_non_strict(self):
+        assert check_positive_int(0, "n", strict=False) == 0
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            check_positive_int(-1, "n", strict=False)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_rejects_non_integer(self, strict):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            check_positive_int(2.5, "n", strict=strict)
 
 
 class TestCheckNodeId:
