@@ -56,11 +56,16 @@ def power_iteration(
     a :class:`ConvergenceWarning` is emitted (pass
     ``warn_on_nonconvergence=False`` to opt out) and the last iterate is
     returned as-is, so callers can detect and handle non-convergence.
+    A non-finite ``teleport`` raises ``ValueError`` before any sweep.
     """
     alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False)
     check_positive(tol, "tol")
     if max_iter <= 0:
         raise ValueError(f"max_iter must be > 0, got {max_iter}")
+    if not np.isfinite(teleport).all():
+        # A NaN iterate never passes ``delta < tol``: all max_iter sweeps
+        # would run and return NaN without a warning.
+        raise ValueError("teleport must be finite")
     top = as_operator(operator)
     x = alpha * teleport
     base = alpha * teleport

@@ -283,7 +283,8 @@ def power_iteration_batch(
     Mirrors the single-query non-convergence contract: columns still above
     ``tol`` when the sweep budget ``max_iter`` is exhausted trigger one
     :class:`repro.core.frank.ConvergenceWarning` (opt out with
-    ``warn_on_nonconvergence=False``).
+    ``warn_on_nonconvergence=False``).  Non-finite ``teleports`` raise
+    ``ValueError`` before any sweep.
     """
     alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False)
     check_positive(tol, "tol")
@@ -295,12 +296,17 @@ def power_iteration_batch(
     teleports = np.asarray(teleports, dtype=np.float64)
     if teleports.ndim != 2:
         raise ValueError(f"teleports must be 2-D (n x q), got shape {teleports.shape}")
+    if not np.isfinite(teleports).all():
+        # A NaN column never fails ``delta >= tol``, so it would come back
+        # "converged" with no warning.
+        raise ValueError("teleports must be finite")
     n_queries = teleports.shape[1]
     base = alpha * teleports
     damp = 1.0 - alpha
 
     with obs.span("engine.solve", method=method, queries=n_queries) as solve_span:
-        if method == "power":
+        # The masked loop returns a zero-width block without a sweep.
+        if method == "power" or n_queries == 0:
             x, unconverged_norms, sweeps = _jacobi_masked(
                 top, base, damp, base.copy(), tol, max_iter
             )

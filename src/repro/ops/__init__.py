@@ -11,10 +11,12 @@ hot path:
   ``rmatvec``.  :func:`get_operator` caches one per ``(graph,
   orientation)``.
 - the matmat kernel (:mod:`repro.ops.kernels`) — scipy's accumulate-form
-  ``csr_matvecs`` product, with the allocating ``@`` as its fallback;
+  product, ``csr_matvec`` for a one-column block and ``csr_matvecs`` for a
+  wider one, with the allocating ``@`` as its fallback;
   :func:`active_kernel` reports which form runs.  Its single-vector
   sibling ``matvec_accumulate`` runs 2SBound's Stage-II sweeps
-  (:mod:`repro.topk.fbound`, :mod:`repro.topk.tbound`).
+  (:mod:`repro.topk.fbound`, :mod:`repro.topk.tbound`) and the local
+  top-k sweeps (:mod:`repro.topk.local`).
 
 Consumers: :mod:`repro.engine.batch` (all batch sweeps),
 :mod:`repro.core.frank` / :mod:`repro.core.trank` (single-query paths),

@@ -1,15 +1,26 @@
 """The CSR kernels: the matmat behind :class:`repro.ops.TransitionOperator`
-and the single-vector product behind 2SBound's Stage II.
+and the single-vector product behind 2SBound's Stage II and the local
+top-k sweeps.
 
 Every F-Rank / T-Rank / RoundTripRank solve reduces to repeated
 ``operator @ X`` sweeps over one CSR matrix, so the sparse matmat kernel is
-the load-bearing hot path of the whole library.  There is exactly one:
-scipy's CSR matmat, routed through the accumulate-form ``csr_matvecs``
-sparsetools entry point when the running scipy still exposes it (no
-per-sweep allocation or zeroing), with the allocating ``@`` product as the
-fallback otherwise.
+the load-bearing hot path of the whole library.  It is scipy's CSR product
+in accumulate form (no per-sweep allocation or zeroing), routed by the
+block's width alone:
 
-:func:`matvec_accumulate` is its single-vector sibling over raw CSR arrays:
+- one column goes through the ``csr_matvec`` sparsetools entry point.  A
+  single query's solve (a gateway miss flushed alone, a local top-k
+  escalation) is one column, and there ``csr_matvecs`` pays a per-nonzero
+  ``axpy`` call that makes it 2-2.5x slower for the same bits;
+- two or more columns go through ``csr_matvecs``;
+- when the running scipy no longer exposes the entry point a block needs,
+  the next one down serves it, ending at the allocating ``@`` product.
+
+Both entry points add each row's terms onto ``out`` in stored order, so
+they give the same bits, and so does ``@`` whenever ``out`` starts from
+zero.
+
+:func:`matvec_accumulate` is the single-vector product over raw CSR arrays:
 2SBound's Stage-II sweeps multiply matrices of a few hundred rows thousands
 of times per query, where scipy's per-call dispatch costs more than the
 arithmetic.  This module is the only one that imports scipy's private
@@ -89,9 +100,19 @@ def matmat(matrix: sp.csr_matrix, x: np.ndarray, out: np.ndarray, accumulate: bo
     """``out (+)= matrix @ x``; writes every element of ``out``.
 
     ``x`` and ``out`` must be C-contiguous and match ``matrix``'s dtype
-    (:meth:`repro.ops.TransitionOperator.matmat` checks all of that).
+    (:meth:`repro.ops.TransitionOperator.matmat` checks all of that).  A
+    one-column block runs ``csr_matvec`` and a wider one ``csr_matvecs``;
+    without the entry point a block needs, the next one serves it, down to
+    the allocating ``@`` (see the module docstring for which bits match).
     """
-    if _csr_matvecs is not None:
+    if x.shape[1] == 1 and _csr_matvec is not None:
+        if not accumulate:
+            out[...] = 0
+        n_row, n_col = matrix.shape
+        _csr_matvec(
+            n_row, n_col, matrix.indptr, matrix.indices, matrix.data, x.ravel(), out.ravel()
+        )
+    elif _csr_matvecs is not None:
         if not accumulate:
             out[...] = 0
         _spmm_accumulate(matrix, x, out)

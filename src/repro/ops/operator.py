@@ -20,6 +20,10 @@ Guarantees
 ----------
 - ``matvec`` is the canonical scipy product on the base matrix, so
   single-vector paths are bit-stable.
+- ``matmat`` gives each column the same bits at any block width: a
+  one-column block (a single query's solve sweep) runs scipy's
+  single-vector ``csr_matvec`` and a wider one ``csr_matvecs``, and both
+  add a row's terms in stored order (see :mod:`repro.ops.kernels`).
 - ``out=`` never aliases an input: ``matmat`` rejects overlapping ``out``
   and ``x`` buffers outright, closing the aliasing bug class the PR 3
   ``ColumnCache`` view fix dealt with downstream.
@@ -80,7 +84,7 @@ class TransitionOperator:
         if base.shape[0] != base.shape[1]:
             raise ValueError(f"transition operators are square, got shape {base.shape}")
         self._transpose = transpose
-        self._variants: "dict[str, sp.csr_matrix]" = {base.dtype.name: base}
+        self._variants: "dict[np.dtype, sp.csr_matrix]" = {base.dtype: base}
         self._base_dtype = base.dtype
         self._damped: "OrderedDict[tuple, TransitionOperator]" = OrderedDict()
         self._has_self_loops: "bool | None" = None
@@ -112,7 +116,7 @@ class TransitionOperator:
                 )
             if f32.dtype != np.float32:
                 raise ValueError(f"float32 variant has dtype {f32.dtype}")
-            op._variants[np.dtype(np.float32).name] = f32
+            op._variants[np.dtype(np.float32)] = f32
         return op
 
     # ------------------------------------------------------------------ #
@@ -121,7 +125,7 @@ class TransitionOperator:
 
     @property
     def shape(self) -> "tuple[int, int]":
-        return self._variants[self._base_dtype.name].shape
+        return self._variants[self._base_dtype].shape
 
     @property
     def n_nodes(self) -> int:
@@ -134,7 +138,7 @@ class TransitionOperator:
 
     @property
     def nnz(self) -> int:
-        return self._variants[self._base_dtype.name].nnz
+        return self._variants[self._base_dtype].nnz
 
     def matrix(self, dtype=np.float64) -> sp.csr_matrix:
         """The prepared CSR in ``dtype`` (derived once, then cached).
@@ -144,14 +148,14 @@ class TransitionOperator:
         dtype = np.dtype(dtype)
         if dtype not in _SUPPORTED_DTYPES:
             raise ValueError(f"unsupported operator dtype {dtype}")
-        found = self._variants.get(dtype.name)
+        found = self._variants.get(dtype)
         if found is not None:
             return found
         with self._lock:
-            found = self._variants.get(dtype.name)
+            found = self._variants.get(dtype)
             if found is None:
-                found = self._variants[self._base_dtype.name].astype(dtype)
-                self._variants[dtype.name] = found
+                found = self._variants[self._base_dtype].astype(dtype)
+                self._variants[dtype] = found
         return found
 
     def csr_parts(self, dtype=np.float64) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
@@ -177,7 +181,7 @@ class TransitionOperator:
         found = self._has_self_loops
         if found is None:
             # Idempotent bool; a racing duplicate computation is harmless.
-            found = bool(self._variants[self._base_dtype.name].diagonal().any())
+            found = bool(self._variants[self._base_dtype].diagonal().any())
             self._has_self_loops = found
         return found
 
@@ -281,11 +285,11 @@ class TransitionOperator:
         scipy's usual dtype upcast: a float32 operand upcasts to the base
         precision instead of silently degrading the whole solve.
         """
-        return self._variants[self._base_dtype.name] @ np.asarray(v)
+        return self._variants[self._base_dtype] @ np.asarray(v)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """``v @ operator`` (a row-vector step)."""
-        return np.asarray(np.asarray(v) @ self._variants[self._base_dtype.name]).ravel()
+        return np.asarray(np.asarray(v) @ self._variants[self._base_dtype]).ravel()
 
 
 # --------------------------------------------------------------------------- #

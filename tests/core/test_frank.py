@@ -76,6 +76,15 @@ class TestFRankVector:
         with pytest.raises(ValueError, match="tol must be finite"):
             frank_vector(toy_graph, 0, tol=tol)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_teleport_rejected(self, toy_graph, bad):
+        # Unchecked, NaN ran all max_iter sweeps and returned NaN without a
+        # warning, and inf returned NaN with only numpy warnings.
+        s = teleport_vector(toy_graph, 0)
+        s[3] = bad
+        with pytest.raises(ValueError, match="teleport must be finite"):
+            power_iteration(toy_graph.transition.T.tocsr(), s, 0.25)
+
 
 class TestConvergenceWarning:
     def test_warns_when_max_iter_exhausted(self, toy_graph):

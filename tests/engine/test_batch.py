@@ -20,6 +20,7 @@ from repro.engine import (
     trank_batch,
 )
 from repro.engine.batch import normalize_columns
+from repro.ops import TransitionOperator
 
 #: A mix of every query flavor: single node, node list, weighted mapping.
 MIXED_QUERIES = [0, [0, 1], {2: 3.0, 5: 1.0}, 7, [3, 3, 4]]
@@ -117,6 +118,28 @@ class TestPowerIterationBatch:
             power_iteration_batch(toy_graph.transition, s, 0.25, tol=tol, method=method)
         with pytest.raises(ValueError, match="tol must be finite"):
             frank_batch(toy_graph, [0], tol=tol, method=method)
+
+    @pytest.mark.parametrize("method", ["power", "auto"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_teleports_rejected(self, toy_graph, method, bad):
+        # Unchecked, a NaN column came back at once as "converged" with no
+        # ConvergenceWarning, and an inf one as NaN with only numpy warnings.
+        s = stack_teleports(toy_graph, [0, 1])
+        s[3, 1] = bad
+        with pytest.raises(ValueError, match="teleports must be finite"):
+            power_iteration_batch(toy_graph.transition, s, 0.25, method=method)
+
+    @pytest.mark.parametrize("method", ["power", "auto"])
+    def test_zero_width_block_solves_to_an_empty_block(self, toy_graph, method, monkeypatch):
+        # Unchecked, "auto" took the max of an empty residual and raised.
+        def no_sweeps(*args, **kwargs):
+            raise AssertionError("a zero-width solve must not sweep")
+
+        top = toy_graph.transition.T.tocsr()
+        monkeypatch.setattr(TransitionOperator, "matmat", no_sweeps)
+        x = power_iteration_batch(top, np.zeros((toy_graph.n_nodes, 0)), 0.25, method=method)
+        assert x.shape == (toy_graph.n_nodes, 0)
+        assert x.dtype == np.float64
 
 
 class TestBatchParityToy:

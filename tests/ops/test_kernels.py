@@ -1,9 +1,10 @@
 """The one matmat kernel: its report and its fallback product.
 
-The kernel runs scipy's accumulate-form ``csr_matvecs`` when the running
-scipy exposes it and the allocating ``@`` product otherwise.  CI's scipy
-always has the fast path (``test_capabilities.py`` insists), so the
-fallback is exercised here by taking ``csr_matvecs`` away.
+The kernel runs scipy's accumulate-form ``csr_matvec`` on one-column
+blocks and ``csr_matvecs`` on wider ones, when the running scipy exposes
+them, and the allocating ``@`` product otherwise.  CI's scipy always has
+both (``test_capabilities.py`` insists, and checks every one-column
+route), so the fallback is exercised here by taking ``csr_matvecs`` away.
 """
 
 import numpy as np
