@@ -13,8 +13,10 @@ the query-log graph three ways:
     :class:`repro.gateway.RankGateway` with a queue-depth bound and
     per-tenant token buckets on a deterministic replay clock; the observed
     queue depth must never exceed the bound and every admitted future must
-    resolve (both asserted), with the shed rate and per-lane latency
-    quantiles reported;
+    resolve (both asserted), with the shed rate, the count of inline hits
+    (admitted queries whose columns were all cached, so their futures were
+    done when ``submit`` returned and never occupied the queue) and the
+    per-lane latency quantiles reported;
 (c) **prefetch** — a cold tenant trickles while heavy tenants churn its
     columns out of a small cache, then bursts; a single
     :class:`repro.gateway.Prefetcher` round between trickle and burst must
@@ -185,6 +187,7 @@ def run_gateway(graph, population, n_queries, miss_setup) -> "tuple[str, dict]":
     )
     futures = []
     max_depth = 0
+    inline_hits = 0
     for tid, node in zip(log.tenant_ids.tolist(), log.nodes.tolist()):
         clock.advance()
         result = gateway.submit(int(node), tenant=log.tenants[tid], k=K)
@@ -194,6 +197,7 @@ def run_gateway(graph, population, n_queries, miss_setup) -> "tuple[str, dict]":
                 gateway.flush_all()  # backpressure: drain, then keep going
         else:
             futures.append(result)
+            inline_hits += result.done()
     gateway.flush_all()
     n_resolved = sum(future.done() for future in futures)
     snap = gateway.snapshot()
@@ -212,7 +216,8 @@ def run_gateway(graph, population, n_queries, miss_setup) -> "tuple[str, dict]":
     )
     lines.append(
         f"  max observed queue depth: {max_depth} (bound {depth_bound}); "
-        f"resolved futures: {n_resolved}/{len(futures)}"
+        f"resolved futures: {n_resolved}/{len(futures)}, "
+        f"{inline_hits} of them inline hits (resolved at submit)"
     )
     lines.append(
         f"  shared-cache hit rate {info.hit_rate:.1%} "
@@ -363,6 +368,7 @@ def run_gateway(graph, population, n_queries, miss_setup) -> "tuple[str, dict]":
         "shed_by_reason": dict(snap.shed_by_reason),
         "n_admitted": snap.n_admitted,
         "n_resolved": int(n_resolved),
+        "inline_hits": int(inline_hits),
         "max_queue_depth": int(max_depth),
         "queue_depth_bound": depth_bound,
         "gateway_hit_rate": info.hit_rate,

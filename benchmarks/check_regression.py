@@ -70,6 +70,9 @@ CHECKS = (
     Check("gateway.gdsf_hit_rate", "equal", atol=0.02),
     Check("gateway.shed_rate", "equal", atol=0.02),
     Check("gateway.max_queue_depth", "equal"),
+    # Admitted queries whose columns were all cached resolve at submit; on
+    # the replay clock, with no evictions, which ones are is deterministic.
+    Check("gateway.inline_hits", "equal"),
     # The local fast path's certification outcomes are deterministic for a
     # fixed benchmark config (its budget counts sweeps, not wall time), so
     # they are gated exactly: a single certified query turning escalated,

@@ -9,10 +9,14 @@ this package assembles them into a service front:
   alpha)`` :class:`~repro.serving.MicroBatcher` *lanes*, created lazily,
   bounded by ``max_lanes`` (LRU lane eviction closes the lane, resolving
   its futures), all sharing **one** :class:`~repro.serving.ColumnCache`
-  and hence the :mod:`repro.ops` operator cache.
+  and hence the :mod:`repro.ops` operator cache.  A query whose columns
+  are all cached resolves before ``submit`` returns; only the others
+  queue.
 - :mod:`~repro.gateway.admission` — per-tenant token-bucket rate limiting
-  plus per-lane queue-depth load shedding; rejected queries come back as a
-  typed :class:`~repro.gateway.admission.Shed`, never a dangling future.
+  plus per-lane queue-depth load shedding (the depth counts queued queries,
+  so a query served from the cache is only rate-limited); rejected
+  queries come back as a typed :class:`~repro.gateway.admission.Shed`,
+  never a dangling future.
   The dual invariant: **every accepted future resolves** (lane close and
   gateway close both flush).
 - :mod:`~repro.gateway.prefetch` — a background

@@ -9,7 +9,9 @@ gateway therefore decides *before* enqueueing:
    empty is shed with ``reason="rate_limit"`` and a ``retry_after`` hint.
 2. **Load shedding** — a query whose target lane already holds
    ``max_queue_depth`` pending requests is shed with ``reason="queue_full"``
-   rather than queued: queue depth is a *bound*, never a hope.
+   rather than queued: queue depth is a *bound*, never a hope.  A query
+   whose columns are all cached is served at submit, never queued, so the
+   gateway admits it at depth 0: only its rate limit applies.
 
 Shedding is typed — callers receive a :class:`Shed` value, not an exception
 and not a dangling future.  The complementary invariant (asserted across the

@@ -14,17 +14,26 @@
   is closed, which flushes and resolves its outstanding futures — eviction
   never strands a caller);
 - an :class:`repro.gateway.admission.AdmissionController` consulted *before*
-  enqueueing, so a shed query never owns a future;
+  enqueueing (or serving), so a shed query never owns a future;
 - a :class:`repro.gateway.frequency.FrequencyEstimator` fed by every
   admitted query, which the background prefetcher reads;
 - a :class:`repro.gateway.stats.GatewayStats` recording admissions, sheds,
   prefetch activity, and per-lane latency quantiles.
 
-The per-lane queue-depth bound is *hard*: each lane carries an admission
-lock held across the depth check and the enqueue, so concurrent submitters
-cannot overshoot ``max_queue_depth`` (asserted under thread churn by the
-gateway test suite).  The lock is per-lane — one lane's inline size-trigger
-solve never blocks admission to other lanes.
+A query whose columns are all in the shared cache is *resident*: it has
+nothing to solve, so it resolves before :meth:`RankGateway.submit` returns
+(:meth:`repro.serving.MicroBatcher.serve_resident`, a flush of that one
+query in the submitting thread) instead of waiting out the lane's deadline.
+Every other query is queued in its lane as before.
+
+The per-lane queue-depth bound is *hard* and counts queued queries only:
+each lane carries an admission lock held across the depth check and the
+enqueue, so concurrent submitters cannot overshoot ``max_queue_depth``
+(asserted under thread churn by the gateway test suite).  A resident query
+is admitted under the same lock (the rate limit applies) but never queued,
+so it never counts toward the depth; it is served after the lock is
+released.  The lock is per-lane — one lane's inline size-trigger solve
+never blocks admission to other lanes.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ from repro.gateway.stats import GatewaySnapshot, GatewayStats, lane_key_to_str
 from repro.graph.digraph import DiGraph
 from repro.serving.batcher import MEASURES, MicroBatcher
 from repro.serving.cache import ColumnCache
+from repro.utils.validation import check_positive, check_positive_int
 
 _gateway_ids = itertools.count(1)
 
@@ -109,7 +119,8 @@ class RankGateway:
         Upper bound on simultaneously-live lanes; the least recently *used*
         lane is closed (flushing its futures) to admit a new one.
     max_batch, max_delay:
-        Per-lane :class:`MicroBatcher` trigger configuration.
+        Per-lane :class:`MicroBatcher` trigger configuration: a positive
+        integer and a finite, positive number of seconds.
     beta:
         The ``roundtriprank_plus`` interpolation used by plus-measure lanes.
     local_topk:
@@ -170,8 +181,9 @@ class RankGateway:
         else:
             self.admission = AdmissionController(admission, clock=clock)
         self.max_lanes = int(max_lanes)
-        self.max_batch = int(max_batch)
-        self.max_delay = float(max_delay)
+        # Checked here, not when the first lane is built inside a submit.
+        self.max_batch = check_positive_int(max_batch, "max_batch")
+        self.max_delay = check_positive(max_delay, "max_delay")
         self.beta = float(beta)
         self.local_topk = bool(local_topk)
         self.stats = GatewayStats()
@@ -279,13 +291,19 @@ class RankGateway:
         alpha: "float | None" = None,
         k: "int | None" = None,
     ) -> "Union[Future, Shed]":
-        """Admit-and-enqueue one query; a future, or a typed :class:`Shed`.
+        """Admit one query and queue or serve it; a future, or a :class:`Shed`.
 
-        Invalid *queries* (unknown graph/measure, out-of-range nodes, bad
-        ``k``) raise synchronously — they are caller bugs, not load, and
-        must not be confused with shedding.  An admitted query's future
-        always resolves: to the score vector (or ``(indices, scores)`` when
-        ``k`` is given), or to the solver's exception.
+        A resident query (every column it reads is cached) is admitted at
+        queue depth 0, so only the rate limit can shed it, and its future
+        is already resolved when this returns.  Any other query is admitted
+        against its lane's queue depth and queued for the lane's flush.
+
+        Invalid *queries* (unknown graph/measure, out-of-range nodes, a
+        ``k`` that is not a positive integer) raise synchronously — they
+        are caller bugs, not load, and must not be confused with shedding.
+        An admitted query's future always resolves: to the score vector (or
+        ``(indices, scores)`` when ``k`` is given), or to the solver's
+        exception.
         """
         if measure not in MEASURES:
             raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
@@ -296,8 +314,8 @@ class RankGateway:
         # Validate before admission: a malformed query (or k) must raise even
         # when it would have been shed, and must never consume a rate token.
         nodes, weights = normalize_query(graph_obj, query)
-        if k is not None and k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        if k is not None:
+            k = check_positive_int(k, "k")
 
         # Certified local fast path: only top-k requests (full vectors need
         # full columns anyway) and only against a float64 cache (probed
@@ -332,10 +350,15 @@ class RankGateway:
                     return shed
                 if evicted is not None:
                     self._close_lane(evicted)
+                # Probed before the admission lock: the probe takes the cache
+                # lock, which other lanes hold across their miss solves.
+                resident = lane.batcher.resident(nodes)
                 with lane.admission_lock:
                     if lane.batcher.closed:
                         continue  # evicted between lookup and lock: retry fresh
-                    depth = lane.batcher.pending
+                    # A resident query is never queued: it is admitted at
+                    # depth 0, so only the rate limit can shed it.
+                    depth = 0 if resident else lane.batcher.pending
                     with obs.span("gateway.admission", tenant=tenant, depth=depth) as adm:
                         shed = self.admission.admit(tenant, tuple(key), depth)
                         if shed is not None:
@@ -347,19 +370,29 @@ class RankGateway:
                         root_span.set_attributes(outcome="shed", reason=shed.reason)
                         return shed
                     started = self._clock()
-                    # Submitting under the admission lock is the hard depth
+                    # Queueing under the admission lock is the hard depth
                     # bound: admission-check and enqueue must be atomic or two
                     # racing callers can both pass the check and overfill the
-                    # lane.  MicroBatcher.submit only appends to a deque under
-                    # its own leaf lock — it never blocks on batch completion.
-                    # The enqueue-time span context rides on the request so
-                    # the eventual flush joins this trace.
-                    with obs.span("gateway.lane", depth=depth) as lane_span:
-                        future = lane.batcher.submit(  # repro: ignore[lock-across-blocking]
-                            query, k=k, parsed=(nodes, weights),
-                            trace=lane_span.context(),
-                        )
+                    # lane.  An enqueue that fills the batch runs the size
+                    # flush here: that solve, and the done callbacks of the
+                    # futures it resolves, run under this lane's lock (never
+                    # another lane's).  The enqueue-time span context rides
+                    # on the request so the flush joins this trace.
+                    if not resident:
+                        with obs.span("gateway.lane", depth=depth) as lane_span:
+                            future = lane.batcher.enqueue(
+                                query, k=k, parsed=(nodes, weights), trace=lane_span.context()
+                            )
                 break
+            if resident:
+                # Served after the admission lock is released, so submitters
+                # queueing in this lane never wait behind a hit held up on
+                # the cache lock.  A column evicted since the probe is
+                # re-solved inline, as _submit_local's probe allows.
+                with obs.span("gateway.lane", depth=0) as lane_span:
+                    future = lane.batcher.serve_resident(
+                        query, k=k, parsed=(nodes, weights), trace=lane_span.context()
+                    )
             root_span.set_attributes(outcome="admitted")
 
         self.stats.record_admitted(tenant)

@@ -14,6 +14,8 @@ makes *online* serving cheap, where queries arrive one at a time, repeat
 - :class:`~repro.serving.batcher.MicroBatcher` — queues individual queries
   and flushes them as one multi-column solve on a size-or-deadline trigger;
   synchronous ``ask``/``flush`` plus a thread-based ``submit``/future API.
+  With a cache attached, a query whose columns are all cached is flushed
+  alone at ``submit`` and never waits for the deadline.
 - :mod:`repro.serving.topk` — fused top-k extraction
   (:func:`~repro.serving.topk.roundtriprank_topk` and friends) returning
   ``(indices, scores)`` via ``np.argpartition`` partial selection instead of

@@ -3,8 +3,12 @@
 The batch engine is 3-7x cheaper per query than sequential solves, but only
 when queries actually arrive as a batch.  :class:`MicroBatcher` supplies the
 missing assembly layer: callers :meth:`~MicroBatcher.submit` individual
-queries and receive :class:`concurrent.futures.Future` objects; the pending
-queue is flushed as *one* multi-column solve when either
+queries and receive :class:`concurrent.futures.Future` objects.  A query
+whose columns are all in the attached cache has nothing to solve, so it is
+served at submit (the **resident trigger**): :meth:`~MicroBatcher.submit`
+flushes it alone, in the submitting thread, and returns its future already
+resolved.  Every other query joins the pending queue, which is flushed as
+*one* multi-column solve when either
 
 - the **size trigger** fires — ``max_batch`` queries are pending (flushed
   inline in the submitting thread), or
@@ -15,11 +19,15 @@ queue is flushed as *one* multi-column solve when either
   :meth:`~MicroBatcher.ask` is the one-call convenience wrapper, which
   degenerates to a single-query solve when nothing else is queued).
 
+Only queued queries count toward :attr:`~MicroBatcher.pending`, the depth
+the gateway's admission control bounds; a resident query is never queued.
+
 Results are full score vectors, or fused top-k ``(indices, scores)`` pairs
 for requests submitted with ``k`` (see :mod:`repro.serving.topk`).  When a
 :class:`repro.serving.cache.ColumnCache` is attached, each flush reuses
 cached per-node F/T columns and solves only the genuinely new nodes — the
-cache and the batcher compound.
+cache and the batcher compound.  A resident query runs the same flush on a
+batch of one, so its bits are those of any flush that serves it.
 """
 
 from __future__ import annotations
@@ -46,8 +54,17 @@ from repro.engine.batch import (
 from repro.graph.digraph import DiGraph
 from repro.serving.cache import ColumnCache
 from repro.serving.topk import topk_select
+from repro.utils.validation import check_positive, check_positive_int
 
 MEASURES = ("roundtriprank", "roundtriprank_plus", "frank", "trank")
+#: The per-node columns each measure combines (Proposition 2, Eq. 12).
+_KINDS = {
+    "roundtriprank": ("f", "t"),
+    "roundtriprank_plus": ("f", "t"),
+    "frank": ("f",),
+    "trank": ("t",),
+}
+_CLOSED = "MicroBatcher is closed; create a new instance to submit queries"
 
 _OBS_FLUSHES = obs.counter(
     "repro_batcher_flushes_total", "MicroBatcher flushes", labels=("trigger",)
@@ -106,14 +123,15 @@ class MicroBatcher:
         Solver configuration, matching the batch-engine functions.
     max_batch:
         Size trigger: a submit that brings the queue to this size flushes
-        inline.
+        inline.  A positive integer.
     max_delay:
-        Deadline trigger (seconds): with the background thread running, no
-        accepted query waits longer than ~``max_delay`` before its solve
-        starts.
+        Deadline trigger (seconds, finite and > 0): with the background
+        thread running, no queued query waits longer than ~``max_delay``
+        before its solve starts.
     cache:
         Optional :class:`ColumnCache`; flushes then solve only uncached
-        query nodes and memoize the new columns.  Column solves follow the
+        query nodes and memoize the new columns, and a query whose columns
+        are all cached is served at submit.  Column solves follow the
         *cache's* solver configuration (its ``tol`` / ``max_iter`` /
         ``method`` / ``workers``), not this batcher's — the cache key
         contract requires all entries of one cache to be mutually
@@ -141,8 +159,9 @@ class MicroBatcher:
     Thread safety: ``submit`` / ``flush`` / ``ask`` may be called from any
     number of threads.  The queue is guarded by one lock; solves run outside
     it, so submissions keep queueing for the *next* batch while one is being
-    solved.  Futures are resolved exactly once; solver errors are delivered
-    through ``future.set_exception`` to every query of the failed batch.
+    solved, and a resident query is served without holding it.  Futures are
+    resolved exactly once; solver errors are delivered through
+    ``future.set_exception`` to every query of the failed batch.
     """
 
     def __init__(
@@ -162,17 +181,15 @@ class MicroBatcher:
     ) -> None:
         if measure not in MEASURES:
             raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay <= 0:
-            raise ValueError(f"max_delay must be > 0, got {max_delay}")
         self.graph = graph
         self.measure = measure
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.normalize = normalize
-        self.max_batch = int(max_batch)
-        self.max_delay = float(max_delay)
+        # A NaN deadline would spin the deadline thread and an infinite one
+        # would kill it: both are rejected here, not at the first submit.
+        self.max_batch = check_positive_int(max_batch, "max_batch")
+        self.max_delay = check_positive(max_delay, "max_delay")
         self.cache = cache
         self.tol = tol
         self.max_iter = max_iter
@@ -201,38 +218,65 @@ class MicroBatcher:
         parsed: "tuple[np.ndarray, np.ndarray] | None" = None,
         trace: "obs.SpanContext | None" = None,
     ) -> Future:
-        """Queue one query; returns a future resolving to its scores.
+        """Submit one query; returns a future resolving to its scores.
 
         The future's result is the full score vector, or an
-        ``(indices, scores)`` top-``k`` pair when ``k`` is given.  Invalid
-        queries raise here (synchronously), never through the future;
-        submitting to a closed batcher raises ``RuntimeError``.  ``parsed``
-        lets a caller that already ran :func:`normalize_query` on this
-        graph's ``query`` (the gateway validates before admission) pass the
-        ``(nodes, weights)`` pair instead of paying a second parse.
-        ``trace`` attaches a span context so the flush that eventually
-        solves this query joins the caller's trace (defaults to the
-        current span of the submitting thread).
+        ``(indices, scores)`` top-``k`` pair when ``k`` is given.  A query
+        whose columns are all cached is :meth:`resident`: it is served by
+        :meth:`serve_resident` before this returns, so its future is
+        already done.  Any other query is queued (:meth:`enqueue`) for the
+        size, deadline or explicit flush.
+
+        Invalid queries and a ``k`` that is not a positive integer raise
+        here (synchronously), never through the future; submitting to a
+        closed batcher raises ``RuntimeError``.  ``parsed`` lets a caller
+        that already ran :func:`normalize_query` on this graph's ``query``
+        (the gateway validates before admission) pass the ``(nodes,
+        weights)`` pair instead of paying a second parse.  ``trace``
+        attaches a span context so the flush that eventually solves this
+        query joins the caller's trace (defaults to the current span of the
+        submitting thread).
         """
-        nodes, weights = (
-            normalize_query(self.graph, query) if parsed is None else parsed
+        if parsed is None:
+            parsed = normalize_query(self.graph, query)
+        if not self.resident(parsed[0]):
+            return self.enqueue(query, k, parsed, trace)
+        if self.closed:
+            raise RuntimeError(_CLOSED)
+        return self.serve_resident(query, k, parsed, trace)
+
+    def resident(self, nodes: np.ndarray) -> bool:
+        """Whether the cache holds every column a query on ``nodes`` reads.
+
+        A counter-free probe (:meth:`ColumnCache.contains`): it moves no
+        hit or miss count and no recency, so the flush that reads the
+        columns counts them exactly as a queued flush would.  Always False
+        without a cache.
+        """
+        cache = self.cache
+        return cache is not None and all(
+            cache.contains(self.graph, kind, node, self.alpha)
+            for kind in _KINDS[self.measure]
+            for node in np.asarray(nodes).tolist()
         )
-        if k is not None and k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        request = _Request(
-            query=query,
-            nodes=nodes,
-            weights=weights,
-            k=k,
-            future=Future(),
-            enqueued_at=time.monotonic(),
-            trace=obs.current_context() if trace is None else trace,
-        )
+
+    def enqueue(
+        self,
+        query: Query,
+        k: "int | None" = None,
+        parsed: "tuple[np.ndarray, np.ndarray] | None" = None,
+        trace: "obs.SpanContext | None" = None,
+    ) -> Future:
+        """Queue one query for the next flush, whatever the cache holds.
+
+        Takes :meth:`submit`'s arguments and raises as it does.  A query
+        that brings the queue to ``max_batch`` runs the size-trigger flush
+        inline, in the calling thread, before this returns.
+        """
+        request = self._request(query, k, parsed, trace)
         with self._lock:
             if self._closed:
-                raise RuntimeError(
-                    "MicroBatcher is closed; create a new instance to submit queries"
-                )
+                raise RuntimeError(_CLOSED)
             self._pending.append(request)
             self.stats.n_submitted += 1
             size_trigger = len(self._pending) >= self.max_batch
@@ -241,6 +285,55 @@ class MicroBatcher:
         if batch:
             self._solve(batch, trigger="size")
         return request.future
+
+    def serve_resident(
+        self,
+        query: Query,
+        k: "int | None" = None,
+        parsed: "tuple[np.ndarray, np.ndarray] | None" = None,
+        trace: "obs.SpanContext | None" = None,
+    ) -> Future:
+        """Flush one query alone, now, in the calling thread.
+
+        The resident trigger: the query never enters the queue, and its
+        future is resolved when this returns.  It runs the flush every
+        trigger runs, on a batch of one, so ``cache.get_many`` counts its
+        hits and the result bits equal any flush's.  Meant for a query
+        :meth:`resident` just accepted; a column evicted since that probe
+        is re-solved here.  Takes :meth:`submit`'s arguments and raises on
+        the same invalid input, but not on a closed batcher: a query that
+        is never queued cannot be stranded by :meth:`close`.
+        """
+        request = self._request(query, k, parsed, trace)
+        with self._lock:
+            self.stats.n_submitted += 1
+        self._solve([request], trigger="resident")
+        return request.future
+
+    def _request(
+        self,
+        query: Query,
+        k: "int | None",
+        parsed: "tuple[np.ndarray, np.ndarray] | None",
+        trace: "obs.SpanContext | None",
+    ) -> _Request:
+        """Validate one query into a request with a fresh future."""
+        if parsed is None:
+            parsed = normalize_query(self.graph, query)
+        nodes, weights = parsed
+        if k is not None:
+            # A float k would pass a range check, then fail inside topk_select
+            # and poison every other request of its flush.
+            k = check_positive_int(k, "k")
+        return _Request(
+            query=query,
+            nodes=nodes,
+            weights=weights,
+            k=k,
+            future=Future(),
+            enqueued_at=time.monotonic(),
+            trace=obs.current_context() if trace is None else trace,
+        )
 
     def flush(self) -> int:
         """Solve everything pending right now; returns the batch size."""
@@ -253,9 +346,10 @@ class MicroBatcher:
     def ask(self, query: Query, k: "int | None" = None):
         """Submit one query and resolve it immediately (synchronous path).
 
-        With an empty queue this is the single-query fallback: the flush
-        solves a one-column batch.  Anything else already queued rides along
-        in the same solve.
+        A resident query is served by its submit.  Otherwise, with an empty
+        queue this is the single-query fallback: the flush solves a
+        one-column batch.  Anything else already queued rides along in the
+        same solve (or, after a resident submit, is flushed on its own).
         """
         future = self.submit(query, k)
         self.flush()
@@ -336,7 +430,8 @@ class MicroBatcher:
 
         The gateway's admission control reads this as the per-lane queue
         depth; it is a point-in-time snapshot (the queue may drain or grow
-        the instant the lock is released).
+        the instant the lock is released).  Resident queries are never
+        queued, so they never count here.
         """
         with self._lock:
             return len(self._pending)
@@ -450,13 +545,14 @@ class MicroBatcher:
         cache = self.cache
         assert cache is not None
         union = sorted({int(v) for request in batch for v in request.nodes})
-        f = t = None
-        if self.measure != "trank":
-            f = np.stack(cache.get_many(self.graph, "f", union, self.alpha), axis=1)
-        if self.measure != "frank":
-            t = np.stack(cache.get_many(self.graph, "t", union, self.alpha), axis=1)
+        columns = {
+            kind: np.stack(cache.get_many(self.graph, kind, union, self.alpha), axis=1)
+            for kind in _KINDS[self.measure]
+        }
         parsed = [(request.nodes, request.weights) for request in batch]
-        scores = combine_columns(self.measure, f, t, union, parsed, self.beta)
+        scores = combine_columns(
+            self.measure, columns.get("f"), columns.get("t"), union, parsed, self.beta
+        )
         if self.measure == "roundtriprank" and self.normalize:
             scores = normalize_columns(scores, "MicroBatcher(roundtriprank)")
         return scores

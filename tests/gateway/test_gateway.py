@@ -6,6 +6,7 @@ import pytest
 from repro.core import frank_vector, roundtriprank, roundtriprank_plus, trank_vector
 from repro.gateway import LaneKey, RankGateway, Shed
 from repro.serving import ColumnCache
+from repro.serving.batcher import MEASURES
 
 
 class TestRouting:
@@ -228,3 +229,185 @@ class TestStats:
             if not isinstance(r, Shed):
                 r.result(timeout=5.0)
         gateway.close()
+
+
+QUERIES = [0, {2: 1.0, 5: 3.0}, [1, 4], 7]
+
+
+def _bits(result):
+    """A result as raw bytes: a full vector, or a top-k (indices, scores)."""
+    if isinstance(result, tuple):
+        return tuple(part.tobytes() for part in result)
+    return result.tobytes()
+
+
+class TestResidentQueries:
+    """A query whose columns are all cached resolves before submit returns."""
+
+    def test_resident_query_resolves_at_submit(self, toy_graph):
+        gateway = RankGateway(toy_graph, max_batch=1000)
+        gateway.ask(3)
+        future = gateway.submit(3, k=4)
+        assert not isinstance(future, Shed)
+        assert future.done()
+        assert gateway.total_pending() == 0
+        assert gateway.snapshot().n_admitted == 2
+        gateway.close()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_resident_bits_equal_a_multi_request_flush(self, toy_graph, measure, k, dtype):
+        gateway = RankGateway(toy_graph, cache=ColumnCache(dtype=dtype), max_batch=1000, beta=0.3)
+        batched = [gateway.submit(q, measure=measure, k=k) for q in QUERIES]
+        assert not any(future.done() for future in batched)
+        assert gateway.flush_all() == len(QUERIES)  # one flush solves them all
+        for query, want in zip(QUERIES, batched):
+            got = gateway.submit(query, measure=measure, k=k)
+            assert got.done(), f"query {query} was queued"
+            assert _bits(got.result()) == _bits(want.result()), f"query {query}"
+        gateway.close()
+
+    def test_cache_counts_equal_a_flush_only_run(self, toy_graph):
+        from repro.serving import MicroBatcher
+
+        stream = [0, 1, 0, {0: 1.0, 1: 2.0}, 1, [5, 0], 5, 0]
+        gateway = RankGateway(toy_graph, max_batch=1000)
+        resident = 0
+        for query in stream:
+            resident += gateway.submit(query, k=3).done()
+            gateway.flush_all()
+        # The same stream with every query queued and flushed alone.
+        cache = ColumnCache()
+        batcher = MicroBatcher(toy_graph, cache=cache, alpha=cache.alpha)
+        for query in stream:
+            batcher.enqueue(query, k=3)
+            batcher.flush()
+        got, want = gateway.cache.cache_info(), cache.cache_info()
+        assert (got.hits, got.misses, got.inserts) == (want.hits, want.misses, want.inserts)
+        assert resident == 5
+        gateway.close()
+
+    def test_query_with_one_missing_column_still_queues(self, toy_graph):
+        gateway = RankGateway(toy_graph, max_batch=1000)
+        gateway.cache.get(toy_graph, "f", 1)  # node 1's T column stays unsolved
+        future = gateway.submit(1)
+        assert not future.done()
+        assert gateway.total_pending() == 1
+        gateway.flush_all()
+        assert np.allclose(future.result(), roundtriprank(toy_graph, 1), atol=1e-10)
+        gateway.close()
+
+    def test_resident_hits_never_count_toward_the_depth_bound(self, toy_graph):
+        from repro.gateway import AdmissionConfig
+
+        depth = 3
+        gateway = RankGateway(
+            toy_graph,
+            admission=AdmissionConfig(rate=1.0, burst=depth + 2, max_queue_depth=depth),
+            max_batch=1000,
+            clock=lambda: 0.0,  # no refill: the burst is every token there is
+        )
+        gateway.cache.warm(toy_graph, [0])
+        misses = [gateway.submit(q) for q in range(1, depth + 1)]
+        assert gateway.total_pending() == depth
+        hit = gateway.submit(0)  # admitted beside the full queue
+        assert not isinstance(hit, Shed) and hit.done()
+        shed = gateway.submit(depth + 1)
+        assert isinstance(shed, Shed) and shed.reason == "queue_full"
+        limited = gateway.submit(0)  # the bucket is empty: hits are rate-limited
+        assert isinstance(limited, Shed) and limited.reason == "rate_limit"
+        snap = gateway.snapshot()
+        assert snap.n_admitted == depth + 1
+        assert snap.shed_by_reason == {"queue_full": 1, "rate_limit": 1}
+        gateway.flush_all()
+        for future in misses:
+            assert future.result(timeout=5.0) is not None
+        gateway.close()
+
+    def test_hits_and_misses_under_thread_churn(self, toy_graph):
+        """More submitters than cores, half the nodes resident: the depth
+        bound holds, every admitted future resolves to the right scores, and
+        no admission or latency record is lost."""
+        import sys
+        import threading
+
+        from repro.gateway import AdmissionConfig
+
+        bound = 3
+        gateway = RankGateway(
+            toy_graph,
+            admission=AdmissionConfig(max_queue_depth=bound),
+            max_batch=4,
+            max_delay=0.002,
+        ).start()
+        gateway.cache.warm(toy_graph, range(toy_graph.n_nodes // 2))
+        want = {q: roundtriprank(toy_graph, q) for q in range(toy_graph.n_nodes)}
+        outcomes, depths, lock = [], [], threading.Lock()
+
+        def submitter(seed: int) -> None:
+            for i in range(40):
+                query = (seed * 7 + i) % toy_graph.n_nodes
+                result = gateway.submit(query)
+                depth = gateway.total_pending()
+                with lock:
+                    outcomes.append((query, result))
+                    depths.append(depth)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submitter, args=(s,), daemon=True) for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        gateway.close()
+        admitted = [(q, r) for q, r in outcomes if not isinstance(r, Shed)]
+        assert len(outcomes) == 240 and max(depths) <= bound
+        for query, future in admitted:
+            assert np.allclose(future.result(timeout=10.0), want[query], atol=1e-10)
+        snap = gateway.snapshot()
+        assert snap.n_admitted == len(admitted)
+        assert snap.n_admitted + snap.n_shed == 240
+        lane = ("default", "roundtriprank", gateway.cache.alpha)
+        assert snap.lanes[lane].count == len(admitted)
+
+
+class TestInvalidKAndTriggers:
+    @pytest.mark.parametrize("k", [2.5, 3.0])
+    def test_non_integer_k_raises_and_spares_its_flush(self, toy_graph, k):
+        from repro.gateway import AdmissionConfig
+
+        gateway = RankGateway(
+            toy_graph, admission=AdmissionConfig(rate=1.0, burst=2), max_batch=1000
+        )
+        before = gateway.submit(1, k=3)
+        with pytest.raises(TypeError, match="k must be an integer"):
+            gateway.submit(0, k=k)
+        after = gateway.submit(2, k=3)  # the bad k consumed no rate token
+        assert not isinstance(after, Shed)
+        assert gateway.flush_all() == 2
+        for query, future in ((1, before), (2, after)):
+            indices, _scores = future.result(timeout=5.0)
+            full = roundtriprank(toy_graph, query)
+            assert np.array_equal(indices, np.argsort(-full, kind="stable")[:3])
+        gateway.close()
+
+    @pytest.mark.parametrize("name", ["max_delay", "max_batch"])
+    def test_zero_trigger_is_rejected_at_construction(self, toy_graph, name):
+        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+            RankGateway(toy_graph, **{name: 0})
+
+    def test_nan_max_delay_is_rejected_before_a_lane_spins(self, toy_graph):
+        with pytest.raises(ValueError, match="max_delay must be finite"):
+            gateway = RankGateway(toy_graph, max_delay=float("nan")).start()
+            # Reached only without the check: the lane's deadline thread
+            # would spin and never flush, so the wait is bounded.
+            try:
+                gateway.submit(0).result(timeout=1.0)
+            finally:
+                gateway.close()

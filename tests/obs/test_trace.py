@@ -154,6 +154,36 @@ class TestGatewayTraceAcceptance:
             assert s.attributes["dtype"] in ("float32", "float64")
             assert s.attributes["method"] in ("auto", "power")
 
+    def test_resident_hit_trace(self, obs_enabled, small_qlog):
+        """A cache-resident query's one-request flush joins its submit's trace."""
+        gateway = RankGateway(graphs={"qlog": small_qlog.graph})
+        node = int(small_qlog.phrase_nodes[0])
+        try:
+            gateway.ask(node, tenant="t1", k=5)  # caches the node's F and T columns
+            obs.clear_spans()
+            assert gateway.submit(node, tenant="t1", k=5).done()
+        finally:
+            gateway.close()
+
+        spans = obs.spans()
+        assert len({s.trace_id for s in spans}) == 1
+        by_id, roots, _children = _span_tree(spans)
+        _assert_acyclic_to_root(spans)
+        assert [r.name for r in roots] == ["gateway.submit"]
+        assert roots[0].attributes["outcome"] == "admitted"
+        (admission,) = [s for s in spans if s.name == "gateway.admission"]
+        assert admission.attributes["depth"] == 0
+        (flush,) = [s for s in spans if s.name == "batcher.flush"]
+        assert flush.attributes["trigger"] == "resident"
+        assert flush.attributes["batch"] == 1
+        assert by_id[flush.parent_id].name == "gateway.lane"
+        reads = [s for s in spans if s.name == "cache.get_many"]
+        assert [s.attributes["kind"] for s in reads] == ["f", "t"]
+        for s in reads:
+            assert s.parent_id == flush.span_id
+            assert (s.attributes["hits"], s.attributes["misses"]) == (1, 0)
+        assert not [s for s in spans if s.name == "engine.solve"]
+
     def test_local_path_trace(self, obs_enabled, small_bibnet):
         cache = ColumnCache(dtype=np.float64)
         gateway = RankGateway(

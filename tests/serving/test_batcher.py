@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import frank_vector, roundtriprank, roundtriprank_plus, trank_vector
 from repro.serving import ColumnCache, MicroBatcher
+from repro.serving.batcher import MEASURES
 
 
 class TestSizeTrigger:
@@ -287,3 +288,129 @@ class TestConcurrentSubmission:
                     atol=1e-9,
                 )
         assert batcher.stats.n_submitted == toy_graph.n_nodes
+
+
+QUERIES = [0, {2: 1.0, 5: 3.0}, [1, 4], 7]
+
+
+def _bits(result):
+    """A result as raw bytes: a full vector, or a top-k (indices, scores)."""
+    if isinstance(result, tuple):
+        return tuple(part.tobytes() for part in result)
+    return result.tobytes()
+
+
+class TestResidentTrigger:
+    """A query whose columns are all cached is flushed alone at submit."""
+
+    def test_resident_query_resolves_at_submit(self, toy_graph):
+        batcher = MicroBatcher(toy_graph, cache=ColumnCache(), max_batch=64)
+        batcher.ask(3)  # caches node 3's F and T columns
+        flushes = batcher.stats.n_flushes
+        future = batcher.submit(3)
+        assert future.done()
+        assert batcher.pending == 0
+        assert batcher.stats.n_flushes == flushes + 1
+        assert np.allclose(future.result(), roundtriprank(toy_graph, 3), atol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_resident_bits_equal_a_multi_request_flush(self, toy_graph, measure, k, dtype):
+        cache = ColumnCache(dtype=dtype)
+        cache.warm(toy_graph, range(toy_graph.n_nodes))
+        batcher = MicroBatcher(toy_graph, measure=measure, beta=0.3, cache=cache)
+        batched = [batcher.enqueue(q, k=k) for q in QUERIES]
+        assert batcher.flush() == len(QUERIES)
+        for query, want in zip(QUERIES, batched):
+            got = batcher.submit(query, k=k)
+            assert got.done(), f"query {query} was queued"
+            assert _bits(got.result()) == _bits(want.result()), f"query {query}"
+
+    def test_cache_counts_equal_a_flush_only_run(self, toy_graph):
+        stream = [0, 1, 0, {0: 1.0, 1: 2.0}, 1, [5, 0], 5, 0]
+
+        def run(send) -> tuple:
+            cache = ColumnCache()
+            batcher = MicroBatcher(toy_graph, cache=cache, max_batch=64)
+            done = 0
+            for query in stream:
+                future = send(batcher, query)
+                done += future.done()
+                batcher.flush()
+            info = cache.cache_info()
+            return (info.hits, info.misses, info.inserts), done
+
+        counts, resident = run(lambda b, q: b.submit(q, k=3))
+        flush_only, queued = run(lambda b, q: b.enqueue(q, k=3))
+        assert counts == flush_only
+        assert (resident, queued) == (5, 0)
+
+    def test_query_with_a_missing_column_still_queues(self, toy_graph):
+        cache = ColumnCache()
+        cache.get(toy_graph, "f", 1)  # node 1's T column stays unsolved
+        cache.warm(toy_graph, [0])
+        batcher = MicroBatcher(toy_graph, cache=cache, max_batch=64)
+        future = batcher.submit([0, 1])
+        assert not future.done()
+        assert batcher.pending == 1
+        # An F-Rank lane reads only F columns: node 1 is resident there.
+        assert MicroBatcher(toy_graph, measure="frank", cache=cache).submit(1).done()
+        batcher.flush()
+        assert np.allclose(future.result(), roundtriprank(toy_graph, [0, 1]), atol=1e-10)
+
+    def test_resident_submit_to_closed_batcher_raises(self, toy_graph):
+        cache = ColumnCache()
+        cache.warm(toy_graph, [2])
+        batcher = MicroBatcher(toy_graph, cache=cache)
+        batcher.close()
+        before = cache.cache_info()
+        with pytest.raises(RuntimeError, match="closed"):
+            batcher.submit(2)
+        assert cache.cache_info() == before
+
+
+class TestTriggerValidation:
+    """Bad trigger settings raise at construction, before any thread runs."""
+
+    def test_nan_max_delay_is_rejected_before_the_deadline_thread_spins(self, toy_graph):
+        with pytest.raises(ValueError, match="max_delay must be finite"):
+            batcher = MicroBatcher(toy_graph, max_delay=float("nan"))
+            # Reached only without the check: the deadline thread would spin
+            # and never flush, so the wait is bounded.
+            with batcher:
+                batcher.submit(0).result(timeout=1.0)
+
+    def test_infinite_max_delay_is_rejected_before_it_kills_the_deadline_thread(self, toy_graph):
+        with pytest.raises(ValueError, match="max_delay must be finite"):
+            batcher = MicroBatcher(toy_graph, max_delay=float("inf"))
+            with batcher:
+                batcher.submit(0).result(timeout=1.0)
+
+    @pytest.mark.parametrize("max_batch", [2.5, 4.0])
+    def test_non_integer_max_batch_is_rejected(self, toy_graph, max_batch):
+        with pytest.raises(TypeError, match="max_batch must be an integer"):
+            MicroBatcher(toy_graph, max_batch=max_batch)
+
+
+class TestTopKValidation:
+    @pytest.mark.parametrize("k", [2.5, 3.0])
+    def test_non_integer_k_raises_at_submit_and_spares_its_flush(self, toy_graph, k):
+        batcher = MicroBatcher(toy_graph, max_batch=64)
+        before = batcher.submit(1, k=3)
+        with pytest.raises(TypeError, match="k must be an integer"):
+            batcher.submit(0, k=k)
+        after = batcher.submit(2, k=3)
+        assert batcher.flush() == 2
+        for query, future in ((1, before), (2, after)):
+            indices, _scores = future.result(timeout=5.0)
+            full = roundtriprank(toy_graph, query)
+            assert np.array_equal(indices, np.argsort(-full, kind="stable")[:3])
+
+    def test_non_integer_k_raises_on_the_resident_path(self, toy_graph):
+        cache = ColumnCache()
+        cache.warm(toy_graph, [0])
+        batcher = MicroBatcher(toy_graph, cache=cache)
+        with pytest.raises(TypeError, match="k must be an integer"):
+            batcher.submit(0, k=2.5)
+        assert batcher.stats.n_submitted == 0

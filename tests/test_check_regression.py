@@ -34,6 +34,7 @@ def _payload() -> dict:
             "gdsf_hit_rate": 0.474,
             "shed_rate": 0.39,
             "max_queue_depth": 8,
+            "inline_hits": 231,
             "n_local_certified": 32,
             "n_local_escalated": 1,
             "cold_tenant_first_touch_prefetch": 0.357,
