@@ -3,13 +3,11 @@
 Two halves, one subsystem:
 
 - the **static analyzer** (``python -m repro.analysis``) parses the tree
-  and enforces the concurrency/immutability invariants earlier PRs paid
-  for — see :mod:`repro.analysis.rules` for the module-scoped catalog and
-  :mod:`repro.analysis.project_rules` for the interprocedural one (built
-  on the call graph in :mod:`repro.analysis.callgraph` and the summary
-  fixpoint in :mod:`repro.analysis.summaries`), each rule tagged with the
-  historical bug it descends from; ``--baseline`` adopts new rules on a
-  legacy tree, ``--format sarif`` feeds code-scanning uploads;
+  and enforces, one module at a time, the concurrency/immutability
+  invariants earlier PRs paid for — see :mod:`repro.analysis.rules` for
+  the catalog, each rule tagged with the historical bug it descends from;
+  ``--baseline`` adopts new rules on a legacy tree and fails on stale
+  entries, ``--format json`` feeds CI artifacts;
 - the **runtime sanitizer** (:mod:`repro.analysis.sanitizer`, opt-in via
   ``REPRO_SANITIZE=1``) records the process-wide lock acquisition graph
   and fails on ordering cycles, and arms a write-after-publish tripwire
@@ -26,7 +24,6 @@ from repro.analysis.analyzer import (
     ProjectAnalysis,
     WaiverWarning,
     analyze_file,
-    analyze_paths,
     analyze_project,
     analyze_source,
     walk_scope,
@@ -42,7 +39,6 @@ __all__ = [
     "WaiverWarning",
     "all_rules",
     "analyze_file",
-    "analyze_paths",
     "analyze_project",
     "analyze_source",
     "get_rule",

@@ -1,16 +1,16 @@
 """Parse modules once, run every rule, filter suppressions.
 
-:func:`analyze_source` is the module-scope entry point: one parse, one
+:func:`analyze_source` is the single-module entry point: one parse, one
 :class:`ModuleContext` shared by every rule (with a lazily built parent map
 so rules can walk *up* the tree — "is this ``wait()`` inside a ``while``
 loop" questions), findings filtered through the per-line
 ``# repro: ignore[rule]`` table and returned sorted by location.
 
 :func:`analyze_project` is the whole-tree entry point the CLI uses: it
-additionally builds the project call graph, runs the ``scope="project"``
-rules over it, tracks which waivers actually suppressed something
-(reporting dead ones as ``unused-waiver``), and returns structured
-warnings for waivers naming unknown rules.
+runs every rule over each file under the given paths, tracks which
+waivers actually suppressed something (reporting dead ones as
+``unused-waiver``), and returns structured warnings for waivers naming
+unknown rules.
 
 A file that does not parse yields a single ``parse-error`` pseudo-finding
 instead of crashing the run: an unparseable file in ``src`` must fail the
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from repro.analysis.findings import Finding
-from repro.analysis.registry import Rule, all_rules, rule_names, rule_scope
+from repro.analysis.registry import Rule, all_rules, rule_names
 from repro.analysis.suppressions import is_suppressed, suppressed_rules
 
 #: rule name reserved for files the parser rejects (not suppressible by a
@@ -106,14 +106,9 @@ def walk_scope(node: ast.AST) -> "Iterator[ast.AST]":
 def analyze_source(
     source: str, path: str = "<string>", rules: "Sequence[Rule] | None" = None
 ) -> "list[Finding]":
-    """Run module-scoped ``rules`` (default: all) over one module's source.
-
-    Project-scoped rules need the whole tree and are skipped here; use
-    :func:`analyze_project` to run them (it also covers single files).
-    """
+    """Run ``rules`` (default: all) over one module's source."""
     if rules is None:
         rules = all_rules()
-    rules = [rule for rule in rules if rule_scope(rule) == "module"]
     table = suppressed_rules(source)
     try:
         tree = ast.parse(source)
@@ -163,8 +158,8 @@ class WaiverWarning:
     """A ``# repro: ignore[...]`` comment naming a rule nobody registered.
 
     Not a finding (a renamed rule must not brick the gate) but no longer
-    stderr-only either: the CLI embeds these in ``--format json``/``sarif``
-    output so CI artifacts capture them.
+    stderr-only either: the CLI embeds these in ``--format json`` output
+    so CI artifacts capture them.
     """
 
     path: str
@@ -203,31 +198,22 @@ def analyze_project(
 ) -> ProjectAnalysis:
     """Analyze every ``.py`` file under ``paths`` as one project.
 
-    Module rules run per file; project rules run once over the call graph
-    built from every parseable file.  Suppressions are tracked: a waiver
-    that suppressed nothing becomes an ``unused-waiver`` finding (unless
+    Every rule runs per file.  Suppressions are tracked: a waiver that
+    suppressed nothing becomes an ``unused-waiver`` finding (unless
     ``check_waivers`` is off), and waivers naming unknown rules are
     returned as structured warnings.
     """
-    from repro.analysis.callgraph import Project
-    from repro.analysis.summaries import propagate
-
     started = time.perf_counter()
     if rules is None:
         rules = all_rules()
-    mod_rules = [rule for rule in rules if rule_scope(rule) == "module"]
-    proj_rules = [rule for rule in rules if rule_scope(rule) == "project"]
 
-    sources: "dict[str, str]" = {}
     tables: "dict[str, dict[int, frozenset[str] | None]]" = {}
-    contexts: "list[ModuleContext]" = []
     raw: "list[Finding]" = []
     n_files = 0
     for filepath in iter_python_files(paths):
         n_files += 1
         with open(filepath, encoding="utf-8") as handle:
             source = handle.read()
-        sources[filepath] = source
         tables[filepath] = suppressed_rules(source)
         try:
             tree = ast.parse(source)
@@ -243,15 +229,8 @@ def analyze_project(
             )
             continue
         ctx = ModuleContext(path=filepath, source=source, tree=tree)
-        contexts.append(ctx)
-        for rule in mod_rules:
+        for rule in rules:
             raw.extend(rule.check(ctx))
-
-    if proj_rules:
-        project = Project(contexts)
-        summaries = propagate(project)
-        for rule in proj_rules:
-            raw.extend(rule.check_project(project, summaries))
 
     # Suppression filtering, recording which waivers earned their keep.
     hits: "set[tuple[str, int, str]]" = set()  # (path, line, rule) that fired
@@ -319,11 +298,3 @@ def analyze_project(
         warnings=sorted(warnings),
         elapsed_seconds=time.perf_counter() - started,
     )
-
-
-def analyze_paths(
-    paths: Iterable[str], rules: "Sequence[Rule] | None" = None
-) -> "tuple[list[Finding], int]":
-    """Back-compat wrapper: full project analysis as ``(findings, n_files)``."""
-    analysis = analyze_project(paths, rules=rules)
-    return analysis.findings, analysis.n_files

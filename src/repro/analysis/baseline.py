@@ -93,3 +93,10 @@ def apply_baseline(
         else:
             fresh.append(finding)
     return fresh, suppressed
+
+
+def unmatched_entries(
+    findings: Iterable[Finding], baseline: "Counter[str]"
+) -> "Counter[str]":
+    """Baseline entries the findings leave unused: fingerprint -> shortfall."""
+    return baseline - Counter(fingerprint(finding) for finding in findings)

@@ -3,20 +3,19 @@
 Exit codes follow the convention CI keys off:
 
 - ``0`` — analyzed cleanly (or every finding is in the ``--baseline``);
-- ``1`` — findings reported, a file failed to parse, or ``--max-seconds``
-  was exceeded;
+- ``1`` — findings reported, a file failed to parse, or a ``--baseline``
+  entry went stale;
 - ``2`` — usage error (unknown rule in ``--select``, no such path,
   unreadable baseline).
 
 ``--format json`` emits a single object with the run summary, findings,
-and structured waiver warnings; ``--format sarif`` emits a SARIF 2.1.0
-log for GitHub code-scanning upload.  ``--baseline FILE`` subtracts a
+and structured waiver warnings.  ``--baseline FILE`` subtracts a
 committed finding multiset so new rules can be adopted on a legacy tree
 without blocking (generate with ``--write-baseline``; the round-trip
-exits 0).  ``--graph dot`` dumps the resolved project call graph.
-``--max-seconds`` turns the run into its own perf gate: a fixpoint pass
-that silently goes quadratic as the tree grows becomes a red build, not
-a slow one.
+exits 0).  An entry that matched fewer findings than it records is stale
+and fails the run, so a fixed finding cannot leave a waiver behind for
+the next identical one; like ``unused-waiver``, this is only judged for
+entries under an analyzed path whose rule ran (or no longer exists).
 """
 
 from __future__ import annotations
@@ -27,10 +26,14 @@ import os
 import sys
 from typing import Sequence
 
-from repro.analysis.analyzer import analyze_project
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
-from repro.analysis.registry import all_rules, get_rule, rule_scope
-from repro.analysis.sarif import sarif_report
+from repro.analysis.analyzer import PARSE_ERROR_RULE, UNUSED_WAIVER_RULE, analyze_project
+from repro.analysis.baseline import (
+    apply_baseline,
+    load_baseline,
+    unmatched_entries,
+    write_baseline,
+)
+from repro.analysis.registry import Rule, all_rules, get_rule, rule_names
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
     )
@@ -67,34 +70,51 @@ def _build_parser() -> argparse.ArgumentParser:
         help="record the current findings into FILE and exit 0",
     )
     parser.add_argument(
-        "--graph",
-        choices=("dot",),
-        help="dump the resolved project call graph (Graphviz DOT) and exit",
-    )
-    parser.add_argument(
         "--no-check-waivers",
         action="store_true",
         help="do not report '# repro: ignore' comments that suppress nothing",
     )
     parser.add_argument(
-        "--max-seconds",
-        type=float,
-        metavar="S",
-        help="fail (exit 1) if the analysis itself takes longer than S seconds",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="print the rule catalog (name, scope, summary, lineage) and exit",
+        help="print the rule catalog (name, summary, lineage) and exit",
     )
     return parser
 
 
 def _list_rules(stream) -> None:
     for rule in all_rules():
-        print(f"{rule.name} [{rule_scope(rule)}]", file=stream)
+        print(rule.name, file=stream)
         print(f"    {rule.summary}", file=stream)
         print(f"    lineage: {rule.lineage}", file=stream)
+
+
+def _stale_entries(
+    leftover: "dict[str, int]",
+    paths: "Sequence[str]",
+    rules: "Sequence[Rule]",
+    check_waivers: bool,
+) -> "list[str]":
+    """The unmatched baseline entries this run could have matched.
+
+    Scoped like the ``unused-waiver`` check: an entry counts only if its
+    path lies under an analyzed path and its rule ran (or is no longer
+    registered), so ``--select`` runs and path subsets stay clean.
+    """
+    # Fingerprint paths start with the analyzed path exactly as given.
+    roots = [path.replace("\\", "/").rstrip("/") + "/" for path in paths]
+    registered = set(rule_names())
+    ran = {rule.name for rule in rules} | {PARSE_ERROR_RULE}
+    if check_waivers and registered <= ran:
+        ran.add(UNUSED_WAIVER_RULE)
+    known = registered | {PARSE_ERROR_RULE, UNUSED_WAIVER_RULE}
+    stale = []
+    for key in sorted(leftover):
+        path, rule, _message = key.split("|", 2)
+        under = any((path + "/").startswith(root) for root in roots)
+        if under and (rule in ran or rule not in known):
+            stale.append(key)
+    return stale
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
@@ -107,7 +127,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
 
     if args.select:
         try:
-            rules = [get_rule(name) for name in args.select]
+            rules = [get_rule(name) for name in dict.fromkeys(args.select)]
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
@@ -118,12 +138,6 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         if not os.path.exists(path):
             print(f"error: no such path: {path}", file=sys.stderr)
             return 2
-
-    if args.graph is not None:
-        from repro.analysis.callgraph import Project
-
-        print(Project.from_paths(args.paths).to_dot(), end="")
-        return 0
 
     baseline = None
     if args.baseline is not None:
@@ -148,8 +162,19 @@ def main(argv: "Sequence[str] | None" = None) -> int:
 
     findings = analysis.findings
     n_baselined = 0
+    stale: "list[str]" = []
     if baseline is not None:
         findings, n_baselined = apply_baseline(findings, baseline)
+        leftover = unmatched_entries(analysis.findings, baseline)
+        stale = _stale_entries(
+            leftover, args.paths, rules, check_waivers=not args.no_check_waivers
+        )
+        for key in stale:
+            print(
+                f"{args.baseline}: stale entry, {leftover[key]} of {baseline[key]} "
+                f"unmatched (regenerate with --write-baseline): {key}",
+                file=sys.stderr,
+            )
 
     if args.format != "json":
         for warning in analysis.warnings:
@@ -165,8 +190,6 @@ def main(argv: "Sequence[str] | None" = None) -> int:
             "warnings": [warning.to_dict() for warning in analysis.warnings],
         }
         print(json.dumps(report, indent=2))
-    elif args.format == "sarif":
-        print(json.dumps(sarif_report(findings, rules, analysis.warnings), indent=2))
     else:
         for finding in findings:
             print(finding.render())
@@ -174,18 +197,15 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         suffix = f" ({n_baselined} baselined)" if n_baselined else ""
         if findings:
             print(f"{len(findings)} finding(s) in {analysis.n_files} {noun}{suffix}")
+        elif stale:
+            print(
+                f"{len(stale)} stale baseline entr{'y' if len(stale) == 1 else 'ies'}: "
+                f"{analysis.n_files} {noun}, {len(rules)} rule(s){suffix}"
+            )
         else:
             print(f"clean: {analysis.n_files} {noun}, {len(rules)} rule(s){suffix}")
 
-    if args.max_seconds is not None and analysis.elapsed_seconds > args.max_seconds:
-        print(
-            f"error: analysis took {analysis.elapsed_seconds:.2f}s, over the "
-            f"--max-seconds budget of {args.max_seconds:.2f}s",
-            file=sys.stderr,
-        )
-        return 1
-
-    return 1 if findings else 0
+    return 1 if findings or stale else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -1,10 +1,8 @@
-"""Cycle detection shared by the static lock-order rule and the sanitizer.
+"""Cycle detection over the runtime sanitizer's lock acquisition graph.
 
-The runtime sanitizer records lock acquisition order per lock *instance*;
-the static ``lock-order-global`` rule derives acquisition order per lock
-*identity* (module-level name or class field).  Both reduce "can these
-locks deadlock" to "does the acquisition-order graph contain a cycle", so
-the DFS lives here once and each side feeds it its own node type.
+The sanitizer records acquisition order per lock *instance* and reduces
+"can these locks deadlock" to "does the acquisition-order graph contain a
+cycle"; this is the DFS that answers it, over any hashable node type.
 """
 
 from __future__ import annotations
@@ -49,14 +47,3 @@ def find_cycles(adjacency: "dict[Node, set[Node]]") -> "Iterator[list[Node]]":
                 color[node] = BLACK
                 path.pop()
                 stack.pop()
-
-
-def canonical_cycle(cycle: "list[Node]") -> "tuple[Node, ...]":
-    """A rotation-invariant key for a closed walk.
-
-    ``[b, a, b]`` and ``[a, b, a]`` are the same cycle; dedupe by rotating
-    the open form so the smallest node leads.
-    """
-    nodes = cycle[:-1] if len(cycle) > 1 and cycle[0] == cycle[-1] else list(cycle)
-    pivot = min(range(len(nodes)), key=lambda i: repr(nodes[i]))
-    return tuple(nodes[pivot:] + nodes[:pivot])

@@ -1,9 +1,10 @@
 """The finding record every analysis rule emits.
 
 A :class:`Finding` pins one invariant violation to a source location.  It is
-deliberately flat and JSON-trivial: the CI job serializes findings with
-``--format json`` and the human output is one line per finding, in the
-``path:line:col: rule message`` shape editors and CI annotations both parse.
+deliberately flat and JSON-trivial: ``--format json`` serializes findings
+as they are, and the human output (what CI prints) is one line per finding,
+in the ``path:line:col: rule message`` shape editors and CI annotations
+both parse.
 """
 
 from __future__ import annotations

@@ -6,12 +6,7 @@ nothing.  When armed (the CI ``analysis`` job exports ``REPRO_SANITIZE=1``)
 it does three things:
 
 - installs the lock-order recorder at ``pytest_configure`` (before test
-  collection imports the repro modules, so their locks get wrapped) and
-  computes the *static* lock-order edge set over ``src/repro`` so each
-  module teardown can also fail on static/runtime **unified** cycles —
-  an inversion where one direction only ever executes in production code
-  paths the tests never drive (``REPRO_SANITIZE_STATIC=0`` opts out of
-  the static half);
+  collection imports the repro modules, so their locks get wrapped);
 - an autouse module-scoped fixture snapshots live threads and shared-memory
   segments per test module, then asserts on teardown that the module leaked
   neither — threads must be joined by the code that started them, segments
@@ -26,18 +21,12 @@ leaked rather than at whichever unlucky test ran last.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
 import pytest
 
 from repro.analysis import sanitizer
-
-#: static held->acquired lock-order edges keyed by creation site, computed
-#: once per armed session at configure time (empty when opted out or when
-#: the tree is not where we expect it, e.g. running from an sdist).
-_static_edges: "dict[tuple[str, str], str]" = {}
 
 #: worker threads owned by long-lived executor machinery; they outlive any
 #: single module by design (the default process pool persists until
@@ -73,27 +62,6 @@ def _live_foreign_segments() -> "set[str]":
 def pytest_configure(config: pytest.Config) -> None:
     if sanitizer.enabled():
         sanitizer.install()
-        if os.environ.get("REPRO_SANITIZE_STATIC", "").strip() != "0":
-            _static_edges.clear()
-            _static_edges.update(_compute_static_edges(config))
-
-
-def _compute_static_edges(config: pytest.Config) -> "dict[tuple[str, str], str]":
-    from repro.analysis.summaries import static_site_edges
-
-    tree = os.path.join(str(config.rootpath), "src", "repro")
-    if not os.path.isdir(tree):
-        return {}
-    try:
-        return static_site_edges([tree])
-    except Exception as exc:  # pragma: no cover - defensive
-        # A broken static pass must degrade to runtime-only checking, not
-        # take the whole test session down with it.
-        config.issue_config_time_warning(
-            pytest.PytestWarning(f"static lock-order edge pass failed: {exc!r}"),
-            stacklevel=2,
-        )
-        return {}
 
 
 def pytest_unconfigure(config: pytest.Config) -> None:
@@ -141,8 +109,6 @@ def _repro_sanitize_module(request: pytest.FixtureRequest):
 
     problems.extend(sanitizer.check_published())
     problems.extend(sanitizer.find_lock_cycles())
-    if _static_edges:
-        problems.extend(sanitizer.find_unified_cycles(_static_edges))
 
     if problems:
         pytest.fail(

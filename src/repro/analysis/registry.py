@@ -25,14 +25,7 @@ from repro.analysis.findings import Finding
 
 @runtime_checkable
 class Rule(Protocol):
-    """Structural interface every registered rule satisfies.
-
-    Module-scoped rules (the default, ``scope`` absent or ``"module"``)
-    implement ``check(ctx)`` over one parsed module.  Project-scoped
-    rules declare ``scope = "project"`` and implement
-    ``check_project(project, summaries)`` over the whole parsed tree —
-    see :mod:`repro.analysis.project_rules`.
-    """
+    """Structural interface every registered rule satisfies."""
 
     name: str
     summary: str
@@ -40,11 +33,6 @@ class Rule(Protocol):
 
     def check(self, ctx) -> Iterable[Finding]:  # pragma: no cover - protocol
         ...
-
-
-def rule_scope(rule) -> str:
-    """``"module"`` or ``"project"`` — a rule's declared analysis scope."""
-    return getattr(rule, "scope", "module")
 
 
 _RULES: "dict[str, Rule]" = {}
@@ -87,19 +75,8 @@ def rule_names() -> "list[str]":
     return sorted(_RULES)
 
 
-def module_rules() -> "list[Rule]":
-    """Registered rules that analyze one module at a time."""
-    return [rule for rule in all_rules() if rule_scope(rule) == "module"]
-
-
-def project_rules() -> "list[Rule]":
-    """Registered rules that analyze the whole project at once."""
-    return [rule for rule in all_rules() if rule_scope(rule) == "project"]
-
-
 def _ensure_loaded() -> None:
-    # The built-in rules live in repro.analysis.rules (module scope) and
-    # repro.analysis.project_rules (project scope) and register on import;
-    # importing lazily here breaks the registry/rules import cycle while
-    # keeping "import repro.analysis.registry" side-effect free.
-    from repro.analysis import project_rules, rules  # noqa: F401
+    # The built-in rules live in repro.analysis.rules and register on
+    # import; importing lazily here breaks the registry/rules import cycle
+    # while keeping "import repro.analysis.registry" side-effect free.
+    from repro.analysis import rules  # noqa: F401

@@ -41,7 +41,7 @@ import sys
 import threading
 from typing import Any, Callable
 
-from repro.analysis.cycles import canonical_cycle, find_cycles
+from repro.analysis.cycles import find_cycles
 from repro.utils import publish as _publish
 from repro.utils.publish import check_published, publish_guard
 
@@ -51,7 +51,6 @@ __all__ = [
     "check_published",
     "enabled",
     "find_lock_cycles",
-    "find_unified_cycles",
     "install",
     "is_installed",
     "publish_guard",
@@ -265,86 +264,3 @@ def assert_lock_order() -> None:
     cycles = find_lock_cycles()
     if cycles:
         raise LockOrderViolation("\n".join(cycles))
-
-
-def find_unified_cycles(
-    static_edges: "dict[tuple[str, str], str]",
-) -> "list[str]":
-    """Cycles that only exist when static and runtime orderings are merged.
-
-    ``static_edges`` comes from
-    :func:`repro.analysis.summaries.static_site_edges`: ``held -> acquired``
-    edges keyed by lock *creation site* (absolute ``file:line`` of the
-    ``threading.Lock()`` call), each mapped to a human-readable derivation.
-    Runtime edges are projected onto the same key — the creation site the
-    recorder stamped on each wrapped lock — and the merged graph is searched
-    for cycles.
-
-    Only *mixed* cycles (at least one hop only static analysis derived AND
-    at least one runtime-observed hop) are reported: pure-runtime cycles
-    are :func:`find_lock_cycles`'s job and pure-static ones belong to the
-    ``lock-order-global`` rule, so re-reporting either here would double
-    up CI failures.  Same-site edges
-    are skipped on both sides — two lock instances born at one ``file:line``
-    (a factory in a loop) alias to a single node, and a self-edge there is
-    an artifact of the projection, not an ordering fact.
-    """
-    with _state_lock:
-        edges = dict(_edges)
-        sites = dict(_lock_sites)
-    runtime: "dict[tuple[str, str], str]" = {}
-    for (held, acquired), where in edges.items():
-        held_site = sites.get(held)
-        acq_site = sites.get(acquired)
-        if held_site is None or acq_site is None:
-            continue
-        held_site = _abs_site(held_site)
-        acq_site = _abs_site(acq_site)
-        if held_site == acq_site:
-            continue
-        runtime.setdefault((held_site, acq_site), where)
-
-    adjacency: "dict[str, set[str]]" = {}
-    for source in (static_edges, runtime):
-        for held_site, acq_site in source:
-            if held_site == acq_site:
-                continue
-            adjacency.setdefault(held_site, set()).add(acq_site)
-            adjacency.setdefault(acq_site, set())
-
-    descriptions = []
-    seen: "set[tuple[str, ...]]" = set()
-    for cycle in find_cycles(adjacency):
-        key = canonical_cycle(cycle)
-        if key in seen:
-            continue
-        seen.add(key)
-        hop_pairs = list(zip(cycle, cycle[1:]))
-        n_static_only = sum(
-            1 for pair in hop_pairs if pair in static_edges and pair not in runtime
-        )
-        n_runtime = sum(1 for pair in hop_pairs if pair in runtime)
-        if not (n_static_only and n_runtime):
-            continue
-        hops = []
-        for pair in hop_pairs:
-            held_site, acq_site = pair
-            if pair in runtime:
-                hops.append(
-                    f"lock@{held_site} then lock@{acq_site} "
-                    f"(observed at {runtime[pair]})"
-                )
-            else:
-                hops.append(
-                    f"lock@{held_site} then lock@{acq_site} "
-                    f"(static: {static_edges[pair]})"
-                )
-        descriptions.append(
-            "static/runtime lock-order cycle: " + " ; ".join(hops)
-        )
-    return descriptions
-
-
-def _abs_site(site: str) -> str:
-    path, _, line = site.rpartition(":")
-    return f"{os.path.abspath(path)}:{line}"

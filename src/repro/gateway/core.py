@@ -58,7 +58,12 @@ from repro.gateway.stats import GatewaySnapshot, GatewayStats, lane_key_to_str
 from repro.graph.digraph import DiGraph
 from repro.serving.batcher import MEASURES, MicroBatcher
 from repro.serving.cache import ColumnCache
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import (
+    check_in_range,
+    check_positive,
+    check_positive_int,
+    check_probability,
+)
 
 _gateway_ids = itertools.count(1)
 
@@ -122,7 +127,8 @@ class RankGateway:
         Per-lane :class:`MicroBatcher` trigger configuration: a positive
         integer and a finite, positive number of seconds.
     beta:
-        The ``roundtriprank_plus`` interpolation used by plus-measure lanes.
+        The ``roundtriprank_plus`` interpolation, in [0, 1], used by
+        plus-measure lanes.
     local_topk:
         Enable the certified local top-k fast path for top-``k`` cache
         misses (:func:`repro.topk.local.local_topk`).  An eligible query —
@@ -164,8 +170,6 @@ class RankGateway:
         workers: "int | None" = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if max_lanes < 1:
-            raise ValueError(f"max_lanes must be >= 1, got {max_lanes}")
         if isinstance(graphs, DiGraph):
             graphs = {"default": graphs}
         if not graphs:
@@ -180,11 +184,11 @@ class RankGateway:
             self.admission = admission
         else:
             self.admission = AdmissionController(admission, clock=clock)
-        self.max_lanes = int(max_lanes)
+        self.max_lanes = check_positive_int(max_lanes, "max_lanes")
         # Checked here, not when the first lane is built inside a submit.
         self.max_batch = check_positive_int(max_batch, "max_batch")
         self.max_delay = check_positive(max_delay, "max_delay")
-        self.beta = float(beta)
+        self.beta = check_probability(beta, "beta")
         self.local_topk = bool(local_topk)
         self.stats = GatewayStats()
         self.frequency = FrequencyEstimator(half_life=frequency_half_life, clock=clock)
@@ -298,9 +302,10 @@ class RankGateway:
         is already resolved when this returns.  Any other query is admitted
         against its lane's queue depth and queued for the lane's flush.
 
-        Invalid *queries* (unknown graph/measure, out-of-range nodes, a
-        ``k`` that is not a positive integer) raise synchronously — they
-        are caller bugs, not load, and must not be confused with shedding.
+        Invalid *queries* (unknown graph/measure, out-of-range nodes, an
+        ``alpha`` outside (0, 1), a ``k`` that is not a positive integer)
+        raise synchronously — they are caller bugs, not load, and must not
+        be confused with shedding.
         An admitted query's future always resolves: to the score vector (or
         ``(indices, scores)`` when ``k`` is given), or to the solver's
         exception.
@@ -310,7 +315,11 @@ class RankGateway:
         graph_name, graph_obj = self._resolve_graph(graph)
         if alpha is None:
             alpha = getattr(self.cache, "alpha", DEFAULT_ALPHA)
-        key = LaneKey(graph_name, measure, float(alpha))
+        # The solvers' own check, before admission: an invalid alpha would
+        # otherwise fail inside a flush, and a NaN one (NaN != NaN) would
+        # open a fresh lane per submit, evicting healthy ones.
+        alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False)
+        key = LaneKey(graph_name, measure, alpha)
         # Validate before admission: a malformed query (or k) must raise even
         # when it would have been shed, and must never consume a rate token.
         nodes, weights = normalize_query(graph_obj, query)
@@ -330,8 +339,7 @@ class RankGateway:
                 path="local",
             ):
                 return self._submit_local(
-                    query, tenant, graph_obj, key, measure, float(alpha), k,
-                    nodes, weights,
+                    query, tenant, graph_obj, key, measure, alpha, k, nodes, weights
                 )
 
         with obs.span(
@@ -397,7 +405,7 @@ class RankGateway:
 
         self.stats.record_admitted(tenant)
         for node, weight in zip(nodes.tolist(), weights.tolist()):
-            self.frequency.record(tenant, (graph_name, float(alpha)), node, weight)
+            self.frequency.record(tenant, (graph_name, alpha), node, weight)
         clock = self._clock
 
         def _record(_f: Future, lane_key=tuple(key), t0=started) -> None:

@@ -19,6 +19,8 @@ import threading
 import time
 from typing import Callable, Hashable
 
+from repro.utils.validation import check_positive
+
 
 class FrequencyEstimator:
     """Decayed per-(tenant, group, node) query counters with a top-N view.
@@ -45,13 +47,11 @@ class FrequencyEstimator:
         max_nodes_per_group: int = 4096,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if half_life <= 0:
-            raise ValueError(f"half_life must be > 0, got {half_life}")
         if max_nodes_per_group < 1:
             raise ValueError(
                 f"max_nodes_per_group must be >= 1, got {max_nodes_per_group}"
             )
-        self.half_life = float(half_life)
+        self.half_life = check_positive(half_life, "half_life")
         self.max_nodes_per_group = int(max_nodes_per_group)
         self._clock = clock
         #: (tenant, group) -> {node: (count, last_update)}

@@ -54,7 +54,12 @@ from repro.engine.batch import (
 from repro.graph.digraph import DiGraph
 from repro.serving.cache import ColumnCache
 from repro.serving.topk import topk_select
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import (
+    check_in_range,
+    check_positive,
+    check_positive_int,
+    check_probability,
+)
 
 MEASURES = ("roundtriprank", "roundtriprank_plus", "frank", "trank")
 #: The per-node columns each measure combines (Proposition 2, Eq. 12).
@@ -183,8 +188,11 @@ class MicroBatcher:
             raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
         self.graph = graph
         self.measure = measure
-        self.alpha = float(alpha)
-        self.beta = float(beta)
+        # Checked here, or every flush of this batcher would fail.
+        self.alpha = check_in_range(
+            alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False
+        )
+        self.beta = check_probability(beta, "beta")
         self.normalize = normalize
         # A NaN deadline would spin the deadline thread and an infinite one
         # would kill it: both are rejected here, not at the first submit.

@@ -11,6 +11,7 @@ from repro.analysis.baseline import (
     fingerprint,
     load_baseline,
     render_baseline,
+    unmatched_entries,
     write_baseline,
 )
 from repro.analysis.findings import Finding
@@ -39,7 +40,7 @@ class TestFingerprint:
 
 class TestRoundTrip:
     def test_write_then_apply_suppresses_everything(self, tmp_path):
-        bad = FIXTURES / "pkg_bad_lock_order_global"
+        bad = FIXTURES / "bad_lock_reentry.py"
         findings = analyze_project([str(bad)]).findings
         assert findings
         target = tmp_path / "baseline.json"
@@ -57,6 +58,15 @@ class TestRoundTrip:
         fresh, suppressed = apply_baseline(findings, Counter(payload["entries"]))
         assert suppressed == 2
         assert len(fresh) == 1
+
+    def test_unmatched_entries_are_the_shortfall(self):
+        from collections import Counter
+
+        findings = [_finding(line=1), _finding(rule="other")]
+        payload = json.loads(render_baseline(findings + [_finding(line=2)]))
+        payload["entries"]["gone.py|r|m"] = 1
+        leftover = unmatched_entries(findings, Counter(payload["entries"]))
+        assert leftover == Counter({"a.py|r|m": 1, "gone.py|r|m": 1})
 
     def test_rendered_form_is_sorted_and_versioned(self):
         text = render_baseline([_finding(rule="z"), _finding(rule="a")])

@@ -1,7 +1,6 @@
 """The merged tree must satisfy its own analyzer — the CI gate, as a test.
 
-Self-hosting leg: the full project analysis (module rules, the four
-interprocedural rules over the whole call graph, and stale-waiver
+Self-hosting leg: the full project analysis (every rule plus stale-waiver
 checking) runs over ``src/repro`` and must come back empty — every waiver
 in the tree justified and earning its keep, every unknown name fixed.
 """

@@ -12,6 +12,10 @@ from repro.analysis.cli import main
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
+def _fixture(name):
+    return (FIXTURES / name).read_text(encoding="utf-8")
+
+
 class TestExitCodes:
     def test_clean_path_exits_zero(self, capsys):
         code = main([str(FIXTURES / "good_lock_reentry.py")])
@@ -68,6 +72,22 @@ class TestOutput:
         assert "lock-reentry" in out
         assert "lineage:" in out
 
+    def test_repeated_select_reports_each_finding_once(self, capsys):
+        target = str(FIXTURES / "bad_np_random_legacy.py")
+        main(["--select", "np-random-legacy", target])
+        once = capsys.readouterr().out
+        main(["--select", "np-random-legacy", "--select", "np-random-legacy", target])
+        assert capsys.readouterr().out == once
+        assert once.count("np-random-legacy") == 2
+
+    def test_repeated_select_records_single_counts(self, tmp_path):
+        baseline = tmp_path / "baseline.json"
+        target = str(FIXTURES / "bad_np_random_legacy.py")
+        argv = ["--select", "np-random-legacy", "--select", "np-random-legacy"]
+        assert main(argv + ["--write-baseline", str(baseline), target]) == 0
+        entries = json.loads(baseline.read_text(encoding="utf-8"))["entries"]
+        assert list(entries.values()) == [1, 1]
+
     def test_select_runs_only_that_rule(self, capsys):
         # The bad thread fixture fires thread-lifecycle; selecting an
         # unrelated rule must report it clean.
@@ -99,19 +119,9 @@ class TestProjectWorkflows:
         # warning must never be silently dropped from the artifact.
         assert "not-a-rule" not in captured.err
 
-    def test_sarif_format_emits_valid_log(self, capsys):
-        code = main(
-            ["--format", "sarif", str(FIXTURES / "pkg_bad_lock_order_global")]
-        )
-        report = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert report["version"] == "2.1.0"
-        results = report["runs"][0]["results"]
-        assert {r["ruleId"] for r in results} == {"lock-order-global"}
-
     def test_baseline_round_trip_exits_zero(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
-        bad = str(FIXTURES / "pkg_bad_readonly_escape")
+        bad = str(FIXTURES / "bad_lock_reentry.py")
         assert main(["--write-baseline", str(baseline), bad]) == 0
         code = main(["--baseline", str(baseline), bad])
         out = capsys.readouterr().out
@@ -120,8 +130,8 @@ class TestProjectWorkflows:
 
     def test_new_finding_escapes_the_baseline(self, tmp_path):
         baseline = tmp_path / "baseline.json"
-        good = str(FIXTURES / "pkg_good_readonly_escape")
-        bad = str(FIXTURES / "pkg_bad_readonly_escape")
+        good = str(FIXTURES / "good_lock_reentry.py")
+        bad = str(FIXTURES / "bad_lock_reentry.py")
         assert main(["--write-baseline", str(baseline), good]) == 0
         assert main(["--baseline", str(baseline), bad]) == 1
 
@@ -132,27 +142,106 @@ class TestProjectWorkflows:
         assert code == 2
         assert "cannot load baseline" in capsys.readouterr().err
 
-    def test_graph_dot_prints_call_graph(self, capsys):
-        code = main(["--graph", "dot", str(FIXTURES / "pkg_bad_lock_order_global")])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.startswith("digraph callgraph {")
-        assert "reserve" in out and "flush_all" in out
-
     def test_stale_waiver_fires_and_opt_out_works(self, capsys):
         bad = str(FIXTURES / "bad_unused_waiver.py")
         assert main([bad]) == 1
         assert "unused-waiver" in capsys.readouterr().out
         assert main(["--no-check-waivers", bad]) == 0
 
-    def test_max_seconds_budget_failure(self, capsys):
-        code = main(["--max-seconds", "0", str(FIXTURES / "good_lock_reentry.py")])
+
+class TestStaleBaseline:
+    """A baseline entry that no longer matches its finding fails the run."""
+
+    def _baselined_module(self, tmp_path):
+        module = tmp_path / "module.py"
+        module.write_text(_fixture("bad_lock_reentry.py"), encoding="utf-8")
+        baseline = tmp_path / "baseline.json"
+        assert main(["--write-baseline", str(baseline), str(module)]) == 0
+        return module, baseline
+
+    def test_fixed_finding_leaves_a_stale_entry(self, tmp_path, capsys):
+        module, baseline = self._baselined_module(tmp_path)
+        (entry,) = json.loads(baseline.read_text(encoding="utf-8"))["entries"]
+        module.write_text(_fixture("good_lock_reentry.py"), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["--baseline", str(baseline), str(module)])
         captured = capsys.readouterr()
         assert code == 1
-        assert "--max-seconds budget" in captured.err
+        assert entry in captured.err
+        assert "stale" in captured.err
+        assert "clean" not in captured.out
 
-    def test_max_seconds_budget_pass(self):
-        assert main(["--max-seconds", "600", str(FIXTURES / "good_lock_reentry.py")]) == 0
+    def test_partly_matched_entry_reports_its_shortfall(self, tmp_path, capsys):
+        module, baseline = self._baselined_module(tmp_path)
+        payload = json.loads(baseline.read_text(encoding="utf-8"))
+        (entry,) = payload["entries"]
+        payload["entries"][entry] = 2
+        baseline.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["--baseline", str(baseline), str(module)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"1 of 2 unmatched (regenerate with --write-baseline): {entry}" in captured.err
+        assert "1 stale baseline entry" in captured.out
+
+    def test_stale_entry_fails_a_json_run(self, tmp_path, capsys):
+        module, baseline = self._baselined_module(tmp_path)
+        (entry,) = json.loads(baseline.read_text(encoding="utf-8"))["entries"]
+        module.write_text(_fixture("good_lock_reentry.py"), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["--format", "json", "--baseline", str(baseline), str(module)])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 1
+        assert (report["findings"], report["baselined"]) == ([], 0)
+        assert entry in captured.err
+
+    def test_unused_waiver_entry_is_judged_only_with_the_audit(self, tmp_path, capsys):
+        module = tmp_path / "module.py"
+        module.write_text(_fixture("bad_unused_waiver.py"), encoding="utf-8")
+        baseline = tmp_path / "baseline.json"
+        assert main(["--write-baseline", str(baseline), str(module)]) == 0
+        module.write_text("x = 1\n", encoding="utf-8")
+        capsys.readouterr()
+        # Without the waiver audit nothing could have matched the entries.
+        assert main(["--no-check-waivers", "--baseline", str(baseline), str(module)]) == 0
+        assert main(["--baseline", str(baseline), str(module)]) == 1
+        assert capsys.readouterr().err.count("|unused-waiver|") == 2
+
+    def test_deleted_file_under_an_analyzed_path_is_stale(self, tmp_path, capsys):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        module, baseline = self._baselined_module(tree)
+        module.unlink()
+        (tree / "other.py").write_text("x = 1\n", encoding="utf-8")
+        assert main(["--baseline", str(baseline), str(tree)]) == 1
+        assert "module.py|lock-reentry" in capsys.readouterr().err
+
+    def test_unselected_rule_is_not_judged(self, tmp_path, capsys):
+        module, baseline = self._baselined_module(tmp_path)
+        module.write_text(_fixture("good_lock_reentry.py"), encoding="utf-8")
+        code = main(["--select", "np-random-legacy", "--baseline", str(baseline), str(module)])
+        assert code == 0
+        assert "clean" in capsys.readouterr().out
+
+    def test_unanalyzed_path_is_not_judged(self, tmp_path, capsys):
+        _module, baseline = self._baselined_module(tmp_path)
+        other = tmp_path / "other.py"
+        other.write_text("x = 1\n", encoding="utf-8")
+        assert main(["--baseline", str(baseline), str(other)]) == 0
+        assert "clean" in capsys.readouterr().out
+
+    def test_rule_no_longer_registered_is_stale(self, tmp_path, capsys):
+        module = tmp_path / "module.py"
+        module.write_text("x = 1\n", encoding="utf-8")
+        baseline = tmp_path / "baseline.json"
+        entry = f"{module}|retired-rule|some message"
+        baseline.write_text(
+            json.dumps({"version": 1, "entries": {entry: 1}}), encoding="utf-8"
+        )
+        code = main(["--select", "np-random-legacy", "--baseline", str(baseline), str(module)])
+        assert code == 1
+        assert entry in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:

@@ -27,16 +27,6 @@ RULE_FIXTURES = {
     "shm-lifecycle": "shm_lifecycle",
 }
 
-#: project-scoped rule -> multi-module fixture package stem; packages live as
-#: pkg_bad_<stem>/ and pkg_good_<stem>/ (exercised in test_project_rules.py —
-#: project rules need a whole tree, not one source string).
-PROJECT_RULE_FIXTURES = {
-    "lock-across-blocking-deep": "lock_across_blocking_deep",
-    "lock-order-global": "lock_order_global",
-    "readonly-escape": "readonly_escape",
-    "dtype-contract-flow": "dtype_contract_flow",
-}
-
 
 def _read(name):
     return (FIXTURES / name).read_text(encoding="utf-8")
@@ -44,21 +34,10 @@ def _read(name):
 
 class TestCatalog:
     def test_every_registered_rule_has_a_fixture_pair(self):
-        assert set(RULE_FIXTURES) | set(PROJECT_RULE_FIXTURES) == set(rule_names())
+        assert set(RULE_FIXTURES) == set(rule_names())
         for stem in RULE_FIXTURES.values():
             assert (FIXTURES / f"bad_{stem}.py").exists()
             assert (FIXTURES / f"good_{stem}.py").exists()
-        for stem in PROJECT_RULE_FIXTURES.values():
-            assert (FIXTURES / f"pkg_bad_{stem}" / "__init__.py").exists()
-            assert (FIXTURES / f"pkg_good_{stem}" / "__init__.py").exists()
-
-    def test_scopes_are_declared_as_cataloged(self):
-        from repro.analysis.registry import rule_scope
-
-        for name in RULE_FIXTURES:
-            assert rule_scope(get_rule(name)) == "module"
-        for name in PROJECT_RULE_FIXTURES:
-            assert rule_scope(get_rule(name)) == "project"
 
     def test_rules_carry_summary_and_lineage(self):
         for name in rule_names():

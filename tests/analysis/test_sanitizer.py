@@ -37,6 +37,17 @@ def _run_in_thread(fn):
     assert not thread.is_alive()
 
 
+def _nest(outer, inner):
+    """A thread body that takes ``outer`` and then ``inner``."""
+
+    def body():
+        with outer:
+            with inner:
+                pass
+
+    return body
+
+
 class TestLockOrder:
     def test_seeded_inversion_is_detected(self, recorder):
         lock_a = threading.Lock()
@@ -62,6 +73,47 @@ class TestLockOrder:
         assert "lock-order cycle" in cycles[0]
         with pytest.raises(sanitizer.LockOrderViolation):
             recorder.assert_lock_order()
+
+    def test_three_lock_rotation_is_detected(self, recorder):
+        lock_a = threading.Lock()
+        lock_b = threading.Lock()
+        lock_c = threading.Lock()
+        # No pair is ever taken in both orders; only the three orders
+        # together close the cycle.
+        for outer, inner in ((lock_a, lock_b), (lock_b, lock_c), (lock_c, lock_a)):
+            _run_in_thread(_nest(outer, inner))
+
+        (cycle,) = recorder.find_lock_cycles()
+        assert cycle.count(" then ") == 3
+
+    def test_report_names_creation_and_acquisition_sites(self, recorder):
+        lock_a = threading.Lock()
+        lock_b = threading.Lock()
+        _run_in_thread(_nest(lock_a, lock_b))
+        _run_in_thread(_nest(lock_b, lock_a))
+
+        (cycle,) = recorder.find_lock_cycles()
+        assert f"lock@{__file__}:" in cycle
+        assert f"(at {__file__}:" in cycle
+
+    def test_locks_from_one_site_are_told_apart(self, recorder):
+        # Nodes are lock instances, not creation sites: two locks made on
+        # one line and taken in both orders can still deadlock.
+        lock_a, lock_b = [threading.Lock() for _ in range(2)]
+        _run_in_thread(_nest(lock_a, lock_b))
+        _run_in_thread(_nest(lock_b, lock_a))
+        assert recorder.find_lock_cycles()
+
+    def test_reset_forgets_a_recorded_inversion(self, recorder):
+        lock_a = threading.Lock()
+        lock_b = threading.Lock()
+        _run_in_thread(_nest(lock_a, lock_b))
+        _run_in_thread(_nest(lock_b, lock_a))
+        assert recorder.find_lock_cycles()
+
+        recorder.reset()
+        assert recorder.find_lock_cycles() == []
+        recorder.assert_lock_order()
 
     def test_consistent_order_is_clean(self, recorder):
         lock_a = threading.Lock()
@@ -121,87 +173,6 @@ class TestLockOrder:
                 cond.notify_all()
             thread.join(timeout=10)
             assert not thread.is_alive()
-
-
-class TestUnifiedCycles:
-    """Static edges merged into the runtime graph catch half-seen inversions."""
-
-    def _sites(self, recorder, lock_a, lock_b):
-        import os
-
-        sites = {
-            uid: f"{os.path.abspath(site.rsplit(':', 1)[0])}:{site.rsplit(':', 1)[1]}"
-            for uid, site in sanitizer._lock_sites.items()
-        }
-        return sites[lock_a._uid], sites[lock_b._uid]
-
-    def test_runtime_forward_plus_static_reverse_is_a_cycle(self, recorder):
-        lock_a = threading.Lock()
-        lock_b = threading.Lock()
-
-        def forward():
-            with lock_a:
-                with lock_b:
-                    pass
-
-        _run_in_thread(forward)
-        site_a, site_b = self._sites(recorder, lock_a, lock_b)
-        static_edges = {(site_b, site_a): "mod.reverse acquires a while holding b"}
-        cycles = recorder.find_unified_cycles(static_edges)
-        assert len(cycles) == 1
-        assert "static/runtime lock-order cycle" in cycles[0]
-        assert "mod.reverse" in cycles[0]
-        # The runtime-only view sees no cycle: exactly the bug class the
-        # unified check exists for.
-        assert recorder.find_lock_cycles() == []
-
-    def test_no_static_edges_no_unified_cycle(self, recorder):
-        lock_a = threading.Lock()
-        lock_b = threading.Lock()
-
-        def forward():
-            with lock_a:
-                with lock_b:
-                    pass
-
-        _run_in_thread(forward)
-        assert recorder.find_unified_cycles({}) == []
-
-    def test_pure_runtime_cycle_is_not_rereported(self, recorder):
-        lock_a = threading.Lock()
-        lock_b = threading.Lock()
-
-        def forward():
-            with lock_a:
-                with lock_b:
-                    pass
-
-        def backward():
-            with lock_b:
-                with lock_a:
-                    pass
-
-        _run_in_thread(forward)
-        _run_in_thread(backward)
-        assert recorder.find_lock_cycles()  # find_lock_cycles owns this one
-        site_a, site_b = self._sites(recorder, lock_a, lock_b)
-        # Static derivation duplicating an already-observed runtime edge
-        # adds no static-only hop, so the unified check stays quiet.
-        static_edges = {(site_b, site_a): "duplicate of the observed edge"}
-        assert recorder.find_unified_cycles(static_edges) == []
-
-    def test_same_site_aliasing_is_ignored(self, recorder):
-        locks = []
-        for _ in range(2):
-            locks.append(threading.Lock())  # both born at this line
-
-        def nest():
-            with locks[0]:
-                with locks[1]:
-                    pass
-
-        _run_in_thread(nest)
-        assert recorder.find_unified_cycles({}) == []
 
 
 class TestPublishTripwire:

@@ -411,3 +411,72 @@ class TestInvalidKAndTriggers:
                 gateway.submit(0).result(timeout=1.0)
             finally:
                 gateway.close()
+
+
+class TestSolverSettingValidation:
+    """Bad alpha, beta, half-life or lane bound raise where they are set."""
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.1, float("inf")])
+    def test_out_of_range_alpha_raises_at_submit(self, toy_graph, alpha):
+        # The solvers' interval is open: both ends are as invalid as 1.5.
+        gateway = RankGateway(toy_graph)
+        with pytest.raises(ValueError, match="alpha must be in"):
+            gateway.submit(0, alpha=alpha, k=3)
+        assert gateway.lanes() == []
+        assert gateway.snapshot().n_admitted == 0
+        gateway.close()
+
+    def test_non_numeric_alpha_raises_at_submit(self, toy_graph):
+        gateway = RankGateway(toy_graph)
+        with pytest.raises(TypeError, match="alpha must be a real number"):
+            gateway.submit(0, alpha="0.5")
+        assert gateway.lanes() == []
+        gateway.close()
+
+    def test_nan_alpha_opens_no_lane_and_evicts_no_healthy_one(self, toy_graph):
+        gateway = RankGateway(toy_graph, max_lanes=2)
+        healthy = gateway.ask(0, alpha=0.2)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="alpha must be in"):
+                gateway.submit(0, alpha=float("nan"))
+        assert gateway.lanes() == [LaneKey("default", "roundtriprank", 0.2)]
+        assert np.array_equal(gateway.ask(0, alpha=0.2), healthy)
+        gateway.close()
+
+    @pytest.mark.parametrize("beta", [float("nan"), -1.0, 2.0])
+    def test_invalid_beta_is_rejected_at_construction(self, toy_graph, beta):
+        with pytest.raises(ValueError, match="beta must be in"):
+            RankGateway(toy_graph, beta=beta)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_closed_interval_ends_of_beta_are_served(self, toy_graph, beta):
+        gateway = RankGateway(toy_graph, beta=beta)
+        try:
+            result = gateway.ask(4, measure="roundtriprank_plus")
+        finally:
+            gateway.close()
+        assert np.allclose(result, roundtriprank_plus(toy_graph, 4, beta=beta), atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "half_life, message",
+        [
+            (float("nan"), "half_life must be finite"),
+            (float("inf"), "half_life must be finite"),
+            (0.0, "half_life must be > 0"),
+            (-1.0, "half_life must be > 0"),
+        ],
+    )
+    def test_invalid_frequency_half_life_is_rejected_at_construction(
+        self, toy_graph, half_life, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            RankGateway(toy_graph, frequency_half_life=half_life)
+
+    def test_non_integer_max_lanes_is_rejected(self, toy_graph):
+        with pytest.raises(TypeError, match="max_lanes must be an integer"):
+            RankGateway(toy_graph, max_lanes=2.5)
+
+    @pytest.mark.parametrize("max_lanes", [0, -1])
+    def test_non_positive_max_lanes_is_rejected(self, toy_graph, max_lanes):
+        with pytest.raises(ValueError, match="max_lanes must be > 0"):
+            RankGateway(toy_graph, max_lanes=max_lanes)

@@ -92,8 +92,17 @@ class TestFrequencyEstimator:
     def test_validation(self):
         with pytest.raises(ValueError):
             FrequencyEstimator(half_life=0.0)
+        with pytest.raises(ValueError, match="half_life must be finite"):
+            FrequencyEstimator(half_life=float("nan"))
         with pytest.raises(ValueError):
             FrequencyEstimator(max_nodes_per_group=0)
+
+    @pytest.mark.parametrize("half_life", [float("inf"), -1.0])
+    def test_half_life_outside_the_positive_reals_is_rejected(self, half_life):
+        # An infinite half-life would never decay a count; a negative one
+        # would grow every count as it ages.
+        with pytest.raises(ValueError, match="half_life must be"):
+            FrequencyEstimator(half_life=half_life)
 
 
 class TestPrefetcherPlanning:

@@ -393,6 +393,26 @@ class TestTriggerValidation:
             MicroBatcher(toy_graph, max_batch=max_batch)
 
 
+class TestSolverSettingValidation:
+    """Bad solver settings raise at construction, not in every flush."""
+
+    @pytest.mark.parametrize("alpha", [1.5, float("nan"), 0.0, 1.0, -0.5, float("inf")])
+    def test_invalid_alpha_is_rejected(self, toy_graph, alpha):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            MicroBatcher(toy_graph, alpha=alpha)
+
+    @pytest.mark.parametrize("beta", [float("nan"), -1.0, 2.0])
+    def test_invalid_beta_is_rejected(self, toy_graph, beta):
+        with pytest.raises(ValueError, match="beta must be in"):
+            MicroBatcher(toy_graph, measure="roundtriprank_plus", beta=beta)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_closed_interval_ends_of_beta_are_served(self, toy_graph, beta):
+        batcher = MicroBatcher(toy_graph, measure="roundtriprank_plus", beta=beta)
+        result = batcher.ask(5)
+        assert np.allclose(result, roundtriprank_plus(toy_graph, 5, beta=beta), atol=1e-9)
+
+
 class TestTopKValidation:
     @pytest.mark.parametrize("k", [2.5, 3.0])
     def test_non_integer_k_raises_at_submit_and_spares_its_flush(self, toy_graph, k):
