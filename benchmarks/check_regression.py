@@ -97,7 +97,6 @@ CHECKS = (
     Check("gateway.cold_tenant_first_touch_prefetch", "min", tol=0.3),
     # Wall-clock ratios: wide bands (CI noise), still catch a collapse.
     Check("batch_engine.batch_speedup", "min", tol=0.5),
-    Check("batch_engine.walk_speedup", "min", tol=0.5),
     Check("serving.median_speedup", "min", tol=0.5),
     Check("serving.microbatch_speedup", "min", tol=0.5),
     Check("gateway.miss_p99_speedup", "min", tol=0.5),

@@ -5,10 +5,10 @@ Merges the metrics the smoke benchmarks wrote via ``report_json``
 ``parallel.json``, ``gateway.json`` and ``obs.json``) into
 ``benchmarks/results/ci_smoke.json``, which the CI workflow uploads as an
 artifact — giving every commit a comparable record of the perf trajectory
-(batch speedup, walk throughput, cache hit-rate,
-warm/cold serving latency, micro-batch amortization, and the ``workers=2``
-sharded-solver leg: walltime per worker count plus the power/auto parity
-columns must hold even on a one-core CI runner).  Two sections are
+(batch speedup, cache hit-rate, warm/cold serving latency, micro-batch
+amortization, and the ``workers=2`` sharded-solver leg: walltime per worker
+count plus the power/auto parity columns must hold even on a one-core CI
+runner).  Two sections are
 computed here: ``twosbound``, the summed work of online 2SBound over a
 fixed query set, and ``datasets``, the build time of the ledger's
 BibNet-2200 graph.

@@ -34,7 +34,6 @@ from repro.core import (
     trank_vector,
 )
 from repro.engine import (
-    WalkEngine,
     frank_batch,
     roundtriprank_batch,
     roundtriprank_plus_batch,
@@ -51,7 +50,6 @@ __all__ = [
     "HybridSurfers",
     "DiGraph",
     "GraphBuilder",
-    "WalkEngine",
     "frank_vector",
     "trank_vector",
     "roundtriprank",

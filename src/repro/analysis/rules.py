@@ -155,7 +155,7 @@ class ShmViewReadonlyRule:
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
         for func in ctx.functions():
-            views: "dict[str, int]" = {}
+            views: "set[str]" = set()
             for node in walk_scope(func):
                 if (
                     isinstance(node, ast.Assign)
@@ -165,7 +165,7 @@ class ShmViewReadonlyRule:
                     and _terminal_name(node.value.func) == "ndarray"
                     and any(kw.arg == "buffer" for kw in node.value.keywords)
                 ):
-                    views[node.targets[0].id] = node.lineno
+                    views.add(node.targets[0].id)
             if not views:
                 continue
             readonly = _setflags_readonly_lines(func)
@@ -177,11 +177,12 @@ class ShmViewReadonlyRule:
                         continue
                     name = name_node.id
                     if readonly.get(name, node.lineno + 1) > node.lineno:
+                        # No line number in the message: it is part of the
+                        # baseline key, which must survive lines moving.
                         yield ctx.finding(
                             node,
                             self.name,
-                            f"shared-memory view {name!r} (mapped at line "
-                            f"{views[name]}) escapes without "
+                            f"shared-memory view {name!r} escapes without "
                             "setflags(write=False)",
                         )
 

@@ -8,13 +8,12 @@ model-free estimator used to validate:
 - Definition 2 / Proposition 2: conditional round-trip target probabilities
   equal the normalized product ``f * t``.
 
-The estimators sample through the vectorized
-:class:`repro.engine.walks.WalkEngine` — all active walkers advance
-simultaneously with one ``searchsorted`` per step — so they are fast enough
-to double as serving-path approximators, not just validation oracles.  The
-original step-at-a-time path (:func:`walk_steps`, one ``rng.choice`` per
-step) is retained as the readable reference implementation that the engine
-is statistically tested against.
+These are semantic oracles for the definitions, not a serving path: every
+ranking route answers with exact or certified scores.  The estimators
+advance all their walkers together, one ``searchsorted`` per step
+(:func:`_walk_terminals`); the step-at-a-time :func:`walk_steps` (one
+``rng.choice`` per step) is the readable reference they are statistically
+tested against.  A call holds all its walkers in memory at once.
 """
 
 from __future__ import annotations
@@ -22,23 +21,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.frank import DEFAULT_ALPHA
-from repro.engine.walks import get_walk_engine, sample_geometric_lengths
 from repro.graph.digraph import DiGraph
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_in_range, check_node_id, check_positive_int
-
-#: Cap on simultaneous walkers per vectorized block, bounding the working
-#: set of the all-sources T-Rank estimator on large graphs.
-MAX_CONCURRENT_WALKERS = 1 << 18
 
 
 def sample_geometric_length(alpha: float, rng: np.random.Generator) -> int:
     """Sample ``L ~ Geo(alpha)`` with ``p(L = l) = (1 - alpha)^l * alpha``.
 
     This is the number of *failures* before the first success, i.e. the
-    support starts at 0 (a zero-length trip stays at the query).  The
-    batched counterpart is
-    :func:`repro.engine.walks.sample_geometric_lengths`.
+    support starts at 0 (a zero-length trip stays at the query).
     """
     # numpy's geometric counts trials to first success (support >= 1).
     return int(rng.geometric(alpha)) - 1
@@ -48,8 +40,9 @@ def walk_steps(graph: DiGraph, start: int, n_steps: int, rng: np.random.Generato
     """Walk ``n_steps`` random steps from ``start``; returns all visited nodes.
 
     The returned list has ``n_steps + 1`` entries beginning with ``start``.
-    This is the loop-based reference sampler; the estimators below use the
-    vectorized engine instead and are tested to agree with walks drawn here.
+    This is the loop-based reference sampler; the estimators below step all
+    their walkers at once instead and are tested to agree with walks drawn
+    here.
     """
     path = [start]
     node = start
@@ -62,25 +55,46 @@ def walk_steps(graph: DiGraph, start: int, n_steps: int, rng: np.random.Generato
 
 def _check_mc_args(alpha: float, n_samples: int) -> None:
     """Shared estimator validation: ``alpha`` in (0, 1), ``n_samples`` a
-    positive integer — the same contract the walk samplers enforce
-    (:func:`repro.utils.validation.check_positive_int`)."""
+    positive integer (:func:`repro.utils.validation.check_positive_int`)."""
     check_in_range(alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False)
     check_positive_int(n_samples, "n_samples")
 
 
-def _chunked_trip_counts(engine, start, alpha, n_samples, rng, n_nodes):
-    """Histogram of geometric-trip terminals from ``start``, in capped blocks.
+def _geometric_lengths(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` draws of :func:`sample_geometric_length`'s law in one array."""
+    return rng.geometric(alpha, size=size).astype(np.int64) - 1
 
-    Splits ``n_samples`` walks into blocks of at most
-    :data:`MAX_CONCURRENT_WALKERS` so the vectorized working set stays
-    bounded no matter how many samples are requested.
+
+def _walk_terminals(
+    graph: DiGraph, starts: np.ndarray, lengths: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """End node of one walk per entry: ``lengths[i]`` steps from ``starts[i]``.
+
+    All walkers step together, and a walker drops out once its length is
+    spent.  Every row of ``P`` sums to one, so its entries span one slice of
+    the running sum of ``P.data``: a uniform draw scaled into the walker's
+    slice picks an out-edge with one ``searchsorted`` (inverse-transform
+    sampling).
     """
-    counts = np.zeros(n_nodes, dtype=np.int64)
-    for lo in range(0, n_samples, MAX_CONCURRENT_WALKERS):
-        block = min(MAX_CONCURRENT_WALKERS, n_samples - lo)
-        terminals = engine.sample_trip_terminals(start, alpha, block, rng)
-        counts += np.bincount(terminals, minlength=n_nodes)
-    return counts
+    p = graph.transition
+    cum = np.cumsum(p.data)
+    row_last = p.indptr[1:] - 1
+    row_end = cum[row_last]
+    row_base = np.concatenate(([0.0], row_end[:-1]))
+    row_span = row_end - row_base
+    nodes = np.array(starts, dtype=np.int64)
+    remaining = np.array(lengths, dtype=np.int64)
+    active = np.flatnonzero(remaining > 0)
+    while active.size:
+        at = nodes[active]
+        targets = row_base[at] + rng.random(active.size) * row_span[at]
+        chosen = np.searchsorted(cum, targets, side="right")
+        # Rounding can push a draw past the row's last cumulative value;
+        # clamping keeps the walk on the row's out-edges.
+        nodes[active] = p.indices[np.minimum(chosen, row_last[at])]
+        remaining[active] -= 1
+        active = active[remaining[active] > 0]
+    return nodes
 
 
 def estimate_frank_mc(
@@ -94,9 +108,10 @@ def estimate_frank_mc(
     query = check_node_id(query, graph.n_nodes, "query")
     _check_mc_args(alpha, n_samples)
     rng = ensure_rng(seed)
-    engine = get_walk_engine(graph)
-    counts = _chunked_trip_counts(engine, query, alpha, n_samples, rng, graph.n_nodes)
-    return counts.astype(np.float64) / n_samples
+    lengths = _geometric_lengths(alpha, n_samples, rng)
+    starts = np.full(n_samples, query, dtype=np.int64)
+    terminals = _walk_terminals(graph, starts, lengths, rng)
+    return np.bincount(terminals, minlength=graph.n_nodes) / n_samples
 
 
 def estimate_trank_mc(
@@ -109,34 +124,24 @@ def estimate_trank_mc(
 ) -> np.ndarray:
     """Monte Carlo T-Rank: fraction of walks from each source ending at ``query``.
 
-    ``sources=None`` estimates for every node (expensive on large graphs);
-    walker blocks are capped at :data:`MAX_CONCURRENT_WALKERS` to bound
-    memory, so arbitrarily many sources stream through in chunks.
+    ``sources=None`` estimates for every node.  All ``len(sources) *
+    n_samples`` walks run at once, so keep that product to test sizes.
     """
     query = check_node_id(query, graph.n_nodes, "query")
     _check_mc_args(alpha, n_samples)
     rng = ensure_rng(seed)
-    engine = get_walk_engine(graph)
     if sources is None:
         sources = np.arange(graph.n_nodes)
     sources = np.asarray(sources, dtype=np.int64)
+    if sources.size and not (0 <= sources.min() and sources.max() < graph.n_nodes):
+        # A negative id would wrap around and estimate another node.
+        raise ValueError(f"sources must be node ids in [0, {graph.n_nodes - 1}]")
+    starts = np.repeat(sources, n_samples)
+    lengths = _geometric_lengths(alpha, starts.size, rng)
+    terminals = _walk_terminals(graph, starts, lengths, rng)
+    hits = (terminals.reshape(sources.size, n_samples) == query).sum(axis=1)
     result = np.zeros(graph.n_nodes)
-    if n_samples > MAX_CONCURRENT_WALKERS:
-        # One source at a time, its samples themselves split into blocks.
-        for src in sources.tolist():
-            counts = _chunked_trip_counts(
-                engine, int(src), alpha, n_samples, rng, graph.n_nodes
-            )
-            result[src] = counts[query] / n_samples
-        return result
-    chunk = max(1, MAX_CONCURRENT_WALKERS // n_samples)
-    for lo in range(0, sources.size, chunk):
-        block = sources[lo : lo + chunk]
-        starts = np.repeat(block, n_samples)
-        lengths = sample_geometric_lengths(alpha, starts.size, rng)
-        terminals = engine.walk_terminals(starts, lengths, rng)
-        hits = (terminals.reshape(block.size, n_samples) == query).sum(axis=1)
-        result[block] = hits / n_samples
+    result[sources] = hits / n_samples
     return result
 
 
@@ -162,19 +167,14 @@ def estimate_roundtrip_mc(
     query = check_node_id(query, graph.n_nodes, "query")
     _check_mc_args(alpha, n_samples)
     rng = ensure_rng(seed)
-    engine = get_walk_engine(graph)
-    counts = np.zeros(graph.n_nodes)
-    completed = 0
-    for lo in range(0, n_samples, MAX_CONCURRENT_WALKERS):
-        block = min(MAX_CONCURRENT_WALKERS, n_samples - lo)
-        lengths_out = sample_geometric_lengths(alpha, block, rng)
-        lengths_back = sample_geometric_lengths(alpha, block, rng)
-        starts = np.full(block, query, dtype=np.int64)
-        targets = engine.walk_terminals(starts, lengths_out, rng)
-        ends = engine.walk_terminals(targets, lengths_back, rng)
-        accepted = ends == query
-        completed += int(accepted.sum())
-        counts += np.bincount(targets[accepted], minlength=graph.n_nodes)
+    lengths_out = _geometric_lengths(alpha, n_samples, rng)
+    lengths_back = _geometric_lengths(alpha, n_samples, rng)
+    starts = np.full(n_samples, query, dtype=np.int64)
+    targets = _walk_terminals(graph, starts, lengths_out, rng)
+    ends = _walk_terminals(graph, targets, lengths_back, rng)
+    accepted = targets[ends == query]
+    counts = np.bincount(accepted, minlength=graph.n_nodes).astype(np.float64)
+    completed = int(accepted.size)
     if completed:
         counts /= completed
     return counts, completed

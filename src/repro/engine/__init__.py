@@ -1,16 +1,11 @@
-"""The serving substrate: batched solves and vectorized walk sampling.
+"""The serving substrate: batched multi-column solves.
 
-Two pillars, both amortizing work across many units at once:
-
-- :mod:`repro.engine.batch` — multi-query F-Rank / T-Rank / RoundTripRank
-  via a single multi-column sparse power iteration with per-column early
-  exit (``frank_batch`` / ``trank_batch`` / ``roundtriprank_batch`` /
-  ``roundtriprank_plus_batch``); the default ``method="auto"`` layers a
-  residual-verified mixed-precision Chebyshev acceleration on top, with
-  ``method="power"`` as the bit-exact reference;
-- :mod:`repro.engine.walks` — :class:`WalkEngine`, which advances all active
-  Monte Carlo walkers simultaneously with one ``searchsorted`` per step
-  instead of a Python-level ``rng.choice`` per walker.
+:mod:`repro.engine.batch` computes multi-query F-Rank / T-Rank /
+RoundTripRank via a single multi-column sparse power iteration with
+per-column early exit (``frank_batch`` / ``trank_batch`` /
+``roundtriprank_batch`` / ``roundtriprank_plus_batch``); the default
+``method="auto"`` layers a residual-verified mixed-precision Chebyshev
+acceleration on top, with ``method="power"`` as the bit-exact reference.
 
 The single-query functions in :mod:`repro.core` are thin wrappers over (or
 reference implementations for) these paths; batch columns match them
@@ -32,7 +27,6 @@ from repro.engine.batch import (
     stack_teleports,
     trank_batch,
 )
-from repro.engine.walks import WalkEngine, get_walk_engine, sample_geometric_lengths
 
 __all__ = [
     "frank_batch",
@@ -41,7 +35,4 @@ __all__ = [
     "roundtriprank_plus_batch",
     "power_iteration_batch",
     "stack_teleports",
-    "WalkEngine",
-    "get_walk_engine",
-    "sample_geometric_lengths",
 ]

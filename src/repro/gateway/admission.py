@@ -29,6 +29,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.utils.validation import check_positive, check_positive_int
+
 
 @dataclass(frozen=True)
 class Shed:
@@ -66,14 +68,13 @@ class AdmissionConfig:
     max_queue_depth: "int | None" = 64
 
     def __post_init__(self) -> None:
-        if self.rate is not None and self.rate <= 0:
-            raise ValueError(f"rate must be > 0 or None, got {self.rate}")
-        if self.burst < 1:
-            raise ValueError(f"burst must be >= 1, got {self.burst}")
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError(
-                f"max_queue_depth must be >= 1 or None, got {self.max_queue_depth}"
-            )
+        # NaN fails every comparison, so a NaN limit would switch itself
+        # off; an infinite burst would overflow the first token refill.
+        if self.rate is not None:
+            check_positive(self.rate, "rate")
+        check_positive_int(self.burst, "burst")
+        if self.max_queue_depth is not None:
+            check_positive_int(self.max_queue_depth, "max_queue_depth")
 
 
 class TokenBucket:
@@ -90,14 +91,10 @@ class TokenBucket:
         burst: int,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0, got {rate}")
-        if burst < 1:
-            raise ValueError(f"burst must be >= 1, got {burst}")
-        self.rate = float(rate)
-        self.burst = int(burst)
+        self.rate = check_positive(rate, "rate")
+        self.burst = check_positive_int(burst, "burst")
         self._clock = clock
-        self._tokens = float(burst)
+        self._tokens = float(self.burst)
         self._last = clock()
         self._lock = threading.Lock()
 

@@ -1,13 +1,12 @@
-"""Graph substrate: storage, transitions, typing, irreducibility, snapshots.
+"""Graph substrate: storage, construction, typing, snapshots.
 
 Public surface:
 
-- :class:`DiGraph` — immutable CSR-backed directed weighted graph;
+- :class:`DiGraph` — immutable CSR-backed directed weighted graph, with the
+  row-stochastic transition matrix every measure walks on;
 - :class:`GraphBuilder` / :func:`graph_from_edges` — construction;
 - :func:`apply_type_weights` — heterogeneous edge-type weighting;
-- :func:`make_irreducible` / :func:`is_strongly_connected` — the Sect. III-B
-  irreducibility caveat;
-- subgraph sampling and growth snapshots for the Sect. VI experiments.
+- growth snapshots for the Sect. VI experiments.
 """
 
 from repro.graph.builder import GraphBuilder, graph_from_edges
@@ -17,30 +16,7 @@ from repro.graph.hetero import (
     apply_type_weights,
     edge_type_counts,
 )
-from repro.graph.io import load_graph, save_graph
-from repro.graph.irreducible import (
-    is_strongly_connected,
-    make_irreducible,
-    strongly_connected_components,
-)
-from repro.graph.sampling import (
-    hop_expansion_subgraph,
-    random_seed_expansion,
-    venue_induced_subgraph,
-)
 from repro.graph.snapshots import Snapshot, growth_rates, take_snapshots
-from repro.graph.stats import (
-    DegreeSummary,
-    average_degree,
-    degree_summary,
-    fit_densification,
-    hill_tail_exponent,
-)
-from repro.graph.transition import (
-    dangling_nodes,
-    is_row_stochastic,
-    row_normalize,
-)
 
 __all__ = [
     "DiGraph",
@@ -49,23 +25,7 @@ __all__ = [
     "DEFAULT_BIBNET_TYPE_WEIGHTS",
     "apply_type_weights",
     "edge_type_counts",
-    "load_graph",
-    "save_graph",
-    "is_strongly_connected",
-    "make_irreducible",
-    "strongly_connected_components",
-    "hop_expansion_subgraph",
-    "random_seed_expansion",
-    "venue_induced_subgraph",
     "Snapshot",
     "growth_rates",
     "take_snapshots",
-    "DegreeSummary",
-    "average_degree",
-    "degree_summary",
-    "fit_densification",
-    "hill_tail_exponent",
-    "dangling_nodes",
-    "is_row_stochastic",
-    "row_normalize",
 ]

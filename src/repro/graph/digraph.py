@@ -212,10 +212,6 @@ class DiGraph:
         w = self._weights_by_col
         return w.indices[w.indptr[node] : w.indptr[node + 1]]
 
-    def undirected_neighbors(self, node: int) -> np.ndarray:
-        """Union of in- and out-neighbors (used by AdamicAdar)."""
-        return np.union1d(self.out_neighbors(node), self.in_neighbors(node))
-
     @property
     def out_degrees(self) -> np.ndarray:
         """Raw out-degree (number of out-arcs) per node."""
@@ -303,16 +299,6 @@ class DiGraph:
             DiGraph(sub_w, labels=labels, node_types=types, type_names=self._type_names),
             original_ids,
         )
-
-    def to_networkx(self):
-        """Export to a :class:`networkx.DiGraph` (weights on edges)."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self._n))
-        coo = self._weights.tocoo()
-        g.add_weighted_edges_from(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
-        return g
 
     # ------------------------------------------------------------------ #
     # Accounting

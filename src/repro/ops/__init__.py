@@ -20,9 +20,9 @@ hot path:
 
 Consumers: :mod:`repro.engine.batch` (all batch sweeps),
 :mod:`repro.core.frank` / :mod:`repro.core.trank` (single-query paths),
-:mod:`repro.graph.transition` (distribution stepping), the top-K oracle
-(:mod:`repro.topk.naive`), and :mod:`repro.parallel` workers (which
-reconstruct operators from shared memory, float32 variant included).
+the top-K oracle (:mod:`repro.topk.naive`), and :mod:`repro.parallel`
+workers (which reconstruct operators from shared memory, float32 variant
+included).
 """
 
 from repro.ops.kernels import HAS_CSR_MATVECS, KernelReport, active_kernel

@@ -3,10 +3,10 @@
 Before this module existed, operator handling was smeared across four code
 paths: :mod:`repro.engine.batch` cached prepared CSR copies and talked to a
 private scipy entry point directly, the single-query solvers re-derived
-``P^T`` on every call, :mod:`repro.graph.transition` stepped distributions
-with raw ``@``, and every :mod:`repro.parallel` worker rebuilt its own
-float32 operator copy.  A kernel improvement could not land anywhere without
-touching all four.
+``P^T`` on every call, the graph's transition helpers stepped
+distributions with raw ``@``, and every :mod:`repro.parallel` worker
+rebuilt its own float32 operator copy.  A kernel improvement could not land
+anywhere without touching all four.
 
 :class:`TransitionOperator` owns one *oriented* prepared CSR (``P`` or
 ``P^T``) plus everything derived from it — per-dtype variants and

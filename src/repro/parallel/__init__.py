@@ -17,9 +17,6 @@ the multi-query paths onto a process pool:
 - :mod:`repro.parallel.rows` — the last routing decision of a
   ``workers=`` batch call (column-sharded, or sequential with the reason),
   readable via :func:`active_route`.
-- :mod:`repro.parallel.walks` — :func:`sample_trip_terminals_parallel`,
-  sharded Monte Carlo trips with per-shard ``SeedSequence.spawn`` streams
-  (reproducible for fixed ``(seed, workers)``).
 
 Callers rarely touch this package directly: every batch entry point grew a
 ``workers=`` knob that routes here —
@@ -54,11 +51,9 @@ from repro.parallel.shm import (
     attach_operator,
     live_segment_names,
 )
-from repro.parallel.walks import PARALLEL_MIN_SAMPLES, sample_trip_terminals_parallel
 
 __all__ = [
     "PARALLEL_MIN_QUERIES",
-    "PARALLEL_MIN_SAMPLES",
     "RouteReport",
     "active_route",
     "PoolRetiredError",
@@ -73,5 +68,4 @@ __all__ = [
     "attach_csr",
     "attach_operator",
     "live_segment_names",
-    "sample_trip_terminals_parallel",
 ]

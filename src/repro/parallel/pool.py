@@ -259,13 +259,13 @@ def shared_operator(graph: DiGraph, transpose: bool) -> CSRHandle:
     """Publish (once) and return the handle of ``graph``'s operator.
 
     ``transpose=True`` publishes ``P^T`` (the F-Rank operator),
-    ``transpose=False`` publishes ``P`` itself (the T-Rank operator, also
-    what the sharded walk sampler steps on).  Both precision variants ship
-    in one publication: the float64 CSR plus a float32 values segment
-    (structure shared), so workers attach the accelerated-path operator
-    zero-copy instead of each deriving a private float32 copy.  Publication
-    is cached per ``(graph, transpose)``; a finalizer unlinks the segments
-    when the graph is garbage collected or the interpreter exits.
+    ``transpose=False`` publishes ``P`` itself (the T-Rank operator).  Both
+    precision variants ship in one publication: the float64 CSR plus a
+    float32 values segment (structure shared), so workers attach the
+    accelerated-path operator zero-copy instead of each deriving a private
+    float32 copy.  Publication is cached per ``(graph, transpose)``; a
+    finalizer unlinks the segments when the graph is garbage collected or
+    the interpreter exits.
     """
     from repro.ops import get_operator
 
@@ -339,37 +339,16 @@ atexit.register(shutdown)
 # --------------------------------------------------------------------------- #
 
 #: most handles a worker keeps attached at once.  Each entry holds the
-#: mapped segments plus derived objects (the TransitionOperator and its
-#: variants, walk engine), so an unbounded cache would leak worker RSS
-#: across graphs — and keep unlinked segments' pages alive — on long sweeps
-#: where every case has its own graph (the eval edge-removal workloads).
+#: mapped segments plus the TransitionOperator and its variants, so an
+#: unbounded cache would leak worker RSS across graphs — and keep unlinked
+#: segments' pages alive — on long sweeps where every case has its own
+#: graph (the eval edge-removal workloads).
 _WORKER_CACHE_MAX = 8
 
-#: per-worker LRU of attachments: handle -> {"operator", "matrix",
-#: "segments", and lazily "engine"}.  A worker runs one task at a time, so
-#: the entry in use is always most-recently-used and never the one evicted.
-_worker_cache: "OrderedDict[CSRHandle, dict]" = OrderedDict()
-
-
-def _worker_entry(handle: CSRHandle) -> dict:
-    entry = _worker_cache.get(handle)
-    if entry is None:
-        operator, segments = attach_operator(handle)
-        entry = {
-            "operator": operator,
-            "matrix": operator.matrix(np.float64),
-            "segments": segments,
-        }
-        _worker_cache[handle] = entry
-        while len(_worker_cache) > _WORKER_CACHE_MAX:
-            _, evicted = _worker_cache.popitem(last=False)
-            segments = evicted.pop("segments", [])
-            evicted.clear()  # drop operator/array/engine refs before unmapping
-            for shm in segments:
-                shm.close()
-    else:
-        _worker_cache.move_to_end(handle)
-    return entry
+#: per-worker LRU of attachments: handle -> (operator, segments).  A worker
+#: runs one task at a time, so the entry in use is always most-recently-used
+#: and never the one evicted.
+_worker_cache: "OrderedDict[CSRHandle, tuple]" = OrderedDict()
 
 
 def _worker_operator(handle: CSRHandle):
@@ -380,7 +359,19 @@ def _worker_operator(handle: CSRHandle):
     rides the operator, which rides the LRU entry, so eviction drops it all
     together with the mapped segments.
     """
-    return _worker_entry(handle)["operator"]
+    entry = _worker_cache.get(handle)
+    if entry is None:
+        entry = attach_operator(handle)
+        _worker_cache[handle] = entry
+        while len(_worker_cache) > _WORKER_CACHE_MAX:
+            # Only the segments outlive this line: the evicted operator (and
+            # its arrays over the mapped buffers) is dropped before unmapping.
+            segments = _worker_cache.popitem(last=False)[1][1]
+            for shm in segments:
+                shm.close()
+    else:
+        _worker_cache.move_to_end(handle)
+    return entry[0]
 
 
 def _worker_csr_f32(handle: CSRHandle):

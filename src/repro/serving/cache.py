@@ -62,8 +62,10 @@ from repro import obs
 from repro.core.frank import DEFAULT_ALPHA
 from repro.engine.batch import frank_batch, trank_batch
 from repro.graph.digraph import DiGraph
+from repro.ops.operator import _SUPPORTED_DTYPES
 from repro.serving.policies import EvictionPolicy, make_policy
 from repro.utils.publish import publish_guard
+from repro.utils.validation import check_in_range, check_positive, check_positive_int
 
 #: Default byte budget (a quarter GiB): ~32k float64 columns on a 1k-node
 #: graph, ~33 columns on a 1M-node graph.
@@ -170,8 +172,9 @@ class ColumnCache:
         residual contract, bit-exact under ``method="power"``), only how
         fast a cold batch fills.
     dtype:
-        Storage dtype of cached columns.  ``float32`` halves the footprint at
-        ~1e-7 relative error; the default keeps solver-exact ``float64``.
+        Storage dtype of cached columns, ``float32`` or ``float64``.
+        ``float32`` halves the footprint at ~1e-7 relative error; the
+        default keeps solver-exact ``float64``.
     policy:
         Eviction policy: ``"lru"`` (default), ``"gdsf"``, or a fresh
         :class:`repro.serving.policies.EvictionPolicy` instance (never shared
@@ -189,15 +192,22 @@ class ColumnCache:
         workers: "int | None" = None,
         policy: "str | EvictionPolicy" = "lru",
     ) -> None:
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be > 0, got {max_bytes}")
-        self.max_bytes = int(max_bytes)
-        self.alpha = alpha
-        self.tol = tol
-        self.max_iter = max_iter
+        # Checked here, or the first miss would fail inside a flush and take
+        # every future of its batch with it.
+        self.max_bytes = check_positive_int(max_bytes, "max_bytes")
+        self.alpha = check_in_range(
+            alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False
+        )
+        self.tol = check_positive(tol, "tol")
+        self.max_iter = check_positive_int(max_iter, "max_iter")
+        if method not in ("auto", "power"):
+            raise ValueError(f"method must be 'auto' or 'power', got {method!r}")
         self.method = method
         self.workers = workers
         self.dtype = np.dtype(dtype)
+        if self.dtype not in _SUPPORTED_DTYPES:
+            # An integer dtype would truncate every F/T value (all < 1) to 0.
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype}")
         self.policy = make_policy(policy)
         self._store: "dict[tuple, np.ndarray]" = {}
         self._lock = threading.RLock()

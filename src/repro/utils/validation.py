@@ -70,11 +70,12 @@ def check_positive(value: float, name: str, *, strict: bool = True) -> float:
 def check_positive_int(value: int, name: str, *, strict: bool = True) -> int:
     """Validate that ``value`` is a positive integer (strictly, by default).
 
-    The shared sample-count contract: every Monte Carlo entry point (the
-    estimators, the walk samplers, the sharded parallel sampler) rejects
-    zero and negative counts through this helper so the failure mode is
-    loud and uniform instead of an empty-array surprise.  ``strict=False``
-    admits zero, for counts that may be empty.
+    The shared count contract: the Monte Carlo estimators' sample counts,
+    batch and byte budgets, sweep limits and admission limits reject zero,
+    negative and non-integer values (NaN and infinity included) through
+    this helper, so the failure is loud and uniform instead of an empty
+    array or a limit that quietly switches off.  ``strict=False`` admits
+    zero, for counts that may be empty.
     """
     if not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")

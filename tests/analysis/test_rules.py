@@ -12,6 +12,7 @@ import textwrap
 import pytest
 
 from repro.analysis import analyze_source, get_rule, rule_names
+from repro.analysis.baseline import fingerprint
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -75,6 +76,16 @@ class TestFixturePairs:
             lines[finding.line - 1] += "  # repro: ignore[some-other-rule]"
         still = analyze_source("\n".join(lines) + "\n")
         assert {f.rule for f in still} == {rule_name}
+
+    def test_fingerprints_survive_a_line_shift(self, rule_name):
+        # A baseline key is path|rule|message: a message quoting a line
+        # number would go stale whenever a line is inserted above it.
+        source = _read(f"bad_{RULE_FIXTURES[rule_name]}.py")
+        path = f"bad_{rule_name}.py"
+        findings = analyze_source(source, path=path)
+        shifted = analyze_source("# one more line\n" + source, path=path)
+        assert [f.line + 1 for f in findings] == [f.line for f in shifted]
+        assert sorted(map(fingerprint, shifted)) == sorted(map(fingerprint, findings))
 
 
 class TestRuleEdgeCases:

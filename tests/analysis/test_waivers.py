@@ -3,6 +3,7 @@
 import pathlib
 
 from repro.analysis import analyze_project
+from repro.analysis.baseline import fingerprint
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -21,6 +22,17 @@ class TestUnusedWaiver:
         analysis = analyze_project([str(FIXTURES / "good_unused_waiver.py")])
         assert analysis.findings == [], [f.render() for f in analysis.findings]
         assert analysis.warnings == []
+
+    def test_fingerprints_survive_a_line_shift(self, tmp_path):
+        # Stale-waiver entries sit in the baseline too, keyed without lines.
+        source = (FIXTURES / "bad_unused_waiver.py").read_text(encoding="utf-8")
+        target = tmp_path / "bad_unused_waiver.py"
+        target.write_text(source, encoding="utf-8")
+        before = analyze_project([str(target)]).findings
+        target.write_text("# one more line\n" + source, encoding="utf-8")
+        after = analyze_project([str(target)]).findings
+        assert [f.line + 1 for f in before] == [f.line for f in after]
+        assert sorted(map(fingerprint, after)) == sorted(map(fingerprint, before))
 
     def test_check_waivers_off_silences_the_pseudo_rule(self):
         analysis = analyze_project(

@@ -17,6 +17,15 @@ small digraphs with dangling nodes, self-loops and disconnected components:
 Errors are compared entry-wise (max-abs), where both bounds hold for both
 orientations.
 
+The serving routes are checked against the same dense columns:
+
+- a :class:`~repro.serving.ColumnCache` miss lands within ``tol / alpha``
+  of its column (plus a float32 store's rounding), and the hit that
+  follows returns the same bits;
+- a :class:`~repro.serving.MicroBatcher` flush, the resident path that
+  serves a query from cached columns at submit, and the fused top-k give,
+  for every measure, the scores composed from the dense columns.
+
 The certified local route (:mod:`repro.topk.local`) is checked against the
 same dense columns:
 
@@ -28,12 +37,15 @@ same dense columns:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import combine_beta, frank_vector, trank_vector
 from repro.engine import frank_batch, trank_batch
 from repro.graph import graph_from_edges
+from repro.serving import ColumnCache, MicroBatcher
+from repro.serving.batcher import MEASURES
 from repro.serving.topk import (
     roundtriprank_batch_topk,
     roundtriprank_plus_batch_topk,
@@ -64,6 +76,17 @@ def oracle_cases(draw):
     for u in draw(st.lists(st.integers(0, n - 1), max_size=3)):
         if u not in dangling:
             edges.append((u, u, 1.0))  # explicit self-loops
+    # A hub: up to five extra leaves wired to one node, both ways, with one
+    # weight.  The leaves' rows and columns are alike, so every leaf but the
+    # query scores exactly the same.
+    hub = draw(st.integers(0, n - 1))
+    weight = draw(st.floats(min_value=0.1, max_value=10.0))
+    leaves = range(n, n + draw(st.integers(min_value=0, max_value=5)))
+    for leaf in leaves:
+        if hub not in dangling:
+            edges.append((hub, leaf, weight))
+        edges.append((leaf, hub, weight))
+    n += len(leaves)
     graph = graph_from_edges(n, edges, directed=True)
     queries = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
     alpha = draw(st.sampled_from([0.15, 0.25, 0.5, 0.85]))
@@ -100,10 +123,116 @@ def test_every_route_agrees_with_the_dense_solve(case):
             assert np.abs(auto[:, j] - exact).max() <= bound, f"{name}-Rank auto column {j}"
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@settings(max_examples=40, deadline=None)
+@given(case=oracle_cases(), method=st.sampled_from(["auto", "power"]))
+def test_cache_miss_and_hit_land_on_the_dense_column(case, method, dtype):
+    graph, queries, alpha = case
+    cache = ColumnCache(tol=TOL, method=method, dtype=dtype)
+    for kind, transpose in (("f", True), ("t", False)):
+        missed = cache.get_many(graph, kind, queries, alpha)
+        hit = cache.get_many(graph, kind, queries, alpha)
+        for q, miss_column, hit_column in zip(queries, missed, hit):
+            exact = dense_solution(graph, q, alpha, transpose)
+            # A float32 store adds its rounding to the solver's tol / alpha.
+            bound = TOL / alpha + np.finfo(dtype).eps * np.abs(exact)
+            assert miss_column.dtype == dtype
+            assert np.all(np.abs(miss_column - exact) <= bound), f"{kind} miss {q}"
+            assert np.array_equal(hit_column, miss_column), f"{kind} hit {q}"
+    info = cache.cache_info()
+    assert info.misses == 2 * len(set(queries))
+    assert info.hits == 4 * len(queries) - info.misses
+
+
 #: Slack of the local-route brackets: the dense LU solve's own round-off.
 SLACK = 1e-12
 
 BETA = 0.5
+
+
+def dense_scores(graph, query: int, alpha: float) -> dict:
+    """Every measure's scores for ``query``, composed from dense columns."""
+    # LU round-off can leave -1e-17 where a true entry is 0, which the
+    # fractional powers of roundtriprank_plus would turn into NaN.
+    f = np.maximum(dense_solution(graph, query, alpha, transpose=True), 0.0)
+    t = np.maximum(dense_solution(graph, query, alpha, transpose=False), 0.0)
+    return {
+        "frank": f,
+        "trank": t,
+        "roundtriprank": f * t,
+        "roundtriprank_plus": combine_beta(f, t, BETA),
+    }
+
+
+def score_bound(measure: str, alpha: float) -> float:
+    """Max-abs error of a measure composed from columns ``eps`` off each.
+
+    With entries in [0, 1]: ``f t`` moves by at most ``2 eps``, and since
+    ``|x^p - y^p| <= |x - y|^p`` for ``p`` in (0, 1],
+    ``f^(1-beta) t^beta`` by at most ``eps^(1-beta) + eps^beta``.
+    """
+    eps = TOL / alpha
+    return {
+        "frank": eps,
+        "trank": eps,
+        "roundtriprank": 2 * eps,
+        "roundtriprank_plus": eps ** (1 - BETA) + eps**BETA,
+    }[measure]
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+@settings(max_examples=30, deadline=None)
+@given(case=oracle_cases())
+def test_batcher_flush_and_resident_path_give_the_dense_scores(case, measure):
+    graph, queries, alpha = case
+    bound = score_bound(measure, alpha)
+    batcher = MicroBatcher(
+        graph,
+        measure=measure,
+        alpha=alpha,
+        beta=BETA,
+        normalize=False,
+        max_batch=len(queries) + 1,
+        cache=ColumnCache(tol=TOL),
+    )
+    flushed = [batcher.enqueue(q) for q in queries]
+    assert batcher.flush() == len(queries)
+    for q, future in zip(queries, flushed):
+        expected = dense_scores(graph, q, alpha)[measure]
+        assert np.abs(future.result() - expected).max() <= bound, f"flush {q}"
+        # Every column is cached now, so submit serves the query at once.
+        resident = batcher.submit(q)
+        assert resident.done(), f"query {q} was queued"
+        assert np.abs(resident.result() - expected).max() <= bound, f"resident {q}"
+    batcher.close()
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+@settings(max_examples=30, deadline=None)
+@given(case=oracle_cases(), k=st.integers(min_value=1, max_value=4))
+def test_batcher_topk_carries_the_dense_top_scores(case, measure, k):
+    graph, queries, alpha = case
+    bound = score_bound(measure, alpha)
+    batcher = MicroBatcher(
+        graph,
+        measure=measure,
+        alpha=alpha,
+        beta=BETA,
+        normalize=False,
+        max_batch=len(queries) + 1,
+        cache=ColumnCache(tol=TOL),
+    )
+    flushed = [batcher.enqueue(q, k=k) for q in queries]
+    batcher.flush()
+    for q, future in zip(queries, flushed):
+        expected = dense_scores(graph, q, alpha)[measure]
+        indices, scores = future.result()
+        _, top = topk_select(expected, k)
+        # Tied or near-tied nodes may swap places, but the k values are the
+        # dense top-k values, and each returned node's dense score is its own.
+        assert np.abs(scores - top).max() <= bound, f"top-{k} values {q}"
+        assert np.abs(scores - expected[indices]).max() <= bound, f"top-{k} nodes {q}"
+    batcher.close()
 
 
 @settings(max_examples=60, deadline=None)

@@ -63,15 +63,40 @@ class TestTokenBucket:
             TokenBucket(rate=0.0, burst=1)
         with pytest.raises(ValueError):
             TokenBucket(rate=1.0, burst=0)
+        # A NaN rate passes `rate <= 0` and would turn every refill into NaN.
+        with pytest.raises(ValueError, match="rate"):
+            TokenBucket(rate=float("nan"), burst=1)
+        with pytest.raises(ValueError, match="rate"):
+            TokenBucket(rate=float("inf"), burst=1)
+        # An infinite burst overflowed int() at the first refill.
+        with pytest.raises(TypeError, match="burst"):
+            TokenBucket(rate=1.0, burst=float("inf"))
+        with pytest.raises(TypeError, match="burst"):
+            TokenBucket(rate=1.0, burst=2.5)
 
 
 class TestAdmissionConfig:
     @pytest.mark.parametrize(
-        "kwargs",
-        [dict(rate=0.0), dict(rate=-1.0), dict(burst=0), dict(max_queue_depth=0)],
+        "kwargs, error",
+        [
+            (dict(rate=0.0), ValueError),
+            (dict(rate=-1.0), ValueError),
+            (dict(burst=0), ValueError),
+            (dict(max_queue_depth=0), ValueError),
+            # NaN fails every comparison: a NaN rate admitted every query
+            # and a NaN depth bound admitted any depth.
+            (dict(rate=float("nan")), ValueError),
+            (dict(rate=float("inf")), ValueError),
+            (dict(max_queue_depth=float("nan")), TypeError),
+            # An infinite burst passed here, then overflowed at the first
+            # rate-limited submit.
+            (dict(rate=1.0, burst=float("inf")), TypeError),
+            (dict(max_queue_depth=2.5), TypeError),
+            (dict(burst=2.5), TypeError),
+        ],
     )
-    def test_rejects_bad_config(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_rejects_bad_config(self, kwargs, error):
+        with pytest.raises(error):
             AdmissionConfig(**kwargs)
 
     def test_none_disables(self):

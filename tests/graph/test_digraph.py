@@ -52,7 +52,6 @@ class TestAdjacency:
         g = graph_from_edges(4, [(0, 1), (0, 2), (3, 0)])
         assert g.out_neighbors(0).tolist() == [1, 2]
         assert g.in_neighbors(0).tolist() == [3]
-        assert g.undirected_neighbors(0).tolist() == [1, 2, 3]
 
     def test_degrees(self):
         g = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -173,13 +172,6 @@ class TestDerivedGraphs:
         g = graph_from_edges(2, [(0, 1)])
         with pytest.raises(ValueError):
             g.subgraph([0, 5])
-
-    def test_to_networkx(self):
-        g = graph_from_edges(3, [(0, 1, 2.0), (1, 2, 1.0)])
-        nxg = g.to_networkx()
-        assert nxg.number_of_nodes() == 3
-        assert nxg.number_of_edges() == 2
-        assert nxg[0][1]["weight"] == 2.0
 
 
 class TestAccounting:

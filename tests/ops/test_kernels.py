@@ -13,7 +13,7 @@ import scipy.sparse as sp
 
 from repro import ops
 from repro.engine import power_iteration_batch
-from repro.graph.transition import row_normalize
+from repro.graph import DiGraph
 from repro.ops import kernels as k
 
 
@@ -71,7 +71,7 @@ class TestFallbackProduct:
         np.testing.assert_allclose(out, base + medium_csr.toarray() @ x, rtol=1e-12)
 
     def test_power_batch_still_solves(self, without_csr_matvecs, medium_csr):
-        operator = row_normalize(medium_csr).T.tocsr()
+        operator = DiGraph(medium_csr).transition.T.tocsr()
         s = np.zeros((83, 3))
         s[[0, 40, 82], [0, 1, 2]] = 1.0
         x = power_iteration_batch(operator, s, 0.25, method="power")

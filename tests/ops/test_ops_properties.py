@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro import ops
 from repro.engine import power_iteration_batch
-from repro.graph.transition import row_normalize
+from repro.graph import DiGraph
 
 
 @st.composite
@@ -54,7 +54,7 @@ class TestNoAliasingProperties:
     )
     def test_solver_output_owns_its_memory(self, case, method):
         matrix, x = case
-        operator = row_normalize(abs(matrix)).T.tocsr()
+        operator = DiGraph(matrix).transition.T.tocsr()
         teleports = np.abs(x) + 1e-3
         teleports /= teleports.sum(axis=0)
         top = ops.as_operator(operator)

@@ -3,17 +3,13 @@
 The contract under test: ``workers`` is a throughput knob, never a result
 knob — ``workers=1`` (the sequential path) and ``workers=4`` agree bit for
 bit under ``method="power"`` and to the verified residual tolerance under
-``method="auto"``; sharded walk sampling is a pure function of
-``(seed, workers)``.
+``method="auto"``.
 """
 
 import numpy as np
 import pytest
 
 from repro.engine import frank_batch, roundtriprank_batch, trank_batch
-from repro.engine.walks import get_walk_engine
-from repro.parallel import sample_trip_terminals_parallel
-from repro.parallel.walks import _shard_sizes
 from repro.serving import ColumnCache, MicroBatcher
 
 
@@ -84,44 +80,3 @@ class TestServingParity:
         ):
             assert np.array_equal(seq_col, par_col), f"column {node} diverged"
 
-
-class TestWalkReproducibility:
-    def test_fixed_seed_and_workers_reproduces(self, toy_graph):
-        first = sample_trip_terminals_parallel(toy_graph, 0, 0.25, 20000, seed=7, workers=4)
-        second = sample_trip_terminals_parallel(toy_graph, 0, 0.25, 20000, seed=7, workers=4)
-        assert np.array_equal(first, second)
-        assert first.shape == (20000,)
-
-    def test_pooled_matches_inline_shards(self, toy_graph):
-        """The execution mode (pool vs inline) must not change the sample."""
-        n, workers, seed = 20000, 3, 42
-        pooled = sample_trip_terminals_parallel(toy_graph, 3, 0.3, n, seed=seed, workers=workers)
-        engine = get_walk_engine(toy_graph)
-        streams = np.random.SeedSequence(seed).spawn(workers)
-        inline = np.concatenate(
-            [
-                engine.sample_trip_terminals(3, 0.3, count, np.random.default_rng(stream))
-                for count, stream in zip(_shard_sizes(n, workers), streams)
-            ]
-        )
-        assert np.array_equal(pooled, inline)
-
-    def test_distribution_matches_exact_frank(self, toy_graph):
-        from repro.core import frank_vector
-
-        alpha = 0.25
-        terminals = sample_trip_terminals_parallel(
-            toy_graph, 0, alpha, 40000, seed=11, workers=4
-        )
-        estimate = np.bincount(terminals, minlength=toy_graph.n_nodes) / terminals.size
-        assert np.abs(estimate - frank_vector(toy_graph, 0, alpha)).max() < 0.02
-
-    def test_validation(self, toy_graph):
-        with pytest.raises(ValueError):
-            sample_trip_terminals_parallel(toy_graph, 0, 0.25, 0, seed=1, workers=2)
-        with pytest.raises(ValueError):
-            sample_trip_terminals_parallel(toy_graph, 0, 0.25, 100, seed=1, workers=0)
-        with pytest.raises(ValueError):
-            sample_trip_terminals_parallel(toy_graph, 0, 1.5, 100, seed=1, workers=2)
-        with pytest.raises(ValueError):
-            sample_trip_terminals_parallel(toy_graph, toy_graph.n_nodes, 0.25, 100, workers=2)

@@ -129,7 +129,7 @@ class TestWorkerAttachmentCache:
             _WORKER_CACHE_MAX,
             _worker_cache,
             _worker_csr_f32,
-            _worker_entry,
+            _worker_operator,
         )
         from repro.parallel.shm import SharedCSR
 
@@ -140,8 +140,7 @@ class TestWorkerAttachmentCache:
         ]
         try:
             for shared in published:
-                entry = _worker_entry(shared.handle)
-                assert entry["matrix"].shape[0] >= 3
+                assert _worker_operator(shared.handle).shape[0] >= 3
                 _worker_csr_f32(shared.handle)  # derived object rides the entry
                 assert len(_worker_cache) <= _WORKER_CACHE_MAX
             # The oldest handles were evicted; the newest are still cached.
@@ -151,6 +150,26 @@ class TestWorkerAttachmentCache:
             _worker_cache.clear()
             for shared in published:
                 shared.destroy()
+
+    def test_a_handle_keeps_one_operator_while_cached(self):
+        import scipy.sparse as sp
+
+        from repro.parallel.pool import _worker_cache, _worker_operator
+        from repro.parallel.shm import SharedCSR
+
+        _worker_cache.clear()
+        first, second = (SharedCSR.publish(sp.eye(n, format="csr")) for n in (3, 4))
+        try:
+            operator = _worker_operator(first.handle)
+            _worker_operator(second.handle)
+            assert _worker_operator(first.handle) is operator
+            # The repeat lookup made the first handle the most recently used.
+            assert list(_worker_cache) == [second.handle, first.handle]
+            del operator  # its arrays view the segments the clear below closes
+        finally:
+            _worker_cache.clear()
+            first.destroy()
+            second.destroy()
 
 
 class TestSharedOperatorRegistry:

@@ -195,6 +195,46 @@ class TestWarmAndInfo:
             ColumnCache(max_bytes=0)
 
 
+class TestConstructorValidation:
+    """Bad settings fail at construction, not inside the first miss's flush."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float16, np.complex128])
+    def test_rejects_non_float_storage(self, dtype):
+        # An integer store truncated every F/T value (all < 1) to zero.
+        with pytest.raises(ValueError, match="dtype"):
+            ColumnCache(dtype=dtype)
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            (dict(alpha=0.0), ValueError),
+            (dict(alpha=1.0), ValueError),
+            (dict(alpha=float("nan")), ValueError),
+            (dict(tol=0.0), ValueError),
+            (dict(tol=float("nan")), ValueError),
+            (dict(tol=float("inf")), ValueError),
+            (dict(max_iter=0), ValueError),
+            (dict(max_iter=2.5), TypeError),
+            (dict(max_bytes=2.5), TypeError),
+            (dict(max_bytes=float("nan")), TypeError),
+            (dict(method="lanczos"), ValueError),
+        ],
+    )
+    def test_rejects_bad_solver_settings(self, kwargs, error):
+        with pytest.raises(error):
+            ColumnCache(**kwargs)
+
+    def test_accepts_numpy_scalars(self):
+        # Budgets computed with numpy arrive as numpy scalars.
+        cache = ColumnCache(
+            max_bytes=np.int64(4096),
+            alpha=np.float32(0.25),
+            tol=np.float64(1e-10),
+            max_iter=np.int32(50),
+        )
+        assert (cache.max_bytes, cache.alpha, cache.max_iter) == (4096, 0.25, 50)
+
+
 class TestThreadSafety:
     def test_concurrent_gets_are_consistent(self, toy_graph):
         cache = ColumnCache()

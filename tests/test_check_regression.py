@@ -15,11 +15,7 @@ from benchmarks import check_regression as cr
 def _payload() -> dict:
     """A minimal ci_smoke-shaped payload covering every gated metric."""
     return {
-        "batch_engine": {
-            "column_parity_max_abs": 5e-13,
-            "batch_speedup": 6.0,
-            "walk_speedup": 150.0,
-        },
+        "batch_engine": {"column_parity_max_abs": 5e-13, "batch_speedup": 6.0},
         "parallel": {"auto_parity_max_abs": 4e-14},
         "serving": {
             "topk_parity": True,
