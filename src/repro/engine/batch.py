@@ -26,12 +26,17 @@ Two solve methods share that multi-column sweep:
   Chebyshev semi-iteration (valid because the damped operator's spectral
   radius is at most ``1 - alpha``) runs the bulk of the sweeps in float32,
   then one or two float64 residual-correction rounds push the error to
-  ``tol``.  The final iterate is *verified* against the true float64
-  residual; if the spectrum defeats Chebyshev (strongly directed graphs
-  have complex eigenvalues) or float32 stalls, the solver falls back to the
-  plain masked power iteration, so accuracy never depends on the
-  acceleration assumptions.  Roughly 3-7x faster than sequential
-  single-query solves on one core.
+  ``tol``.  A round after the first stops its float32 phase at the
+  ``tol / scale`` relative accuracy it needs (``scale`` being the residual
+  it corrects), not at the float32 floor.  The final iterate is *verified*
+  against the true float64 residual; if the spectrum defeats Chebyshev
+  (strongly directed graphs have complex eigenvalues) or float32 stalls,
+  the solver falls back to the plain masked power iteration, which sweeps
+  until every column verifies or the budget is spent, so accuracy never
+  depends on the acceleration assumptions.  Its accelerated phases hold at
+  most four float64 ``n x q`` blocks, the caller's teleports included (the
+  fallback holds more).  Roughly 3-7x faster than sequential single-query
+  solves on one core.
 
 All operator products go through :class:`repro.ops.TransitionOperator` —
 the per-graph prepared CSR (both orientations, per-dtype variants, damped
@@ -140,11 +145,16 @@ def _chebyshev_phase(damped_top: TransitionOperator, base, damp, tol, budget):
     Chebyshev rate, then checks the iterate delta every few sweeps; bails
     out early on divergence or stagnation (float32 floor).
 
+    Holds three ``base``-sized blocks: the two iterates and ``y``, which
+    also serves as the delta scratch (between a sweep's swap and the next
+    sweep it holds nothing live).
+
     Returns ``(x, sweeps_used, healthy)``; ``healthy=False`` flags
     divergence, *not* mere stagnation.
     """
     x_old = base.copy()
-    x = base + damped_top.matmat(x_old)
+    x = damped_top.matmat(x_old)
+    x += base
     sweeps = 1
     omega = 2.0 / (2.0 - damp * damp)
     # Asymptotic Chebyshev rate on [-damp, damp]; predicts when the target
@@ -152,7 +162,6 @@ def _chebyshev_phase(damped_top: TransitionOperator, base, damp, tol, budget):
     rate = damp / (1.0 + math.sqrt(1.0 - damp * damp))
     predicted = max(2, int(math.ceil(math.log(max(tol, 1e-300)) / math.log(rate))))
     y = np.empty_like(x)
-    scratch = np.empty_like(x)
     best = np.inf
     stalls = 0
     col_scale = 1.0
@@ -171,16 +180,16 @@ def _chebyshev_phase(damped_top: TransitionOperator, base, damp, tol, budget):
         # One early guard check catches divergence; near the predicted sweep
         # count, check every other sweep.
         if k == 8 or (k >= predicted and k % 2 == 1) or sweeps >= budget:
-            np.subtract(x, x_old, out=scratch)
-            np.abs(scratch, out=scratch)
-            delta = float(scratch.sum(axis=0).max())
+            np.subtract(x, x_old, out=y)
+            np.abs(y, out=y)
+            delta = float(y.sum(axis=0).max())
             if not np.isfinite(delta) or delta > 1e4 * best + 1e4:
                 return x, sweeps, False
             if not scale_known:
                 # Scale-aware floor: wide solution columns raise the
                 # reachable float32 delta proportionally.
-                np.abs(x, out=scratch)
-                col_scale = max(1.0, float(scratch.sum(axis=0).max()))
+                np.abs(x, out=y)
+                col_scale = max(1.0, float(y.sum(axis=0).max()))
                 scale_known = True
             if delta < tol * col_scale:
                 return x, sweeps, True
@@ -194,16 +203,17 @@ def _chebyshev_phase(damped_top: TransitionOperator, base, damp, tol, budget):
     return x, sweeps, True
 
 
-def _residual(top: TransitionOperator, base, damp, x):
-    """Float64 residual ``base + damp * (top @ x) - x`` (one sweep)."""
+def _residual(top: TransitionOperator, teleports, alpha, x):
+    """Float64 residual ``alpha * teleports + (1 - alpha) * (top @ x) - x``
+    (one sweep; ``alpha * teleports`` is formed here, not held by callers)."""
     r = top.matmat(x)
-    r *= damp
-    r += base
+    r *= 1.0 - alpha
+    r += alpha * teleports
     r -= x
     return r
 
 
-def _solve_auto(top: TransitionOperator, base, damp, tol, max_iter):
+def _solve_auto(top: TransitionOperator, teleports, alpha, tol, max_iter):
     """Mixed-precision accelerated solve; falls back to masked power iteration.
 
     Returns ``(x, per_column_residual, sweeps_used)`` where the residual
@@ -211,48 +221,89 @@ def _solve_auto(top: TransitionOperator, base, damp, tol, max_iter):
     never rests on the float32/Chebyshev assumptions.  The float32 damped
     operator comes from the operator's own variant cache, so repeated solves
     (and shared-memory workers) never re-derive it.
+
+    A float32 Chebyshev phase on ``alpha * teleports`` runs to the float32
+    floor ``_F32_FLOOR`` (or to a looser ``tol``).  Each correction round
+    solves ``d = r / scale + (1 - alpha) O d`` in float32, ``scale`` being
+    the float64 residual's largest column norm, and adds ``scale * d``.  It
+    needs only ``tol / scale`` relative accuracy, so rounds after the first
+    stop at ``max(_F32_FLOOR, 0.1 * tol / scale)``; the first keeps the
+    first phase's tolerance, so a solve that ends within two phases (most
+    do) sweeps exactly as it would with every phase run to the floor.
+
+    With ``B`` the float64 result's size, ``teleports`` and the iterate
+    (``B`` each) live throughout; ``alpha * teleports`` is formed where it
+    is used, and each phase's blocks are dropped before the next
+    allocation, so a float32 phase (right-hand side, two iterates and
+    ``y``, ``B/2`` each) and a residual (``B`` plus one temporary) both
+    peak at ``4 B``.
+
+    The masked power iteration stops on its step, the residual of the
+    iterate *before* its last sweep; where ``O``'s column sums exceed one
+    (T-Rank's ``P``), the iterate it returns can verify above ``tol``, so
+    such columns sweep on while the budget lasts.
     """
+    damp = 1.0 - alpha
     damped32 = top.damped(damp, np.float32)
-    base32 = base.astype(np.float32)
     phase_tol = max(tol, _F32_FLOOR)
     sweeps_left = max_iter
 
     x = None
     budget = min(_PHASE_BUDGET, sweeps_left)
-    x32, used, healthy = _chebyshev_phase(damped32, base32, damp, phase_tol, budget)
+    rhs32 = (alpha * teleports).astype(np.float32)
+    x32, used, healthy = _chebyshev_phase(damped32, rhs32, damp, phase_tol, budget)
+    # Each ``del`` drops a block before the next one is allocated; the
+    # footprint above rests on them.
+    del rhs32
     sweeps_left -= used
     if healthy:
         x = x32.astype(np.float64)
-        for _ in range(3):  # residual-correction rounds (typically one)
+        del x32
+        for correction in range(3):  # residual-correction rounds (typically one)
             if sweeps_left <= 0:
                 break
-            r = _residual(top, base, damp, x)
+            r = _residual(top, teleports, alpha, x)
             sweeps_left -= 1
             col_res = np.abs(r).sum(axis=0)
             scale = float(col_res.max())
             if scale < tol:
                 return x, col_res, max_iter - sweeps_left
-            # Solve the correction system delta = r + damp*O@delta in
-            # float32 on the normalized right-hand side.
-            r32 = (r * (1.0 / scale)).astype(np.float32)
+            if correction:
+                phase_tol = max(_F32_FLOOR, 0.1 * tol / scale)
+            r *= 1.0 / scale
+            rhs32 = r.astype(np.float32)
+            del r
             budget = min(_PHASE_BUDGET, sweeps_left)
-            d32, used, healthy = _chebyshev_phase(damped32, r32, damp, phase_tol, budget)
+            d32, used, healthy = _chebyshev_phase(damped32, rhs32, damp, phase_tol, budget)
+            del rhs32
             sweeps_left -= used
             if not healthy:
                 break
-            x += scale * d32.astype(np.float64)
+            d = d32.astype(np.float64)
+            del d32
+            d *= scale
+            x += d
+            del d
 
     # Fallback / polish: the plain masked power iteration converges for any
     # substochastic operator regardless of spectrum.  Start from the best
     # iterate when the accelerated phases were healthy, else from scratch.
+    base = alpha * teleports
     if x is None:
         x = base.copy()
-    x, deltas, used = _jacobi_masked(top, base, damp, x, tol, max(0, sweeps_left))
-    sweeps_left -= used
-    r = _residual(top, base, damp, x)
-    sweeps_left -= 1
-    col_res = np.abs(r).sum(axis=0)
-    return x, col_res, max_iter - sweeps_left
+    col_res = np.empty(x.shape[1])
+    cols = np.arange(x.shape[1])
+    while True:
+        x_cols, _, used = _jacobi_masked(
+            top, base[:, cols], damp, x[:, cols], tol, max(0, sweeps_left)
+        )
+        sweeps_left -= used
+        x[:, cols] = x_cols
+        col_res[cols] = np.abs(_residual(top, teleports[:, cols], alpha, x_cols)).sum(axis=0)
+        sweeps_left -= 1
+        cols = cols[col_res[cols] >= tol]
+        if cols.size == 0 or sweeps_left <= 0:
+            return x, col_res, max_iter - sweeps_left
 
 
 def power_iteration_batch(
@@ -278,13 +329,16 @@ def power_iteration_batch(
     path produces columns whose *verified* float64 L1 residual is below
     ``tol`` — within ``tol / alpha`` of the exact fixed point, and within
     the same bound of the ``"power"`` result (far tighter than the 1e-10
-    the test-suite parity checks require at the default ``tol``).
+    the test-suite parity checks require at the default ``tol``).  Its
+    accelerated phases hold at most four float64 ``n x q`` blocks at once,
+    ``teleports`` and the result included (see :func:`_solve_auto` for the
+    layout and for how tightly each correction round solves).
 
     Mirrors the single-query non-convergence contract: columns still above
     ``tol`` when the sweep budget ``max_iter`` is exhausted trigger one
-    :class:`repro.core.frank.ConvergenceWarning` (opt out with
-    ``warn_on_nonconvergence=False``).  Non-finite ``teleports`` raise
-    ``ValueError`` before any sweep.
+    :class:`repro.core.frank.ConvergenceWarning` that reports the sweeps
+    run (opt out with ``warn_on_nonconvergence=False``).  Non-finite
+    ``teleports`` raise ``ValueError`` before any sweep.
     """
     alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False)
     check_positive(tol, "tol")
@@ -301,24 +355,23 @@ def power_iteration_batch(
         # "converged" with no warning.
         raise ValueError("teleports must be finite")
     n_queries = teleports.shape[1]
-    base = alpha * teleports
-    damp = 1.0 - alpha
 
     with obs.span("engine.solve", method=method, queries=n_queries) as solve_span:
         # The masked loop returns a zero-width block without a sweep.
         if method == "power" or n_queries == 0:
+            base = alpha * teleports
             x, unconverged_norms, sweeps = _jacobi_masked(
-                top, base, damp, base.copy(), tol, max_iter
+                top, base, 1.0 - alpha, base.copy(), tol, max_iter
             )
         else:
-            x, unconverged_norms, sweeps = _solve_auto(top, base, damp, tol, max_iter)
+            x, unconverged_norms, sweeps = _solve_auto(top, teleports, alpha, tol, max_iter)
         _record_solve(solve_span, method, x, unconverged_norms, sweeps)
     bad = unconverged_norms >= tol
     if warn_on_nonconvergence and bad.any():
         warnings.warn(
-            f"{int(bad.sum())} of {n_queries} batch columns did not converge within "
-            f"max_iter={max_iter} (worst residual {unconverged_norms.max():.3e} "
-            f">= tol={tol:g})",
+            f"{int(bad.sum())} of {n_queries} batch columns did not converge in "
+            f"{sweeps} sweeps (max_iter={max_iter}; worst residual "
+            f"{unconverged_norms.max():.3e} >= tol={tol:g})",
             ConvergenceWarning,
             stacklevel=2,
         )

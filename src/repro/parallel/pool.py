@@ -374,10 +374,6 @@ def _worker_operator(handle: CSRHandle):
     return entry[0]
 
 
-def _worker_csr_f32(handle: CSRHandle):
-    return _worker_operator(handle).matrix(np.float32)
-
-
 def _solve_shard(
     handle: CSRHandle,
     teleport_nodes: "list[np.ndarray]",

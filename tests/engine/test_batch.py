@@ -1,5 +1,7 @@
 """Parity tests: the batch engine must match the single-query paths exactly."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,17 @@ from repro.engine import (
     trank_batch,
 )
 from repro.engine.batch import normalize_columns
+from repro.graph import graph_from_edges
 from repro.ops import TransitionOperator
 
 #: A mix of every query flavor: single node, node list, weighted mapping.
 MIXED_QUERIES = [0, [0, 1], {2: 3.0, 5: 1.0}, 7, [3, 3, 4]]
+
+#: A 4-node digraph whose transition matrix has a column summing to 2
+#: (node 0 is the only successor of 2 and of 3), so T-Rank's L1 residual
+#: can grow across a power-iteration sweep; Chebyshev makes no progress
+#: on its cycle 0 -> 1 -> 2 -> 0.
+COLUMN_SUM_TWO_ARCS = [(0, 1, 6.5), (0, 3, 0.125), (3, 0, 0.125), (1, 2), (2, 0)]
 
 
 class TestStackTeleports:
@@ -77,8 +86,6 @@ class TestPowerIterationBatch:
         # A directed cycle has strongly complex spectrum — Chebyshev
         # diverges, the guard trips, and the power fallback must still
         # deliver tol-accurate columns without warnings.
-        from repro.graph import graph_from_edges
-
         n = 101
         cyc = graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
         auto = frank_batch(cyc, [0, 50], method="auto")
@@ -90,6 +97,35 @@ class TestPowerIterationBatch:
         op = toy_graph.transition.T.tocsr()
         with pytest.warns(ConvergenceWarning, match="did not converge"):
             power_iteration_batch(op, s, 0.25, max_iter=2)
+
+    def test_auto_verifies_where_the_step_rule_stops_short(self):
+        # T-Rank's operator P has a column summing to 2 here, so the L1
+        # residual can grow across a sweep: the masked power iteration stops
+        # on a step of 8.3e-13 and hands back an iterate whose residual
+        # verifies at 1.02e-12.  The solver must sweep on within its budget
+        # rather than report non-convergence after 410 of 1000 sweeps.
+        g = graph_from_edges(4, COLUMN_SUM_TWO_ARCS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            auto = trank_batch(g, [0], 0.15)
+            power = trank_batch(g, [0], 0.15, method="power")
+        assert np.abs(auto - power).max() <= 1e-12 / 0.15
+
+    @pytest.mark.parametrize("method", ["auto", "power"])
+    def test_warning_reports_the_sweeps_run(self, monkeypatch, method):
+        products = []
+        matmat = TransitionOperator.matmat
+
+        def counting_matmat(self, *args, **kwargs):
+            products.append(1)
+            return matmat(self, *args, **kwargs)
+
+        monkeypatch.setattr(TransitionOperator, "matmat", counting_matmat)
+        g = graph_from_edges(4, COLUMN_SUM_TWO_ARCS)
+        with pytest.warns(ConvergenceWarning) as caught:
+            trank_batch(g, [0], 0.15, max_iter=150, method=method)
+        message = str(caught[0].message)
+        assert f"did not converge in {len(products)} sweeps (max_iter=150;" in message
 
     def test_warning_opt_out(self, toy_graph, recwarn):
         s = stack_teleports(toy_graph, [0])

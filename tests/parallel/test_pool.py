@@ -125,12 +125,7 @@ class TestWorkerAttachmentCache:
         # entries (and their derived objects) are dropped.
         import scipy.sparse as sp
 
-        from repro.parallel.pool import (
-            _WORKER_CACHE_MAX,
-            _worker_cache,
-            _worker_csr_f32,
-            _worker_operator,
-        )
+        from repro.parallel.pool import _WORKER_CACHE_MAX, _worker_cache, _worker_operator
         from repro.parallel.shm import SharedCSR
 
         _worker_cache.clear()
@@ -141,7 +136,8 @@ class TestWorkerAttachmentCache:
         try:
             for shared in published:
                 assert _worker_operator(shared.handle).shape[0] >= 3
-                _worker_csr_f32(shared.handle)  # derived object rides the entry
+                # a derived object rides the entry
+                _worker_operator(shared.handle).matrix(np.float32)
                 assert len(_worker_cache) <= _WORKER_CACHE_MAX
             # The oldest handles were evicted; the newest are still cached.
             assert published[0].handle not in _worker_cache
