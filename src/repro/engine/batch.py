@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -131,6 +131,24 @@ def _jacobi_masked(top: TransitionOperator, base, damp, x, tol, budget):
     return x, deltas, sweeps
 
 
+def chebyshev_weights(damp: float) -> Iterator[float]:
+    """Extrapolation weights of Chebyshev semi-iteration on ``[-damp, damp]``.
+
+    Yields ``1.0`` for the plain first sweep, then ``2 / (2 - damp**2)`` and
+    ``1 / (1 - damp**2 * omega / 4)`` for each later one: the weights of
+    ``x_next = omega * (base + damp * O @ x) + (1 - omega) * x_prev``, whose
+    error polynomial is the scaled Chebyshev polynomial, optimal when the
+    spectrum of ``damp * O`` lies in the interval.  The engine's float32
+    phases and the local top-k F-Rank sweeps (:mod:`repro.topk.local`) both
+    take their weights from here.
+    """
+    yield 1.0
+    omega = 2.0 / (2.0 - damp * damp)
+    while True:
+        yield omega
+        omega = 1.0 / (1.0 - 0.25 * damp * damp * omega)
+
+
 def _chebyshev_phase(damped_top: TransitionOperator, base, damp, tol, budget):
     """Chebyshev semi-iteration for ``x = base + damped_top @ x``.
 
@@ -152,11 +170,12 @@ def _chebyshev_phase(damped_top: TransitionOperator, base, damp, tol, budget):
     Returns ``(x, sweeps_used, healthy)``; ``healthy=False`` flags
     divergence, *not* mere stagnation.
     """
+    weights = chebyshev_weights(damp)
+    next(weights)  # 1.0: the plain first sweep below
     x_old = base.copy()
     x = damped_top.matmat(x_old)
     x += base
     sweeps = 1
-    omega = 2.0 / (2.0 - damp * damp)
     # Asymptotic Chebyshev rate on [-damp, damp]; predicts when the target
     # delta is plausibly reached so most sweeps skip the delta computation.
     rate = damp / (1.0 + math.sqrt(1.0 - damp * damp))
@@ -168,6 +187,7 @@ def _chebyshev_phase(damped_top: TransitionOperator, base, damp, tol, budget):
     scale_known = False
     k = 1
     while sweeps < budget:
+        omega = next(weights)
         np.copyto(y, base)
         damped_top.matmat(x, out=y, accumulate=True)
         sweeps += 1
@@ -176,7 +196,6 @@ def _chebyshev_phase(damped_top: TransitionOperator, base, damp, tol, budget):
         x_old += y
         x, x_old = x_old, x
         k += 1
-        omega = 1.0 / (1.0 - 0.25 * damp * damp * omega)
         # One early guard check catches divergence; near the predicted sweep
         # count, check every other sweep.
         if k == 8 or (k >= predicted and k % 2 == 1) or sweeps >= budget:
@@ -241,7 +260,13 @@ def _solve_auto(top: TransitionOperator, teleports, alpha, tol, max_iter):
     The masked power iteration stops on its step, the residual of the
     iterate *before* its last sweep; where ``O``'s column sums exceed one
     (T-Rank's ``P``), the iterate it returns can verify above ``tol``, so
-    such columns sweep on while the budget lasts.
+    such columns sweep on while the budget lasts.  It starts from the
+    accelerated iterate, except for columns whose verified residual grew
+    from one correction round to the next: on strongly directed graphs a
+    first phase can stall far from the fixed point and each correction
+    then multiply its residual, so those columns restart from
+    ``alpha * teleports`` as ``method="power"`` does (the flag reads the
+    residuals the rounds compute anyway, at no extra product).
     """
     damp = 1.0 - alpha
     damped32 = top.damped(damp, np.float32)
@@ -249,6 +274,9 @@ def _solve_auto(top: TransitionOperator, teleports, alpha, tol, max_iter):
     sweeps_left = max_iter
 
     x = None
+    # Columns whose verified residual grew from one correction round to the
+    # next: their corrections diverge, so the fallback restarts them.
+    grew = np.zeros(teleports.shape[1], dtype=bool)
     budget = min(_PHASE_BUDGET, sweeps_left)
     rhs32 = (alpha * teleports).astype(np.float32)
     x32, used, healthy = _chebyshev_phase(damped32, rhs32, damp, phase_tol, budget)
@@ -259,12 +287,16 @@ def _solve_auto(top: TransitionOperator, teleports, alpha, tol, max_iter):
     if healthy:
         x = x32.astype(np.float64)
         del x32
+        previous = None
         for correction in range(3):  # residual-correction rounds (typically one)
             if sweeps_left <= 0:
                 break
             r = _residual(top, teleports, alpha, x)
             sweeps_left -= 1
             col_res = np.abs(r).sum(axis=0)
+            if previous is not None:
+                grew |= col_res > previous
+            previous = col_res
             scale = float(col_res.max())
             if scale < tol:
                 return x, col_res, max_iter - sweeps_left
@@ -287,10 +319,13 @@ def _solve_auto(top: TransitionOperator, teleports, alpha, tol, max_iter):
 
     # Fallback / polish: the plain masked power iteration converges for any
     # substochastic operator regardless of spectrum.  Start from the best
-    # iterate when the accelerated phases were healthy, else from scratch.
+    # iterate when the accelerated phases were healthy, else from scratch,
+    # as also for the columns whose corrections made the residual grow.
     base = alpha * teleports
     if x is None:
         x = base.copy()
+    elif grew.any():
+        x[:, grew] = base[:, grew]
     col_res = np.empty(x.shape[1])
     cols = np.arange(x.shape[1])
     while True:

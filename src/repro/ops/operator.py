@@ -87,7 +87,6 @@ class TransitionOperator:
         self._variants: "dict[np.dtype, sp.csr_matrix]" = {base.dtype: base}
         self._base_dtype = base.dtype
         self._damped: "OrderedDict[tuple, TransitionOperator]" = OrderedDict()
-        self._has_self_loops: "bool | None" = None
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -168,22 +167,6 @@ class TransitionOperator:
         """
         m = self.matrix(dtype)
         return m.indptr, m.indices, m.data
-
-    @property
-    def has_self_loops(self) -> bool:
-        """Whether the operator's diagonal carries any mass (computed once).
-
-        The local solvers' Proposition-4-style error discount assumes return
-        trips take at least two steps, which a self-loop breaks — the graph
-        layer's dangling-node convention introduces exactly such loops, so
-        bound code must consult this instead of assuming loop-freeness.
-        """
-        found = self._has_self_loops
-        if found is None:
-            # Idempotent bool; a racing duplicate computation is harmless.
-            found = bool(self._variants[self._base_dtype].diagonal().any())
-            self._has_self_loops = found
-        return found
 
     def damped(self, damp: float, dtype=np.float32) -> "TransitionOperator":
         """The operator with its data scaled by ``damp``, cached per (damp, dtype).

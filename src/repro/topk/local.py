@@ -1,54 +1,70 @@
 """Certified local top-k: early-stopped sweeps with an exactness contract.
 
 A full solve runs every F/T column to its 1e-12 fixed point even when the
-caller wants k=10.  This module runs the same power series only as far as
-the top-k needs: each column is a resumable sweep state whose additive error
-bounds (Wang-style backward-push bounds) turn into per-node score bounds,
-and the driver stops as soon as those bounds *certify* the returned top-k
-set and ranking against the true fixed point (Fujiwara-style exact top-k
-pruning) — or escalates to the exact solver when they cannot.
+caller wants k=10.  This module runs the same iteration only as far as the
+top-k needs: each column is a resumable sweep state whose residual turns
+into per-node lower and upper bounds on the exact column (Wang-style error
+bounds), and the driver stops as soon as those bounds *certify* the
+returned top-k set and ranking against the true fixed point
+(Fujiwara-style exact top-k pruning) — or escalates to the exact solver
+when they cannot.
 
-Sweep recurrence (one routine for both sides; only the operator differs):
+Sweep recurrence (one routine for both sides; the operator and the weights
+differ):
 
 - **F-Rank** (PPR *from* the query): ``f = alpha * e_q + (1-alpha) * P^T f``.
 - **T-Rank** (PPR *to* the query): ``t = alpha * e_q + (1-alpha) * P t``.
 
 With ``O`` the side's solve operator (``P^T`` or ``P``: the cached CSR that
-:func:`repro.engine.batch.frank_batch` / ``trank_batch`` sweep) and
-``x_u = alpha (I - (1-alpha) O)^{-1} e_u`` the side's column of node ``u``,
-a state keeps an ``estimate`` and a ``residual`` with the invariant
-``x_q = estimate + sum_u residual(u) * x_u``.  A sweep retires the whole
-residual in one sparse matvec: ``estimate += alpha * r`` and
-``r <- (1-alpha) O r``, one term of the power series.  Work is counted in
-sweeps, and a query's states share ``MAX_SWEEPS`` of them.
+:func:`repro.engine.batch.frank_batch` / ``trank_batch`` sweep), a state
+iterates ``x <- omega (alpha e_q + (1-alpha) O x) + (1 - omega) x_prev``
+from ``x = 0``.  The f-side takes ``omega`` from the engine's Chebyshev
+schedule (:func:`repro.engine.batch.chebyshev_weights`, here in float64 on
+one column); the t-side sweeps plainly (``omega = 1``, the power series),
+where Chebyshev measured no gain.  A sweep's one sparse matvec forms the
+new iterate's product, which also gives its signed residual
+``r' = alpha e_q + (1-alpha) O x - x``.  Work is counted in sweeps, and a
+query's states share ``MAX_SWEEPS`` of them.
 
-Error bounds (additive; the t-side is uniform, the f-side per-node):
+Error bounds.  ``x* - x = (I - (1-alpha) O)^{-1} r' = sum_u r'(u) / alpha *
+x_u``, where ``x_u = alpha (I - (1-alpha) O)^{-1} e_u`` is the side's
+(non-negative) column of node ``u``.  So with ``r'_+`` and ``r'_-`` the
+largest positive and negative residual entries and
+``s(v) = sum_u x_u(v)``::
 
-- t-side: rows of ``P`` sum to one, so ``sum_u t_u(v) = 1`` for every ``v``
-  and ``err_t(v) <= min(r_max, r_sum)``.
-- f-side: ``err_f(v) = sum_u r(u) f_u(v) <= r_max * c(v)`` where
-  ``c(v) = sum_u f_u(v) = n * PPR_uniform(v)`` is the node's *in-mass* —
-  one cached full solve per ``(graph, alpha)`` buys a per-node bound that
-  decays with ``r_max`` instead of ``r_sum``.  The uniform Proposition-4
-  bound ``alpha r_max + (1-alpha) r_sum``, discounted by ``1/(2-alpha)`` on
-  loop-free operators as in :class:`repro.topk.fbound.FBoundSide`, is
-  tighter on hubs early on.  Both are sound, so the pointwise minimum is
-  used.
+    x(v) - r'_- / alpha * s(v)  <=  x*(v)  <=  x(v) + r'_+ / alpha * s(v)
+
+- t-side: rows of ``P`` sum to one, so ``s(v) = sum_u t_u(v) = 1``.
+- f-side: ``s(v) = c(v) = sum_u f_u(v) = n * PPR_uniform(v)``, the node's
+  *in-mass*: one cached full solve per ``(graph, alpha)`` buys a per-node
+  bound.
+
+The bounds hold for any iterate, so the acceleration never touches
+soundness; lower bounds are clamped at zero.  Plain sweeps from zero leave
+no negative residual, so there the iterate is itself the lower bound.
+Chebyshev's weights assume a real spectrum in ``[-(1-alpha), 1-alpha]``; a
+directed graph's can be complex, and the iteration then diverges.  An
+f-state whose drive sets no new low for ``_STALL_SWEEPS`` sweeps in a row
+drops to plain sweeps from its current iterate for good, so such a graph
+costs extra sweeps, never a wrong answer.
 
 Certification contract (the part that keeps the project's exactness
-promise): a result is returned *certified* only when the per-node lower and
-upper score bounds prove, with margin ``CERT_MARGIN``, that the claimed k
-nodes beat every other node (set) and that each consecutive claimed pair is
-strictly ordered (ranking).  Strict separation of the *true* scores makes
-tie-breaking irrelevant, so a certified ranking equals the full-solve
-oracle's ranking.  Certified scores are the unnormalized lower estimates —
-``normalize`` is deliberately ignored for them (ranking is invariant under
-the positive per-query rescaling; callers needing calibrated values should
-escalate or solve fully).  Whenever certification fails — exact ties, tiny
-gaps, exhausted sweep budget — the query escalates: it solves the full
-F/T columns (``solve_columns``), combines them with
-:func:`repro.engine.batch.combine_columns` and ranks the result exactly, so
-an escalated answer is *bit-identical* to the full-solve path.
+promise): the clamped iterates pick the claimed top-k and the gap signal
+that aims the next round; a result is returned *certified* only when the
+per-node lower and upper score bounds prove, with margin ``CERT_MARGIN``,
+that the claimed k nodes beat every other node (set) and that each
+consecutive claimed pair is strictly ordered (ranking).  Strict separation
+of the *true* scores makes tie-breaking irrelevant, so a certified ranking
+equals the full-solve oracle's ranking.  Certified scores are the
+unnormalized lower bounds, and the exact scores sit in
+``[scores, scores + bound]`` — ``normalize`` is deliberately ignored for
+them (ranking is invariant under the positive per-query rescaling; callers
+needing calibrated values should escalate or solve fully).  Whenever
+certification fails — exact ties, tiny gaps, exhausted sweep budget — the
+query escalates: it solves the full F/T columns (``solve_columns``),
+combines them with :func:`repro.engine.batch.combine_columns` and ranks the
+result exactly, so an escalated answer is *bit-identical* to the
+full-solve path.
 
 The solver is wired into the serving entry points as ``method="local"``
 (see :mod:`repro.serving.topk`) and into the gateway as the cache-miss fast
@@ -57,6 +73,7 @@ path (see :class:`repro.gateway.RankGateway`).
 
 from __future__ import annotations
 
+import itertools
 import threading
 import weakref
 from dataclasses import dataclass
@@ -68,14 +85,20 @@ from repro import obs
 from repro.core.frank import DEFAULT_ALPHA, power_iteration
 from repro.core.queries import Query, normalize_query
 from repro.core.roundtrip_plus import DEFAULT_BETA, combine_beta
-from repro.engine.batch import combine_columns, frank_batch, normalize_columns, trank_batch
+from repro.engine.batch import (
+    chebyshev_weights,
+    combine_columns,
+    frank_batch,
+    normalize_columns,
+    trank_batch,
+)
 from repro.graph.digraph import DiGraph
 from repro.ops import get_operator
 from repro.ops.kernels import matvec_accumulate
-from repro.utils.validation import check_in_range
+from repro.utils.validation import check_in_range, check_positive, check_positive_int
 
-#: Residuals below this are numerical noise; a sweep state whose residuals
-#: all sit under the floor is drained (its bound will not improve).
+#: Drives below this are numerical noise; a sweep state whose drive sits
+#: under the floor is drained (its bounds will not improve).
 MIN_RESIDUAL = 1e-14
 
 #: Floor for the per-side residual drive target.  Below this the sweep
@@ -104,11 +127,17 @@ MAX_ROUNDS = 12
 #: slack below ~33k nodes) so the f-side bound stays sound.
 _INMASS_SLACK = 1e-7
 
+#: Consecutive sweeps without a new lowest drive after which an F-Rank
+#: state stops extrapolating and sweeps plainly.  On a real spectrum the
+#: drive (a max-norm) can rise for one sweep; on BibNet-2200 and the
+#: 29.8k-node BibNet it always set a new low on the next.
+_STALL_SWEEPS = 2
+
 #: Measures the local solver certifies.  ``roundtriprank_plus`` rides on the
 #: monotonicity of ``combine_beta`` in both arguments.
 LOCAL_MEASURES = ("roundtriprank", "roundtriprank_plus", "frank", "trank")
 
-#: Estimate gaps at or below this are margin-limited: certification could
+#: Point gaps at or below this are margin-limited: certification could
 #: never separate them with ``CERT_MARGIN`` to spare, so the driver stops
 #: sweeping and escalates once the bounds resolve a gap this small.
 ESCALATE_GAP = 4.0 * CERT_MARGIN
@@ -165,32 +194,41 @@ def inmass_vector(graph: DiGraph, alpha: float) -> np.ndarray:
 class ColumnPush:
     """Resumable certified-sweep state for one (side, seed-node) column.
 
-    ``kind`` selects the side: ``"f"`` sweeps ``P^T`` and solves the F-Rank
-    column of ``node``, ``"t"`` sweeps ``P`` and solves the T-Rank column.
-    The state derives its operator from ``graph`` (the same cached CSR the
-    batch solvers sweep) and, for ``"f"``, the in-mass vector.  The
-    invariant ``solution = estimate + sum_u residual[u] * column_u`` holds
-    after every sweep; :meth:`error` turns the residual into additive
-    per-node error bounds and :meth:`drive` is the scalar residual signal
-    :meth:`advance` sweeps down.
+    ``kind`` selects the side: ``"f"`` solves the F-Rank column of ``node``
+    on ``P^T``, ``"t"`` the T-Rank column on ``P`` (the same cached CSR the
+    batch solvers sweep); for ``"f"`` it also takes the in-mass vector.
+    The state keeps an iterate ``x`` of ``x = alpha e_q + (1-alpha) O x``,
+    starting from zero, and the product of its latest sweep, so the signed
+    residual ``r' = alpha e_q + (1-alpha) O x - x`` of every iterate comes
+    with no extra product.  The f-side extrapolates with the engine's
+    Chebyshev weights (:func:`repro.engine.batch.chebyshev_weights`) and
+    drops to plain sweeps for good once its drive sets no new low for
+    ``_STALL_SWEEPS`` sweeps in a row; the t-side sweeps plainly
+    throughout.  :meth:`bounds` turns the residual into per-node lower and
+    upper bounds on the exact column, :meth:`drive` is the scalar residual
+    signal :meth:`advance` sweeps down.
     """
 
     __slots__ = (
         "kind",
         "node",
         "alpha",
-        "estimate",
-        "residual",
         "work",
         "drained",
         "inmass",
         "_indptr",
         "_indices",
         "_data",
-        "_spare",
-        "_discount",
-        "_r_max",
-        "_r_sum",
+        "_x",
+        "_x_prev",
+        "_y",
+        "_scratch",
+        "_weights",
+        "_pos",
+        "_neg",
+        "_best",
+        "_stalls",
+        "_bounds",
     )
 
     def __init__(self, graph: DiGraph, node: int, alpha: float, kind: str) -> None:
@@ -203,77 +241,119 @@ class ColumnPush:
         self.inmass = inmass_vector(graph, alpha) if kind == "f" else None
         self._indptr, self._indices, self._data = operator.csr_parts(np.float64)
         n = operator.n_nodes
-        self.estimate = np.zeros(n)
-        self.residual = np.zeros(n)
-        self.residual[self.node] = 1.0
-        self._spare = np.empty(n)
-        # Prop. 4's repeated-return discount needs a loop-free diagonal.
-        self._discount = kind == "f" and not operator.has_self_loops
+        self._x = np.zeros(n)
+        self._x_prev = np.zeros(n)
+        # The first sweep's product: alpha e_q + (1-alpha) O 0.
+        self._y = np.zeros(n)
+        self._y[self.node] = self.alpha
+        self._scratch = np.empty(n)
+        # One plain sweep from zero reaches the engine's starting iterate
+        # ``alpha e_q``; the engine's schedule runs from there.
+        self._weights = (
+            itertools.chain((1.0,), chebyshev_weights(1.0 - self.alpha))
+            if kind == "f"
+            else itertools.repeat(1.0)
+        )
         self.work = 0
         self.drained = False
-        self._r_max: "float | None" = 1.0
-        self._r_sum: "float | None" = 1.0
-
-    def _residual_stats(self) -> "tuple[float, float]":
-        if self._r_max is None:
-            r = self.residual
-            self._r_max = float(r.max()) if r.size else 0.0
-            self._r_sum = float(r.sum())
-        return self._r_max, self._r_sum
+        # Largest positive and negative residual entries over alpha: x = 0
+        # leaves ``alpha e_q``.
+        self._pos, self._neg = 1.0, 0.0
+        self._best = 1.0
+        self._stalls = 0
+        self._bounds = None
 
     def drive(self) -> float:
-        """Scalar residual signal: the error bounds decay linearly with it."""
-        r_max, r_sum = self._residual_stats()
-        return r_max if self.kind == "f" else min(r_max, r_sum)
+        """Scalar residual signal ``max|r'| / alpha``: the bounds scale with it."""
+        return max(self._pos, self._neg)
 
-    def error(self):
-        """Additive error bound: per-node array (f-side) or scalar (t-side).
+    def bounds(self) -> "tuple[np.ndarray, np.ndarray]":
+        """Per-node ``(lower, upper)`` bounds on the exact column.
 
-        f-side: ``min(r_max * c, alpha r_max + (1-alpha) r_sum [/(2-alpha)])``
-        pointwise — the in-mass bound decays with the residual maximum, the
-        uniform Prop. 4 bound tightens hubs early on.  t-side:
-        ``min(r_max, r_sum)`` uniformly (``sum_u t_u(v) = 1`` exactly).
+        ``x* - x = sum_u r'(u) / alpha * x_u``, and the columns ``x_u`` are
+        non-negative, so the positive residual entries bound the error from
+        above and the negative ones from below, each by its largest entry
+        times ``sum_u x_u(v)``: the in-mass ``c(v)`` on the f-side, exactly
+        one on the t-side (rows of ``P`` sum to one).  The lower bound is
+        clamped at zero and the upper at the lower; plain sweeps from zero
+        leave no negative residual, so there ``x`` itself is the lower bound.
         """
-        r_max, r_sum = self._residual_stats()
-        if self.kind == "t":
-            return min(r_max, r_sum)
-        uniform = self.alpha * r_max + (1.0 - self.alpha) * r_sum
-        if self._discount:
-            uniform /= 2.0 - self.alpha
-        return np.minimum(r_max * self.inmass, uniform)
+        if self._bounds is None:
+            coef = self.inmass if self.inmass is not None else 1.0
+            lower = self._x - self._neg * coef
+            np.maximum(lower, 0.0, out=lower)
+            upper = self._x + self._pos * coef
+            np.maximum(upper, lower, out=upper)
+            self._bounds = (lower, upper)
+        return self._bounds
+
+    @property
+    def estimate(self) -> np.ndarray:
+        """The lower bound on the exact column."""
+        return self.bounds()[0]
+
+    def error(self) -> np.ndarray:
+        """Per-node width of the bounds: ``estimate + error()`` is the upper bound."""
+        lower, upper = self.bounds()
+        return upper - lower
+
+    def point(self) -> np.ndarray:
+        """The iterate clamped at zero: the state's best guess at the column."""
+        return np.maximum(self._x, 0.0)
 
     def advance(self, target: float, work_limit: int) -> None:
         """Sweep until ``drive() <= target``, the sweep limit, or drain-out.
 
         ``work_limit`` is an absolute cap on :attr:`work`, the number of
         sweeps this state has run (the driver hands each state its share of
-        the query's remaining budget).  A state whose residual maximum is at
-        most ``MIN_RESIDUAL`` is drained: another sweep would not tighten
-        its bounds.
+        the query's remaining budget).  A state whose drive is at most
+        ``MIN_RESIDUAL`` is drained: another sweep would not tighten its
+        bounds.
         """
         while self.drive() > target and self.work < work_limit:
-            if self._residual_stats()[0] <= MIN_RESIDUAL:
+            if self.drive() <= MIN_RESIDUAL:
                 self.drained = True
                 return
             self._sweep()
 
     def _sweep(self) -> None:
-        """Retire the whole residual: one power-series step on the operator.
+        """One sweep: ``x <- omega y + (1 - omega) x_prev``, then the product.
 
-        ``estimate += alpha * r`` and ``r <- (1-alpha) O r``, with the
-        product accumulated into the zeroed spare buffer, which then becomes
-        the residual.  Dangling rows and self-loops need no special case:
-        they are entries of ``O`` like any other.
+        ``y = alpha e_q + (1-alpha) O x`` of the current iterate is already
+        known, so the step itself costs no product; the one sparse matvec
+        forms the new iterate's ``y``, and ``y - x`` is its residual.  At
+        ``omega = 1`` the step is plain (``x <- y``).
         """
-        r = self.residual
-        self.estimate += self.alpha * r
-        spread = self._spare
-        spread.fill(0.0)
-        matvec_accumulate(self._indptr, self._indices, self._data, r, spread)
-        spread *= 1.0 - self.alpha
-        self.residual, self._spare = spread, r
+        omega = next(self._weights)
+        x, y, spare = self._x, self._y, self._x_prev
+        if omega == 1.0:
+            new, y = y, spare
+        else:
+            y *= omega
+            spare *= 1.0 - omega
+            spare += y
+            new = spare
+        self._x_prev, self._x = x, new
+        y.fill(0.0)
+        matvec_accumulate(self._indptr, self._indices, self._data, new, y)
+        y *= 1.0 - self.alpha
+        y[self.node] += self.alpha
+        self._y = y
         self.work += 1
-        self._r_max = self._r_sum = None
+        self._bounds = None
+        residual = np.subtract(y, new, out=self._scratch)
+        self._pos = max(float(residual.max()), 0.0) / self.alpha
+        self._neg = max(-float(residual.min()), 0.0) / self.alpha
+        drive = self.drive()
+        if drive < self._best:
+            self._best, self._stalls = drive, 0
+        else:
+            self._stalls += 1
+            if self._stalls >= _STALL_SWEEPS:
+                # The spectrum is not the real interval the weights assume
+                # (a directed graph's can be complex, and Chebyshev then
+                # diverges).  Plain sweeps from here converge on any one.
+                self._weights = itertools.repeat(1.0)
 
 
 class _ExactColumn:
@@ -291,8 +371,11 @@ class _ExactColumn:
     def drive(self) -> float:
         return 0.0
 
-    def error(self) -> float:
-        return 0.0
+    def bounds(self) -> "tuple[np.ndarray, np.ndarray]":
+        return self.estimate, self.estimate
+
+    def point(self) -> np.ndarray:
+        return self.estimate
 
     def advance(self, target: float, work_limit: int) -> None:
         pass
@@ -304,10 +387,11 @@ class LocalTopKResult:
 
     Exactly one of two shapes:
 
-    - ``certified=True``: ``scores`` are the unnormalized lower estimates;
-      ``bound`` is the largest per-node upper-lower width among the claimed
-      nodes, and the set *and* order are proven identical to the full-solve
-      ranking.
+    - ``certified=True``: ``scores`` are unnormalized lower bounds on the
+      exact scores and ``bound`` is the largest per-node upper-lower width
+      among the claimed nodes, so each exact score sits in
+      ``[score, score + bound]``; the set *and* order are proven identical
+      to the full-solve ranking.
     - ``escalated=True``: the exact solver produced the result; ``scores``
       are bit-identical to the full-solve path (normalized when requested)
       and ``bound`` is ``0.0``.
@@ -322,6 +406,12 @@ class LocalTopKResult:
     work: int
 
 
+def _views(state) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """A sweep state's ``(lower, point, upper)`` vectors."""
+    lower, upper = state.bounds()
+    return lower, state.point(), upper
+
+
 def _combine_scores(
     measure: str,
     beta: float,
@@ -329,36 +419,29 @@ def _combine_scores(
     f_states: "list | None",
     t_states: "list | None",
     n: int,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Dense per-node ``(lower, upper)`` score bounds for the whole query.
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Dense per-node ``(lower, point, upper)`` scores for the whole query.
 
-    Linearity over query nodes: every weighted term is bounded separately
-    and summed.  Monotonicity of the per-measure combination (product, or
-    ``combine_beta`` on non-negative arguments) makes the upper bound sound.
+    ``lower`` and ``upper`` combine the states' bounds, ``point`` their
+    clamped iterates.  Linearity over query nodes: every weighted term is
+    combined separately and summed.  Monotonicity of the per-measure
+    combination (product, or ``combine_beta``, on non-negative arguments)
+    makes both bounds sound.
     """
-    lower = np.zeros(n)
-    upper = np.zeros(n)
-    for i in range(len(weights)):
-        w = float(weights[i])
-        if measure == "frank":
-            s = f_states[i]
-            lower += w * s.estimate
-            upper += w * (s.estimate + s.error())
-        elif measure == "trank":
-            s = t_states[i]
-            lower += w * s.estimate
-            upper += w * (s.estimate + s.error())
-        elif measure == "roundtriprank":
-            fs, ts = f_states[i], t_states[i]
-            lower += w * (fs.estimate * ts.estimate)
-            upper += w * ((fs.estimate + fs.error()) * (ts.estimate + ts.error()))
-        else:  # roundtriprank_plus
-            fs, ts = f_states[i], t_states[i]
-            lower += w * combine_beta(fs.estimate, ts.estimate, beta)
-            upper += w * combine_beta(
-                fs.estimate + fs.error(), ts.estimate + ts.error(), beta
-            )
-    return lower, upper
+    combined = (np.zeros(n), np.zeros(n), np.zeros(n))
+    for i, w in enumerate(weights.tolist()):
+        fv = _views(f_states[i]) if f_states is not None else None
+        tv = _views(t_states[i]) if t_states is not None else None
+        for j, total in enumerate(combined):
+            if measure == "frank":
+                total += w * fv[j]
+            elif measure == "trank":
+                total += w * tv[j]
+            elif measure == "roundtriprank":
+                total += w * (fv[j] * tv[j])
+            else:  # roundtriprank_plus
+                total += w * combine_beta(fv[j], tv[j], beta)
+    return combined
 
 
 _OBS_LOCAL = obs.counter(
@@ -404,14 +487,20 @@ def local_topk(
     ``ColumnCache`` so escalations warm the cache; ``column_probe(kind,
     node)`` may return an already-exact column (cache hit) that then
     participates with error zero.  ``normalize`` only affects escalated
-    ``roundtriprank`` scores — certified scores are unnormalized estimates.
+    ``roundtriprank`` scores — certified scores are unnormalized lower
+    bounds.  ``k`` and ``max_iter`` must be positive integers and ``tol``
+    positive; all three are checked before any sweep, though only an
+    escalation reads ``tol`` and ``max_iter``.
     """
-    with obs.span("topk.local", k=int(k), measure=measure) as ospan:
-        alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False)
-        if measure not in LOCAL_MEASURES:
-            raise ValueError(f"measure must be one of {LOCAL_MEASURES}, got {measure!r}")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+    alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False)
+    if measure not in LOCAL_MEASURES:
+        raise ValueError(f"measure must be one of {LOCAL_MEASURES}, got {measure!r}")
+    # The escalation's arguments too: a query that certifies never reads
+    # them, so a bad one would otherwise pass unnoticed until one escalates.
+    k = check_positive_int(k, "k")
+    check_positive(tol, "tol")
+    check_positive_int(max_iter, "max_iter")
+    with obs.span("topk.local", k=k, measure=measure) as ospan:
         from repro.serving.topk import topk_select  # circular at module level
 
         nodes, weights = normalize_query(graph, query)
@@ -441,9 +530,15 @@ def local_topk(
                     break
                 state.advance(target, state.work + remaining)
 
-            lower, upper = _combine_scores(measure, beta, weights, f_states, t_states, n)
-            order, low_vals = topk_select(lower, k, exclude=exclude, candidate_mask=candidate_mask)
-            certified, needed = _certify(lower, upper, order, low_vals, exclude, candidate_mask)
+            lower, point, upper = _combine_scores(measure, beta, weights, f_states, t_states, n)
+            # The iterates pick the claim and the gap signal: they sit near
+            # the exact scores, while the lower bounds trail them by a
+            # width that differs from node to node.
+            order, _ = topk_select(point, k, exclude=exclude, candidate_mask=candidate_mask)
+            low_vals = lower[order]
+            certified, needed = _certify(
+                lower, upper, point, order, low_vals, exclude, candidate_mask
+            )
             width = float(np.max(upper[order] - low_vals)) if order.size else 0.0
             if certified:
                 result = LocalTopKResult(
@@ -474,7 +569,7 @@ def local_topk(
             # Aim the next round at the observed gaps (the k-th/(k+1)-th
             # rule): score widths decay linearly with the residual drive, so
             # scale the target by the needed-over-achieved width ratio; with
-            # no usable gap (ties in the estimates) fall back to the
+            # no usable gap (ties in the points) fall back to the
             # geometric schedule.
             if needed > 0.0 and width > 0.0:
                 ratio = needed / (2.0 * width)
@@ -540,6 +635,7 @@ def _make_state(graph, node, alpha, kind, column_probe):
 def _certify(
     lower: np.ndarray,
     upper: np.ndarray,
+    point: np.ndarray,
     order: np.ndarray,
     low_vals: np.ndarray,
     exclude,
@@ -547,9 +643,12 @@ def _certify(
 ) -> "tuple[bool, float]":
     """Check the set and ranking inequalities; report the binding gap.
 
-    Returns ``(certified, needed)`` where ``needed`` is the smallest
-    positive *estimate* gap among the failing inequalities (the signal for
-    the next width target), or 0.0 when the estimates give none (ties).
+    The claim ``order`` is certified when every claimed node's lower bound
+    clears the next claimed node's upper bound, and the last one clears
+    every other eligible node's, each by ``CERT_MARGIN``.  Returns
+    ``(certified, needed)`` where ``needed`` is the smallest positive
+    ``point`` gap among the failing inequalities (the signal for the next
+    width target), or 0.0 when the points give none (ties).
     """
     if order.size == 0:
         return True, 0.0
@@ -560,9 +659,9 @@ def _certify(
         rest_upper[~np.asarray(candidate_mask, dtype=bool)] = -np.inf
     if exclude:
         rest_upper[list(exclude)] = -np.inf
-    rest_lower = np.where(np.isneginf(rest_upper), -np.inf, lower)
+    rest_point = np.where(np.isneginf(rest_upper), -np.inf, point)
     rest_upper[order] = -np.inf
-    rest_lower[order] = -np.inf
+    rest_point[order] = -np.inf
     rest_up = float(rest_upper.max()) if rest_upper.size else -np.inf
     set_ok = not np.isfinite(rest_up) or low_vals[-1] > rest_up + CERT_MARGIN
     order_ok = bool(np.all(low_vals[:-1] > upper[order[1:]] + CERT_MARGIN))
@@ -570,11 +669,11 @@ def _certify(
         return True, 0.0
     gaps = []
     if not set_ok and np.isfinite(rest_up):
-        rest_low = float(rest_lower.max())
-        if np.isfinite(rest_low):
-            gaps.append(float(low_vals[-1]) - rest_low)
+        rest_best = float(rest_point.max())
+        if np.isfinite(rest_best):
+            gaps.append(float(point[order[-1]]) - rest_best)
     if not order_ok:
-        consecutive = low_vals[:-1] - lower[order[1:]]
+        consecutive = point[order[:-1]] - point[order[1:]]
         failing = consecutive[low_vals[:-1] <= upper[order[1:]] + CERT_MARGIN]
         if failing.size:
             gaps.append(float(failing.min()))

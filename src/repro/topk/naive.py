@@ -15,6 +15,7 @@ from repro.core.frank import DEFAULT_ALPHA, power_iteration
 from repro.core.queries import Query, normalize_query, teleport_vector
 from repro.graph.digraph import DiGraph
 from repro.ops import get_operator
+from repro.utils.validation import check_positive, check_positive_int
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,8 @@ def naive_topk(
     :func:`repro.core.roundtriprank` — a round trip starts and ends at the
     *same* sampled query node.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = check_positive_int(k, "k")
+    check_positive(tol, "tol")
     nodes, weights = normalize_query(graph, query)
     # The oracle's full-graph fixed points run on the shared prepared
     # operators of repro.ops — identical arithmetic to frank_vector /

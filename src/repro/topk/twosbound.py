@@ -34,7 +34,12 @@ from repro.topk.conditions import sort_candidates, topk_conditions_met
 from repro.topk.fbound import FBoundSide
 from repro.topk.graphaccess import GraphAccess, LocalGraphAccess
 from repro.topk.tbound import TBoundSide
-from repro.utils.validation import check_candidate_mask, check_exclude, check_node_id
+from repro.utils.validation import (
+    check_candidate_mask,
+    check_exclude,
+    check_node_id,
+    check_positive_int,
+)
 
 #: the paper's expansion granularities (Sect. V-A3).
 DEFAULT_M_F = 100
@@ -127,12 +132,10 @@ def twosbound_topk(
     """
     access = graph if isinstance(graph, GraphAccess) else LocalGraphAccess(graph)
     query = check_node_id(query, access.n_nodes, "query")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = check_positive_int(k, "k")
     if not epsilon >= 0:  # NaN too (see topk_conditions_met)
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+    max_rounds = check_positive_int(max_rounds, "max_rounds")
     if candidate_mask is not None:
         candidate_mask = check_candidate_mask(candidate_mask, access.n_nodes)
     if exclude:

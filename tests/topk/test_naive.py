@@ -41,6 +41,21 @@ class TestNaiveTopK:
         with pytest.raises(ValueError):
             naive_topk(toy_graph, 0, 0)
 
+    @pytest.mark.parametrize(
+        ("kwargs", "error"),
+        [
+            ({"k": 2.5}, TypeError),
+            ({"tol": float("nan")}, ValueError),
+            ({"tol": -1.0}, ValueError),
+            ({"tol": 0.0}, ValueError),
+        ],
+    )
+    def test_bad_arguments_are_rejected_before_any_sweep(self, toy_graph, kwargs, error):
+        # k = 2.5 used to reach np.argpartition after both full solves.
+        args = {"k": 3, **kwargs}
+        with pytest.raises(error, match=next(iter(kwargs))):
+            naive_topk(toy_graph, 0, args.pop("k"), **args)
+
     def test_ranking_method(self, toy_graph):
         result = naive_topk(toy_graph, 0, 3)
         assert result.ranking() == result.nodes

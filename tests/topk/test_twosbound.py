@@ -157,6 +157,21 @@ class TestDegenerateCases:
         with pytest.raises(ValueError, match="max_rounds"):
             twosbound_topk(toy_graph, 0, 1, max_rounds=max_rounds)
 
+    @pytest.mark.parametrize(
+        ("kwargs", "error"),
+        [
+            ({"k": 0}, ValueError),
+            ({"k": 2.5}, TypeError),
+            ({"max_rounds": 2.5}, TypeError),
+        ],
+    )
+    def test_bad_counts_are_rejected_before_any_round(self, toy_graph, kwargs, error):
+        # k = 2.5 used to reach np.argpartition inside the first round.
+        args = {"k": 3, **kwargs}
+        name = next(iter(kwargs))
+        with pytest.raises(error, match=name):
+            twosbound_topk(toy_graph, 0, args.pop("k"), epsilon=0.0, **args)
+
     def test_validation(self, toy_graph):
         with pytest.raises(ValueError):
             twosbound_topk(toy_graph, 0, 0)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import combine_beta, frank_vector, normalize_query, trank_vector
+from repro.graph import graph_from_edges
 from repro.serving.topk import topk_select
 from repro.topk import LOCAL_MEASURES, ColumnPush, local_topk, naive_topk
 from repro.topk import local as local_module
@@ -202,6 +203,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             local_topk(toy_graph, 0, 3, alpha=1.0)
 
+    @pytest.mark.parametrize(
+        ("kwargs", "error"),
+        [
+            ({"k": 2.5}, TypeError),
+            ({"tol": float("nan")}, ValueError),
+            ({"tol": -1.0}, ValueError),
+            ({"max_iter": 0}, ValueError),
+            ({"max_iter": 2.5}, TypeError),
+        ],
+    )
+    def test_bad_arguments_are_rejected_before_any_sweep(
+        self, toy_graph, monkeypatch, kwargs, error
+    ):
+        # Query 4 certifies, so tol and max_iter (read only on escalation)
+        # used to pass unchecked, and k = 2.5 reached np.argpartition.
+        assert local_topk(toy_graph, 4, 3).certified
+
+        def no_sweep(*args):
+            raise AssertionError("swept before validating")
+
+        monkeypatch.setattr(local_module, "matvec_accumulate", no_sweep)
+        args = {"k": 3, **kwargs}
+        with pytest.raises(error, match=next(iter(kwargs))):
+            local_topk(toy_graph, 4, args.pop("k"), **args)
+
 
 class TestPushState:
     def test_f_push_brackets_true_column(self, toy_graph):
@@ -232,9 +258,123 @@ class TestPushState:
         truth = trank_vector(graph, node, ALPHA)
         assert np.all(truth <= push.estimate + push.error() + 1e-12)
 
+    def test_point_is_clamped_where_the_iterate_dips_below_zero(self):
+        # On this directed graph the F-Rank Chebyshev iterate of node 12
+        # dips to -2.8e-3 at sweeps 9-10; unclamped, combine_beta would
+        # turn it into NaN.
+        arcs = [
+            (8, 8, 5.58),
+            (6, 3, 0.44),
+            (12, 6, 3.04),
+            (11, 7, 4.48),
+            (6, 9, 3.84),
+            (4, 12, 3.19),
+            (7, 0, 0.15),
+            (2, 0, 5.26),
+            (4, 3, 0.59),
+            (0, 5, 0.19),
+            (11, 9, 3.60),
+            (1, 11, 6.69),
+            (8, 2, 4.27),
+            (7, 6, 0.51),
+            (5, 5, 8.62),
+            (9, 1, 2.85),
+        ]
+        g = graph_from_edges(13, arcs)
+        f = ColumnPush(g, 12, ALPHA, "f")
+        t = ColumnPush(g, 12, ALPHA, "t")
+        for _ in range(12):
+            f.advance(0.0, f.work + 1)
+            t.advance(0.0, t.work + 1)
+            assert np.all(f.point() >= 0.0)
+            assert np.all(f.point() <= f.estimate + f.error())
+            assert np.isfinite(combine_beta(f.point(), t.point(), 0.5)).all()
+
     def test_kind_validation(self, toy_graph):
         with pytest.raises(ValueError, match="kind"):
             ColumnPush(toy_graph, 0, ALPHA, "x")
+
+
+#: A directed 8-cycle with the chord 0 -> 4: its transition matrix has
+#: complex eigenvalues, so Chebyshev weights for the real interval
+#: [-(1 - alpha), 1 - alpha] make the F-Rank iteration diverge.
+CYCLE = [(i, (i + 1) % 8) for i in range(8)] + [(0, 4)]
+CYCLE_ALPHA = 0.15
+
+
+def dense_column(graph, node, alpha, transpose):
+    p = graph.transition.toarray()
+    operator = p.T if transpose else p
+    resolvent = np.eye(graph.n_nodes) - (1.0 - alpha) * operator
+    return alpha * np.linalg.solve(resolvent, np.eye(graph.n_nodes)[:, node])
+
+
+class TestPlainSweepFallback:
+    def test_chebyshev_alone_diverges_on_the_cycle(self):
+        # The premise: the engine's weights, with no fallback, blow up here.
+        from itertools import chain
+
+        from repro.engine.batch import chebyshev_weights
+
+        g = graph_from_edges(8, CYCLE)
+        damped = (1.0 - CYCLE_ALPHA) * g.transition.toarray().T
+        base = np.eye(8)[:, 1] * CYCLE_ALPHA
+        x = x_prev = np.zeros(8)
+        weights = chain((1.0,), chebyshev_weights(1.0 - CYCLE_ALPHA))
+        for _ in range(30):
+            omega = next(weights)
+            x, x_prev = omega * (base + damped @ x) + (1.0 - omega) * x_prev, x
+        assert np.abs(base + damped @ x - x).max() > 1.0
+
+    @pytest.mark.parametrize("node", range(8))
+    def test_every_sweep_brackets_the_dense_column_and_converges(self, node):
+        g = graph_from_edges(8, CYCLE)
+        exact = dense_column(g, node, CYCLE_ALPHA, transpose=True)
+        state = ColumnPush(g, node, CYCLE_ALPHA, "f")
+        while state.drive() > 1e-12 and not state.drained and state.work < 400:
+            state.advance(0.0, state.work + 1)
+            assert np.all(state.estimate <= exact + 1e-12)
+            assert np.all(exact <= state.estimate + state.error() + 1e-12)
+        # Plain sweeps converge at rate 1 - alpha: about 160 of them.
+        assert state.drive() <= 1e-12
+
+    @pytest.mark.parametrize("measure", LOCAL_MEASURES)
+    def test_local_topk_certifies_exact_or_escalates_bit_identical(self, measure):
+        from repro.engine.batch import frank_batch, trank_batch
+        from repro.serving.topk import (
+            roundtriprank_batch_topk,
+            roundtriprank_plus_batch_topk,
+        )
+
+        g = graph_from_edges(8, CYCLE)
+        for node in range(8):
+            f = dense_column(g, node, CYCLE_ALPHA, transpose=True)
+            t = dense_column(g, node, CYCLE_ALPHA, transpose=False)
+            f, t = np.maximum(f, 0.0), np.maximum(t, 0.0)
+            dense = {
+                "frank": f,
+                "trank": t,
+                "roundtriprank": f * t,
+                "roundtriprank_plus": combine_beta(f, t, 0.5),
+            }[measure]
+            for k in (1, 2, 3):
+                result = local_topk(g, node, k, CYCLE_ALPHA, measure=measure, normalize=False)
+                if result.certified:
+                    expected, values = topk_select(dense, k)
+                    assert result.indices.tolist() == expected.tolist()
+                    assert np.all(result.scores <= values + 1e-12)
+                    assert np.all(values <= result.scores + result.bound + 1e-12)
+                    continue
+                if measure == "roundtriprank":
+                    idx, val = roundtriprank_batch_topk(g, [node], k, CYCLE_ALPHA, normalize=False)
+                elif measure == "roundtriprank_plus":
+                    idx, val = roundtriprank_plus_batch_topk(g, [node], k, 0.5, CYCLE_ALPHA)
+                else:
+                    solve = frank_batch if measure == "frank" else trank_batch
+                    idx, val = topk_select(solve(g, [node], CYCLE_ALPHA)[:, 0], k)
+                    idx, val = idx[None], val[None]
+                assert np.array_equal(result.indices, idx[0])
+                assert np.array_equal(result.scores, val[0])
 
 
 class TestInmassVector:
