@@ -8,11 +8,16 @@ throughout the benches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy import stats
+
+#: Relative spread under which paired differences count as constant: the
+#: threshold of scipy's own catastrophic-cancellation check.
+_CONSTANT_EPS = 10 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -36,7 +41,9 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> PairedTTestResult:
 
     Raises ``ValueError`` on mismatched lengths or fewer than two pairs.
     Identical samples return ``p = 1.0`` (no evidence of difference) rather
-    than scipy's NaN, so callers need no special-casing.
+    than scipy's NaN, and a constant nonzero difference returns
+    ``t = +-inf`` and ``p = 0.0`` rather than scipy's precision-loss
+    warning, so callers need no special-casing.
     """
     a_arr = np.asarray(a, dtype=np.float64)
     b_arr = np.asarray(b, dtype=np.float64)
@@ -44,8 +51,14 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> PairedTTestResult:
         raise ValueError(f"paired samples differ in shape: {a_arr.shape} vs {b_arr.shape}")
     if a_arr.size < 2:
         raise ValueError("need at least two pairs for a t-test")
+    diff = a_arr - b_arr
+    mean = float(diff.mean())
     if np.allclose(a_arr, b_arr):
         t_stat, p_value = 0.0, 1.0
+    elif np.abs(diff - mean).max() < _CONSTANT_EPS * abs(mean):
+        # The differences spread less than their mean's round-off: no
+        # variance to test, and scipy would only warn of the cancellation.
+        t_stat, p_value = math.copysign(math.inf, mean), 0.0
     else:
         t_stat, p_value = stats.ttest_rel(a_arr, b_arr)
         if np.isnan(p_value):
@@ -53,7 +66,7 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> PairedTTestResult:
     return PairedTTestResult(
         mean_a=float(a_arr.mean()),
         mean_b=float(b_arr.mean()),
-        mean_difference=float((a_arr - b_arr).mean()),
+        mean_difference=mean,
         t_statistic=float(t_stat),
         p_value=float(p_value),
         n=int(a_arr.size),

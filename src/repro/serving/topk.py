@@ -17,9 +17,11 @@ certified early-stopped sweeps of :func:`repro.topk.local.local_topk`
 instead of the batch engine: same top-k set and ranking (certified, or
 escalated to the bit-identical exact solve), and an easy query stops after
 the sweeps its certificate needs (F-Rank on the engine's Chebyshev
-weights, T-Rank on plain sweeps).  Certified scores are unnormalized lower
-bounds on the exact scores — see the exactness contract in
-:mod:`repro.topk.local`.
+weights, T-Rank on plain sweeps).  Exact ties between twins (nodes with
+identical rows and columns of ``P``) are certified in node-id order, the
+order this module's tie-break gives them.  Certified scores are
+unnormalized lower bounds on the exact scores — see the exactness
+contract in :mod:`repro.topk.local`.
 """
 
 from __future__ import annotations

@@ -55,16 +55,28 @@ per-node lower and upper score bounds prove, with margin ``CERT_MARGIN``,
 that the claimed k nodes beat every other node (set) and that each
 consecutive claimed pair is strictly ordered (ranking).  Strict separation
 of the *true* scores makes tie-breaking irrelevant, so a certified ranking
-equals the full-solve oracle's ranking.  Certified scores are the
-unnormalized lower bounds, and the exact scores sit in
-``[scores, scores + bound]`` — ``normalize`` is deliberately ignored for
-them (ranking is invariant under the positive per-query rescaling; callers
-needing calibrated values should escalate or solve fully).  Whenever
-certification fails — exact ties, tiny gaps, exhausted sweep budget — the
-query escalates: it solves the full F/T columns (``solve_columns``),
-combines them with :func:`repro.engine.batch.combine_columns` and ranks the
-result exactly, so an escalated answer is *bit-identical* to the
-full-solve path.
+equals the full-solve oracle's ranking.
+
+The one exception is a proven exact tie.  Two nodes are *twins* when their
+out-rows and their in-rows of ``P`` are identical (:func:`twin_classes`).
+Swapping them maps ``P`` onto itself, so for a query that contains neither
+they have exactly equal F, T, RoundTripRank and RTR+ scores.  Every
+row-wise solve reproduces that tie bit for bit, and the exact ranking then
+orders them by id.  A consecutive claimed pair of non-query twins in
+ascending id therefore passes the ranking test without ``CERT_MARGIN``,
+and the k-th claimed node's higher-id non-query twins leave the set test;
+the gap signal ignores both.  Ties between nodes that are not twins still
+escalate.
+
+Certified scores are the unnormalized lower bounds, and the exact scores
+sit in ``[scores, scores + bound]`` — ``normalize`` is deliberately
+ignored for them (ranking is invariant under the positive per-query
+rescaling; callers needing calibrated values should escalate or solve
+fully).  Whenever certification fails — ties between non-twins, tiny
+gaps, exhausted sweep budget — the query escalates: it solves the full
+F/T columns (``solve_columns``), combines them with
+:func:`repro.engine.batch.combine_columns` and ranks the result exactly,
+so an escalated answer is *bit-identical* to the full-solve path.
 
 The solver is wired into the serving entry points as ``method="local"``
 (see :mod:`repro.serving.topk`) and into the gateway as the cache-miss fast
@@ -189,6 +201,96 @@ def inmass_vector(graph: DiGraph, alpha: float) -> np.ndarray:
             per_graph[key] = c
             existing = c
     return existing
+
+
+# --------------------------------------------------------------------------- #
+# Twin map: nodes whose out-rows and in-rows of P are identical
+# --------------------------------------------------------------------------- #
+
+_TWINS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_twins_lock = threading.Lock()
+
+
+def twin_classes(graph: DiGraph) -> np.ndarray:
+    """The cached twin map of ``graph``: each node's twin-class label.
+
+    Two nodes are twins when their rows of ``P`` (out-rows) and their rows
+    of ``P^T`` (in-rows) are identical, entry for entry as stored.
+    ``labels[v]`` is the smallest id of ``v``'s twin class, or -1 when
+    ``v`` has no twin.  One vectorized pass hashes every row, then compares
+    each node's rows exactly with those of the smallest node sharing both
+    its hashes; a node whose rows differ there stays unlabelled, so a hash
+    collision can only miss a twin (which costs an escalation, never an
+    answer).  The returned array is shared and read-only.
+    """
+    with _twins_lock:
+        found = _TWINS.get(graph)
+    if found is not None:
+        return found
+    # As for the in-mass vector: computed outside the lock, and a racing
+    # duplicate is wasted work, not a bug.
+    rows = [get_operator(graph, transpose=t).csr_parts(np.float64) for t in (False, True)]
+    out_hash, in_hash = (_row_hashes(*parts) for parts in rows)
+    order = np.lexsort((in_hash, out_hash))  # stable: ascending id within a key
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = (out_hash[order[1:]] != out_hash[order[:-1]]) | (
+        in_hash[order[1:]] != in_hash[order[:-1]]
+    )
+    # Every node against the first (smallest) node of its hash group.
+    leader = order[np.flatnonzero(start)[np.cumsum(start) - 1]]
+    member = np.flatnonzero(~start)
+    node, lead = order[member], leader[member]
+    same = _rows_equal(*rows[0], node, lead) & _rows_equal(*rows[1], node, lead)
+    labels = np.full(graph.n_nodes, -1, dtype=np.int64)
+    labels[node[same]] = lead[same]
+    labels[lead[same]] = lead[same]
+    labels.setflags(write=False)
+    with _twins_lock:
+        return _TWINS.setdefault(graph, labels)
+
+
+def _query_twins(graph: DiGraph, nodes: np.ndarray) -> np.ndarray:
+    """The twin labels for a query on ``nodes``: query nodes have no twin.
+
+    Swapping a query node with its twin moves the query, so the two need
+    not tie; the class's other members still do.
+    """
+    twins = twin_classes(graph)
+    if np.any(twins[nodes] >= 0):
+        twins = twins.copy()
+        twins[nodes] = -1
+    return twins
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer on a uint64 array (wrapping arithmetic)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _row_hashes(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """One uint64 hash per CSR row: the wrapped sum of its entries' hashes."""
+    entry = _mix(_mix(indices.astype(np.uint64)) ^ data.view(np.uint64))
+    total = np.zeros(entry.size + 1, dtype=np.uint64)
+    np.cumsum(entry, out=total[1:])
+    return total[indptr[1:]] - total[indptr[:-1]]
+
+
+def _rows_equal(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Whether CSR rows ``a[i]`` and ``b[i]`` hold the same entries, bit for bit."""
+    length = indptr[a + 1] - indptr[a]
+    equal = length == indptr[b + 1] - indptr[b]
+    length = np.where(equal, length, 0)
+    pair = np.repeat(np.arange(a.size), length)
+    offset = np.arange(pair.size) - np.repeat(np.cumsum(length) - length, length)
+    ea, eb = indptr[a][pair] + offset, indptr[b][pair] + offset
+    bits = data.view(np.uint64)
+    differs = (indices[ea] != indices[eb]) | (bits[ea] != bits[eb])
+    equal[pair[differs]] = False
+    return equal
 
 
 class ColumnPush:
@@ -391,7 +493,8 @@ class LocalTopKResult:
       exact scores and ``bound`` is the largest per-node upper-lower width
       among the claimed nodes, so each exact score sits in
       ``[score, score + bound]``; the set *and* order are proven identical
-      to the full-solve ranking.
+      to the full-solve ranking (twins, which tie exactly, in id order as
+      there).
     - ``escalated=True``: the exact solver produced the result; ``scores``
       are bit-identical to the full-solve path (normalized when requested)
       and ``bound`` is ``0.0``.
@@ -507,6 +610,7 @@ def local_topk(
         n = graph.n_nodes
         needs_f = measure != "trank"
         needs_t = measure != "frank"
+        twins = _query_twins(graph, nodes)
 
         f_states = t_states = None
         if needs_f:
@@ -537,7 +641,7 @@ def local_topk(
             order, _ = topk_select(point, k, exclude=exclude, candidate_mask=candidate_mask)
             low_vals = lower[order]
             certified, needed = _certify(
-                lower, upper, point, order, low_vals, exclude, candidate_mask
+                lower, upper, point, order, low_vals, exclude, candidate_mask, twins
             )
             width = float(np.max(upper[order] - low_vals)) if order.size else 0.0
             if certified:
@@ -640,15 +744,19 @@ def _certify(
     low_vals: np.ndarray,
     exclude,
     candidate_mask,
+    twins: np.ndarray,
 ) -> "tuple[bool, float]":
     """Check the set and ranking inequalities; report the binding gap.
 
     The claim ``order`` is certified when every claimed node's lower bound
     clears the next claimed node's upper bound, and the last one clears
-    every other eligible node's, each by ``CERT_MARGIN``.  Returns
-    ``(certified, needed)`` where ``needed`` is the smallest positive
-    ``point`` gap among the failing inequalities (the signal for the next
-    width target), or 0.0 when the points give none (ties).
+    every other eligible node's, each by ``CERT_MARGIN``.  Twins (``twins``,
+    the query's twin labels: see :func:`twin_classes`) tie exactly and rank
+    by id, so a consecutive claimed pair of twins in ascending id needs no
+    inequality, and the last claimed node's higher-id twins are no rivals.
+    Returns ``(certified, needed)`` where ``needed`` is the smallest
+    positive ``point`` gap among the failing inequalities (the signal for
+    the next width target), or 0.0 when the points give none (ties).
     """
     if order.size == 0:
         return True, 0.0
@@ -659,23 +767,29 @@ def _certify(
         rest_upper[~np.asarray(candidate_mask, dtype=bool)] = -np.inf
     if exclude:
         rest_upper[list(exclude)] = -np.inf
+    last = order[-1]
+    if twins[last] >= 0:
+        tied = np.flatnonzero(twins == twins[last])
+        rest_upper[tied[tied > last]] = -np.inf
     rest_point = np.where(np.isneginf(rest_upper), -np.inf, point)
     rest_upper[order] = -np.inf
     rest_point[order] = -np.inf
     rest_up = float(rest_upper.max()) if rest_upper.size else -np.inf
     set_ok = not np.isfinite(rest_up) or low_vals[-1] > rest_up + CERT_MARGIN
-    order_ok = bool(np.all(low_vals[:-1] > upper[order[1:]] + CERT_MARGIN))
+    head, tail = order[:-1], order[1:]
+    ordered = (low_vals[:-1] > upper[tail] + CERT_MARGIN) | (
+        (twins[head] >= 0) & (twins[head] == twins[tail]) & (head < tail)
+    )
+    order_ok = bool(np.all(ordered))
     if set_ok and order_ok:
         return True, 0.0
     gaps = []
     if not set_ok and np.isfinite(rest_up):
         rest_best = float(rest_point.max())
         if np.isfinite(rest_best):
-            gaps.append(float(point[order[-1]]) - rest_best)
+            gaps.append(float(point[last]) - rest_best)
     if not order_ok:
-        consecutive = point[order[:-1]] - point[order[1:]]
-        failing = consecutive[low_vals[:-1] <= upper[order[1:]] + CERT_MARGIN]
-        if failing.size:
-            gaps.append(float(failing.min()))
+        failing = (point[head] - point[tail])[~ordered]
+        gaps.append(float(failing.min()))
     positive = [g for g in gaps if g > 0.0]
     return False, min(positive) if positive else 0.0

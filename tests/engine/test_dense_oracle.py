@@ -33,7 +33,11 @@ same dense columns:
   ``estimate <= exact <= estimate + error()``;
 - a certified ``local_topk`` result, for every local measure, is the dense
   scores' top-k and its ``[scores, scores + bound]`` brackets their values;
-  an escalated result is bit-identical to the batch entry point.
+  an escalated result is bit-identical to the batch entry point.  Twins
+  (nodes other than the query whose rows and columns of ``P`` are
+  identical) tie exactly and rank by id, so each twin class gets one dense
+  value before the top-k is taken, and some examples must certify such a
+  tie.
 """
 
 import numpy as np
@@ -262,30 +266,69 @@ def batch_topk(graph, query, k, alpha, measure):
     return topk_select(solve(graph, [query], alpha)[:, 0], k)
 
 
-@settings(max_examples=60, deadline=None)
-@given(case=oracle_cases(), k=st.integers(min_value=1, max_value=4))
-def test_local_topk_is_certified_exact_or_escalated_bit_identical(case, k):
-    graph, queries, alpha = case
-    for q in queries:
-        # LU round-off can leave -1e-17 where a true entry is 0, which the
-        # fractional powers of roundtriprank_plus would turn into NaN.
-        f = np.maximum(dense_solution(graph, q, alpha, transpose=True), 0.0)
-        t = np.maximum(dense_solution(graph, q, alpha, transpose=False), 0.0)
-        dense = {
-            "frank": f,
-            "trank": t,
-            "roundtriprank": f * t,
-            "roundtriprank_plus": combine_beta(f, t, BETA),
-        }
-        for measure in LOCAL_MEASURES:
-            result = local_topk(graph, q, k, alpha, measure=measure, beta=BETA, normalize=False)
-            assert result.certified != result.escalated
-            if result.certified:
-                expected, values = topk_select(dense[measure], k)
-                assert result.indices.tolist() == expected.tolist(), measure
-                assert np.all(result.scores <= values + SLACK), measure
-                assert np.all(values <= result.scores + result.bound + SLACK), measure
-            else:
-                idx, val = batch_topk(graph, q, k, alpha, measure)
-                assert np.array_equal(result.indices, idx), measure
-                assert np.array_equal(result.scores, val), measure
+def dense_twins(graph, query: "int | None" = None) -> np.ndarray:
+    """Twin labels for ``query``'s ranking (or of the graph), from the dense ``P``.
+
+    Nodes other than the query whose rows and columns of ``P`` are
+    identical score exactly alike, and the exact ranking orders them by id;
+    ``labels[v]`` is the smallest id of ``v``'s class, or -1.
+    """
+    p = graph.transition.toarray()
+    labels = np.full(graph.n_nodes, -1)
+    for v in range(graph.n_nodes):
+        same = [
+            u
+            for u in range(graph.n_nodes)
+            if u != query and np.array_equal(p[u], p[v]) and np.array_equal(p[:, u], p[:, v])
+        ]
+        if v != query and len(same) > 1:
+            labels[v] = min(same)
+    return labels
+
+
+def claims_twin_tie(indices: np.ndarray, labels: np.ndarray) -> bool:
+    """Whether a top-k holds two twins, or leaves out a twin of its last node."""
+    if np.any((labels[indices[:-1]] >= 0) & (labels[indices[:-1]] == labels[indices[1:]])):
+        return True
+    last = indices[-1]
+    return bool(labels[last] >= 0 and np.any(labels[last + 1 :] == labels[last]))
+
+
+def test_local_topk_is_certified_exact_or_escalated_bit_identical():
+    twin_ties = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=oracle_cases(), k=st.integers(min_value=1, max_value=4))
+    def check(case, k):
+        graph, queries, alpha = case
+        for q in queries:
+            # LU round-off can leave -1e-17 where a true entry is 0, which the
+            # fractional powers of roundtriprank_plus would turn into NaN.
+            f = np.maximum(dense_solution(graph, q, alpha, transpose=True), 0.0)
+            t = np.maximum(dense_solution(graph, q, alpha, transpose=False), 0.0)
+            dense = {
+                "frank": f,
+                "trank": t,
+                "roundtriprank": f * t,
+                "roundtriprank_plus": combine_beta(f, t, BETA),
+            }
+            # Twins tie exactly, which LU round-off need not reproduce.
+            labels = dense_twins(graph, q)
+            for scores in dense.values():
+                scores[labels >= 0] = scores[labels[labels >= 0]]
+            for measure in LOCAL_MEASURES:
+                result = local_topk(graph, q, k, alpha, measure=measure, beta=BETA, normalize=False)
+                assert result.certified != result.escalated
+                if result.certified:
+                    expected, values = topk_select(dense[measure], k)
+                    assert result.indices.tolist() == expected.tolist(), measure
+                    assert np.all(result.scores <= values + SLACK), measure
+                    assert np.all(values <= result.scores + result.bound + SLACK), measure
+                    twin_ties.append(claims_twin_tie(result.indices, labels))
+                else:
+                    idx, val = batch_topk(graph, q, k, alpha, measure)
+                    assert np.array_equal(result.indices, idx), measure
+                    assert np.array_equal(result.scores, val), measure
+
+    check()
+    assert any(twin_ties), "no example certified a tie between twins"

@@ -27,6 +27,22 @@ class TestPairedTTest:
         assert r.mean_b == 0.5
         assert r.n == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "a, b, sign",
+        [
+            ([1.0, 2.0], [0.0, 1.0], 1.0),
+            ([0.0, 1.0], [1.0, 2.0], -1.0),
+            # Differences a few ulps apart are constant too.
+            ([0.3, 0.7, 1.1], [0.2, 0.6, 1.0], 1.0),
+        ],
+    )
+    def test_constant_difference_is_answered_without_warning(self, a, b, sign):
+        r = paired_t_test(a, b)
+        assert r.t_statistic == sign * np.inf
+        assert r.p_value == 0.0
+        assert r.significant()
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             paired_t_test([1.0], [1.0, 2.0])

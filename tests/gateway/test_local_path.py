@@ -21,20 +21,22 @@ K = 10
 def outcome_nodes(small_bibnet):
     """(certified_node, escalated_node) under the gateway's default solve.
 
-    Which queries certify is deterministic for a fixed graph (the push
-    budget is counted in work units), so scanning once per module is
-    stable.
+    Which queries certify is deterministic for a fixed graph (the sweep
+    budget is counted in sweeps), so scanning once per module is stable.
+    Every paper query certifies, twin ties included; the escalation comes
+    from a query of another type, whose binding tie is not between twins.
     """
+    graph = small_bibnet.graph
     certified = escalated = None
-    for node in small_bibnet.paper_nodes.tolist():
-        result = local_topk(small_bibnet.graph, int(node), K, ALPHA)
-        if result.certified and certified is None:
-            certified = int(node)
-        if result.escalated and escalated is None:
-            escalated = int(node)
+    for node in range(graph.n_nodes):
+        result = local_topk(graph, node, K, ALPHA)
+        if certified is None and result.certified and node in small_bibnet.paper_nodes:
+            certified = node
+        if escalated is None and result.escalated:
+            escalated = node
         if certified is not None and escalated is not None:
             return certified, escalated
-    pytest.skip(f"graph lacks both outcomes (certified={certified}, escalated={escalated})")
+    pytest.fail(f"graph lacks both outcomes (certified={certified}, escalated={escalated})")
 
 
 def _local_gateway(graph, **kwargs):

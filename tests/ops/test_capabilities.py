@@ -17,6 +17,7 @@ from repro.engine import frank_batch, trank_batch
 from repro.ops import TransitionOperator
 from repro.ops import kernels as k
 from repro.topk import local_topk, twosbound_topk
+from repro.topk import local as local_module
 from tests.topk.test_golden import EPSILON, GOLDEN, K
 from tests.topk_local import test_local_golden as local_golden
 
@@ -178,7 +179,9 @@ class TestCsrMatvecCapability:
     def test_one_column_solve_bits_survive_the_fallback(self, small_bibnet, monkeypatch):
         g = small_bibnet.graph
         nodes = small_bibnet.paper_nodes[::60].tolist()
-        escalating = next(q for q, _, _, escalated, *_ in local_golden.GOLDEN if escalated)
+        query = local_golden.GOLDEN[0][0]
+        # No sweep budget: the query escalates to its one-column solves.
+        monkeypatch.setattr(local_module, "MAX_SWEEPS", 0)
 
         def run_all():
             results = [
@@ -187,7 +190,7 @@ class TestCsrMatvecCapability:
                 for solve in (frank_batch, trank_batch)
                 for method in ("auto", "power")
             ]
-            r = local_topk(g, escalating, local_golden.K, local_golden.ALPHA)
+            r = local_topk(g, query, local_golden.K, local_golden.ALPHA)
             assert r.escalated
             results.append((r.indices.tobytes(), r.scores.tobytes()))
             return results

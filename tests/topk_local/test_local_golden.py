@@ -25,15 +25,15 @@ GOLDEN = [
     (383, [383, 384, 98, 182, 104, 319, 387, 476, 393, 655], True, False, 2, 36),
     (405, [405, 406, 177, 143, 181, 51, 168, 3, 340, 9], True, False, 2, 41),
     (433, [433, 380, 177, 429, 143, 181, 379, 51, 405, 228], True, False, 2, 58),
-    (456, [456, 457, 458, 75, 191, 180, 29, 287, 20, 361], False, True, 5, 75),
+    (456, [456, 457, 458, 75, 191, 180, 29, 287, 20, 361], True, False, 2, 51),
     (489, [489, 115, 81, 279, 93, 255, 232, 87, 206, 85], True, False, 3, 49),
-    (517, [517, 518, 519, 85, 60, 40, 35, 232, 38, 36], False, True, 6, 90),
+    (517, [517, 518, 519, 85, 60, 40, 35, 232, 38, 36], True, False, 2, 56),
     (542, [542, 205, 203, 527, 170, 165, 119, 126, 51, 264], True, False, 2, 45),
     (567, [567, 136, 198, 283, 343, 193, 186, 453, 39, 611], True, False, 2, 35),
     (591, [591, 128, 67, 351, 592, 707, 350, 104, 398, 543], True, False, 2, 31),
     (618, [618, 619, 177, 143, 181, 228, 51, 229, 168, 340], True, False, 2, 33),
     (645, [645, 646, 429, 143, 181, 168, 51, 3, 8, 4], True, False, 2, 30),
-    (675, [675, 676, 677, 184, 214, 26, 90, 334, 27, 57], False, True, 6, 84),
+    (675, [675, 676, 677, 184, 214, 26, 90, 334, 27, 57], True, False, 2, 33),
     (703, [703, 169, 114, 78, 513, 86, 293, 708, 31, 30], True, False, 2, 32),
     (730, [730, 731, 269, 80, 84, 83, 411, 35, 31, 36], True, False, 2, 37),
 ]
