@@ -1,4 +1,4 @@
-"""Serving-layer benchmark: column cache, micro-batcher, fused top-k.
+"""Serving-layer benchmark: column cache, micro-batcher, top-k selection.
 
 A Zipf-distributed query stream (``s = 1.1``, the skew of real search logs;
 see :func:`repro.datasets.sample_zipf_queries`) is served two ways on the
@@ -15,9 +15,9 @@ Median per-query latency must improve by >= 3x (asserted), and the cache
 hit-rate is reported against the stream's repetition rate.  A second section
 measures micro-batch assembly (:class:`repro.serving.MicroBatcher`) against
 sequential single-query solves on the cache-miss (distinct-query) workload,
-and a third verifies fused top-k parity: ``roundtriprank_topk`` indices must
-equal the full-vector stable ranking on the Fig. 2 toy graph and on the
-query-log graph (asserted, k = 20).
+and a third verifies top-k parity: :func:`repro.serving.topk_select` over the
+full RoundTripRank vector must equal the full-vector stable ranking on the
+Fig. 2 toy graph and on the query-log graph (asserted, k = 20).
 
 ``REPRO_BENCH_SERVING_SMOKE=1`` selects the small CI configuration.
 """
@@ -34,7 +34,7 @@ from repro.core.frank import frank_vector
 from repro.core.trank import trank_vector
 from repro.datasets import QLogConfig, generate_qlog, sample_zipf_queries, toy_bibliographic_graph
 from repro.engine import roundtriprank_batch
-from repro.serving import ColumnCache, MicroBatcher, roundtriprank_topk, topk_select
+from repro.serving import ColumnCache, MicroBatcher, topk_select
 
 K = 20
 ZIPF_S = 1.1
@@ -156,20 +156,20 @@ def run_serving(graph, population, n_queries) -> "tuple[str, dict]":
     )
 
     lines.append("")
-    lines.append(f"(c) fused top-k parity vs full-vector ranking (k={K})")
+    lines.append(f"(c) top-k selection parity vs full-vector ranking (k={K})")
     toy = toy_bibliographic_graph()
     toy_ok = True
     for q in range(toy.n_nodes):
-        idx, _ = roundtriprank_topk(toy, q, K)
         full = roundtriprank_batch(toy, [q])[:, 0]
+        idx, _ = topk_select(full, K)
         toy_ok &= np.array_equal(idx, np.argsort(-full, kind="stable")[:K])
-    assert toy_ok, "fused top-k diverged from full ranking on the toy graph"
+    assert toy_ok, "top-k selection diverged from full ranking on the toy graph"
     qlog_ok = True
     for q in distinct[:10]:
-        idx, _ = roundtriprank_topk(graph, q, K)
         full = roundtriprank_batch(graph, [q])[:, 0]
+        idx, _ = topk_select(full, K)
         qlog_ok &= np.array_equal(idx, np.argsort(-full, kind="stable")[:K])
-    assert qlog_ok, "fused top-k diverged from full ranking on the query-log graph"
+    assert qlog_ok, "top-k selection diverged from full ranking on the query-log graph"
     lines.append(
         f"  toy graph (all {toy.n_nodes} queries): identical; "
         f"query-log graph (10 queries): identical"

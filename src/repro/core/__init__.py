@@ -14,7 +14,6 @@ from repro.core.frank import (
     frank_constant_length,
     frank_vector,
     power_iteration,
-    ppr,
 )
 from repro.core.montecarlo import (
     estimate_frank_mc,
@@ -37,7 +36,7 @@ from repro.core.roundtrip_plus import (
     roundtriprank_plus,
 )
 from repro.core.surfers import HybridSurfers
-from repro.core.trank import inverse_ppr, trank_constant_length, trank_vector
+from repro.core.trank import trank_constant_length, trank_vector
 
 __all__ = [
     "DEFAULT_ALPHA",
@@ -48,10 +47,8 @@ __all__ = [
     "frank_vector",
     "frank_constant_length",
     "power_iteration",
-    "ppr",
     "trank_vector",
     "trank_constant_length",
-    "inverse_ppr",
     "roundtriprank",
     "roundtriprank_constant_length",
     "roundtriprank_by_enumeration",

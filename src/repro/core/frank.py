@@ -19,14 +19,11 @@ contraction in L1, power iteration converges geometrically.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.core.queries import Query, teleport_vector
 from repro.graph.digraph import DiGraph
-from repro.ops import as_operator, get_operator
-from repro.utils.validation import check_in_range, check_positive
+from repro.ops import get_operator
 
 DEFAULT_ALPHA = 0.25  # the paper's setting throughout Sect. VI
 
@@ -41,50 +38,34 @@ def power_iteration(
     alpha: float,
     tol: float = 1e-12,
     max_iter: int = 1000,
-    warn_on_nonconvergence: bool = True,
 ) -> np.ndarray:
     """Solve ``x = alpha * teleport + (1 - alpha) * operator @ x`` by iteration.
 
     Shared by F-Rank (``operator = P^T``) and T-Rank (``operator = P``).
     ``operator`` is a :class:`repro.ops.TransitionOperator` or any scipy
-    sparse matrix (wrapped on the fly); each sweep is the operator's
-    single-vector ``matvec``.  Converges for any row-/column-substochastic
-    operator because the update is an L1 contraction with factor
-    ``1 - alpha``.
+    sparse matrix (wrapped on the fly).  The solve is the one-column
+    :func:`repro.engine.batch.power_iteration_batch` with
+    ``method="power"``: sweeps from ``x = alpha * teleport`` until the L1
+    step falls below ``tol``, bit for bit what any ``method="power"`` batch
+    returns for this column.  Converges for any row-/column-substochastic operator because
+    the update is an L1 contraction with factor ``1 - alpha``.
 
-    If ``max_iter`` is exhausted while the L1 residual is still >= ``tol``,
-    a :class:`ConvergenceWarning` is emitted (pass
-    ``warn_on_nonconvergence=False`` to opt out) and the last iterate is
-    returned as-is, so callers can detect and handle non-convergence.
-    A non-finite ``teleport`` raises ``ValueError`` before any sweep.
+    If ``max_iter`` is exhausted while the L1 step is still >= ``tol``, a
+    :class:`ConvergenceWarning` is emitted and the last iterate is returned
+    as-is.  A ``teleport`` that is not one finite vector raises
+    ``ValueError`` before any sweep.
     """
-    alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False)
-    check_positive(tol, "tol")
-    if max_iter <= 0:
-        raise ValueError(f"max_iter must be > 0, got {max_iter}")
+    # Imported here: the engine imports this module at load time.
+    from repro.engine.batch import power_iteration_batch
+
+    teleport = np.asarray(teleport, dtype=np.float64)
+    if teleport.ndim != 1:
+        raise ValueError(f"teleport must be 1-D, got shape {teleport.shape}")
     if not np.isfinite(teleport).all():
-        # A NaN iterate never passes ``delta < tol``: all max_iter sweeps
-        # would run and return NaN without a warning.
         raise ValueError("teleport must be finite")
-    top = as_operator(operator)
-    x = alpha * teleport
-    base = alpha * teleport
-    damp = 1.0 - alpha
-    delta = np.inf
-    for _ in range(max_iter):
-        x_next = base + damp * top.matvec(x)
-        delta = float(np.abs(x_next - x).sum())
-        x = x_next
-        if delta < tol:
-            break
-    if warn_on_nonconvergence and delta >= tol:
-        warnings.warn(
-            f"power iteration did not converge within max_iter={max_iter} "
-            f"(final residual {delta:.3e} >= tol={tol:g})",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    return x
+    return power_iteration_batch(
+        operator, teleport[:, None], alpha, tol=tol, max_iter=max_iter, method="power"
+    )[:, 0]
 
 
 def frank_vector(
@@ -93,7 +74,6 @@ def frank_vector(
     alpha: float = DEFAULT_ALPHA,
     tol: float = 1e-12,
     max_iter: int = 1000,
-    warn_on_nonconvergence: bool = True,
 ) -> np.ndarray:
     """F-Rank of every node for ``query`` (== Personalized PageRank).
 
@@ -104,8 +84,7 @@ def frank_vector(
     """
     s = teleport_vector(graph, query)
     return power_iteration(
-        get_operator(graph, transpose=True), s, alpha, tol=tol, max_iter=max_iter,
-        warn_on_nonconvergence=warn_on_nonconvergence,
+        get_operator(graph, transpose=True), s, alpha, tol=tol, max_iter=max_iter
     )
 
 
@@ -123,7 +102,3 @@ def frank_constant_length(graph: DiGraph, query: Query, length: int) -> np.ndarr
         dist = top.rmatvec(dist)
     return dist
 
-
-def ppr(graph: DiGraph, query: Query, alpha: float = DEFAULT_ALPHA, **kwargs) -> np.ndarray:
-    """Alias for :func:`frank_vector` under its classical name (Prop. 1)."""
-    return frank_vector(graph, query, alpha, **kwargs)

@@ -56,16 +56,3 @@ def trank_constant_length(graph: DiGraph, query: Query, length: int) -> np.ndarr
         x = top.matvec(x)
     return np.asarray(x).ravel()
 
-
-def inverse_ppr(graph: DiGraph, query: Query, alpha: float = DEFAULT_ALPHA, **kwargs) -> np.ndarray:
-    """T-Rank computed as PPR on the edge-reversed graph.
-
-    Mathematically this is a *different* measure from :func:`trank_vector`
-    (the reversed graph renormalizes over in-edges), and it corresponds to
-    the "Inverse ObjectRank" style of specificity from Hristidis et al.  It
-    is exposed for the baseline family; RoundTripRank itself uses
-    :func:`trank_vector`.
-    """
-    from repro.core.frank import frank_vector
-
-    return frank_vector(graph.reverse(), query, alpha, **kwargs)

@@ -7,9 +7,11 @@ per-column early exit (``frank_batch`` / ``trank_batch`` /
 ``method="auto"`` layers a residual-verified mixed-precision Chebyshev
 acceleration on top, with ``method="power"`` as the bit-exact reference.
 
-The single-query functions in :mod:`repro.core` are thin wrappers over (or
-reference implementations for) these paths; batch columns match them
-exactly.  Online serving stacks on the same two batch entry points:
+The single-query functions in :mod:`repro.core` are one-column
+``method="power"`` calls of these paths, so ``method="power"`` batch
+columns match them bit for bit.  The module also holds the one measure table,
+:data:`repro.engine.batch.MEASURE_KINDS`: which of F and T each served
+measure reads.  Online serving stacks on the same two batch entry points:
 :class:`repro.serving.ColumnCache` misses and warms solve through
 ``frank_batch`` / ``trank_batch`` (optionally sharded with ``workers=``),
 which is also how the gateway's background

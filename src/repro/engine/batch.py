@@ -19,9 +19,9 @@ Two solve methods share that multi-column sweep:
 - ``method="power"`` — the reference multi-column power iteration with a
   per-column converged mask: finished columns are frozen and drop out of
   subsequent sweeps, so a batch is never slower than its slowest column
-  requires.  Column ``j`` performs *exactly* the arithmetic of the
-  single-query :func:`repro.core.frank.power_iteration`, so results match
-  the single-query functions bit-for-bit.
+  requires.  Column ``j`` gets the same bits at any batch width, so
+  :func:`repro.core.frank.power_iteration`, which solves its one column
+  here, matches every batch bit for bit.
 - ``method="auto"`` (default) — a mixed-precision accelerated path:
   Chebyshev semi-iteration (valid because the damped operator's spectral
   radius is at most ``1 - alpha``) runs the bulk of the sweeps in float32,
@@ -66,6 +66,18 @@ _F32_FLOOR = 2e-6
 #: ~20 sweeps; the budget only matters when float32 stalls).
 _PHASE_BUDGET = 120
 
+#: The per-node columns each served measure reads: F-Rank, T-Rank, or both
+#: for RoundTripRank (their product, Proposition 2) and RoundTripRank+
+#: (``f^(1-beta) * t^beta``, Eq. 12).  The micro-batcher, the gateway and
+#: local top-k check a measure and pick its columns here.
+MEASURE_KINDS = {
+    "roundtriprank": ("f", "t"),
+    "roundtriprank_plus": ("f", "t"),
+    "frank": ("f",),
+    "trank": ("t",),
+}
+MEASURES = tuple(MEASURE_KINDS)
+
 _OBS_SOLVES = obs.counter(
     "repro_engine_solves_total", "Batch solves by method.", labels=("method",)
 )
@@ -109,23 +121,39 @@ def stack_teleports(graph: DiGraph, queries: Sequence[Query]) -> np.ndarray:
     return s
 
 
+def measure_kinds(measure: str) -> "tuple[str, ...]":
+    """The columns ``measure`` reads (see :data:`MEASURE_KINDS`); rejects
+    any other measure."""
+    kinds = MEASURE_KINDS.get(measure)
+    if kinds is None:
+        raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
+    return kinds
+
+
 def _jacobi_masked(top: TransitionOperator, base, damp, x, tol, budget):
     """Masked power iteration ``x <- base + damp * (top @ x)`` from ``x``.
 
     Columns whose L1 iterate delta falls below ``tol`` are frozen and leave
-    the sweep.  Returns ``(x, per_column_delta, sweeps_used)``; with
-    ``x = base`` this is exactly the single-query update per column.
+    the sweep.  While every column is active the sweep runs on the whole
+    block and rebinds it, with no gather or scatter; either way each
+    column gets the same bits.  Returns ``(x, per_column_delta,
+    sweeps_used)``; the caller's ``x`` may be updated in place or not.
     """
     n_cols = base.shape[1]
     active = np.arange(n_cols)
     deltas = np.full(n_cols, np.inf)
     sweeps = 0
     while sweeps < budget and active.size:
-        x_active = x[:, active]
-        x_next = base[:, active] + damp * top.matmat(x_active)
+        if active.size == n_cols:
+            x_next = base + damp * top.matmat(x)
+            step = np.abs(x_next - x).sum(axis=0)
+            x = x_next
+        else:
+            x_active = x[:, active]
+            x_next = base[:, active] + damp * top.matmat(x_active)
+            step = np.abs(x_next - x_active).sum(axis=0)
+            x[:, active] = x_next
         sweeps += 1
-        step = np.abs(x_next - x_active).sum(axis=0)
-        x[:, active] = x_next
         deltas[active] = step
         active = active[step >= tol]
     return x, deltas, sweeps
@@ -347,7 +375,6 @@ def power_iteration_batch(
     alpha: float,
     tol: float = 1e-12,
     max_iter: int = 1000,
-    warn_on_nonconvergence: bool = True,
     method: str = "auto",
 ) -> np.ndarray:
     """Solve ``X = alpha * teleports + (1 - alpha) * operator @ X`` column-wise.
@@ -356,10 +383,12 @@ def power_iteration_batch(
     sparse matrix (wrapped on the fly; graph-backed callers should pass the
     cached operator from :func:`repro.ops.get_operator`).  ``teleports`` is
     ``n x q``; the result has the same shape.  With ``method="power"``,
-    column ``j`` is exactly what :func:`repro.core.frank.power_iteration`
-    returns for teleport column ``j`` (identical update and per-column
-    stopping rule, with converged columns masked out of subsequent sweeps),
-    bit for bit.  With
+    column ``j`` runs ``x <- alpha * s_j + (1 - alpha) * operator @ x`` from
+    ``x = alpha * s_j`` until its L1 step falls below ``tol``, then leaves
+    the sweep; its bits do not depend on the other columns or the batch
+    width, so it is bit for bit what
+    :func:`repro.core.frank.power_iteration` (a one-column call) returns
+    for ``s_j``.  With
     ``method="auto"`` (the default) a mixed-precision Chebyshev-accelerated
     path produces columns whose *verified* float64 L1 residual is below
     ``tol`` — within ``tol / alpha`` of the exact fixed point, and within
@@ -369,11 +398,10 @@ def power_iteration_batch(
     ``teleports`` and the result included (see :func:`_solve_auto` for the
     layout and for how tightly each correction round solves).
 
-    Mirrors the single-query non-convergence contract: columns still above
-    ``tol`` when the sweep budget ``max_iter`` is exhausted trigger one
-    :class:`repro.core.frank.ConvergenceWarning` that reports the sweeps
-    run (opt out with ``warn_on_nonconvergence=False``).  Non-finite
-    ``teleports`` raise ``ValueError`` before any sweep.
+    Columns still above ``tol`` when the sweep budget ``max_iter`` is
+    exhausted trigger one :class:`repro.core.frank.ConvergenceWarning`
+    that reports the sweeps run.  Non-finite ``teleports`` raise
+    ``ValueError`` before any sweep.
     """
     alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False)
     check_positive(tol, "tol")
@@ -402,7 +430,7 @@ def power_iteration_batch(
             x, unconverged_norms, sweeps = _solve_auto(top, teleports, alpha, tol, max_iter)
         _record_solve(solve_span, method, x, unconverged_norms, sweeps)
     bad = unconverged_norms >= tol
-    if warn_on_nonconvergence and bad.any():
+    if bad.any():
         warnings.warn(
             f"{int(bad.sum())} of {n_queries} batch columns did not converge in "
             f"{sweeps} sweeps (max_iter={max_iter}; worst residual "
@@ -419,7 +447,6 @@ def frank_batch(
     alpha: float = DEFAULT_ALPHA,
     tol: float = 1e-12,
     max_iter: int = 1000,
-    warn_on_nonconvergence: bool = True,
     method: str = "auto",
     workers: "int | None" = None,
 ) -> np.ndarray:
@@ -441,8 +468,7 @@ def frank_batch(
         from repro.parallel.pool import maybe_solve_batch_parallel
 
         result = maybe_solve_batch_parallel(
-            graph, queries, True, alpha, tol, max_iter,
-            warn_on_nonconvergence, method, workers,
+            graph, queries, True, alpha, tol, max_iter, method, workers
         )
         if result is not None:
             return result
@@ -453,7 +479,6 @@ def frank_batch(
         alpha,
         tol=tol,
         max_iter=max_iter,
-        warn_on_nonconvergence=warn_on_nonconvergence,
         method=method,
     )
 
@@ -464,7 +489,6 @@ def trank_batch(
     alpha: float = DEFAULT_ALPHA,
     tol: float = 1e-12,
     max_iter: int = 1000,
-    warn_on_nonconvergence: bool = True,
     method: str = "auto",
     workers: "int | None" = None,
 ) -> np.ndarray:
@@ -479,8 +503,7 @@ def trank_batch(
         from repro.parallel.pool import maybe_solve_batch_parallel
 
         result = maybe_solve_batch_parallel(
-            graph, queries, False, alpha, tol, max_iter,
-            warn_on_nonconvergence, method, workers,
+            graph, queries, False, alpha, tol, max_iter, method, workers
         )
         if result is not None:
             return result
@@ -491,7 +514,6 @@ def trank_batch(
         alpha,
         tol=tol,
         max_iter=max_iter,
-        warn_on_nonconvergence=warn_on_nonconvergence,
         method=method,
     )
 
@@ -502,7 +524,6 @@ def _per_node_ft(
     alpha: float,
     tol: float,
     max_iter: int,
-    warn_on_nonconvergence: bool,
     method: str,
     workers: "int | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray, list[int]]":
@@ -516,8 +537,8 @@ def _per_node_ft(
     """
     all_nodes = np.unique(np.concatenate([nodes for nodes, _ in parsed]))
     columns = [int(v) for v in all_nodes]
-    f = frank_batch(graph, columns, alpha, tol, max_iter, warn_on_nonconvergence, method, workers)
-    t = trank_batch(graph, columns, alpha, tol, max_iter, warn_on_nonconvergence, method, workers)
+    f = frank_batch(graph, columns, alpha, tol, max_iter, method, workers)
+    t = trank_batch(graph, columns, alpha, tol, max_iter, method, workers)
     return f, t, columns
 
 
@@ -594,7 +615,6 @@ def roundtriprank_batch(
     normalize: bool = True,
     tol: float = 1e-12,
     max_iter: int = 1000,
-    warn_on_nonconvergence: bool = True,
     method: str = "auto",
     workers: "int | None" = None,
 ) -> np.ndarray:
@@ -613,9 +633,7 @@ def roundtriprank_batch(
     if len(queries) == 0:
         raise ValueError("queries must not be empty")
     parsed = [normalize_query(graph, q) for q in queries]
-    f, t, columns = _per_node_ft(
-        graph, parsed, alpha, tol, max_iter, warn_on_nonconvergence, method, workers
-    )
+    f, t, columns = _per_node_ft(graph, parsed, alpha, tol, max_iter, method, workers)
     scores = combine_columns("roundtriprank", f, t, columns, parsed)
     if normalize:
         scores = normalize_columns(scores, "roundtriprank_batch")
@@ -629,7 +647,6 @@ def roundtriprank_plus_batch(
     alpha: float = DEFAULT_ALPHA,
     tol: float = 1e-12,
     max_iter: int = 1000,
-    warn_on_nonconvergence: bool = True,
     method: str = "auto",
     workers: "int | None" = None,
 ) -> np.ndarray:
@@ -642,7 +659,5 @@ def roundtriprank_plus_batch(
     if len(queries) == 0:
         raise ValueError("queries must not be empty")
     parsed = [normalize_query(graph, q) for q in queries]
-    f, t, columns = _per_node_ft(
-        graph, parsed, alpha, tol, max_iter, warn_on_nonconvergence, method, workers
-    )
+    f, t, columns = _per_node_ft(graph, parsed, alpha, tol, max_iter, method, workers)
     return combine_columns("roundtriprank_plus", f, t, columns, parsed, beta)

@@ -3,8 +3,8 @@
 Reproduces the paper's methodology end to end:
 
 - rank, filter (query node out, target type only), score with NDCG@K;
-- share one F-Rank/T-Rank computation per query across every measure that
-  is a function of ``(f, t)`` (all of Fig. 8–10 sweeps);
+- share one F-Rank/T-Rank computation per query node across every measure
+  that is a function of ``(f, t)`` (all of Fig. 8–10 sweeps);
 - tune each :class:`BetaTunable` measure's bias on *development* queries
   disjoint from the test queries, exactly as Sect. VI-A2 prescribes;
 - compare two measures with the paper's two-tail paired t-test.
@@ -12,7 +12,6 @@ Reproduces the paper's methodology end to end:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -24,7 +23,7 @@ from repro.core.queries import normalize_query
 from repro.eval.metrics import ndcg_at_k, ranking_from_scores
 from repro.eval.significance import PairedTTestResult, paired_t_test
 from repro.eval.tasks import QueryCase, RankingTask
-from repro.serving.cache import DEFAULT_MAX_BYTES, ColumnCache, graph_token
+from repro.serving.cache import DEFAULT_MAX_BYTES, ColumnCache
 
 DEFAULT_K_VALUES = (5, 10, 20)
 
@@ -49,15 +48,16 @@ class MeasureTaskResult:
 
 
 class FTCache:
-    """Bounded cache of the (F-Rank, T-Rank) pair shared across measures.
+    """Bounded cache of the per-node (F-Rank, T-Rank) columns shared across
+    measures.
 
     Delegates storage to a :class:`repro.serving.ColumnCache`: what is
     memoized are *per-node* F/T solution columns under the cache's LRU /
     byte-budget eviction, so the cache no longer grows without bound across
     graphs (the paper's edge-removal tasks give every case its own graph,
-    which used to pin every graph's vectors forever).  F-Rank and T-Rank are
-    linear in the teleport vector, so a multi-node case composes its pair
-    from the cached single-node columns.
+    which used to pin every graph's vectors forever).  A multi-node case
+    gets one column pair per query node, which
+    :meth:`repro.baselines.base.FTMeasure.scores_from_ft` combines.
 
     :meth:`warm` still batches: the uncached query nodes of each graph are
     solved in one multi-column power iteration per direction, so cases that
@@ -65,10 +65,6 @@ class FTCache:
     per query.  :meth:`cache_info` exposes hit/miss/eviction counters for
     the runner's logs.
     """
-
-    #: entry cap of the composed multi-node (f, t) memo (LRU beyond this);
-    #: multi-node cases are rare in the paper's tasks, so this stays small.
-    _COMPOSED_MAX_ENTRIES = 256
 
     def __init__(
         self,
@@ -92,10 +88,6 @@ class FTCache:
                 "pass workers on the ColumnCache itself when supplying an explicit cache"
             )
         self._columns = cache
-        #: composed multi-node pairs (LRU, entry-capped) so repeated ``get``
-        #: calls return identical objects; keyed on the full weighted query,
-        #: never on the case index alone.
-        self._composed: "OrderedDict[tuple, tuple[np.ndarray, np.ndarray]]" = OrderedDict()
 
     def _case_nodes(self, case: QueryCase) -> np.ndarray:
         nodes, _ = normalize_query(case.graph, case.query)
@@ -111,51 +103,31 @@ class FTCache:
             nodes = sorted({int(v) for case in members for v in self._case_nodes(case)})
             self._columns.warm(graph, nodes, self.alpha)
 
-    def get(self, case_key: int, case: QueryCase) -> tuple[np.ndarray, np.ndarray]:
-        """The (f, t) pair for a case, computing it on first access.
+    def get(
+        self, case_key: int, case: QueryCase
+    ) -> "tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]":
+        """``(weights, f_columns, t_columns)`` of a case, one column pair per
+        query node, solving on first access.
 
-        Every returned array is read-only and shared across hits (single-node
-        cases return the cached columns themselves; multi-node cases the
-        memoized weighted combination) — a caller mutating a returned vector
-        would otherwise silently corrupt every future hit of the same case.
-        Copy before mutating.
+        Every returned column is the cache's own read-only array, shared
+        across hits — a caller mutating one would otherwise silently
+        corrupt every future hit.  Copy before mutating.
         """
         nodes, weights = normalize_query(case.graph, case.query)
-        graph = case.graph
-        if nodes.size == 1:
-            node = int(nodes[0])
-            return (
-                self._columns.get(graph, "f", node, self.alpha),
-                self._columns.get(graph, "t", node, self.alpha),
-            )
-        memo_key = (graph_token(graph), tuple(nodes.tolist()), tuple(weights.tolist()))
-        pair = self._composed.get(memo_key)
-        if pair is None:
-            f_cols = self._columns.get_many(graph, "f", nodes.tolist(), self.alpha)
-            t_cols = self._columns.get_many(graph, "t", nodes.tolist(), self.alpha)
-            f = np.zeros(graph.n_nodes)
-            t = np.zeros(graph.n_nodes)
-            for w, fc, tc in zip(weights.tolist(), f_cols, t_cols):
-                f += w * fc
-                t += w * tc
-            f.setflags(write=False)
-            t.setflags(write=False)
-            pair = (f, t)
-            self._composed[memo_key] = pair
-            while len(self._composed) > self._COMPOSED_MAX_ENTRIES:
-                self._composed.popitem(last=False)
-        else:
-            self._composed.move_to_end(memo_key)
-        return pair
+        node_list = nodes.tolist()
+        return (
+            weights,
+            self._columns.get_many(case.graph, "f", node_list, self.alpha),
+            self._columns.get_many(case.graph, "t", node_list, self.alpha),
+        )
 
     def cache_info(self):
         """Hit/miss/eviction counters of the underlying column cache."""
         return self._columns.cache_info()
 
     def clear(self) -> None:
-        """Drop all cached columns and composed pairs."""
+        """Drop all cached columns."""
         self._columns.clear()
-        self._composed.clear()
 
 
 def evaluate_measure(
@@ -174,8 +146,7 @@ def evaluate_measure(
         ft_cache.warm(task.cases)
     for i, case in enumerate(task.cases):
         if measure.uses_ft and ft_cache is not None:
-            f, t = ft_cache.get(i, case)
-            scores = measure.scores_from_ft(f, t)  # type: ignore[attr-defined]
+            scores = measure.scores_from_ft(*ft_cache.get(i, case))  # type: ignore[attr-defined]
         else:
             scores = measure.scores(case.graph, case.query)
         ranking = ranking_from_scores(

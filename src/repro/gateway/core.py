@@ -52,11 +52,12 @@ from repro import obs
 from repro.core.frank import DEFAULT_ALPHA
 from repro.core.queries import Query, normalize_query
 from repro.core.roundtrip_plus import DEFAULT_BETA
+from repro.engine.batch import measure_kinds
 from repro.gateway.admission import AdmissionConfig, AdmissionController, Shed
 from repro.gateway.frequency import FrequencyEstimator
 from repro.gateway.stats import GatewaySnapshot, GatewayStats, lane_key_to_str
 from repro.graph.digraph import DiGraph
-from repro.serving.batcher import MEASURES, MicroBatcher
+from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import ColumnCache
 from repro.utils.validation import (
     check_in_range,
@@ -310,8 +311,7 @@ class RankGateway:
         ``(indices, scores)`` when ``k`` is given), or to the solver's
         exception.
         """
-        if measure not in MEASURES:
-            raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
+        measure_kinds(measure)  # rejects an unknown measure before admission
         graph_name, graph_obj = self._resolve_graph(graph)
         if alpha is None:
             alpha = getattr(self.cache, "alpha", DEFAULT_ALPHA)

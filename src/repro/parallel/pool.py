@@ -401,15 +401,7 @@ def _solve_shard(
         s[nodes, j] = wts
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        x = power_iteration_batch(
-            operator,
-            s,
-            alpha,
-            tol=tol,
-            max_iter=max_iter,
-            warn_on_nonconvergence=True,
-            method=method,
-        )
+        x = power_iteration_batch(operator, s, alpha, tol=tol, max_iter=max_iter, method=method)
     messages = [
         str(w.message) for w in caught if issubclass(w.category, ConvergenceWarning)
     ]
@@ -433,7 +425,6 @@ def solve_columns_parallel(
     alpha: float,
     tol: float,
     max_iter: int,
-    warn_on_nonconvergence: bool,
     method: str,
     n_shards: int,
 ) -> np.ndarray:
@@ -443,7 +434,8 @@ def solve_columns_parallel(
     output of :func:`repro.core.queries.normalize_query`).  Columns are
     striped over shards round-robin via :class:`StripeMap` and reassembled
     in place, so the result is column-for-column what the sequential solver
-    returns (bit-exact with ``method="power"``).
+    returns (bit-exact with ``method="power"``).  The workers' convergence
+    warnings are re-issued here as one :class:`ConvergenceWarning`.
     """
     alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False)
     check_positive(tol, "tol")
@@ -487,7 +479,7 @@ def solve_columns_parallel(
         # next parallel call starts a fresh pool instead of failing forever.
         _discard_default_pool()
         raise
-    if warn_on_nonconvergence and messages:
+    if messages:
         warnings.warn(
             f"{len(messages)} of {n_shards} shards reported non-convergence: "
             + " | ".join(messages),
@@ -504,7 +496,6 @@ def maybe_solve_batch_parallel(
     alpha: float,
     tol: float,
     max_iter: int,
-    warn_on_nonconvergence: bool,
     method: str,
     workers: "int | None",
 ) -> "np.ndarray | None":
@@ -530,13 +521,5 @@ def maybe_solve_batch_parallel(
     record_route(RouteReport(True, n_shards, None))
     parsed = [normalize_query(graph, query) for query in queries]
     return solve_columns_parallel(
-        graph,
-        parsed,
-        transpose,
-        alpha,
-        tol,
-        max_iter,
-        warn_on_nonconvergence,
-        method,
-        n_shards,
+        graph, parsed, transpose, alpha, tol, max_iter, method, n_shards
     )

@@ -1,4 +1,4 @@
-"""The serving layer: column caching, micro-batching, fused top-k.
+"""The serving layer: column caching, micro-batching, top-k selection.
 
 PR 1's batch engine made *offline* multi-query solves cheap; this package
 makes *online* serving cheap, where queries arrive one at a time, repeat
@@ -16,10 +16,10 @@ makes *online* serving cheap, where queries arrive one at a time, repeat
   synchronous ``ask``/``flush`` plus a thread-based ``submit``/future API.
   With a cache attached, a query whose columns are all cached is flushed
   alone at ``submit`` and never waits for the deadline.
-- :mod:`repro.serving.topk` — fused top-k extraction
-  (:func:`~repro.serving.topk.roundtriprank_topk` and friends) returning
-  ``(indices, scores)`` via ``np.argpartition`` partial selection instead of
-  full-vector sorts.
+- :func:`~repro.serving.topk.topk_select` — the one top-k selector:
+  ``(indices, scores)`` of one score vector via ``np.argpartition``
+  partial selection instead of a full-vector sort, ties broken by node id.
+  Batcher flushes, local top-k and ``naive_topk`` all rank with it.
 
 Cache key contract
 ------------------
@@ -43,8 +43,8 @@ queue lock is never held during a solve, futures resolve exactly once, and
 solver failures propagate through ``Future.set_exception`` to every query of
 the failed batch.  ``stop()`` pauses the deadline thread (restartable);
 ``close()`` is terminal and idempotent — it flushes every outstanding
-future and makes ``submit``/``ask``/``start`` raise.  Fused top-k functions
-are pure and hence trivially thread-safe.
+future and makes ``submit``/``ask``/``start`` raise.  ``topk_select`` is
+pure and hence trivially thread-safe.
 
 Both ``ColumnCache`` and ``MicroBatcher`` take ``workers=`` to shard their
 solves across the :mod:`repro.parallel` process pool; worker count never
@@ -60,12 +60,7 @@ from repro.serving.policies import (
     available_policies,
     make_policy,
 )
-from repro.serving.topk import (
-    roundtriprank_batch_topk,
-    roundtriprank_plus_batch_topk,
-    roundtriprank_topk,
-    topk_select,
-)
+from repro.serving.topk import topk_select
 
 __all__ = [
     "BatcherStats",
@@ -79,8 +74,5 @@ __all__ = [
     "LRUPolicy",
     "available_policies",
     "make_policy",
-    "roundtriprank_batch_topk",
-    "roundtriprank_plus_batch_topk",
-    "roundtriprank_topk",
     "topk_select",
 ]

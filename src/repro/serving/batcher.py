@@ -22,12 +22,12 @@ resolved.  Every other query joins the pending queue, which is flushed as
 Only queued queries count toward :attr:`~MicroBatcher.pending`, the depth
 the gateway's admission control bounds; a resident query is never queued.
 
-Results are full score vectors, or fused top-k ``(indices, scores)`` pairs
-for requests submitted with ``k`` (see :mod:`repro.serving.topk`).  When a
-:class:`repro.serving.cache.ColumnCache` is attached, each flush reuses
-cached per-node F/T columns and solves only the genuinely new nodes — the
-cache and the batcher compound.  A resident query runs the same flush on a
-batch of one, so its bits are those of any flush that serves it.
+Results are full score vectors, or top-k ``(indices, scores)`` pairs for
+requests submitted with ``k`` (see :func:`repro.serving.topk.topk_select`).
+When a :class:`repro.serving.cache.ColumnCache` is attached, each flush
+reuses cached per-node F/T columns and solves only the genuinely new nodes
+— the cache and the batcher compound.  A resident query runs the same
+flush on a batch of one, so its bits are those of any flush that serves it.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from repro.core.roundtrip_plus import DEFAULT_BETA
 from repro.engine.batch import (
     combine_columns,
     frank_batch,
+    measure_kinds,
     normalize_columns,
     roundtriprank_batch,
     roundtriprank_plus_batch,
@@ -61,14 +62,6 @@ from repro.utils.validation import (
     check_probability,
 )
 
-MEASURES = ("roundtriprank", "roundtriprank_plus", "frank", "trank")
-#: The per-node columns each measure combines (Proposition 2, Eq. 12).
-_KINDS = {
-    "roundtriprank": ("f", "t"),
-    "roundtriprank_plus": ("f", "t"),
-    "frank": ("f",),
-    "trank": ("t",),
-}
 _CLOSED = "MicroBatcher is closed; create a new instance to submit queries"
 
 _OBS_FLUSHES = obs.counter(
@@ -184,8 +177,7 @@ class MicroBatcher:
         method: str = "auto",
         workers: "int | None" = None,
     ) -> None:
-        if measure not in MEASURES:
-            raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
+        self._kinds = measure_kinds(measure)  # the per-node columns it reads
         self.graph = graph
         self.measure = measure
         # Checked here, or every flush of this batcher would fail.
@@ -264,7 +256,7 @@ class MicroBatcher:
         cache = self.cache
         return cache is not None and all(
             cache.contains(self.graph, kind, node, self.alpha)
-            for kind in _KINDS[self.measure]
+            for kind in self._kinds
             for node in np.asarray(nodes).tolist()
         )
 
@@ -555,7 +547,7 @@ class MicroBatcher:
         union = sorted({int(v) for request in batch for v in request.nodes})
         columns = {
             kind: np.stack(cache.get_many(self.graph, kind, union, self.alpha), axis=1)
-            for kind in _KINDS[self.measure]
+            for kind in self._kinds
         }
         parsed = [(request.nodes, request.weights) for request in batch]
         scores = combine_columns(

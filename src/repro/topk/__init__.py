@@ -10,7 +10,6 @@ from repro.topk.graphaccess import (
     LocalGraphAccess,
 )
 from repro.topk.local import (
-    LOCAL_MEASURES,
     ColumnPush,
     LocalTopKResult,
     local_topk,
@@ -39,7 +38,6 @@ __all__ = [
     "GraphAccess",
     "LocalGraphAccess",
     "InstrumentedGraphAccess",
-    "LOCAL_MEASURES",
     "ColumnPush",
     "LocalTopKResult",
     "local_topk",

@@ -78,9 +78,11 @@ F/T columns (``solve_columns``), combines them with
 :func:`repro.engine.batch.combine_columns` and ranks the result exactly,
 so an escalated answer is *bit-identical* to the full-solve path.
 
-The solver is wired into the serving entry points as ``method="local"``
-(see :mod:`repro.serving.topk`) and into the gateway as the cache-miss fast
-path (see :class:`repro.gateway.RankGateway`).
+Callers reach it directly or through the gateway, where it is the
+cache-miss fast path (``RankGateway(local_topk=True)``, see
+:class:`repro.gateway.RankGateway`).  It serves every measure of
+:data:`repro.engine.batch.MEASURE_KINDS` and ranks with
+:func:`repro.serving.topk.topk_select`, as every full-solve path does.
 """
 
 from __future__ import annotations
@@ -101,12 +103,14 @@ from repro.engine.batch import (
     chebyshev_weights,
     combine_columns,
     frank_batch,
+    measure_kinds,
     normalize_columns,
     trank_batch,
 )
 from repro.graph.digraph import DiGraph
 from repro.ops import get_operator
 from repro.ops.kernels import matvec_accumulate
+from repro.serving.topk import topk_select
 from repro.utils.validation import check_in_range, check_positive, check_positive_int
 
 #: Drives below this are numerical noise; a sweep state whose drive sits
@@ -145,10 +149,6 @@ _INMASS_SLACK = 1e-7
 #: 29.8k-node BibNet it always set a new low on the next.
 _STALL_SWEEPS = 2
 
-#: Measures the local solver certifies.  ``roundtriprank_plus`` rides on the
-#: monotonicity of ``combine_beta`` in both arguments.
-LOCAL_MEASURES = ("roundtriprank", "roundtriprank_plus", "frank", "trank")
-
 #: Point gaps at or below this are margin-limited: certification could
 #: never separate them with ``CERT_MARGIN`` to spare, so the driver stops
 #: sweeping and escalates once the bounds resolve a gap this small.
@@ -175,7 +175,10 @@ def inmass_vector(graph: DiGraph, alpha: float) -> np.ndarray:
     ``c(v) = sum_u f_u(v)`` (row sums of the F-Rank resolvent) equals ``n``
     times the uniform-teleport PPR, so one full solve — amortized across
     every local query on the graph — yields the per-node f-side error
-    coefficient.  The returned array is shared and read-only.
+    coefficient.  The returned array is shared and read-only.  A solve
+    that exhausts its sweeps warns with a
+    :class:`repro.core.frank.ConvergenceWarning`: an in-mass short of its
+    fixed point understates ``c``, and the f-side bound with it.
     """
     key = float(alpha)
     with _inmass_lock:
@@ -190,9 +193,7 @@ def inmass_vector(graph: DiGraph, alpha: float) -> np.ndarray:
     # racing duplicate solve is wasted work, not a bug.
     n = graph.n_nodes
     op = get_operator(graph, transpose=True)
-    c = n * power_iteration(
-        op, np.full(n, 1.0 / n), alpha, tol=1e-12, warn_on_nonconvergence=False
-    )
+    c = n * power_iteration(op, np.full(n, 1.0 / n), alpha, tol=1e-12)
     c += _INMASS_SLACK
     c.setflags(write=False)
     with _inmass_lock:
@@ -570,7 +571,6 @@ def local_topk(
     candidate_mask: "np.ndarray | None" = None,
     tol: float = 1e-12,
     max_iter: int = 1000,
-    warn_on_nonconvergence: bool = True,
     solve_columns: "Callable[[str, list[int]], np.ndarray] | None" = None,
     column_probe: "Callable[[str, int], np.ndarray | None] | None" = None,
 ) -> LocalTopKResult:
@@ -596,26 +596,21 @@ def local_topk(
     escalation reads ``tol`` and ``max_iter``.
     """
     alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False)
-    if measure not in LOCAL_MEASURES:
-        raise ValueError(f"measure must be one of {LOCAL_MEASURES}, got {measure!r}")
+    kinds = measure_kinds(measure)
     # The escalation's arguments too: a query that certifies never reads
     # them, so a bad one would otherwise pass unnoticed until one escalates.
     k = check_positive_int(k, "k")
     check_positive(tol, "tol")
     check_positive_int(max_iter, "max_iter")
     with obs.span("topk.local", k=k, measure=measure) as ospan:
-        from repro.serving.topk import topk_select  # circular at module level
-
         nodes, weights = normalize_query(graph, query)
         n = graph.n_nodes
-        needs_f = measure != "trank"
-        needs_t = measure != "frank"
         twins = _query_twins(graph, nodes)
 
         f_states = t_states = None
-        if needs_f:
+        if "f" in kinds:
             f_states = [_make_state(graph, int(v), alpha, "f", column_probe) for v in nodes]
-        if needs_t:
+        if "t" in kinds:
             t_states = [_make_state(graph, int(v), alpha, "t", column_probe) for v in nodes]
         states = (f_states or []) + (t_states or [])
         work_budget = MAX_SWEEPS
@@ -688,17 +683,10 @@ def local_topk(
                 if solve_columns is not None:
                     return solve_columns(kind, node_list)
                 fn = frank_batch if kind == "f" else trank_batch
-                return fn(
-                    graph,
-                    node_list,
-                    alpha,
-                    tol=tol,
-                    max_iter=max_iter,
-                    warn_on_nonconvergence=warn_on_nonconvergence,
-                )
+                return fn(graph, node_list, alpha, tol=tol, max_iter=max_iter)
 
-            f = solve("f") if needs_f else None
-            t = solve("t") if needs_t else None
+            f = solve("f") if "f" in kinds else None
+            t = solve("t") if "t" in kinds else None
             scores = combine_columns(measure, f, t, node_list, [(nodes, weights)], beta)
             if measure == "roundtriprank" and normalize:
                 scores = normalize_columns(scores, "local_topk")

@@ -15,6 +15,7 @@ from repro.core.frank import DEFAULT_ALPHA, power_iteration
 from repro.core.queries import Query, normalize_query, teleport_vector
 from repro.graph.digraph import DiGraph
 from repro.ops import get_operator
+from repro.serving.topk import topk_select
 from repro.utils.validation import check_positive, check_positive_int
 
 
@@ -61,9 +62,5 @@ def naive_topk(
         f = power_iteration(f_op, s, alpha, tol=tol)
         t = power_iteration(t_op, s, alpha, tol=tol)
         scores += weight * f * t
-    # Imported lazily: repro.serving sits above this package (its bounds
-    # hook imports repro.topk), so a module-level import would be circular.
-    from repro.serving.topk import topk_select
-
     order, _ = topk_select(scores, k, exclude=exclude, candidate_mask=candidate_mask)
     return ExactTopK(nodes=order.tolist(), scores=scores)

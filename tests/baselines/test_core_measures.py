@@ -1,6 +1,7 @@
 """Tests for the paper-family measure wrappers."""
 
 import numpy as np
+import pytest
 
 from repro.baselines import (
     FRankMeasure,
@@ -8,7 +9,10 @@ from repro.baselines import (
     RoundTripRankPlusMeasure,
     TRankMeasure,
 )
-from repro.core import frank_vector, roundtriprank_plus, trank_vector
+from repro.core import frank_vector, roundtriprank, roundtriprank_plus, trank_vector
+
+#: A two-node query: the per-node rule and the composed pair disagree on it.
+TWO_NODES = {203: 1.0, 206: 2.0}
 
 
 class TestWrappersMatchCore:
@@ -49,7 +53,7 @@ class TestSharedFTPath:
         ):
             assert measure.uses_ft
             assert np.allclose(
-                measure.scores_from_ft(f, t), measure.scores(toy_graph, q)
+                measure.scores_from_ft([1.0], [f], [t]), measure.scores(toy_graph, q)
             )
 
     def test_with_beta_does_not_mutate(self):
@@ -58,3 +62,20 @@ class TestSharedFTPath:
         assert m.beta == 0.5
         assert m2.beta == 0.8
         assert type(m2) is RoundTripRankPlusMeasure
+
+
+class TestMultiNodeQueries:
+    """A multi-node query scores per node, as ``repro.core`` defines it."""
+
+    @pytest.mark.parametrize(
+        "measure, core",
+        [
+            (RoundTripRankMeasure(), lambda g, q: roundtriprank(g, q, normalize=False)),
+            (RoundTripRankPlusMeasure(beta=0.3), lambda g, q: roundtriprank_plus(g, q, 0.3)),
+        ],
+        ids=["roundtriprank", "roundtriprank_plus"],
+    )
+    def test_two_node_query_matches_core(self, small_bibnet, measure, core):
+        graph = small_bibnet.graph
+        expected = core(graph, TWO_NODES)
+        np.testing.assert_allclose(measure.scores(graph, TWO_NODES), expected, rtol=1e-12, atol=0)

@@ -106,4 +106,4 @@ class TestMeasureWrappers:
     def test_plus_combines_from_shared_ft(self):
         f = np.array([0.2, 0.4]); t = np.array([0.4, 0.2])
         m = ArithmeticPlusMeasure(beta=0.25)
-        assert np.allclose(m.scores_from_ft(f, t), 0.75 * f + 0.25 * t)
+        assert np.allclose(m.scores_from_ft([1.0], [f], [t]), 0.75 * f + 0.25 * t)

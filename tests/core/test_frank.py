@@ -9,7 +9,6 @@ from repro.core import (
     frank_constant_length,
     frank_vector,
     power_iteration,
-    ppr,
 )
 from repro.core.queries import teleport_vector
 from repro.graph import graph_from_edges
@@ -58,9 +57,6 @@ class TestFRankVector:
         separate = 0.75 * frank_vector(toy_graph, a) + 0.25 * frank_vector(toy_graph, b)
         assert np.allclose(combined, separate, atol=1e-9)
 
-    def test_ppr_alias(self, toy_graph):
-        assert np.array_equal(ppr(toy_graph, 0), frank_vector(toy_graph, 0))
-
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
     def test_alpha_validation(self, toy_graph, alpha):
         with pytest.raises(ValueError):
@@ -92,12 +88,6 @@ class TestConvergenceWarning:
 
         with pytest.warns(ConvergenceWarning, match="did not converge"):
             frank_vector(toy_graph, 0, max_iter=1)
-
-    def test_opt_out_silences_warning(self, toy_graph, recwarn):
-        from repro.core import ConvergenceWarning
-
-        frank_vector(toy_graph, 0, max_iter=1, warn_on_nonconvergence=False)
-        assert not any(isinstance(w.message, ConvergenceWarning) for w in recwarn.list)
 
     def test_no_warning_on_normal_convergence(self, toy_graph, recwarn):
         from repro.core import ConvergenceWarning

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from repro.core import (
     estimate_trank_mc,
-    inverse_ppr,
     trank_constant_length,
     trank_vector,
 )
@@ -72,23 +71,6 @@ class TestTRankConstantLength:
     def test_negative_length_rejected(self, toy_graph):
         with pytest.raises(ValueError):
             trank_constant_length(toy_graph, 0, -1)
-
-
-class TestInversePPR:
-    def test_differs_from_trank_on_weighted_graphs(self):
-        # On graphs with asymmetric weights the reversed-graph normalization
-        # differs from walking the original edges backwards.
-        g = graph_from_edges(
-            3,
-            [(0, 1, 3.0), (2, 1, 1.0), (1, 0, 1.0), (1, 2, 4.0), (0, 2, 1.0), (2, 0, 2.0)],
-        )
-        t = trank_vector(g, 0)
-        inv = inverse_ppr(g, 0)
-        assert not np.allclose(t, inv)
-
-    def test_is_a_distribution(self, toy_graph):
-        inv = inverse_ppr(toy_graph, 0)
-        assert inv.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestTRankMonteCarlo:

@@ -1,5 +1,6 @@
 """Parity tests: the batch engine must match the single-query paths exactly."""
 
+import re
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from repro.engine import (
     stack_teleports,
     trank_batch,
 )
-from repro.engine.batch import normalize_columns
+from repro.engine.batch import MEASURES, normalize_columns
 from repro.graph import graph_from_edges
 from repro.ops import TransitionOperator
 
@@ -153,12 +154,6 @@ class TestPowerIterationBatch:
         message = str(caught[0].message)
         assert f"did not converge in {len(products)} sweeps (max_iter=150;" in message
 
-    def test_warning_opt_out(self, toy_graph, recwarn):
-        s = stack_teleports(toy_graph, [0])
-        op = toy_graph.transition.T.tocsr()
-        power_iteration_batch(op, s, 0.25, max_iter=2, warn_on_nonconvergence=False)
-        assert not any(isinstance(w.message, ConvergenceWarning) for w in recwarn.list)
-
     def test_rejects_1d_teleports(self, toy_graph):
         op = toy_graph.transition
         with pytest.raises(ValueError, match="2-D"):
@@ -289,3 +284,21 @@ class TestBatchValidation:
     def test_bad_beta_rejected(self, toy_graph):
         with pytest.raises(ValueError):
             roundtriprank_plus_batch(toy_graph, [0], beta=1.5)
+
+
+class TestMeasureTable:
+    """One table says which measures exist and which columns each reads."""
+
+    @pytest.mark.parametrize("entry", ["batcher", "gateway", "local_topk"])
+    def test_unknown_measure_rejected_alike(self, toy_graph, entry):
+        from repro.gateway import RankGateway
+        from repro.serving import MicroBatcher
+        from repro.topk import local_topk
+
+        calls = {
+            "batcher": lambda: MicroBatcher(toy_graph, measure="ppr"),
+            "gateway": lambda: RankGateway(toy_graph).submit(0, measure="ppr"),
+            "local_topk": lambda: local_topk(toy_graph, 0, 3, measure="ppr"),
+        }
+        with pytest.raises(ValueError, match=re.escape(f"measure must be one of {MEASURES}")):
+            calls[entry]()

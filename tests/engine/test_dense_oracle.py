@@ -46,16 +46,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import combine_beta, frank_vector, trank_vector
-from repro.engine import frank_batch, trank_batch
+from repro.engine import frank_batch, roundtriprank_batch, roundtriprank_plus_batch, trank_batch
+from repro.engine.batch import MEASURES
 from repro.graph import graph_from_edges
 from repro.serving import ColumnCache, MicroBatcher
-from repro.serving.batcher import MEASURES
-from repro.serving.topk import (
-    roundtriprank_batch_topk,
-    roundtriprank_plus_batch_topk,
-    topk_select,
-)
-from repro.topk import LOCAL_MEASURES, ColumnPush, local_topk
+from repro.serving.topk import topk_select
+from repro.topk import ColumnPush, local_topk
 from repro.topk.local import MAX_SWEEPS
 
 TOL = 1e-12
@@ -257,13 +253,13 @@ def test_every_sweep_brackets_the_dense_column(case):
 def batch_topk(graph, query, k, alpha, measure):
     """The full-solve entry point ``local_topk`` escalates to, per measure."""
     if measure == "roundtriprank":
-        idx, val = roundtriprank_batch_topk(graph, [query], k, alpha, normalize=False)
-        return idx[0], val[0]
-    if measure == "roundtriprank_plus":
-        idx, val = roundtriprank_plus_batch_topk(graph, [query], k, BETA, alpha)
-        return idx[0], val[0]
-    solve = frank_batch if measure == "frank" else trank_batch
-    return topk_select(solve(graph, [query], alpha)[:, 0], k)
+        scores = roundtriprank_batch(graph, [query], alpha, normalize=False)
+    elif measure == "roundtriprank_plus":
+        scores = roundtriprank_plus_batch(graph, [query], BETA, alpha)
+    else:
+        solve = frank_batch if measure == "frank" else trank_batch
+        scores = solve(graph, [query], alpha)
+    return topk_select(scores[:, 0], k)
 
 
 def dense_twins(graph, query: "int | None" = None) -> np.ndarray:
@@ -316,7 +312,7 @@ def test_local_topk_is_certified_exact_or_escalated_bit_identical():
             labels = dense_twins(graph, q)
             for scores in dense.values():
                 scores[labels >= 0] = scores[labels[labels >= 0]]
-            for measure in LOCAL_MEASURES:
+            for measure in MEASURES:
                 result = local_topk(graph, q, k, alpha, measure=measure, beta=BETA, normalize=False)
                 assert result.certified != result.escalated
                 if result.certified:

@@ -20,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_dense_oracle import BETA, SLACK, batch_topk, dense_scores
 
+from repro.engine.batch import MEASURES
 from repro.graph import graph_from_edges
 from repro.serving.topk import topk_select
-from repro.topk import LOCAL_MEASURES, local_topk
+from repro.topk import local_topk
 from repro.topk.local import CERT_MARGIN
 
 
@@ -73,7 +74,7 @@ def assert_certified_exact_or_escalated_bit_identical(graph, query, k, alpha, me
 @given(case=near_tie_cases(), k=st.integers(min_value=1, max_value=6))
 def test_near_ties_are_certified_exact_or_escalated_bit_identical(case, k):
     graph, query, alpha = case
-    for measure in LOCAL_MEASURES:
+    for measure in MEASURES:
         assert_certified_exact_or_escalated_bit_identical(graph, query, k, alpha, measure)
 
 

@@ -8,9 +8,11 @@ import pytest
 from repro.baselines import (
     FRankMeasure,
     ProximityMeasure,
+    RoundTripRankMeasure,
     RoundTripRankPlusMeasure,
     TRankMeasure,
 )
+from repro.core import roundtriprank, roundtriprank_plus
 from repro.eval import (
     FTCache,
     compare_measures,
@@ -21,7 +23,8 @@ from repro.eval import (
     run_task_suite,
     tune_beta,
 )
-from repro.eval.tasks import QueryCase
+from repro.eval.metrics import ranking_from_scores
+from repro.eval.tasks import QueryCase, RankingTask
 
 
 class OracleMeasure(ProximityMeasure):
@@ -70,11 +73,11 @@ class TestFTCache:
     def test_cache_computes_once(self, small_bibnet):
         task = make_venue_task(small_bibnet, 2, seed=2)
         cache = FTCache()
-        f1, t1 = cache.get(0, task.cases[0])
-        f2, t2 = cache.get(0, task.cases[0])
+        _, (f1,), (t1,) = cache.get(0, task.cases[0])
+        _, (f2,), (t2,) = cache.get(0, task.cases[0])
         assert f1 is f2 and t1 is t2
         cache.clear()
-        f3, _ = cache.get(0, task.cases[0])
+        _, (f3,), _ = cache.get(0, task.cases[0])
         assert f3 is not f1
 
     def test_cache_info_counters(self, small_bibnet):
@@ -98,11 +101,12 @@ class TestFTCache:
     def test_returned_pairs_are_read_only(self, small_bibnet):
         # Regression: composed multi-node pairs used to be writable and
         # shared across hits — one caller mutating its (f, t) silently
-        # corrupted every later evaluation of the same case.
+        # corrupted every later evaluation of the same case.  Every case
+        # now gets the cache's own per-node columns.
         task = make_venue_task(small_bibnet, 2, seed=2)
         cache = FTCache()
         case = task.cases[0]
-        f_single, t_single = cache.get(0, case)
+        _, (f_single,), (t_single,) = cache.get(0, case)
         for arr in (f_single, t_single):
             with pytest.raises(ValueError):
                 arr[0] = 1e9
@@ -114,14 +118,15 @@ class TestFTCache:
             excluded=case.excluded,
             candidate_mask=case.candidate_mask,
         )
-        f_multi, t_multi = cache.get(1, multi)
-        snapshot = f_multi.copy()
-        for arr in (f_multi, t_multi):
+        weights, f_multi, t_multi = cache.get(1, multi)
+        assert len(weights) == len(f_multi) == len(t_multi) == 2
+        snapshot = f_multi[0].copy()
+        for arr in f_multi + t_multi:
             with pytest.raises(ValueError):
                 arr[:] = 0.0
-        again, _ = cache.get(1, multi)
-        assert again is f_multi
-        assert np.array_equal(again, snapshot)
+        _, again, _ = cache.get(1, multi)
+        assert again[0] is f_multi[0]
+        assert np.array_equal(again[0], snapshot)
 
     def test_bounded_across_graphs(self, small_bibnet):
         # The paper's edge-removal tasks give every case its own graph; the
@@ -190,3 +195,35 @@ class TestCompareMeasures:
         r2 = evaluate_measure(FRankMeasure(), task, (5,))
         t = compare_measures(r1, r2, 5)
         assert t.p_value == 1.0
+
+
+class TestMultiNodeCases:
+    """The runner ranks a multi-node case as ``repro.core`` does."""
+
+    @pytest.mark.parametrize(
+        "measure, core",
+        [
+            (RoundTripRankMeasure(), roundtriprank),
+            (RoundTripRankPlusMeasure(beta=0.3), lambda g, q: roundtriprank_plus(g, q, 0.3)),
+        ],
+        ids=["roundtriprank", "roundtriprank_plus"],
+    )
+    def test_two_node_case_ranks_like_core(self, small_bibnet, measure, core):
+        # Case i's ground truth is core's top-i set, so NDCG@i is exactly 1
+        # iff the runner's top i is that set; over i = 1..10 that pins the
+        # order of the whole top 10.
+        graph = small_bibnet.graph
+        query = {203: 1.0, 206: 2.0}
+        excluded = frozenset(query)
+        mask = np.ones(graph.n_nodes, dtype=bool)
+        expected = ranking_from_scores(
+            core(graph, query), exclude=excluded, candidate_mask=mask, limit=10
+        )
+        cases = [
+            QueryCase(query, frozenset(expected[:i]), graph, excluded, mask)
+            for i in range(1, 11)
+        ]
+        result = evaluate_measure(
+            measure, RankingTask("two nodes", "any", cases), range(1, 11), ft_cache=FTCache()
+        )
+        assert np.diag(result.ndcg).tolist() == [1.0] * 10

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import frank_vector, roundtriprank, roundtriprank_plus, trank_vector
+from repro.engine.batch import MEASURES
 from repro.gateway import LaneKey, RankGateway, Shed
 from repro.serving import ColumnCache
-from repro.serving.batcher import MEASURES
 
 
 class TestRouting:

@@ -47,6 +47,8 @@ class TestKernelEquivalenceProperties:
 
 
 class TestNoAliasingProperties:
+    # Random digraphs may exhaust the sweep budget; only aliasing is checked.
+    @pytest.mark.filterwarnings("ignore::repro.core.frank.ConvergenceWarning")
     @settings(max_examples=20, deadline=None)
     @given(
         case=csr_and_block(),
@@ -58,9 +60,7 @@ class TestNoAliasingProperties:
         teleports = np.abs(x) + 1e-3
         teleports /= teleports.sum(axis=0)
         top = ops.as_operator(operator)
-        result = power_iteration_batch(
-            top, teleports, 0.3, method=method, warn_on_nonconvergence=False
-        )
+        result = power_iteration_batch(top, teleports, 0.3, method=method)
         assert result.flags.owndata or result.base is None
         assert not np.shares_memory(result, teleports)
         for dtype in (np.float64, np.float32):

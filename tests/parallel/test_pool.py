@@ -42,7 +42,7 @@ class TestEffectiveWorkers:
         parsed = [normalize_query(toy_graph, q) for q in range(PARALLEL_MIN_QUERIES)]
         before = set(live_segment_names())
         with pytest.raises(ValueError, match="tol must be finite"):
-            solve_columns_parallel(toy_graph, parsed, True, 0.25, tol, 100, True, "power", 2)
+            solve_columns_parallel(toy_graph, parsed, True, 0.25, tol, 100, "power", 2)
         assert set(live_segment_names()) == before
 
     def test_crossover_routes_small_batch_sequentially(self, toy_graph):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from repro.core import frank_vector, roundtriprank, roundtriprank_plus, trank_vector
+from repro.engine.batch import MEASURES
 from repro.serving import ColumnCache, MicroBatcher
-from repro.serving.batcher import MEASURES
 
 
 class TestSizeTrigger:

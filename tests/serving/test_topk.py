@@ -1,16 +1,11 @@
-"""Tests for fused top-k selection: parity with full-vector ranking."""
+"""Tests for top-k selection: parity with full-vector ranking."""
 
 import numpy as np
 import pytest
 
 from repro.engine import roundtriprank_batch, roundtriprank_plus_batch
 from repro.eval.metrics import ranking_from_scores
-from repro.serving import (
-    roundtriprank_batch_topk,
-    roundtriprank_plus_batch_topk,
-    roundtriprank_topk,
-    topk_select,
-)
+from repro.serving import topk_select
 
 
 def full_ranking(scores, k):
@@ -62,49 +57,54 @@ class TestTopkSelect:
         with pytest.raises(ValueError):
             topk_select(np.ones(3), 0)
 
+    @pytest.mark.parametrize("k", [7.5, 2.5, np.float64(3.0)])
+    def test_non_integer_k_rejected(self, k):
+        # Rejected as local_topk and naive_topk reject it.  A fractional k
+        # at or above the eligible count used to return every node, and a
+        # smaller one failed inside numpy's partition.
+        with pytest.raises(TypeError, match="k must be an integer"):
+            topk_select(np.arange(5.0), k)
 
-class TestFusedMeasures:
-    def test_roundtriprank_topk_matches_full(self, toy_graph):
+
+class TestBatchColumns:
+    """``topk_select`` over the columns of the batch engine's measures."""
+
+    def test_roundtriprank_columns_match_full(self, toy_graph):
         for q in range(toy_graph.n_nodes):
-            indices, values = roundtriprank_topk(toy_graph, q, 20)
             full = roundtriprank_batch(toy_graph, [q])[:, 0]
+            indices, values = topk_select(full, 20)
             expected = full_ranking(full, 20)
             assert np.array_equal(indices, expected)
             assert np.allclose(values, full[expected])
 
-    def test_batch_topk_rows_match_single(self, toy_graph):
+    def test_batch_rows_match_single(self, toy_graph):
         queries = [0, 3, 7, 11]
-        indices, values = roundtriprank_batch_topk(toy_graph, queries, 5)
-        assert indices.shape == (4, 5) and values.shape == (4, 5)
+        batch = roundtriprank_batch(toy_graph, queries)
         for j, q in enumerate(queries):
-            single_idx, single_val = roundtriprank_topk(toy_graph, q, 5)
-            assert np.array_equal(indices[j], single_idx)
-            assert np.allclose(values[j], single_val)
+            indices, values = topk_select(batch[:, j], 5)
+            assert indices.shape == (5,) and values.shape == (5,)
+            single_idx, single_val = topk_select(roundtriprank_batch(toy_graph, [q])[:, 0], 5)
+            assert np.array_equal(indices, single_idx)
+            assert np.allclose(values, single_val)
 
-    def test_plus_batch_topk_matches_full(self, toy_graph):
+    def test_plus_batch_matches_full(self, toy_graph):
         queries = [1, 6]
-        indices, values = roundtriprank_plus_batch_topk(toy_graph, queries, 4, beta=0.7)
         full = roundtriprank_plus_batch(toy_graph, queries, beta=0.7)
         for j in range(len(queries)):
+            indices, values = topk_select(full[:, j], 4)
             expected = full_ranking(full[:, j], 4)
-            assert np.array_equal(indices[j], expected)
-            assert np.allclose(values[j], full[:, j][expected])
+            assert np.array_equal(indices, expected)
+            assert np.allclose(values, full[:, j][expected])
 
     def test_per_query_exclude(self, toy_graph):
         queries = [0, 1]
-        indices, _ = roundtriprank_batch_topk(
-            toy_graph, queries, 3, exclude=[{0}, {1}]
-        )
-        assert 0 not in indices[0]
-        assert 1 not in indices[1]
-
-    def test_shared_exclude_wrong_length_rejected(self, toy_graph):
-        with pytest.raises(ValueError):
-            roundtriprank_batch_topk(toy_graph, [0, 1, 2], 3, exclude=[{0}])
+        scores = roundtriprank_batch(toy_graph, queries)
+        for j, q in enumerate(queries):
+            indices, _ = topk_select(scores[:, j], 3, exclude={q})
+            assert q not in indices
 
     def test_multi_node_query(self, toy_graph):
         query = {0: 1.0, 1: 2.0}
-        indices, _ = roundtriprank_topk(toy_graph, query, 6)
         full = roundtriprank_batch(toy_graph, [query])[:, 0]
+        indices, _ = topk_select(full, 6)
         assert np.array_equal(indices, full_ranking(full, 6))
-

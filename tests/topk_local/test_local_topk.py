@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from repro.core import combine_beta, frank_vector, normalize_query, trank_vector
+from repro.engine.batch import MEASURES
 from repro.graph import graph_from_edges
 from repro.serving.topk import topk_select
-from repro.topk import LOCAL_MEASURES, ColumnPush, local_topk, naive_topk
+from repro.topk import ColumnPush, local_topk, naive_topk
 from repro.topk import local as local_module
 from repro.topk.local import inmass_vector
 
@@ -61,7 +62,7 @@ def assert_matches_oracle(graph, query, k, measure="roundtriprank", **kwargs):
 
 
 class TestOracleParity:
-    @pytest.mark.parametrize("measure", LOCAL_MEASURES)
+    @pytest.mark.parametrize("measure", MEASURES)
     @pytest.mark.parametrize("query", [0, 4, 9])
     def test_toy_graph_all_measures(self, toy_graph, query, measure):
         assert_matches_oracle(toy_graph, query, 3, measure=measure)
@@ -107,20 +108,21 @@ def no_push_budget(monkeypatch):
 
 class TestEscalation:
     def test_zero_budget_is_bit_identical_to_batch_path(self, small_bibnet, no_push_budget):
-        from repro.serving.topk import roundtriprank_batch_topk
+        from repro.engine.batch import roundtriprank_batch
 
         graph = small_bibnet.graph
         query = int(small_bibnet.paper_nodes[0])
         result = local_topk(graph, query, 10, ALPHA)
         assert result.escalated
         assert result.work == 0
-        expected_idx, expected_val = roundtriprank_batch_topk(graph, [query], 10, ALPHA)
-        assert np.array_equal(result.indices, expected_idx[0])
-        assert np.array_equal(result.scores, expected_val[0])
+        expected_idx, expected_val = topk_select(
+            roundtriprank_batch(graph, [query], ALPHA)[:, 0], 10
+        )
+        assert np.array_equal(result.indices, expected_idx)
+        assert np.array_equal(result.scores, expected_val)
 
     def test_exact_method_power_parity(self, small_bibnet, no_push_budget):
-        from repro.engine.batch import frank_batch, trank_batch
-        from repro.serving.topk import roundtriprank_batch_topk
+        from repro.engine.batch import frank_batch, roundtriprank_batch, trank_batch
 
         graph = small_bibnet.graph
         query = int(small_bibnet.paper_nodes[2])
@@ -131,11 +133,11 @@ class TestEscalation:
 
         result = local_topk(graph, query, 5, ALPHA, solve_columns=power_columns)
         assert result.escalated
-        expected_idx, expected_val = roundtriprank_batch_topk(
-            graph, [query], 5, ALPHA, method="power"
+        expected_idx, expected_val = topk_select(
+            roundtriprank_batch(graph, [query], ALPHA, method="power")[:, 0], 5
         )
-        assert np.array_equal(result.indices, expected_idx[0])
-        assert np.array_equal(result.scores, expected_val[0])
+        assert np.array_equal(result.indices, expected_idx)
+        assert np.array_equal(result.scores, expected_val)
 
     def test_solve_columns_hook_drives_escalation(self, toy_graph, no_push_budget):
         from repro.engine.batch import frank_batch, trank_batch
@@ -338,12 +340,13 @@ class TestPlainSweepFallback:
         # Plain sweeps converge at rate 1 - alpha: about 160 of them.
         assert state.drive() <= 1e-12
 
-    @pytest.mark.parametrize("measure", LOCAL_MEASURES)
+    @pytest.mark.parametrize("measure", MEASURES)
     def test_local_topk_certifies_exact_or_escalates_bit_identical(self, measure):
-        from repro.engine.batch import frank_batch, trank_batch
-        from repro.serving.topk import (
-            roundtriprank_batch_topk,
-            roundtriprank_plus_batch_topk,
+        from repro.engine.batch import (
+            frank_batch,
+            roundtriprank_batch,
+            roundtriprank_plus_batch,
+            trank_batch,
         )
 
         g = graph_from_edges(8, CYCLE)
@@ -366,15 +369,15 @@ class TestPlainSweepFallback:
                     assert np.all(values <= result.scores + result.bound + 1e-12)
                     continue
                 if measure == "roundtriprank":
-                    idx, val = roundtriprank_batch_topk(g, [node], k, CYCLE_ALPHA, normalize=False)
+                    scores = roundtriprank_batch(g, [node], CYCLE_ALPHA, normalize=False)
                 elif measure == "roundtriprank_plus":
-                    idx, val = roundtriprank_plus_batch_topk(g, [node], k, 0.5, CYCLE_ALPHA)
+                    scores = roundtriprank_plus_batch(g, [node], 0.5, CYCLE_ALPHA)
                 else:
                     solve = frank_batch if measure == "frank" else trank_batch
-                    idx, val = topk_select(solve(g, [node], CYCLE_ALPHA)[:, 0], k)
-                    idx, val = idx[None], val[None]
-                assert np.array_equal(result.indices, idx[0])
-                assert np.array_equal(result.scores, val[0])
+                    scores = solve(g, [node], CYCLE_ALPHA)
+                idx, val = topk_select(scores[:, 0], k)
+                assert np.array_equal(result.indices, idx)
+                assert np.array_equal(result.scores, val)
 
 
 class TestInmassVector:

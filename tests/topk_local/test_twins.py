@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.engine.batch import MEASURES
 from repro.graph import graph_from_edges
 from repro.serving.topk import topk_select
-from repro.topk import LOCAL_MEASURES, local_topk, naive_topk
+from repro.topk import local_topk, naive_topk
 from repro.topk import local as local_module
 from repro.topk.local import _certify, _query_twins, twin_classes
 from tests.engine.test_dense_oracle import batch_topk, dense_twins, oracle_cases
@@ -151,7 +152,7 @@ class TestCertifyRule:
 
 
 class TestTwinTiesCertify:
-    @pytest.mark.parametrize("measure", LOCAL_MEASURES)
+    @pytest.mark.parametrize("measure", MEASURES)
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_hub_query_certifies_its_tied_leaves(self, measure, k):
         g = hub_graph()
