@@ -61,7 +61,6 @@ CHECKS = (
     # Exactness/parity residuals: these are the project's correctness
     # trajectory; any growth beyond noise is a red flag.
     Check("batch_engine.column_parity_max_abs", "max", atol=1e-9),
-    Check("parallel.auto_parity_max_abs", "max", atol=1e-9),
     Check("serving.topk_parity", "equal"),
     # Deterministic replay metrics: equality bands (stale baselines and
     # workload drift fail loudly in either direction).

@@ -2,13 +2,11 @@
 
 Merges the metrics the smoke benchmarks wrote via ``report_json``
 (``benchmarks/results/batch_engine.json``, ``serving.json``,
-``parallel.json``, ``gateway.json`` and ``obs.json``) into
+``gateway.json`` and ``obs.json``) into
 ``benchmarks/results/ci_smoke.json``, which the CI workflow uploads as an
 artifact — giving every commit a comparable record of the perf trajectory
 (batch speedup, cache hit-rate, warm/cold serving latency, micro-batch
-amortization, and the ``workers=2`` sharded-solver leg: walltime per worker
-count plus the power/auto parity columns must hold even on a one-core CI
-runner).  Two sections are
+amortization).  Two sections are
 computed here: ``twosbound``, the summed work of online 2SBound over a
 fixed query set, and ``datasets``, the build time of the ledger's
 BibNet-2200 graph.
@@ -31,7 +29,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 os.environ["REPRO_BENCH_BATCH_SMOKE"] = "1"
 os.environ["REPRO_BENCH_SERVING_SMOKE"] = "1"
-os.environ["REPRO_BENCH_PARALLEL_SMOKE"] = "1"
 os.environ["REPRO_BENCH_GATEWAY_SMOKE"] = "1"
 os.environ["REPRO_BENCH_OBS_SMOKE"] = "1"
 
@@ -89,7 +86,6 @@ def main() -> int:
         bench_batch_engine,
         bench_gateway,
         bench_obs,
-        bench_parallel,
         bench_serving,
     )
 
@@ -103,9 +99,6 @@ def main() -> int:
         ),
         "serving": _metrics(
             "serving", lambda: bench_serving.run_serving(*bench_serving._setup())
-        ),
-        "parallel": _metrics(
-            "parallel", lambda: bench_parallel.run_parallel(*bench_parallel._setup())
         ),
         # The gateway leg records the serving-path health numbers per commit:
         # GDSF-vs-LRU hit rates, admission shed rate, queue-depth bound, and

@@ -13,7 +13,7 @@ Two halves, one subsystem:
   and fails on ordering cycles, and arms a write-after-publish tripwire
   over cached/shared arrays; the pytest plugin
   (:mod:`repro.analysis.pytest_plugin`) additionally asserts zero leaked
-  threads and shared-memory segments per test module.
+  threads per test module.
 
 Static analysis catches the lexically visible shape of a bug; the
 sanitizer catches the dynamic interleavings it cannot see.  CI runs both.

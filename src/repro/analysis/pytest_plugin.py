@@ -7,11 +7,9 @@ it does three things:
 
 - installs the lock-order recorder at ``pytest_configure`` (before test
   collection imports the repro modules, so their locks get wrapped);
-- an autouse module-scoped fixture snapshots live threads and shared-memory
-  segments per test module, then asserts on teardown that the module leaked
-  neither — threads must be joined by the code that started them, segments
-  unlinked by their publisher (the long-lived publish cache and executor
-  infrastructure are exempted by name);
+- an autouse module-scoped fixture snapshots live threads per test
+  module, then asserts on teardown that the module leaked none — threads
+  must be joined by the code that started them;
 - the same fixture asserts the module introduced no lock-order cycle and
   tripped no write-after-publish guard.
 
@@ -28,35 +26,11 @@ import pytest
 
 from repro.analysis import sanitizer
 
-#: worker threads owned by long-lived executor machinery; they outlive any
-#: single module by design (the default process pool persists until
-#: repro.parallel.shutdown) and are not a module's leak.  Matched by type
-#: name because _ExecutorManagerThread is anonymous ("Thread-N") on some
-#: Python versions.
-_THREAD_ALLOWLIST_TYPES = frozenset({"_ExecutorManagerThread"})
-_THREAD_ALLOWLIST_PREFIXES = ("QueueFeederThread", "QueueManagerThread")
-
 _JOIN_GRACE_SECONDS = 2.0
 
 
-def _interesting_threads() -> "set[threading.Thread]":
-    alive = set()
-    for thread in threading.enumerate():
-        if thread is threading.main_thread():
-            continue
-        if type(thread).__qualname__ in _THREAD_ALLOWLIST_TYPES:
-            continue
-        if any(thread.name.startswith(prefix) for prefix in _THREAD_ALLOWLIST_PREFIXES):
-            continue
-        alive.add(thread)
-    return alive
-
-
-def _live_foreign_segments() -> "set[str]":
-    from repro.parallel.pool import published_segment_names
-    from repro.parallel.shm import live_segment_names
-
-    return set(live_segment_names()) - published_segment_names()
+def _live_threads() -> "set[threading.Thread]":
+    return {t for t in threading.enumerate() if t is not threading.main_thread()}
 
 
 def pytest_configure(config: pytest.Config) -> None:
@@ -75,8 +49,7 @@ def _repro_sanitize_module(request: pytest.FixtureRequest):
         yield
         return
 
-    threads_before = _interesting_threads()
-    segments_before = _live_foreign_segments()
+    threads_before = _live_threads()
 
     yield
 
@@ -86,11 +59,11 @@ def _repro_sanitize_module(request: pytest.FixtureRequest):
     # down (stop() signatures that signal before joining); give stragglers a
     # short grace period before calling them leaked.
     deadline = time.monotonic() + _JOIN_GRACE_SECONDS
-    leaked = _interesting_threads() - threads_before
+    leaked = _live_threads() - threads_before
     while leaked and time.monotonic() < deadline:
         for thread in list(leaked):
             thread.join(timeout=0.1)
-        leaked = {t for t in _interesting_threads() - threads_before if t.is_alive()}
+        leaked = {t for t in _live_threads() - threads_before if t.is_alive()}
 
     problems = []
     if leaked:
@@ -98,13 +71,6 @@ def _repro_sanitize_module(request: pytest.FixtureRequest):
         problems.append(
             f"leaked threads: {names} — every worker started by this module "
             "must be joined by its owner's stop()/close()"
-        )
-
-    leaked_segments = _live_foreign_segments() - segments_before
-    if leaked_segments:
-        problems.append(
-            f"leaked shared-memory segments: {sorted(leaked_segments)} — "
-            "publishers must destroy() what they publish"
         )
 
     problems.extend(sanitizer.check_published())

@@ -139,55 +139,6 @@ def _setflags_readonly_lines(func: ast.AST) -> "dict[str, int]":
 
 
 @register
-class ShmViewReadonlyRule:
-    """Arrays mapped over shared-memory buffers must escape read-only."""
-
-    name = "shm-view-readonly"
-    summary = (
-        "an ndarray view over a SharedMemory buffer that is returned must be "
-        "setflags(write=False) first"
-    )
-    lineage = (
-        "PR 3: worker-attached CSR arrays are views into segments every other "
-        "worker solves against; a writable view escaping attach_csr would let "
-        "one worker bug corrupt the operator under the whole pool"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for func in ctx.functions():
-            views: "set[str]" = set()
-            for node in walk_scope(func):
-                if (
-                    isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and isinstance(node.value, ast.Call)
-                    and _terminal_name(node.value.func) == "ndarray"
-                    and any(kw.arg == "buffer" for kw in node.value.keywords)
-                ):
-                    views.add(node.targets[0].id)
-            if not views:
-                continue
-            readonly = _setflags_readonly_lines(func)
-            for node in walk_scope(func):
-                if not (isinstance(node, ast.Return) and node.value is not None):
-                    continue
-                for name_node in ast.walk(node.value):
-                    if not (isinstance(name_node, ast.Name) and name_node.id in views):
-                        continue
-                    name = name_node.id
-                    if readonly.get(name, node.lineno + 1) > node.lineno:
-                        # No line number in the message: it is part of the
-                        # baseline key, which must survive lines moving.
-                        yield ctx.finding(
-                            node,
-                            self.name,
-                            f"shared-memory view {name!r} escapes without "
-                            "setflags(write=False)",
-                        )
-
-
-@register
 class CacheStoreReadonlyRule:
     """Arrays inserted into a ``*store*`` mapping must be read-only first."""
 
@@ -634,61 +585,4 @@ class NpRandomLegacyRule:
                     f"{dotted}() without a seed is OS-entropy-seeded and "
                     "unreproducible; plumb a seed or Generator through "
                     "repro.utils.rng.ensure_rng",
-                )
-
-
-@register
-class ShmLifecycleRule:
-    """SharedMemory create/attach must pair with unlink/close in the module."""
-
-    name = "shm-lifecycle"
-    summary = (
-        "a module calling SharedMemory(create=True) must also close() and "
-        "unlink(); a module attaching must close()"
-    )
-    lineage = (
-        "PR 3: leaked /dev/shm segments outlive the process; every segment "
-        "this tree creates is unlinked by SharedCSR.destroy via finalizers "
-        "and atexit, and every attach is closed by the worker LRU"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        creates: "list[ast.Call]" = []
-        attaches: "list[ast.Call]" = []
-        has_close = False
-        has_unlink = False
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if isinstance(node.func, ast.Attribute):
-                if node.func.attr == "close":
-                    has_close = True
-                elif node.func.attr == "unlink":
-                    has_unlink = True
-            if _terminal_name(node.func) == "SharedMemory":
-                if any(
-                    kw.arg == "create"
-                    and isinstance(kw.value, ast.Constant)
-                    and kw.value.value is True
-                    for kw in node.keywords
-                ):
-                    creates.append(node)
-                else:
-                    attaches.append(node)
-        for node in creates:
-            if not (has_close and has_unlink):
-                yield ctx.finding(
-                    node,
-                    self.name,
-                    "SharedMemory(create=True) here, but this module never "
-                    "close()s and unlink()s; publishers own their segments' "
-                    "lifetime (finalizer or finally)",
-                )
-        for node in attaches:
-            if not has_close:
-                yield ctx.finding(
-                    node,
-                    self.name,
-                    "SharedMemory attach here, but this module never "
-                    "close()s; attachers must unmap what they map",
                 )

@@ -17,11 +17,11 @@ Three checks:
   even if this run got lucky).  Recording is passive: the violation is
   surfaced at a checkpoint, not raised inside some innocent ``acquire``.
 - **Write-after-publish tripwire** — producers of shared read-only arrays
-  (the column cache, shared-memory attach) call :func:`publish_guard`;
+  (the column cache) call :func:`publish_guard`;
   :func:`check_published` reports any published array that has been flipped
   writable again and re-freezes it.  Both live in the runtime module
   :mod:`repro.utils.publish` (re-exported here); :func:`install` arms it.
-- The pytest plugin layers per-module thread/segment leak checks on top;
+- The pytest plugin layers a per-module thread leak check on top;
   see :mod:`repro.analysis.pytest_plugin`.
 
 Wrapper compatibility notes: ``threading.Condition`` probes its lock for

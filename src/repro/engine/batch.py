@@ -267,7 +267,7 @@ def _solve_auto(top: TransitionOperator, teleports, alpha, tol, max_iter):
     column norms are L1 and *verified* in float64 — the accuracy contract
     never rests on the float32/Chebyshev assumptions.  The float32 damped
     operator comes from the operator's own variant cache, so repeated solves
-    (and shared-memory workers) never re-derive it.
+    (and column shards on other threads) never re-derive it.
 
     A float32 Chebyshev phase on ``alpha * teleports`` runs to the float32
     floor ``_F32_FLOOR`` (or to a looser ``tol``).  Each correction round
@@ -369,6 +369,57 @@ def _solve_auto(top: TransitionOperator, teleports, alpha, tol, max_iter):
             return x, col_res, max_iter - sweeps_left
 
 
+def solve_columns(operator, teleports, alpha, tol, max_iter, method):
+    """The solve of :func:`power_iteration_batch`, without its warning.
+
+    Validates the arguments as it does, runs the ``engine.solve`` span and
+    returns ``(x, per_column_residual, sweeps)``; a caller that solves a
+    batch in parts (:mod:`repro.parallel` runs one call per column shard)
+    reassembles them and reports once through :func:`warn_unconverged`.
+    """
+    alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False)
+    check_positive(tol, "tol")
+    if max_iter <= 0:
+        raise ValueError(f"max_iter must be > 0, got {max_iter}")
+    if method not in ("auto", "power"):
+        raise ValueError(f"method must be 'auto' or 'power', got {method!r}")
+    top = as_operator(operator)
+    teleports = np.asarray(teleports, dtype=np.float64)
+    if teleports.ndim != 2:
+        raise ValueError(f"teleports must be 2-D (n x q), got shape {teleports.shape}")
+    if not np.isfinite(teleports).all():
+        # A NaN column never fails ``delta >= tol``, so it would come back
+        # "converged" with no warning.
+        raise ValueError("teleports must be finite")
+    n_queries = teleports.shape[1]
+
+    with obs.span("engine.solve", method=method, queries=n_queries) as solve_span:
+        # The masked loop returns a zero-width block without a sweep.
+        if method == "power" or n_queries == 0:
+            base = alpha * teleports
+            x, norms, sweeps = _jacobi_masked(top, base, 1.0 - alpha, base.copy(), tol, max_iter)
+        else:
+            x, norms, sweeps = _solve_auto(top, teleports, alpha, tol, max_iter)
+        _record_solve(solve_span, method, x, norms, sweeps)
+    return x, norms, sweeps
+
+
+def warn_unconverged(norms: np.ndarray, sweeps: int, max_iter: int, tol: float) -> None:
+    """One :class:`ConvergenceWarning` if any column's residual is ``>= tol``.
+
+    Attributed to the caller of the function that calls this one.
+    """
+    bad = norms >= tol
+    if bad.any():
+        warnings.warn(
+            f"{int(bad.sum())} of {norms.size} batch columns did not converge in "
+            f"{sweeps} sweeps (max_iter={max_iter}; worst residual "
+            f"{norms.max():.3e} >= tol={tol:g})",
+            ConvergenceWarning,
+            stacklevel=3,
+        )
+
+
 def power_iteration_batch(
     operator,
     teleports: np.ndarray,
@@ -403,42 +454,48 @@ def power_iteration_batch(
     that reports the sweeps run.  Non-finite ``teleports`` raise
     ``ValueError`` before any sweep.
     """
-    alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False)
-    check_positive(tol, "tol")
-    if max_iter <= 0:
-        raise ValueError(f"max_iter must be > 0, got {max_iter}")
-    if method not in ("auto", "power"):
-        raise ValueError(f"method must be 'auto' or 'power', got {method!r}")
-    top = as_operator(operator)
-    teleports = np.asarray(teleports, dtype=np.float64)
-    if teleports.ndim != 2:
-        raise ValueError(f"teleports must be 2-D (n x q), got shape {teleports.shape}")
-    if not np.isfinite(teleports).all():
-        # A NaN column never fails ``delta >= tol``, so it would come back
-        # "converged" with no warning.
-        raise ValueError("teleports must be finite")
-    n_queries = teleports.shape[1]
-
-    with obs.span("engine.solve", method=method, queries=n_queries) as solve_span:
-        # The masked loop returns a zero-width block without a sweep.
-        if method == "power" or n_queries == 0:
-            base = alpha * teleports
-            x, unconverged_norms, sweeps = _jacobi_masked(
-                top, base, 1.0 - alpha, base.copy(), tol, max_iter
-            )
-        else:
-            x, unconverged_norms, sweeps = _solve_auto(top, teleports, alpha, tol, max_iter)
-        _record_solve(solve_span, method, x, unconverged_norms, sweeps)
-    bad = unconverged_norms >= tol
-    if bad.any():
-        warnings.warn(
-            f"{int(bad.sum())} of {n_queries} batch columns did not converge in "
-            f"{sweeps} sweeps (max_iter={max_iter}; worst residual "
-            f"{unconverged_norms.max():.3e} >= tol={tol:g})",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
+    x, norms, sweeps = solve_columns(operator, teleports, alpha, tol, max_iter, method)
+    warn_unconverged(norms, sweeps, max_iter, tol)
     return x
+
+
+def _solve_queries(
+    graph: DiGraph,
+    queries: Sequence[Query],
+    transpose: bool,
+    alpha: float,
+    tol: float,
+    max_iter: int,
+    method: str,
+    workers: "int | None",
+) -> np.ndarray:
+    """F-Rank (``transpose=True``) or T-Rank columns of ``queries``.
+
+    Sharded across :mod:`repro.parallel` threads when ``workers`` clears
+    the crossover, otherwise one :func:`power_iteration_batch` call (the
+    engine entry point tracers wrap).  Either path issues at most one
+    :class:`ConvergenceWarning` with the same text, attributed to this
+    module.
+    """
+    if workers is not None:
+        # Lazy: repro.parallel imports repro.engine at module level.
+        from repro.parallel.pool import maybe_solve_batch_parallel
+
+        solved = maybe_solve_batch_parallel(
+            graph, queries, transpose, alpha, tol, max_iter, method, workers
+        )
+        if solved is not None:
+            x, norms, sweeps = solved
+            warn_unconverged(norms, sweeps, max_iter, tol)
+            return x
+    return power_iteration_batch(
+        get_operator(graph, transpose=transpose),
+        stack_teleports(graph, queries),
+        alpha,
+        tol=tol,
+        max_iter=max_iter,
+        method=method,
+    )
 
 
 def frank_batch(
@@ -455,32 +512,15 @@ def frank_batch(
     Column ``j`` equals ``frank_vector(graph, queries[j], alpha)`` (to the
     verified ``tol``; bit-exact with ``method="power"``).
 
-    ``workers`` shards the columns across the :mod:`repro.parallel` process
-    pool (the operator is shared zero-copy).  Batches below the pool's
-    crossover (see :func:`repro.parallel.effective_workers`) run the
-    sequential path; either way the decision is recorded in
+    ``workers`` shards the columns across that many :mod:`repro.parallel`
+    threads, all sweeping the graph's one cached operator.  Batches below
+    the shards' crossover (see :func:`repro.parallel.effective_workers`) run
+    the sequential path; either way the decision is recorded in
     :func:`repro.parallel.active_route`.  Results are independent of the
     worker count (bit-exact for ``method="power"``, within the verified
     residual ``tol`` for ``method="auto"``).
     """
-    if workers is not None:
-        # Lazy: repro.parallel imports repro.engine at module level.
-        from repro.parallel.pool import maybe_solve_batch_parallel
-
-        result = maybe_solve_batch_parallel(
-            graph, queries, True, alpha, tol, max_iter, method, workers
-        )
-        if result is not None:
-            return result
-    s = stack_teleports(graph, queries)
-    return power_iteration_batch(
-        get_operator(graph, transpose=True),
-        s,
-        alpha,
-        tol=tol,
-        max_iter=max_iter,
-        method=method,
-    )
+    return _solve_queries(graph, queries, True, alpha, tol, max_iter, method, workers)
 
 
 def trank_batch(
@@ -498,24 +538,7 @@ def trank_batch(
     verified ``tol``; bit-exact with ``method="power"``).  ``workers``
     behaves exactly as in :func:`frank_batch`.
     """
-    if workers is not None:
-        # Lazy: repro.parallel imports repro.engine at module level.
-        from repro.parallel.pool import maybe_solve_batch_parallel
-
-        result = maybe_solve_batch_parallel(
-            graph, queries, False, alpha, tol, max_iter, method, workers
-        )
-        if result is not None:
-            return result
-    s = stack_teleports(graph, queries)
-    return power_iteration_batch(
-        get_operator(graph, transpose=False),
-        s,
-        alpha,
-        tol=tol,
-        max_iter=max_iter,
-        method=method,
-    )
+    return _solve_queries(graph, queries, False, alpha, tol, max_iter, method, workers)
 
 
 def _per_node_ft(
@@ -623,8 +646,8 @@ def roundtriprank_batch(
     Column ``j`` equals ``roundtriprank(graph, queries[j], alpha)``.  All
     distinct query nodes across the batch share two multi-column solves (F
     and T); per-query scores are the weighted per-node ``f * t`` products of
-    Proposition 2.  ``workers`` shards both solves across the
-    :mod:`repro.parallel` pool as in :func:`frank_batch`.
+    Proposition 2.  ``workers`` shards both solves across
+    :mod:`repro.parallel` threads as in :func:`frank_batch`.
 
     With ``normalize=True`` each column sums to one *when it has positive
     mass*; a zero-mass column stays all-zeros and triggers a

@@ -103,9 +103,7 @@ class FTCache:
             nodes = sorted({int(v) for case in members for v in self._case_nodes(case)})
             self._columns.warm(graph, nodes, self.alpha)
 
-    def get(
-        self, case_key: int, case: QueryCase
-    ) -> "tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]":
+    def get(self, case: QueryCase) -> "tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]":
         """``(weights, f_columns, t_columns)`` of a case, one column pair per
         query node, solving on first access.
 
@@ -146,7 +144,7 @@ def evaluate_measure(
         ft_cache.warm(task.cases)
     for i, case in enumerate(task.cases):
         if measure.uses_ft and ft_cache is not None:
-            scores = measure.scores_from_ft(*ft_cache.get(i, case))  # type: ignore[attr-defined]
+            scores = measure.scores_from_ft(*ft_cache.get(case))  # type: ignore[attr-defined]
         else:
             scores = measure.scores(case.graph, case.query)
         ranking = ranking_from_scores(
@@ -174,10 +172,10 @@ def evaluate_measures(
 ) -> dict[str, MeasureTaskResult]:
     """Evaluate several measures on one task with a shared (f, t) cache.
 
-    ``workers`` shards the cache-warming column solves across the
-    :mod:`repro.parallel` process pool — the sweep's dominant cost is the
+    ``workers`` shards the cache-warming column solves across
+    :mod:`repro.parallel` threads — the sweep's dominant cost is the
     batched F/T solves during :meth:`FTCache.warm`, which parallelize
-    per-column; scoring and NDCG stay in-process.
+    per-column; scoring and NDCG stay on the calling thread.
     """
     cache = FTCache(alpha, workers=workers)
     results = {}
@@ -280,8 +278,8 @@ def run_task_suite(
 ) -> TaskSuiteResult:
     """Evaluate every measure on every task (one shared FT cache per task).
 
-    ``workers`` shards each task's cache-warming solves across the process
-    pool (see :func:`evaluate_measures`).
+    ``workers`` shards each task's cache-warming solves across threads
+    (see :func:`evaluate_measures`).
     """
     suite = TaskSuiteResult(k_values=tuple(k_values))
     for task in tasks:

@@ -143,11 +143,11 @@ class RankGateway:
         bit-for-bit.  Cached columns join the sweeps as zero-error states, so
         a warm cache makes the fast path cheaper, not divergent.
     workers:
-        Worker-process count for cache-miss solves (forwarded to the
-        default-built :class:`ColumnCache`; ignored when ``cache`` is
-        supplied).  Miss batches past the pool's crossover column-shard
-        across the :mod:`repro.parallel` pool; smaller ones solve in
-        process, with bit-identical results either way.
+        Shard count for cache-miss solves (forwarded to the default-built
+        :class:`ColumnCache`; ignored when ``cache`` is supplied).  Miss
+        batches past the crossover column-shard across
+        :mod:`repro.parallel` threads; smaller ones solve on the calling
+        thread, with bit-identical results either way.
     clock:
         Injectable monotonic clock shared by admission and stats (tests).
 
@@ -177,7 +177,7 @@ class RankGateway:
             raise ValueError("at least one graph must be registered")
         self._graphs: "dict[str, DiGraph]" = dict(graphs)
         # workers reaches cache-miss solves through the shared cache: miss
-        # batches past the pool's crossover column-shard across the pool.
+        # batches past the crossover column-shard across threads.
         # Ignored when the caller supplies a ready cache (configure workers
         # on that cache instead).
         self.cache = cache if cache is not None else ColumnCache(workers=workers)

@@ -19,8 +19,8 @@ Design points:
   monopolize the warming budget.
 - **Batch-engine warming, ``workers=`` aware.**  All selected nodes of one
   ``(graph, alpha)`` are warmed in one ``cache.warm`` call (two multi-column
-  solves), optionally sharded across the :mod:`repro.parallel` process pool
-  with ``workers=``.
+  solves), optionally sharded across :mod:`repro.parallel` threads with
+  ``workers=``.
 - **Deterministic testing.**  :meth:`Prefetcher.run_once` performs exactly
   one round synchronously; the background thread (:meth:`start` /
   :meth:`stop`, or the context manager) just calls it on an interval.
@@ -61,9 +61,9 @@ class Prefetcher:
         Nodes warmed per ``cache.warm`` call within a round (both kinds
         each).  Chunking bounds how long each solve occupies the engine and
         gives the round its LRU-friendly touch order; larger chunks amortize
-        pool dispatch better when ``workers`` is set.
+        the shards better when ``workers`` is set.
     workers:
-        Shard warm solves across the process pool (``cache.warm(workers=)``).
+        Shard warm solves across threads (``cache.warm(workers=)``).
     """
 
     def __init__(

@@ -1,7 +1,7 @@
 """Unified operator/kernel subsystem: one abstraction for every multiply.
 
 Every ranking solve in this library — F-Rank, T-Rank, RoundTripRank(+),
-batched or single-query, sequential or sharded across processes — reduces to
+batched or single-query, sequential or sharded across threads — reduces to
 repeated products with one prepared CSR operator.  This package owns that
 hot path:
 
@@ -20,9 +20,8 @@ hot path:
 
 Consumers: :mod:`repro.engine.batch` (all batch sweeps),
 :mod:`repro.core.frank` / :mod:`repro.core.trank` (single-query paths),
-the top-K oracle (:mod:`repro.topk.naive`), and :mod:`repro.parallel`
-workers (which reconstruct operators from shared memory, float32 variant
-included).
+the top-K oracle (:mod:`repro.topk.naive`), and the :mod:`repro.parallel`
+column shards (threads that share one graph's cached operator).
 """
 
 from repro.ops.kernels import HAS_CSR_MATVECS, KernelReport, active_kernel

@@ -13,8 +13,8 @@ anywhere without touching all four.
 damp-scaled copies for the Chebyshev phases — and runs ``matmat`` through
 the kernel in :mod:`repro.ops.kernels`.  Use :func:`get_operator` for
 graph-backed operators (cached per ``(graph, orientation)`` with weak
-references) and :meth:`TransitionOperator.from_csr` for detached ones
-(shared-memory worker attachments, ad-hoc matrices).
+references) and the :class:`TransitionOperator` constructor for detached
+ones (ad-hoc matrices).
 
 Guarantees
 ----------
@@ -72,11 +72,12 @@ def _as_csr(matrix) -> sp.csr_matrix:
 class TransitionOperator:
     """A prepared view of one oriented CSR operator.
 
-    Construct via :func:`get_operator` (graph-backed, cached) or
-    :meth:`from_csr` (detached).  Instances are immutable in value; all
-    mutation is memoization of derived state (dtype variants, damped
-    copies) guarded by a lock, so an operator can be shared across threads
-    (the serving layer does).
+    Construct via :func:`get_operator` (graph-backed, cached) or directly
+    from any scipy sparse matrix (detached).  Instances are immutable in
+    value; all mutation is memoization of derived state (dtype variants,
+    damped copies) guarded by a lock, so an operator can be shared across
+    threads (the serving layer and :mod:`repro.parallel`'s column shards
+    do).
     """
 
     def __init__(self, matrix: sp.csr_matrix, *, transpose: "bool | None" = None) -> None:
@@ -88,35 +89,6 @@ class TransitionOperator:
         self._base_dtype = base.dtype
         self._damped: "OrderedDict[tuple, TransitionOperator]" = OrderedDict()
         self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_csr(
-        cls,
-        matrix: sp.spmatrix,
-        float32: "sp.spmatrix | None" = None,
-        transpose: "bool | None" = None,
-    ) -> "TransitionOperator":
-        """Wrap an existing CSR matrix (detached from any graph).
-
-        ``float32`` optionally supplies a pre-built float32 variant — the
-        shared-memory workers pass the attached float32 segment here so no
-        per-worker copy is ever derived.
-        """
-        op = cls(matrix, transpose=transpose)
-        if float32 is not None:
-            f32 = _as_csr(float32)
-            if f32.shape != op.shape:
-                raise ValueError(
-                    f"float32 variant shape {f32.shape} != operator shape {op.shape}"
-                )
-            if f32.dtype != np.float32:
-                raise ValueError(f"float32 variant has dtype {f32.dtype}")
-            op._variants[np.dtype(np.float32)] = f32
-        return op
 
     # ------------------------------------------------------------------ #
     # Shape and variants
@@ -322,7 +294,7 @@ def as_operator(operator) -> TransitionOperator:
     if isinstance(operator, TransitionOperator):
         return operator
     if sp.issparse(operator):
-        return TransitionOperator.from_csr(operator)
+        return TransitionOperator(operator)
     raise TypeError(
         f"expected a TransitionOperator or scipy sparse matrix, got {type(operator)!r}"
     )

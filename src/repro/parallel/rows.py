@@ -1,8 +1,8 @@
 """The last ``workers=`` routing decision, readable via :func:`active_route`.
 
-A ``workers=``-carrying batch solve either column-shards across the process
-pool (:func:`repro.parallel.pool.maybe_solve_batch_parallel`) or runs
-sequentially because the batch is below the pool's crossover
+A ``workers=``-carrying batch solve either column-shards across threads
+(:func:`repro.parallel.pool.maybe_solve_batch_parallel`) or runs
+sequentially because the batch is below the shards' crossover
 (:func:`repro.parallel.effective_workers`).  Either way the decision and its
 reason are recorded here, in the style of :func:`repro.ops.active_kernel`,
 so ``workers=`` is never silently ignored.
@@ -21,7 +21,7 @@ from repro import obs
 
 _OBS_ROUTES = obs.counter(
     "repro_route_decisions_total",
-    "Column-pool routing decisions of workers= batch solves by outcome.",
+    "Column-shard routing decisions of workers= batch solves by outcome.",
     labels=("routed",),
 )
 
@@ -30,9 +30,9 @@ _OBS_ROUTES = obs.counter(
 class RouteReport:
     """One routing decision (cf. :class:`repro.ops.KernelReport`).
 
-    ``routed`` with ``shards >= 2`` means the columns were split across the
-    pool; otherwise ``shards == 0`` and ``reason`` says why the solve stayed
-    sequential.
+    ``routed`` with ``shards >= 2`` means the columns were split across
+    that many threads; otherwise ``shards == 0`` and ``reason`` says why
+    the solve stayed sequential.
     """
 
     routed: bool

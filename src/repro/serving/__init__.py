@@ -47,7 +47,7 @@ future and makes ``submit``/``ask``/``start`` raise.  ``topk_select`` is
 pure and hence trivially thread-safe.
 
 Both ``ColumnCache`` and ``MicroBatcher`` take ``workers=`` to shard their
-solves across the :mod:`repro.parallel` process pool; worker count never
+solves across :mod:`repro.parallel` threads; worker count never
 changes results (it is deliberately not part of the cache key).
 """
 

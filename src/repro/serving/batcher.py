@@ -137,11 +137,11 @@ class MicroBatcher:
         per-batcher solver settings.  This batcher's solver arguments apply
         only when ``cache`` is None.
     workers:
-        Shard each flush's multi-column solve across the
-        :mod:`repro.parallel` process pool; small flushes fall back to the
+        Shard each flush's multi-column solve across that many
+        :mod:`repro.parallel` threads; small flushes fall back to the
         sequential solver via the crossover heuristic
-        (:func:`repro.parallel.effective_workers`), so the pool only kicks
-        in when a flush is big enough to amortize dispatch.  Applies to the
+        (:func:`repro.parallel.effective_workers`), so the shards only kick
+        in when a flush is big enough to amortize them.  Applies to the
         uncached path; with a cache attached, set ``workers`` on the cache.
 
     Lifecycle

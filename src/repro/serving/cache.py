@@ -165,7 +165,7 @@ class ColumnCache:
         contract (``alpha`` may also be overridden per call, it is part of
         the key).  ``method="auto"`` is the batch engine's accelerated path.
     workers:
-        Shard miss solves across the :mod:`repro.parallel` process pool;
+        Shard miss solves across that many :mod:`repro.parallel` threads;
         small miss batches fall back to the sequential solver automatically
         (:func:`repro.parallel.effective_workers`).  Not part of the cache
         key: worker count never changes what a column converges to (the
@@ -249,9 +249,9 @@ class ColumnCache:
         Returns one read-only length-``n`` array per requested node, in
         request order (duplicates allowed).  ``workers`` overrides the
         cache's worker count for this call's miss solve only (the prefetch
-        path warms big batches with the pool while interactive misses stay
-        sequential); like ``self.workers`` it never affects what a column
-        converges to, only how fast the batch fills.
+        path warms big batches on shard threads while interactive misses
+        stay sequential); like ``self.workers`` it never affects what a
+        column converges to, only how fast the batch fills.
         """
         alpha = self.alpha if alpha is None else float(alpha)
         with self._lock, obs.span("cache.get_many", kind=kind, n=len(nodes)) as ospan:
@@ -308,7 +308,7 @@ class ColumnCache:
         One :func:`repro.engine.frank_batch` / :func:`repro.engine.trank_batch`
         call per kind covers every uncached node, so warming ``m`` nodes costs
         two multi-column solves instead of ``2 m`` single solves.  ``workers``
-        shards those solves across the process pool for this call only.
+        shards those solves across threads for this call only.
         """
         for kind in kinds:
             self.get_many(graph, kind, nodes, alpha, workers=workers)

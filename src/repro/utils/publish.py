@@ -1,12 +1,12 @@
 """Write-after-publish tripwire for shared read-only arrays.
 
-Producers of arrays that many readers share (the column cache, the
-shared-memory attach) call :func:`publish_guard` on every array they hand
-out; :func:`check_published` reports any of them that has been made
-writable again and re-freezes it.  The tripwire starts disarmed, so a
-publish costs one flag check; :func:`repro.analysis.sanitizer.install`
-arms it for sanitized runs (``REPRO_SANITIZE=1``).  Living here rather than
-in the analyzer keeps :mod:`repro.analysis` out of the runtime's imports.
+Producers of arrays that many readers share (the column cache) call
+:func:`publish_guard` on every array they hand out; :func:`check_published`
+reports any of them that has been made writable again and re-freezes it.
+The tripwire starts disarmed, so a publish costs one flag check;
+:func:`repro.analysis.sanitizer.install` arms it for sanitized runs
+(``REPRO_SANITIZE=1``).  Living here rather than in the analyzer keeps
+:mod:`repro.analysis` out of the runtime's imports.
 """
 
 from __future__ import annotations

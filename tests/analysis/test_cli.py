@@ -247,7 +247,7 @@ class TestStaleBaseline:
 class TestModuleEntryPoint:
     @pytest.mark.parametrize(
         "target, expected",
-        [("good_shm_lifecycle.py", 0), ("bad_shm_lifecycle.py", 1)],
+        [("good_np_random_legacy.py", 0), ("bad_np_random_legacy.py", 1)],
     )
     def test_python_dash_m_exit_codes(self, target, expected):
         result = subprocess.run(

@@ -18,14 +18,12 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 #: rule name -> fixture stem; fixtures live as bad_<stem>.py / good_<stem>.py.
 RULE_FIXTURES = {
-    "shm-view-readonly": "shm_view_readonly",
     "cache-store-readonly": "cache_store_readonly",
     "lock-across-blocking": "lock_across_blocking",
     "lock-reentry": "lock_reentry",
     "condition-wait-loop": "condition_wait_loop",
     "thread-lifecycle": "thread_lifecycle",
     "np-random-legacy": "np_random_legacy",
-    "shm-lifecycle": "shm_lifecycle",
 }
 
 
@@ -209,21 +207,6 @@ class TestRuleEdgeCases:
             """
         )
         assert analyze_source(source, rules=[get_rule("np-random-legacy")]) == []
-
-    def test_shm_lifecycle_attach_needs_close_only(self):
-        source = textwrap.dedent(
-            """
-            from multiprocessing import shared_memory
-
-
-            def peek(name):
-                segment = shared_memory.SharedMemory(name=name)
-                payload = bytes(segment.buf)
-                segment.close()
-                return payload
-            """
-        )
-        assert analyze_source(source, rules=[get_rule("shm-lifecycle")]) == []
 
     def test_parse_error_becomes_finding(self):
         findings = analyze_source("def broken(:\n", path="nope.py")

@@ -5,11 +5,17 @@ seeded A→B / B→A ordering across two threads must surface as a cycle even
 though the interleaving never actually deadlocked.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import threading
 
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import sanitizer
 
 
@@ -210,3 +216,66 @@ class TestEnabling:
         recorder.install()
         lock = threading.Lock()
         assert isinstance(lock, sanitizer.SanitizedLock)
+
+
+def _sanitized_pytest(tmp_path, source):
+    """Run ``source`` as a test module under the armed plugin, in a child."""
+    module = tmp_path / "test_module_under_sanitizer.py"
+    module.write_text(textwrap.dedent(source), encoding="utf-8")
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, REPRO_SANITIZE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "pytest",
+            "-q",
+            "-p",
+            "no:cacheprovider",
+            "-p",
+            "repro.analysis.pytest_plugin",
+            str(module),
+        ],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=120,
+    )
+
+
+class TestModuleThreadCheck:
+    def test_sharded_solves_leave_the_module_clean(self, tmp_path):
+        result = _sanitized_pytest(
+            tmp_path,
+            """
+            from repro.datasets import toy_bibliographic_graph
+            from repro.engine import frank_batch, roundtriprank_batch
+
+            def test_sharded_solves():
+                graph = toy_bibliographic_graph()
+                frank_batch(graph, list(range(12)), workers=4)
+                roundtriprank_batch(graph, list(range(12)), method="power", workers=2)
+            """,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "1 passed" in result.stdout
+
+    def test_a_thread_left_running_fails_its_module(self, tmp_path):
+        result = _sanitized_pytest(
+            tmp_path,
+            """
+            import threading
+
+            _never = threading.Event()
+
+            def test_starts_a_thread_it_never_joins():
+                threading.Thread(
+                    target=_never.wait, args=(60,), name="never-joined", daemon=True
+                ).start()
+            """,
+        )
+        assert result.returncode != 0
+        assert "leaked threads" in result.stdout
+        assert "never-joined" in result.stdout

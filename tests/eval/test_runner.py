@@ -73,11 +73,11 @@ class TestFTCache:
     def test_cache_computes_once(self, small_bibnet):
         task = make_venue_task(small_bibnet, 2, seed=2)
         cache = FTCache()
-        _, (f1,), (t1,) = cache.get(0, task.cases[0])
-        _, (f2,), (t2,) = cache.get(0, task.cases[0])
+        _, (f1,), (t1,) = cache.get(task.cases[0])
+        _, (f2,), (t2,) = cache.get(task.cases[0])
         assert f1 is f2 and t1 is t2
         cache.clear()
-        _, (f3,), _ = cache.get(0, task.cases[0])
+        _, (f3,), _ = cache.get(task.cases[0])
         assert f3 is not f1
 
     def test_cache_info_counters(self, small_bibnet):
@@ -87,7 +87,7 @@ class TestFTCache:
         cache.warm(task.cases)
         warm_misses = cache.cache_info().misses
         assert warm_misses > 0
-        cache.get(0, task.cases[0])
+        cache.get(task.cases[0])
         info = cache.cache_info()
         assert info.misses == warm_misses  # warm covered it: pure hits now
         assert info.hits >= 2  # one f and one t column
@@ -106,7 +106,7 @@ class TestFTCache:
         task = make_venue_task(small_bibnet, 2, seed=2)
         cache = FTCache()
         case = task.cases[0]
-        _, (f_single,), (t_single,) = cache.get(0, case)
+        _, (f_single,), (t_single,) = cache.get(case)
         for arr in (f_single, t_single):
             with pytest.raises(ValueError):
                 arr[0] = 1e9
@@ -118,13 +118,13 @@ class TestFTCache:
             excluded=case.excluded,
             candidate_mask=case.candidate_mask,
         )
-        weights, f_multi, t_multi = cache.get(1, multi)
+        weights, f_multi, t_multi = cache.get(multi)
         assert len(weights) == len(f_multi) == len(t_multi) == 2
         snapshot = f_multi[0].copy()
         for arr in f_multi + t_multi:
             with pytest.raises(ValueError):
                 arr[:] = 0.0
-        _, again, _ = cache.get(1, multi)
+        _, again, _ = cache.get(multi)
         assert again[0] is f_multi[0]
         assert np.array_equal(again[0], snapshot)
 
@@ -134,8 +134,8 @@ class TestFTCache:
         task = make_venue_task(small_bibnet, 6, seed=2)
         n_bytes = small_bibnet.graph.n_nodes * 8
         cache = FTCache(max_bytes=4 * n_bytes)
-        for i, case in enumerate(task.cases):
-            cache.get(i, case)
+        for case in task.cases:
+            cache.get(case)
             info = cache.cache_info()
             assert info.current_bytes <= info.max_bytes
         assert cache.cache_info().evictions > 0

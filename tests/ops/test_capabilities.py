@@ -104,7 +104,7 @@ class TestCsrMatvecCapability:
             expected = start + matrix @ x
         for name in {"_csr_matvec", "_csr_matvecs"} - set(kept):
             monkeypatch.setattr(k, name, None)
-        top = TransitionOperator.from_csr(matrix)
+        top = TransitionOperator(matrix)
         assert top.matrix(dtype).indices.dtype == index_dtype
         out = start.copy() if accumulate else np.full_like(start, np.nan)
         assert top.matmat(x, out=out, accumulate=accumulate) is out

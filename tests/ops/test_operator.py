@@ -1,10 +1,14 @@
 """TransitionOperator semantics: caching, variants, products, guard rails."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro import ops
+from repro.datasets import toy_bibliographic_graph
 from repro.ops.operator import TransitionOperator
 
 
@@ -80,18 +84,6 @@ class TestConstruction:
         with pytest.raises(TypeError):
             ops.as_operator(np.eye(3))
 
-    def test_from_csr_with_prebuilt_float32(self, csr_5x5):
-        f32 = csr_5x5.astype(np.float32)
-        top = TransitionOperator.from_csr(csr_5x5, float32=f32)
-        assert top.matrix(np.float32) is not None
-        assert np.array_equal(top.matrix(np.float32).data, f32.data)
-
-    def test_from_csr_rejects_mismatched_float32(self, csr_5x5):
-        with pytest.raises(ValueError, match="shape"):
-            TransitionOperator.from_csr(csr_5x5, float32=sp.eye(4, format="csr", dtype=np.float32))
-        with pytest.raises(ValueError, match="dtype"):
-            TransitionOperator.from_csr(csr_5x5, float32=csr_5x5)
-
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             TransitionOperator(sp.random(3, 4, density=0.5, format="csr"))
@@ -101,7 +93,61 @@ class TestConstruction:
             ([1.0, 2.0, 3.0], ([0, 0, 1], [2, 1, 0])), shape=(3, 3)
         )
         top = TransitionOperator(coo)
+        assert sp.isspmatrix_csr(top.matrix())
         assert top.matrix().has_sorted_indices
+        assert top.transpose is None
+
+
+def _all_at_once(n_threads, call):
+    """Run ``call()`` on ``n_threads`` threads released together, switching
+    threads every microsecond; returns every thread's result."""
+    barrier = threading.Barrier(n_threads, timeout=10)
+    results = [None] * n_threads
+
+    def run(i):
+        barrier.wait()
+        results[i] = call()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=run, args=(i,), daemon=True) for i in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    return results
+
+
+class TestConcurrentDerivation:
+    """Column shards on threads share one cold operator: each derived
+    variant must be built once and handed to every thread."""
+
+    def test_one_float32_variant_for_every_thread(self):
+        top = ops.get_operator(toy_bibliographic_graph(), True)
+        variants = _all_at_once(8, lambda: top.matrix(np.float32))
+        assert variants[0] is not None
+        assert all(v is variants[0] for v in variants)
+        assert top.matrix(np.float32) is variants[0]
+
+    def test_one_damped_copy_for_every_thread(self):
+        top = ops.get_operator(toy_bibliographic_graph(), True)
+        copies = _all_at_once(8, lambda: top.damped(0.75, np.float32))
+        assert copies[0] is not None
+        assert all(c is copies[0] for c in copies)
+        assert len(top._damped) == 1
+
+    def test_one_operator_per_orientation_for_every_thread(self):
+        graph = toy_bibliographic_graph()
+        found = _all_at_once(8, lambda: ops.get_operator(graph, True))
+        assert found[0] is not None
+        assert all(top is found[0] for top in found)
+        assert ops.get_operator(graph, True) is found[0]
+        assert ops.get_operator(graph, False) is not found[0]
 
 
 class TestProducts:

@@ -21,11 +21,12 @@ def _queries(graph, count, seed=23):
 
 
 class TestBatchSolverParity:
+    @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize("solver", [frank_batch, trank_batch])
-    def test_power_is_bit_exact_on_toy(self, toy_graph, solver):
+    def test_power_is_bit_exact_on_toy(self, toy_graph, solver, workers):
         queries = _queries(toy_graph, 12)
         sequential = solver(toy_graph, queries, method="power", workers=1)
-        sharded = solver(toy_graph, queries, method="power", workers=4)
+        sharded = solver(toy_graph, queries, method="power", workers=workers)
         assert np.array_equal(sequential, sharded)
 
     def test_power_is_bit_exact_on_bibnet(self, small_bibnet):
@@ -35,11 +36,15 @@ class TestBatchSolverParity:
         sharded = frank_batch(graph, queries, method="power", workers=4)
         assert np.array_equal(sequential, sharded)
 
-    def test_auto_stays_within_residual_tolerance(self, small_bibnet):
-        graph = small_bibnet.graph
-        queries = _queries(graph, 16)
+    @pytest.mark.parametrize("case", ["bibnet-16q-w4", "toy-12q-w2"])
+    def test_auto_stays_within_residual_tolerance(self, toy_graph, small_bibnet, case):
+        graph, n_queries, workers = {
+            "bibnet-16q-w4": (small_bibnet.graph, 16, 4),
+            "toy-12q-w2": (toy_graph, 12, 2),
+        }[case]
+        queries = _queries(graph, n_queries)
         sequential = frank_batch(graph, queries, method="auto", workers=1)
-        sharded = frank_batch(graph, queries, method="auto", workers=4)
+        sharded = frank_batch(graph, queries, method="auto", workers=workers)
         # Each column is independently verified to tol=1e-12 in float64;
         # worker count may shift bits but never the converged answer.
         assert np.abs(sequential - sharded).max() < 1e-10
@@ -49,6 +54,15 @@ class TestBatchSolverParity:
         sequential = roundtriprank_batch(toy_graph, queries, method="power", workers=1)
         sharded = roundtriprank_batch(toy_graph, queries, method="power", workers=4)
         assert np.array_equal(sequential, sharded)
+
+    def test_roundtriprank_batch_auto_on_bibnet(self, small_bibnet):
+        # Both the F and the T solve are sharded; their product stays
+        # within the residual tolerance of the unsharded scores.
+        graph = small_bibnet.graph
+        queries = _queries(graph, 16)
+        sequential = roundtriprank_batch(graph, queries, method="auto", workers=1)
+        sharded = roundtriprank_batch(graph, queries, method="auto", workers=4)
+        assert np.abs(sequential - sharded).max() < 1e-10
 
     def test_worker_counts_two_and_four_agree(self, toy_graph):
         queries = _queries(toy_graph, 12)

@@ -1,20 +1,78 @@
-"""Tests for the worker pool: crossover heuristic, failures, cleanup."""
+"""Tests for the column shards: crossover heuristic, warnings, failures, spans."""
+
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
-import repro.parallel as parallel
+from repro import obs
+from repro.core.frank import DEFAULT_ALPHA, ConvergenceWarning
 from repro.core.queries import normalize_query
-from repro.engine import frank_batch
+from repro.datasets import toy_bibliographic_graph
+from repro.distributed.striping import StripeMap
+from repro.engine import (
+    frank_batch,
+    power_iteration_batch,
+    roundtriprank_batch,
+    stack_teleports,
+    trank_batch,
+)
+from repro.ops import get_operator
+from repro.parallel import pool
 from repro.parallel.pool import (
     PARALLEL_MIN_QUERIES,
-    _raise_for_tests,
     effective_workers,
-    get_pool,
-    shared_operator,
     solve_columns_parallel,
 )
-from repro.parallel.shm import live_segment_names
+from repro.parallel.rows import active_route
+from repro.serving import MicroBatcher
+
+
+def _no_shard(*args):
+    pytest.fail("a shard was dispatched")
+
+
+def _live_threads():
+    return {t for t in threading.enumerate() if t.is_alive()}
+
+
+def _parsed(graph, count):
+    return [normalize_query(graph, q) for q in range(count)]
+
+
+def _spy_shards(monkeypatch, before=None):
+    """Wrap ``_solve_shard``; returns the list of ``(thread, top, teleports)``
+    each shard ran with.  ``before(teleports)`` runs first on the shard's
+    thread (to block or raise)."""
+    real = pool._solve_shard
+    calls = []
+    lock = threading.Lock()
+
+    def spy(top, teleports, *args):
+        with lock:
+            calls.append((threading.get_ident(), top, teleports))
+        if before is not None:
+            before(teleports)
+        return real(top, teleports, *args)
+
+    monkeypatch.setattr(pool, "_solve_shard", spy)
+    return calls
+
+
+def _stripe_reference(graph, queries, transpose, workers):
+    """The engine's own solve on each StripeMap stripe, reassembled."""
+    teleports = stack_teleports(graph, queries)
+    stripes = StripeMap(len(queries), workers)
+    x = np.empty_like(teleports)
+    for shard in range(workers):
+        cols = stripes.owned_nodes(shard)
+        x[:, cols] = power_iteration_batch(
+            get_operator(graph, transpose), teleports[:, cols], DEFAULT_ALPHA
+        )
+    return x
 
 
 class TestEffectiveWorkers:
@@ -38,140 +96,341 @@ class TestEffectiveWorkers:
             effective_workers(10, -1)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
-    def test_non_finite_tol_rejected_before_dispatch(self, toy_graph, tol):
+    def test_non_finite_tol_rejected_before_dispatch(self, toy_graph, tol, monkeypatch):
+        monkeypatch.setattr(pool, "_solve_shard", _no_shard)
         parsed = [normalize_query(toy_graph, q) for q in range(PARALLEL_MIN_QUERIES)]
-        before = set(live_segment_names())
         with pytest.raises(ValueError, match="tol must be finite"):
             solve_columns_parallel(toy_graph, parsed, True, 0.25, tol, 100, "power", 2)
-        assert set(live_segment_names()) == before
 
-    def test_crossover_routes_small_batch_sequentially(self, toy_graph):
-        # Below the crossover nothing is published and no pool is touched:
-        # the workers= call must be exactly the sequential path.
-        before = set(live_segment_names())
+    def test_crossover_routes_small_batch_sequentially(self, toy_graph, monkeypatch):
+        # Below the crossover no shard runs: the workers= call must be
+        # exactly the sequential path.
+        monkeypatch.setattr(pool, "_solve_shard", _no_shard)
         small = frank_batch(toy_graph, [0, 1, 2], workers=4)
-        assert set(live_segment_names()) == before
         assert np.array_equal(small, frank_batch(toy_graph, [0, 1, 2]))
 
 
-class TestPoolLifecycle:
-    def test_pool_grows_but_never_shrinks(self):
-        pool_two = get_pool(2)
-        assert get_pool(1) is pool_two
-        pool_four = get_pool(4)
-        assert pool_four.max_workers == 4
-        assert get_pool(2) is pool_four
-
-    def test_retired_pool_refuses_resurrection(self):
-        from repro.parallel import PoolRetiredError
-        from repro.parallel.pool import _pool_submit
-
-        old = get_pool(2)
-        grown = get_pool(old.max_workers + 1)  # retires `old`
-        with pytest.raises(PoolRetiredError):
-            old.submit(_raise_for_tests)
-        # A solve loop holding the retired pool recovers by resubmitting on
-        # the current pool — _pool_submit does exactly that.
-        future = _pool_submit(2, _raise_for_tests)
-        with pytest.raises(RuntimeError, match="intentional worker failure"):
-            future.result()
-        assert get_pool(2) is grown
-
-    def test_invalid_worker_counts(self):
-        with pytest.raises(ValueError):
-            get_pool(0)
-        with pytest.raises(ValueError):
-            parallel.WorkerPool(0)
-
-    def test_worker_exception_propagates_and_pool_survives(self, toy_graph):
-        pool = get_pool(2)
-        with pytest.raises(RuntimeError, match="intentional worker failure"):
-            pool.submit(_raise_for_tests).result()
-        # An ordinary exception must not poison the executor: the very same
-        # pool still solves real shards afterwards.
-        queries = list(range(PARALLEL_MIN_QUERIES))
-        batch = frank_batch(toy_graph, queries, method="power", workers=2)
-        assert np.array_equal(batch, frank_batch(toy_graph, queries, method="power"))
-
-    def test_shutdown_unlinks_everything_and_is_idempotent(self, toy_graph):
-        shared_operator(toy_graph, transpose=True)
-        shared_operator(toy_graph, transpose=False)
-        assert live_segment_names()
-        parallel.shutdown()
-        assert live_segment_names() == []
-        parallel.shutdown()  # second call is a no-op, not an error
-
-    def test_shutdown_after_worker_exception_leaves_no_segments(self, toy_graph):
-        # Drive a real sharded solve (publishes segments, starts workers),
-        # then crash a worker task, then shut down: nothing may leak.
-        queries = list(range(toy_graph.n_nodes))
-        frank_batch(toy_graph, queries, method="power", workers=2)
-        with pytest.raises(RuntimeError, match="intentional worker failure"):
-            get_pool(2).submit(_raise_for_tests).result()
-        parallel.shutdown()
-        assert live_segment_names() == []
-
-    def test_solves_recover_after_shutdown(self, toy_graph):
-        parallel.shutdown()
-        queries = list(range(PARALLEL_MIN_QUERIES))
-        batch = frank_batch(toy_graph, queries, method="power", workers=2)
-        assert np.array_equal(batch, frank_batch(toy_graph, queries, method="power"))
+class TestShardArguments:
+    @pytest.mark.parametrize(
+        "override, match",
+        [
+            ({"alpha": 0.0}, "alpha"),
+            ({"alpha": 1.0}, "alpha"),
+            ({"max_iter": 0}, "max_iter"),
+            ({"method": "local"}, "method"),
+            ({"n_shards": 0}, "n_shards"),
+        ],
+        ids=["alpha-zero", "alpha-one", "max-iter-zero", "method-local", "no-shards"],
+    )
+    def test_rejected_before_any_thread_starts(self, toy_graph, monkeypatch, override, match):
+        monkeypatch.setattr(pool, "_solve_shard", _no_shard)
+        kwargs = {"alpha": 0.25, "tol": 1e-12, "max_iter": 100, "method": "power", "n_shards": 2}
+        kwargs.update(override)
+        parsed = _parsed(toy_graph, PARALLEL_MIN_QUERIES)
+        before = _live_threads()
+        with pytest.raises(ValueError, match=match):
+            solve_columns_parallel(toy_graph, parsed, True, **kwargs)
+        assert _live_threads() <= before
 
 
-class TestWorkerAttachmentCache:
-    def test_lru_bound_and_segment_close_on_eviction(self):
-        # The worker-side cache is plain module state, so exercise it
-        # in-process: attach more handles than the bound and check old
-        # entries (and their derived objects) are dropped.
-        import scipy.sparse as sp
+class TestShardThreads:
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_shards_run_at_once_on_their_own_threads(self, toy_graph, monkeypatch, workers):
+        # Every shard waits for all the others: a serial dispatch would
+        # break the barrier instead of passing it.
+        barrier = threading.Barrier(workers, timeout=10)
+        calls = _spy_shards(monkeypatch, before=lambda teleports: barrier.wait())
+        got = frank_batch(toy_graph, list(range(12)), method="power", workers=workers)
+        threads = {thread for thread, _, _ in calls}
+        assert len(calls) == workers
+        assert len(threads) == workers
+        assert threading.get_ident() not in threads
+        assert np.array_equal(got, frank_batch(toy_graph, list(range(12)), method="power"))
 
-        from repro.parallel.pool import _WORKER_CACHE_MAX, _worker_cache, _worker_operator
-        from repro.parallel.shm import SharedCSR
+    @pytest.mark.parametrize("fails", [False, True], ids=["solved", "raised"])
+    def test_no_thread_outlives_the_call(self, toy_graph, monkeypatch, fails):
+        def maybe_raise(teleports):
+            if fails and int(teleports[0][0][0]) == 0:
+                raise RuntimeError("shard failure")
 
-        _worker_cache.clear()
-        published = [
-            SharedCSR.publish(sp.eye(3 + i, format="csr"))
-            for i in range(_WORKER_CACHE_MAX + 3)
+        _spy_shards(monkeypatch, before=maybe_raise)
+        before = _live_threads()
+        if fails:
+            with pytest.raises(RuntimeError, match="shard failure"):
+                frank_batch(toy_graph, list(range(12)), workers=4)
+        else:
+            frank_batch(toy_graph, list(range(12)), workers=4)
+        assert _live_threads() <= before
+
+    def test_an_error_surfaces_only_after_every_shard_finished(self, toy_graph, monkeypatch):
+        raised = threading.Event()
+        finished = []
+
+        def stripe_zero_raises(teleports):
+            if int(teleports[0][0][0]) == 0:
+                raised.set()
+                raise RuntimeError("shard failure")
+            # The other stripe is still solving when stripe 0's error is in.
+            assert raised.wait(timeout=10)
+            time.sleep(0.05)
+            finished.append(True)
+
+        _spy_shards(monkeypatch, before=stripe_zero_raises)
+        with pytest.raises(RuntimeError, match="shard failure"):
+            frank_batch(toy_graph, list(range(12)), workers=2)
+        assert finished == [True]
+
+    def test_the_lowest_failing_stripe_names_the_error(self, toy_graph, monkeypatch):
+        def every_stripe_raises(teleports):
+            stripe = int(teleports[0][0][0])  # column j is query node j
+            if stripe == 0:
+                time.sleep(0.05)  # stripe 0 fails last
+            raise RuntimeError(f"stripe {stripe} failed")
+
+        _spy_shards(monkeypatch, before=every_stripe_raises)
+        with pytest.raises(RuntimeError, match="stripe 0 failed"):
+            solve_columns_parallel(
+                toy_graph, _parsed(toy_graph, 12), True, 0.25, 1e-12, 100, "power", 4
+            )
+
+    @pytest.mark.parametrize("solver, transpose", [(frank_batch, True), (trank_batch, False)])
+    def test_shards_share_the_graphs_cached_operator(
+        self, toy_graph, monkeypatch, solver, transpose
+    ):
+        calls = _spy_shards(monkeypatch)
+        solver(toy_graph, list(range(12)), workers=3)
+        assert len(calls) == 3
+        for _, top, _ in calls:
+            assert top is get_operator(toy_graph, transpose)
+
+    def test_each_shard_receives_its_stripe_in_order(self, toy_graph, monkeypatch):
+        calls = _spy_shards(monkeypatch)
+        parsed = _parsed(toy_graph, 11)
+        solve_columns_parallel(toy_graph, parsed, True, 0.25, 1e-12, 100, "power", 3)
+        got = sorted([id(nodes) for nodes, _ in teleports] for _, _, teleports in calls)
+        stripes = StripeMap(len(parsed), 3)
+        want = sorted(
+            [id(parsed[j][0]) for j in stripes.owned_nodes(shard)] for shard in range(3)
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 5, 7])
+    def test_any_shard_count_reassembles_the_sequential_columns(
+        self, toy_graph, monkeypatch, n_shards
+    ):
+        # Direct calls bypass the crossover: one shard, and more shards than
+        # columns (the empty stripes are not dispatched), are legal.
+        calls = _spy_shards(monkeypatch)
+        parsed = _parsed(toy_graph, 5)
+        got, _, _ = solve_columns_parallel(
+            toy_graph, parsed, True, DEFAULT_ALPHA, 1e-12, 1000, "power", n_shards
+        )
+        assert len(calls) == min(n_shards, 5)
+        want = power_iteration_batch(
+            get_operator(toy_graph, True),
+            stack_teleports(toy_graph, list(range(5))),
+            DEFAULT_ALPHA,
+            method="power",
+        )
+        assert np.array_equal(got, want)
+
+    def test_concurrent_callers_each_get_their_own_shards(self, small_bibnet):
+        graph = small_bibnet.graph
+        batches = [list(range(start, start + 16)) for start in (0, 40, 80)]
+        want = [frank_batch(graph, queries, method="power") for queries in batches]
+        got = [None] * len(batches)
+        barrier = threading.Barrier(len(batches), timeout=10)
+
+        def caller(i):
+            barrier.wait()
+            got[i] = frank_batch(graph, batches[i], method="power", workers=2)
+
+        callers = [
+            threading.Thread(target=caller, args=(i,), daemon=True) for i in range(len(batches))
         ]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+        for w, g in zip(want, got):
+            assert g is not None
+            assert np.array_equal(w, g)
+
+
+def _convergence_warnings(solver, graph, **kwargs):
+    """``(text, filename)`` of each ConvergenceWarning the call issues."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solver(graph, list(range(12)), method="power", max_iter=2, **kwargs)
+    return [(str(w.message), w.filename) for w in caught if w.category is ConvergenceWarning]
+
+
+class TestShardWarnings:
+    def test_one_warning_with_the_sequential_text(self, toy_graph):
+        sequential = _convergence_warnings(frank_batch, toy_graph)
+        sharded = _convergence_warnings(frank_batch, toy_graph, workers=2)
+        assert active_route().shards == 2
+        assert len(sequential) == 1
+        assert sharded == sequential
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_the_warning_comes_from_the_batch_engine(self, toy_graph, workers):
+        # Both paths warn from the engine's module, so a module filter
+        # treats them alike.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            warnings.filterwarnings(
+                "error", category=ConvergenceWarning, module=r"repro\.engine\.batch$"
+            )
+            with pytest.raises(ConvergenceWarning):
+                frank_batch(toy_graph, list(range(12)), method="power", max_iter=2, workers=workers)
+
+    @pytest.mark.parametrize("solver", [trank_batch, roundtriprank_batch])
+    def test_other_batch_solvers_warn_as_their_sequential_path(self, toy_graph, solver):
+        sequential = _convergence_warnings(solver, toy_graph)
+        sharded = _convergence_warnings(solver, toy_graph, workers=4)
+        assert active_route().shards == 4
+        assert sequential
+        assert sharded == sequential
+
+    @pytest.mark.parametrize("method", ["auto", "power"])
+    def test_converged_shards_stay_silent(self, toy_graph, method):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            frank_batch(toy_graph, list(range(12)), method=method, workers=2)
+        assert active_route().shards == 2
+
+
+class TestShardFailure:
+    def test_raising_shard_fails_every_future_and_next_flush_succeeds(self, toy_graph, monkeypatch):
+        real = pool._solve_shard
+        failing = [True]
+
+        def flaky(top, teleports, *args):
+            # Stripe 0 owns column 0, the batch's first (sorted) query node.
+            if failing[0] and int(teleports[0][0][0]) == 0:
+                raise RuntimeError("shard failure")
+            return real(top, teleports, *args)
+
+        monkeypatch.setattr(pool, "_solve_shard", flaky)
+        batcher = MicroBatcher(toy_graph, method="power", workers=2)
+        queries = list(range(toy_graph.n_nodes))
+        futures = [batcher.submit(q) for q in queries]
+        batcher.flush()
+        assert active_route().shards == 2
+        for future in futures:
+            with pytest.raises(RuntimeError, match="shard failure"):
+                future.result(timeout=0)
+
+        failing[0] = False
+        futures = [batcher.submit(q) for q in queries]
+        batcher.flush()
+        plain = MicroBatcher(toy_graph, method="power")
+        want = [plain.submit(q) for q in queries]
+        plain.flush()
+        for w, g in zip(want, futures):
+            assert np.array_equal(w.result(timeout=0), g.result(timeout=0))
+
+
+def _traced(call):
+    """Run ``call`` with tracing on; returns ``(its exception, the spans)``."""
+    obs.clear_spans()
+    obs.enable()
+    error = None
+    try:
+        call()
+    except Exception as exc:  # the caller asserts on it
+        error = exc
+    finally:
+        spans = obs.spans()
+        obs.disable()
+        obs.clear_spans()
+    return error, spans
+
+
+class TestShardSpans:
+    def test_every_shard_solve_is_a_child_of_the_columns_span(self, toy_graph):
+        obs.clear_spans()
+        obs.enable()
         try:
-            for shared in published:
-                assert _worker_operator(shared.handle).shape[0] >= 3
-                # a derived object rides the entry
-                _worker_operator(shared.handle).matrix(np.float32)
-                assert len(_worker_cache) <= _WORKER_CACHE_MAX
-            # The oldest handles were evicted; the newest are still cached.
-            assert published[0].handle not in _worker_cache
-            assert published[-1].handle in _worker_cache
+            frank_batch(toy_graph, list(range(12)), method="power", workers=4)
+            spans = obs.spans()
         finally:
-            _worker_cache.clear()
-            for shared in published:
-                shared.destroy()
+            obs.disable()
+            obs.clear_spans()
+        (columns,) = [s for s in spans if s.name == "parallel.columns"]
+        solves = [s for s in spans if s.name == "engine.solve"]
+        assert len(solves) == 4
+        assert {s.parent_id for s in solves} == {columns.span_id}
+        assert {s.trace_id for s in solves} == {columns.trace_id}
 
-    def test_a_handle_keeps_one_operator_while_cached(self):
-        import scipy.sparse as sp
+    def test_columns_span_counts_the_batch_and_each_solve_its_stripe(self, toy_graph):
+        error, spans = _traced(lambda: frank_batch(toy_graph, list(range(11)), workers=3))
+        assert error is None
+        (columns,) = [s for s in spans if s.name == "parallel.columns"]
+        assert columns.attributes["queries"] == 11
+        assert columns.attributes["shards"] == 3
+        stripes = sorted(s.attributes["queries"] for s in spans if s.name == "engine.solve")
+        assert stripes == [3, 4, 4]
 
-        from repro.parallel.pool import _worker_cache, _worker_operator
-        from repro.parallel.shm import SharedCSR
+    def test_columns_span_nests_under_the_callers_span(self, toy_graph):
+        def call():
+            with obs.span("caller"):
+                frank_batch(toy_graph, list(range(12)), workers=2)
 
-        _worker_cache.clear()
-        first, second = (SharedCSR.publish(sp.eye(n, format="csr")) for n in (3, 4))
+        error, spans = _traced(call)
+        assert error is None
+        (caller,) = [s for s in spans if s.name == "caller"]
+        (columns,) = [s for s in spans if s.name == "parallel.columns"]
+        solves = [s for s in spans if s.name == "engine.solve"]
+        assert columns.parent_id == caller.span_id
+        assert len(solves) == 2
+        assert {s.parent_id for s in solves} == {columns.span_id}
+        assert {s.trace_id for s in [columns, *solves]} == {caller.trace_id}
+
+    def test_a_failing_shard_marks_the_columns_span(self, toy_graph, monkeypatch):
+        def stripe_zero_raises(teleports):
+            if int(teleports[0][0][0]) == 0:
+                raise RuntimeError("shard failure")
+
+        _spy_shards(monkeypatch, before=stripe_zero_raises)
+        error, spans = _traced(lambda: frank_batch(toy_graph, list(range(12)), workers=2))
+        assert isinstance(error, RuntimeError)
+        (columns,) = [s for s in spans if s.name == "parallel.columns"]
+        assert columns.attributes["error"] == "RuntimeError"
+        # The surviving stripe still solved, under the same parent.
+        (solve,) = [s for s in spans if s.name == "engine.solve"]
+        assert solve.parent_id == columns.span_id
+        assert "error" not in solve.attributes
+
+
+class TestShardBits:
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("solver, transpose", [(frank_batch, True), (trank_batch, False)])
+    def test_auto_equals_the_engine_on_each_stripe(self, small_bibnet, solver, transpose, workers):
+        graph = small_bibnet.graph
+        rng = np.random.default_rng(5)
+        queries = [int(q) for q in rng.choice(graph.n_nodes, size=16, replace=False)]
+        got = solver(graph, queries, workers=workers)
+        assert active_route().shards == workers
+        assert np.array_equal(got, _stripe_reference(graph, queries, transpose, workers))
+
+
+class TestShardStress:
+    def test_more_shards_than_cores_on_a_cold_operator(self):
+        # Eight shards on a fresh graph each round, switching threads every
+        # microsecond: the shards derive the cold operator's float32 and
+        # damped variants concurrently and write disjoint result columns.
+        queries = list(range(12)) + [0, 3, 6, 9]
+        want = _stripe_reference(toy_bibliographic_graph(), queries, True, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            operator = _worker_operator(first.handle)
-            _worker_operator(second.handle)
-            assert _worker_operator(first.handle) is operator
-            # The repeat lookup made the first handle the most recently used.
-            assert list(_worker_cache) == [second.handle, first.handle]
-            del operator  # its arrays view the segments the clear below closes
+            for _ in range(5):
+                graph = toy_bibliographic_graph()
+                got = frank_batch(graph, queries, workers=8)
+                assert active_route().shards == 8
+                assert np.array_equal(got, want)
+                assert len(get_operator(graph, True)._damped) == 1
         finally:
-            _worker_cache.clear()
-            first.destroy()
-            second.destroy()
-
-
-class TestSharedOperatorRegistry:
-    def test_publication_is_cached_per_graph_and_orientation(self, toy_graph):
-        first = shared_operator(toy_graph, transpose=True)
-        again = shared_operator(toy_graph, transpose=True)
-        other = shared_operator(toy_graph, transpose=False)
-        assert first == again
-        assert first != other
+            sys.setswitchinterval(interval)

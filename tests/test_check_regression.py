@@ -16,7 +16,6 @@ def _payload() -> dict:
     """A minimal ci_smoke-shaped payload covering every gated metric."""
     return {
         "batch_engine": {"column_parity_max_abs": 5e-13, "batch_speedup": 6.0},
-        "parallel": {"auto_parity_max_abs": 4e-14},
         "serving": {
             "topk_parity": True,
             "cache_hit_rate": 0.59,
