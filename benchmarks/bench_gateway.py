@@ -2,13 +2,11 @@
 
 A multi-tenant query log (per-tenant Zipf hot sets, one bursty cold tenant;
 see :func:`repro.datasets.sample_multitenant_queries`) is replayed against
-the query-log graph three ways:
+the query-log graph, and a cold stream against a BibNet graph:
 
-(a) **eviction policy** — the same Zipf stream replayed through a
-    byte-budgeted :class:`repro.serving.ColumnCache` under LRU vs GDSF
-    eviction with a budget far below the working set; GDSF's popularity
-    x cost / size priority must reach at least LRU's hit rate (asserted —
-    the ISSUE acceptance criterion);
+(a) **eviction** — the Zipf stream replayed through a byte-budgeted
+    :class:`repro.serving.ColumnCache` with a budget far below the working
+    set; its LRU hit rate is reported (and gated exactly by the CI smoke);
 (b) **admission control** — the full mixed log submitted to a
     :class:`repro.gateway.RankGateway` with a queue-depth bound and
     per-tenant token buckets on a deterministic replay clock; the observed
@@ -17,20 +15,14 @@ the query-log graph three ways:
     (admitted queries whose columns were all cached, so their futures were
     done when ``submit`` returned and never occupied the queue) and the
     per-lane latency quantiles reported;
-(c) **prefetch** — a cold tenant trickles while heavy tenants churn its
-    columns out of a small cache, then bursts; a single
-    :class:`repro.gateway.Prefetcher` round between trickle and burst must
-    measurably lift the cold tenant's burst hit rate vs the identical
-    replay without prefetch (asserted);
-(d) **cache-miss fast path** — a cold query stream is replayed twice
+(c) **cache-miss fast path** — a cold query stream is replayed twice
     against a BibNet-scale graph through *started* gateways (real deadline
     threads, real wall clock), once with ``local_topk=False`` (every miss
     waits out batch assembly, then pays a full dual power iteration) and
     once with ``local_topk=True`` (the certified local top-k sweeps resolve
     inline).  Both paths must return bit-identical top-k indices, the
     certified outcome must dominate escalations, and the local path's p99
-    cold-miss latency must beat the batcher path's (all asserted — the
-    ISSUE acceptance criterion).
+    cold-miss latency must beat the batcher path's (all asserted).
 
 ``REPRO_BENCH_GATEWAY_SMOKE=1`` selects the small CI configuration.
 Results land in ``benchmarks/results/gateway.{txt,json}``.
@@ -51,12 +43,11 @@ from repro.datasets import (
     sample_multitenant_queries,
 )
 from repro.datasets.bibnet import BibNetConfig, generate_bibnet
-from repro.gateway import AdmissionConfig, Prefetcher, RankGateway, Shed
+from repro.gateway import AdmissionConfig, RankGateway, Shed
 from repro.serving import ColumnCache
 
 ALPHA = 0.25
 K = 10
-COLD_TENANT = "cold-burst"
 
 
 def _smoke() -> bool:
@@ -67,7 +58,7 @@ def _tenants() -> "list[TenantSpec]":
     return [
         TenantSpec("alpha-heavy", weight=2.0, s=1.1),
         TenantSpec("beta-steady", weight=1.0, s=1.3),
-        TenantSpec(COLD_TENANT, weight=0.25, s=1.3, burst_phases=(3,), burst_multiplier=25.0),
+        TenantSpec("cold-burst", weight=0.25, s=1.3, burst_phases=(3,), burst_multiplier=25.0),
     ]
 
 
@@ -81,11 +72,11 @@ def _setup():
 
 
 def _miss_setup(n_queries: int, seed: int):
-    """(graph, warmup_node, cold_nodes) for the section-(d) miss replay.
+    """(graph, warmup_node, cold_nodes) for the section-(c) miss replay.
 
     The qlog graphs above are too small for the miss comparison to be
     informative — a full dual solve there costs ~2 ms, below the batcher's
-    assembly delay — so section (d) uses a BibNet at the scale where a
+    assembly delay — so section (c) uses a BibNet at the scale where a
     cache miss is the dominant serving cost (~60k arcs: a full dual power
     iteration takes tens of milliseconds).  Query nodes are cold paper
     nodes; the first draw is a sacrificial warm-up query (lane creation,
@@ -112,13 +103,6 @@ class _ReplayClock:
 
     def advance(self) -> None:
         self.now += self.tick
-
-
-def _policy_hit_rate(graph, stream: np.ndarray, policy: str, max_bytes: int) -> float:
-    cache = ColumnCache(max_bytes=max_bytes, alpha=ALPHA, policy=policy)
-    for q in stream.tolist():
-        cache.get(graph, "f", int(q))
-    return cache.cache_info().hit_rate
 
 
 def _replay_cold_misses(graph, warmup_node: int, cold_nodes: "list[int]", local: bool):
@@ -150,9 +134,8 @@ def run_gateway(graph, population, n_queries, miss_setup) -> "tuple[str, dict]":
         population, n_queries, _tenants(), n_phases=4, seed=23
     )
     n_distinct = int(np.unique(log.nodes).size)
-    col_bytes = graph.n_nodes * 8
     lines = [
-        "Multi-tenant serving gateway: eviction policy, admission, prefetch",
+        "Multi-tenant serving gateway: eviction, admission, cold-miss fast path",
         f"graph: {graph.n_nodes} nodes / {graph.n_edges} arcs; "
         f"{n_queries} queries, {len(log.tenants)} tenants, 4 phases "
         f"({n_distinct} distinct nodes); mode: {'smoke' if _smoke() else 'full'}",
@@ -162,25 +145,21 @@ def run_gateway(graph, population, n_queries, miss_setup) -> "tuple[str, dict]":
     # ---------------------------------------------------------------- (a) #
     # Cache budget ~12% of the distinct working set: eviction decides hits.
     budget_cols = max(4, n_distinct // 8)
-    max_bytes = budget_cols * col_bytes
-    lru_rate = _policy_hit_rate(graph, log.nodes, "lru", max_bytes)
-    gdsf_rate = _policy_hit_rate(graph, log.nodes, "gdsf", max_bytes)
+    lru_cache = ColumnCache(max_bytes=budget_cols * graph.n_nodes * 8, alpha=ALPHA)
+    for node in log.nodes.tolist():
+        lru_cache.get(graph, "f", int(node))
+    lru_rate = lru_cache.cache_info().hit_rate
     lines.append(
-        f"(a) eviction policy on the mixed Zipf log, budget {budget_cols} columns "
-        f"of {n_distinct} distinct"
+        f"(a) eviction on the mixed Zipf log, budget {budget_cols} columns of {n_distinct} distinct"
     )
     lines.append(f"  byte-LRU hit rate: {lru_rate:7.1%}")
-    lines.append(f"  GDSF     hit rate: {gdsf_rate:7.1%}   (popularity x cost / size)")
-    assert gdsf_rate >= lru_rate, (
-        f"GDSF hit rate {gdsf_rate:.3f} fell below byte-LRU {lru_rate:.3f}"
-    )
 
     # ---------------------------------------------------------------- (b) #
     depth_bound = 8
     clock = _ReplayClock(tick=0.001)
     gateway = RankGateway(
         graph,
-        cache=ColumnCache(alpha=ALPHA, policy="gdsf"),
+        cache=ColumnCache(alpha=ALPHA),
         admission=AdmissionConfig(rate=250.0, burst=25, max_queue_depth=depth_bound),
         max_batch=1000,  # no size trigger: admission alone bounds the queue
         clock=clock,
@@ -235,73 +214,6 @@ def run_gateway(graph, population, n_queries, miss_setup) -> "tuple[str, dict]":
     gateway.close()
 
     # ---------------------------------------------------------------- (c) #
-    # Cold tenant: during phases 0-2 its trickle-cached columns are churned
-    # out by the heavy tenants (the cache holds ~70% of the working set);
-    # one prefetch round before the phase-3 burst re-warms its hot set from
-    # the frequency estimates that *outlived* eviction.  Two metrics:
-    # first-touch residency (was a distinct burst node resident when first
-    # queried — the cold-start cost prefetch exists to remove) and the
-    # per-arrival hit rate over the whole burst.
-    c_budget = 6 * budget_cols  # ~70% of distinct columns stay resident
-
-    def replay_with_cold_measurement(with_prefetch: bool):
-        small = ColumnCache(max_bytes=c_budget * col_bytes, alpha=ALPHA)
-        gw = RankGateway(graph, cache=small, max_batch=64)
-        cold_id = log.tenants.index(COLD_TENANT)
-        for phase in range(3):
-            tids, nodes = log.phase_slice(phase)
-            for tid, node in zip(tids.tolist(), nodes.tolist()):
-                gw.ask(int(node), tenant=log.tenants[tid], k=K)
-        warmed = 0
-        if with_prefetch:
-            warmed = Prefetcher(
-                gw, per_tenant=16, batch_size=48, chunk=8
-            ).run_once()
-        seen: set = set()
-        first_hits = hits = total = 0
-        tids, nodes = log.phase_slice(3)
-        for tid, node in zip(tids.tolist(), nodes.tolist()):
-            node = int(node)
-            if tid == cold_id:
-                resident = int(
-                    small.contains(graph, "f", node, ALPHA)
-                    and small.contains(graph, "t", node, ALPHA)
-                )
-                total += 1
-                hits += resident
-                if node not in seen:
-                    seen.add(node)
-                    first_hits += resident
-            gw.ask(node, tenant=log.tenants[tid], k=K)
-        gw.close()
-        return (
-            first_hits / len(seen) if seen else 0.0,
-            hits / total if total else 0.0,
-            warmed,
-        )
-
-    cold_first, cold_arrival, _ = replay_with_cold_measurement(with_prefetch=False)
-    warm_first, warm_arrival, n_warmed = replay_with_cold_measurement(with_prefetch=True)
-    lines.append("")
-    lines.append(
-        f"(c) cold-tenant burst, one prefetch round between trickle and burst "
-        f"(cache {c_budget} of {n_distinct} columns)"
-    )
-    lines.append(
-        f"  no prefetch:   first-touch {cold_first:7.1%}   per-arrival {cold_arrival:7.1%}"
-    )
-    lines.append(
-        f"  with prefetch: first-touch {warm_first:7.1%}   per-arrival {warm_arrival:7.1%}"
-        f"   ({n_warmed} columns solved by prefetch)"
-    )
-    assert warm_first > cold_first, (
-        f"prefetch did not lift the cold-tenant first-touch hit rate "
-        f"({warm_first:.3f} <= {cold_first:.3f})"
-    )
-    assert warm_arrival >= cold_arrival, (
-        f"prefetch hurt the per-arrival hit rate ({warm_arrival:.3f} < {cold_arrival:.3f})"
-    )
-    # ---------------------------------------------------------------- (d) #
     # Cache-miss fast path: the same cold stream through a batcher-only
     # gateway vs the certified local top-k path, real wall clock.  p99 over
     # misses is the headline — the local path's worst case (an escalation:
@@ -318,7 +230,7 @@ def run_gateway(graph, population, n_queries, miss_setup) -> "tuple[str, dict]":
     loc_p50, loc_p99 = (float(np.percentile(loc_ms, p)) for p in (50, 99))
     lines.append("")
     lines.append(
-        f"(d) cold-miss fast path on BibNet ({miss_graph.n_nodes} nodes / "
+        f"(c) cold-miss fast path on BibNet ({miss_graph.n_nodes} nodes / "
         f"{miss_graph.n_edges} arcs), {len(cold_nodes)} cold queries, k={K}"
     )
     lines.append(
@@ -349,9 +261,8 @@ def run_gateway(graph, population, n_queries, miss_setup) -> "tuple[str, dict]":
 
     lines.append("")
     lines.append(
-        "acceptance: GDSF >= LRU, depth bounded + all admitted futures resolved, "
-        "prefetch lifts cold-tenant hit rate, local path beats batcher p99 on "
-        "cold misses with bit-identical top-k — all hold"
+        "acceptance: depth bounded + all admitted futures resolved, local path "
+        "beats batcher p99 on cold misses with bit-identical top-k — all hold"
     )
 
     metrics = {
@@ -363,7 +274,6 @@ def run_gateway(graph, population, n_queries, miss_setup) -> "tuple[str, dict]":
         "n_tenants": len(log.tenants),
         "budget_columns": int(budget_cols),
         "lru_hit_rate": lru_rate,
-        "gdsf_hit_rate": gdsf_rate,
         "shed_rate": snap.shed_rate,
         "shed_by_reason": dict(snap.shed_by_reason),
         "n_admitted": snap.n_admitted,
@@ -376,12 +286,6 @@ def run_gateway(graph, population, n_queries, miss_setup) -> "tuple[str, dict]":
         "lane_p50_ms": lane.p50_ms,
         "lane_p90_ms": lane.p90_ms,
         "lane_p99_ms": lane.p99_ms,
-        "cold_cache_columns": int(c_budget),
-        "cold_tenant_first_touch_no_prefetch": cold_first,
-        "cold_tenant_first_touch_prefetch": warm_first,
-        "cold_tenant_hit_rate_no_prefetch": cold_arrival,
-        "cold_tenant_hit_rate_prefetch": warm_arrival,
-        "prefetched_columns": int(n_warmed),
         "miss_graph_nodes": miss_graph.n_nodes,
         "miss_graph_edges": miss_graph.n_edges,
         "miss_queries": len(cold_nodes),

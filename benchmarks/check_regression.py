@@ -66,7 +66,6 @@ CHECKS = (
     # workload drift fail loudly in either direction).
     Check("serving.cache_hit_rate", "equal", atol=0.02),
     Check("gateway.lru_hit_rate", "equal", atol=0.02),
-    Check("gateway.gdsf_hit_rate", "equal", atol=0.02),
     Check("gateway.shed_rate", "equal", atol=0.02),
     Check("gateway.max_queue_depth", "equal"),
     # Admitted queries whose columns were all cached resolve at submit; on
@@ -93,7 +92,6 @@ CHECKS = (
     Check("twosbound.seen_f", "equal"),
     Check("twosbound.seen_t", "equal"),
     Check("twosbound.seen_r", "equal"),
-    Check("gateway.cold_tenant_first_touch_prefetch", "min", tol=0.3),
     # Wall-clock ratios: wide bands (CI noise), still catch a collapse.
     Check("batch_engine.batch_speedup", "min", tol=0.5),
     Check("serving.median_speedup", "min", tol=0.5),

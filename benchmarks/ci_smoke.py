@@ -101,8 +101,8 @@ def main() -> int:
             "serving", lambda: bench_serving.run_serving(*bench_serving._setup())
         ),
         # The gateway leg records the serving-path health numbers per commit:
-        # GDSF-vs-LRU hit rates, admission shed rate, queue-depth bound, and
-        # the cold-tenant prefetch lift (all asserted inside the bench).
+        # the byte-LRU hit rate, admission shed rate, queue-depth bound and
+        # inline hits, and the local fast path's outcomes and miss speedup.
         "gateway": _metrics(
             "gateway", lambda: bench_gateway.run_gateway(*bench_gateway._setup())
         ),

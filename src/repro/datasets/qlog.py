@@ -207,8 +207,7 @@ class TenantSpec:
     s:
         The tenant's own Zipf skew; tenants get *independent* popularity
         permutations, so their hot heads are disjoint with high probability —
-        the property that makes shared-cache contention and per-tenant
-        prefetch non-trivial.
+        the property that makes shared-cache contention non-trivial.
     burst_phases:
         Phase indices (see ``n_phases`` of :func:`sample_multitenant_queries`)
         during which this tenant's arrival weight is multiplied by
@@ -280,8 +279,8 @@ def sample_multitenant_queries(
     The single-tenant :func:`sample_zipf_queries` models one repeated-query
     stream; a serving *gateway* faces a mixture — several tenants with their
     own hot sets and skews, arrival shares that shift when a tenant bursts,
-    and phases during which a previously-quiet tenant floods in (the
-    cold-tenant case background prefetch exists for).  This sampler makes
+    and phases during which a previously-quiet tenant floods in (a cold
+    tenant's burst).  This sampler makes
     that workload reproducible:
 
     - each tenant draws from its own seeded popularity permutation of

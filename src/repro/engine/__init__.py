@@ -14,9 +14,8 @@ columns match them bit for bit.  The module also holds the one measure table,
 measure reads.  Online serving stacks on the same two batch entry points:
 :class:`repro.serving.ColumnCache` misses and warms solve through
 ``frank_batch`` / ``trank_batch`` (optionally sharded with ``workers=``),
-which is also how the gateway's background
-:class:`repro.gateway.Prefetcher` materializes hot columns during idle
-capacity.  Every operator product goes through :mod:`repro.ops` (the
+and so do the gateway's batcher lanes and local top-k escalations through
+that cache.  Every operator product goes through :mod:`repro.ops` (the
 prepared per-graph :class:`~repro.ops.TransitionOperator` and its matmat
 kernel).
 """

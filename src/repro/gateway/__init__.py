@@ -19,30 +19,21 @@ this package assembles them into a service front:
   never a dangling future.
   The dual invariant: **every accepted future resolves** (lane close and
   gateway close both flush).
-- :mod:`~repro.gateway.prefetch` — a background
-  :class:`~repro.gateway.prefetch.Prefetcher` that watches per-tenant
-  decayed query-frequency estimates
-  (:class:`~repro.gateway.frequency.FrequencyEstimator`) and warms hot
-  uncached columns through the batch engine during idle capacity
-  (``workers=`` aware).
 - :mod:`~repro.gateway.stats` — :class:`~repro.gateway.stats.GatewayStats`
-  with admission/shed/prefetch counters and per-lane latency quantiles
+  with admission/shed/local-path counters and per-lane latency quantiles
   (``snapshot()`` → :class:`~repro.gateway.stats.GatewaySnapshot`).
-
-Pair with ``ColumnCache(policy="gdsf")`` for popularity-aware eviction
-under multi-tenant budget pressure (see :mod:`repro.serving.policies`).
 
 Quickstart::
 
-    from repro.gateway import AdmissionConfig, Prefetcher, RankGateway, Shed
+    from repro.gateway import AdmissionConfig, RankGateway, Shed
     from repro.serving import ColumnCache
 
     gateway = RankGateway(
         {"qlog": graph},
-        cache=ColumnCache(policy="gdsf", alpha=0.25),
+        cache=ColumnCache(alpha=0.25),
         admission=AdmissionConfig(rate=200.0, burst=50, max_queue_depth=64),
     )
-    with gateway, Prefetcher(gateway):
+    with gateway:
         result = gateway.submit(q, tenant="acme", graph="qlog", k=20)
         if not isinstance(result, Shed):
             indices, scores = result.result()
@@ -55,8 +46,6 @@ from repro.gateway.admission import (
     TokenBucket,
 )
 from repro.gateway.core import LaneKey, RankGateway
-from repro.gateway.frequency import FrequencyEstimator
-from repro.gateway.prefetch import Prefetcher
 from repro.gateway.stats import (
     GatewaySnapshot,
     GatewayStats,
@@ -68,12 +57,10 @@ from repro.gateway.stats import (
 __all__ = [
     "AdmissionConfig",
     "AdmissionController",
-    "FrequencyEstimator",
     "GatewaySnapshot",
     "GatewayStats",
     "LaneKey",
     "LaneStats",
-    "Prefetcher",
     "RankGateway",
     "Shed",
     "TokenBucket",

@@ -5,7 +5,7 @@
 - a registry of named graphs (tenants address graphs by name, never by
   object);
 - one shared :class:`repro.serving.ColumnCache` — every lane's flushes and
-  the prefetcher's warming land in the same per-node column store, so a
+  local top-k escalations land in the same per-node column store, so a
   column solved for one tenant serves every tenant (columns are per-node
   facts, not per-tenant data);
 - a bounded set of **lanes**: one :class:`repro.serving.MicroBatcher` per
@@ -15,10 +15,8 @@
   never strands a caller);
 - an :class:`repro.gateway.admission.AdmissionController` consulted *before*
   enqueueing (or serving), so a shed query never owns a future;
-- a :class:`repro.gateway.frequency.FrequencyEstimator` fed by every
-  admitted query, which the background prefetcher reads;
 - a :class:`repro.gateway.stats.GatewayStats` recording admissions, sheds,
-  prefetch activity, and per-lane latency quantiles.
+  local fast-path outcomes, and per-lane latency quantiles.
 
 A query whose columns are all in the shared cache is *resident*: it has
 nothing to solve, so it resolves before :meth:`RankGateway.submit` returns
@@ -54,7 +52,6 @@ from repro.core.queries import Query, normalize_query
 from repro.core.roundtrip_plus import DEFAULT_BETA
 from repro.engine.batch import measure_kinds
 from repro.gateway.admission import AdmissionConfig, AdmissionController, Shed
-from repro.gateway.frequency import FrequencyEstimator
 from repro.gateway.stats import GatewaySnapshot, GatewayStats, lane_key_to_str
 from repro.graph.digraph import DiGraph
 from repro.serving.batcher import MicroBatcher
@@ -143,11 +140,12 @@ class RankGateway:
         bit-for-bit.  Cached columns join the sweeps as zero-error states, so
         a warm cache makes the fast path cheaper, not divergent.
     workers:
-        Shard count for cache-miss solves (forwarded to the default-built
-        :class:`ColumnCache`; ignored when ``cache`` is supplied).  Miss
-        batches past the crossover column-shard across
-        :mod:`repro.parallel` threads; smaller ones solve on the calling
-        thread, with bit-identical results either way.
+        Shard count for cache-miss solves, ``None`` or a non-negative
+        integer (forwarded to the default-built :class:`ColumnCache`;
+        ignored when ``cache`` is supplied).  Miss batches past the
+        crossover column-shard across :mod:`repro.parallel` threads;
+        smaller ones solve on the calling thread, with bit-identical
+        results either way.
     clock:
         Injectable monotonic clock shared by admission and stats (tests).
 
@@ -167,7 +165,6 @@ class RankGateway:
         max_delay: float = 0.01,
         beta: float = DEFAULT_BETA,
         local_topk: bool = False,
-        frequency_half_life: float = 30.0,
         workers: "int | None" = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -179,7 +176,9 @@ class RankGateway:
         # workers reaches cache-miss solves through the shared cache: miss
         # batches past the crossover column-shard across threads.
         # Ignored when the caller supplies a ready cache (configure workers
-        # on that cache instead).
+        # on that cache instead), but checked either way.
+        if workers is not None:
+            workers = check_positive_int(workers, "workers", strict=False)
         self.cache = cache if cache is not None else ColumnCache(workers=workers)
         if isinstance(admission, AdmissionController):
             self.admission = admission
@@ -192,7 +191,6 @@ class RankGateway:
         self.beta = check_probability(beta, "beta")
         self.local_topk = bool(local_topk)
         self.stats = GatewayStats()
-        self.frequency = FrequencyEstimator(half_life=frequency_half_life, clock=clock)
         self._clock = clock
         self._lanes: "OrderedDict[LaneKey, _Lane]" = OrderedDict()
         self._registry_lock = threading.Lock()
@@ -278,7 +276,7 @@ class RankGateway:
             return list(self._lanes)
 
     def total_pending(self) -> int:
-        """Queries queued across all lanes (the prefetcher's idle signal)."""
+        """Queries queued across all lanes (never the resident or local ones)."""
         with self._registry_lock:
             lanes = list(self._lanes.values())
         return sum(lane.batcher.pending for lane in lanes)
@@ -404,8 +402,6 @@ class RankGateway:
             root_span.set_attributes(outcome="admitted")
 
         self.stats.record_admitted(tenant)
-        for node, weight in zip(nodes.tolist(), weights.tolist()):
-            self.frequency.record(tenant, (graph_name, alpha), node, weight)
         clock = self._clock
 
         def _record(_f: Future, lane_key=tuple(key), t0=started) -> None:
@@ -451,9 +447,6 @@ class RankGateway:
             return shed
         started = self._clock()
         self.stats.record_admitted(tenant)
-        graph_name = key.graph
-        for node, weight in zip(nodes.tolist(), weights.tolist()):
-            self.frequency.record(tenant, (graph_name, alpha), node, weight)
         cache = self.cache
 
         def probe(kind: str, node: int) -> "np.ndarray | None":

@@ -1,8 +1,8 @@
 """Gateway observability: counters and per-lane latency quantiles.
 
 :class:`GatewayStats` is the single mutation point for everything the
-gateway counts — admissions, sheds by reason, per-tenant traffic, prefetch
-activity — plus a bounded latency reservoir per lane from which snapshot
+gateway counts — admissions, sheds by reason, per-tenant traffic, local
+fast-path outcomes — plus a bounded latency reservoir per lane from which snapshot
 quantiles (p50/p90/p99) are computed.  All methods are thread-safe; reads
 return plain frozen snapshots so callers can serialize them (the benchmark
 writes them into ``gateway.json`` as-is).
@@ -84,8 +84,6 @@ class GatewaySnapshot:
     shed_by_reason: "dict[str, int]" = field(default_factory=dict)
     admitted_by_tenant: "dict[str, int]" = field(default_factory=dict)
     shed_by_tenant: "dict[str, int]" = field(default_factory=dict)
-    n_prefetch_runs: int = 0
-    n_prefetched_columns: int = 0
     n_local_certified: int = 0
     n_local_escalated: int = 0
     lanes: "dict[tuple, LaneStats]" = field(default_factory=dict)
@@ -108,8 +106,6 @@ class GatewaySnapshot:
             "shed_by_reason": dict(self.shed_by_reason),
             "admitted_by_tenant": dict(self.admitted_by_tenant),
             "shed_by_tenant": dict(self.shed_by_tenant),
-            "n_prefetch_runs": self.n_prefetch_runs,
-            "n_prefetched_columns": self.n_prefetched_columns,
             "n_local_certified": self.n_local_certified,
             "n_local_escalated": self.n_local_escalated,
             "lanes": {
@@ -147,12 +143,6 @@ class GatewayStats:
         self._shed = self.registry.counter(
             "repro_gateway_shed_total", "Queries shed", labels=("tenant", "reason")
         )
-        self._prefetch_runs = self.registry.counter(
-            "repro_gateway_prefetch_runs_total", "Prefetch rounds executed"
-        )
-        self._prefetch_columns = self.registry.counter(
-            "repro_gateway_prefetched_columns_total", "Columns solved by prefetch"
-        )
         self._local = self.registry.counter(
             "repro_gateway_local_total", "Local fast-path outcomes", labels=("outcome",)
         )
@@ -179,10 +169,6 @@ class GatewayStats:
                 samples = self._latencies[lane] = deque(maxlen=self._reservoir)
             samples.append(seconds)
 
-    def record_prefetch(self, n_columns: int) -> None:
-        self._prefetch_runs.inc()
-        self._prefetch_columns.inc(int(n_columns))
-
     def record_local(self, escalated: bool) -> None:
         """Count one local fast-path query by its outcome."""
         self._local.inc(outcome="escalated" if escalated else "certified")
@@ -208,10 +194,6 @@ class GatewayStats:
             for s in samples("repro_gateway_local_total")
         }
 
-        def scalar(name: str) -> int:
-            rows = samples(name)
-            return int(rows[0]["value"]) if rows else 0
-
         with self._lock:
             lanes = {}
             for lane, reservoir in self._latencies.items():
@@ -231,8 +213,6 @@ class GatewayStats:
             shed_by_reason=shed_by_reason,
             admitted_by_tenant=admitted_by_tenant,
             shed_by_tenant=shed_by_tenant,
-            n_prefetch_runs=scalar("repro_gateway_prefetch_runs_total"),
-            n_prefetched_columns=scalar("repro_gateway_prefetched_columns_total"),
             n_local_certified=local.get("certified", 0),
             n_local_escalated=local.get("escalated", 0),
             lanes=lanes,

@@ -17,10 +17,10 @@ Callers rarely touch this package directly: every batch entry point grew a
 ``workers=`` knob that routes here —
 ``frank_batch(graph, queries, workers=4)``,
 ``roundtriprank_batch(..., workers=4)``,
-``MicroBatcher(graph, workers=4)``, ``ColumnCache(workers=4)`` (whose
-``warm(..., workers=)`` per-call override is how the gateway's background
-:class:`repro.gateway.Prefetcher` shards its warming batches while
-interactive misses stay sequential), ``run_task_suite(..., workers=4)``.
+``MicroBatcher(graph, workers=4)``, ``ColumnCache(workers=4)``,
+``RankGateway(graph, workers=4)``, ``run_task_suite(..., workers=4)``.
+``workers`` is ``None`` or a non-negative integer, checked where it is
+given (the constructors) and again by :func:`effective_workers`.
 ``method="power"`` results are
 bit-exact for any worker count; ``method="auto"`` stays within the verified
 residual tolerance.  Small batches fall back to the sequential path

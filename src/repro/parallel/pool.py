@@ -54,7 +54,7 @@ from repro.engine.batch import solve_columns
 from repro.graph.digraph import DiGraph
 from repro.ops import TransitionOperator, get_operator
 from repro.parallel.rows import RouteReport, record_route
-from repro.utils.validation import check_in_range, check_positive
+from repro.utils.validation import check_in_range, check_positive, check_positive_int
 
 #: smallest batch worth sharding at all (see :func:`effective_workers`).
 PARALLEL_MIN_QUERIES = 8
@@ -70,9 +70,7 @@ def effective_workers(n_queries: int, workers: "int | None") -> int:
     """
     if workers is None:
         return 0
-    workers = int(workers)
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0 or None, got {workers}")
+    workers = check_positive_int(workers, "workers", strict=False)
     if workers <= 1:
         return 0
     if n_queries < max(PARALLEL_MIN_QUERIES, 2 * workers):

@@ -4,13 +4,11 @@ PR 1's batch engine made *offline* multi-query solves cheap; this package
 makes *online* serving cheap, where queries arrive one at a time, repeat
 (query logs are Zipf-distributed), and usually only need their top results:
 
-- :class:`~repro.serving.cache.ColumnCache` — byte-budgeted memoization of
-  per-node F-Rank / T-Rank solution columns, warmable through the batch
-  engine, with pluggable eviction (:mod:`repro.serving.policies`: ``"lru"``
-  default, ``"gdsf"`` popularity x cost / size).  Because F/T are linear in
-  the teleport vector, single-node columns compose into any multi-node query
-  and any ``(f, t)``-derived measure, so one cache serves every measure in
-  the library.
+- :class:`~repro.serving.cache.ColumnCache` — byte-budgeted LRU memoization
+  of per-node F-Rank / T-Rank solution columns, warmable through the batch
+  engine.  Because F/T are linear in the teleport vector, single-node
+  columns compose into any multi-node query and any ``(f, t)``-derived
+  measure, so one cache serves every measure in the library.
 - :class:`~repro.serving.batcher.MicroBatcher` — queues individual queries
   and flushes them as one multi-column solve on a size-or-deadline trigger;
   synchronous ``ask``/``flush`` plus a thread-based ``submit``/future API.
@@ -53,13 +51,6 @@ changes results (it is deliberately not part of the cache key).
 
 from repro.serving.batcher import BatcherStats, MicroBatcher
 from repro.serving.cache import DEFAULT_MAX_BYTES, CacheInfo, ColumnCache, graph_token
-from repro.serving.policies import (
-    EvictionPolicy,
-    GDSFPolicy,
-    LRUPolicy,
-    available_policies,
-    make_policy,
-)
 from repro.serving.topk import topk_select
 
 __all__ = [
@@ -69,10 +60,5 @@ __all__ = [
     "ColumnCache",
     "DEFAULT_MAX_BYTES",
     "graph_token",
-    "EvictionPolicy",
-    "GDSFPolicy",
-    "LRUPolicy",
-    "available_policies",
-    "make_policy",
     "topk_select",
 ]

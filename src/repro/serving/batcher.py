@@ -138,11 +138,12 @@ class MicroBatcher:
         only when ``cache`` is None.
     workers:
         Shard each flush's multi-column solve across that many
-        :mod:`repro.parallel` threads; small flushes fall back to the
-        sequential solver via the crossover heuristic
-        (:func:`repro.parallel.effective_workers`), so the shards only kick
-        in when a flush is big enough to amortize them.  Applies to the
-        uncached path; with a cache attached, set ``workers`` on the cache.
+        :mod:`repro.parallel` threads (``None`` or a non-negative integer,
+        checked here); small flushes fall back to the sequential solver via
+        the crossover heuristic (:func:`repro.parallel.effective_workers`),
+        so the shards only kick in when a flush is big enough to amortize
+        them.  Applies to the uncached path; with a cache attached, set
+        ``workers`` on the cache.
 
     Lifecycle
     ---------
@@ -194,6 +195,8 @@ class MicroBatcher:
         self.tol = tol
         self.max_iter = max_iter
         self.method = method
+        if workers is not None:
+            workers = check_positive_int(workers, "workers", strict=False)
         self.workers = workers
         self.stats = BatcherStats()
         self._pending: "list[_Request]" = []

@@ -27,10 +27,8 @@ instance so that every entry of one cache is mutually consistent.
 
 Eviction and accounting
 -----------------------
-Eviction order is pluggable (:mod:`repro.serving.policies`): ``"lru"``
-(default, the historical least-recently-used order) or ``"gdsf"``
-(Greedy-Dual-Size-Frequency — popularity x solve-cost / size with an aging
-clock, the policy a multi-tenant gateway wants under budget pressure).
+Eviction is least-recently-used: the store is an ordered dict, a hit moves
+its column to the most recent end and eviction pops the least recent one.
 ``current_bytes`` (the sum of ``array.nbytes`` over stored columns) never
 exceeds ``max_bytes`` — not even transiently: room is made *before* a new
 column is stored.  A column larger than the whole budget is computed and
@@ -51,8 +49,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,7 +61,6 @@ from repro.core.frank import DEFAULT_ALPHA
 from repro.engine.batch import frank_batch, trank_batch
 from repro.graph.digraph import DiGraph
 from repro.ops.operator import _SUPPORTED_DTYPES
-from repro.serving.policies import EvictionPolicy, make_policy
 from repro.utils.publish import publish_guard
 from repro.utils.validation import check_in_range, check_positive, check_positive_int
 
@@ -107,8 +104,7 @@ class CacheInfo:
 
     ``inserts`` / ``inserted_bytes`` / ``evicted_bytes`` track the write side
     of the cache: how much column traffic flowed *into* the store and how
-    much the eviction policy threw away — exactly the pair a policy tuner
-    (GDSF vs LRU) needs next to the hit rate.
+    much eviction threw away, next to the hit rate.
     """
 
     hits: int
@@ -154,7 +150,7 @@ class CacheInfo:
 
 
 class ColumnCache:
-    """LRU / byte-budgeted cache of per-node F-Rank and T-Rank columns.
+    """Byte-budgeted LRU cache of per-node F-Rank and T-Rank columns.
 
     Parameters
     ----------
@@ -165,8 +161,9 @@ class ColumnCache:
         contract (``alpha`` may also be overridden per call, it is part of
         the key).  ``method="auto"`` is the batch engine's accelerated path.
     workers:
-        Shard miss solves across that many :mod:`repro.parallel` threads;
-        small miss batches fall back to the sequential solver automatically
+        Shard miss solves across that many :mod:`repro.parallel` threads
+        (``None`` or a non-negative integer); small miss batches fall back
+        to the sequential solver automatically
         (:func:`repro.parallel.effective_workers`).  Not part of the cache
         key: worker count never changes what a column converges to (the
         residual contract, bit-exact under ``method="power"``), only how
@@ -175,10 +172,6 @@ class ColumnCache:
         Storage dtype of cached columns, ``float32`` or ``float64``.
         ``float32`` halves the footprint at ~1e-7 relative error; the
         default keeps solver-exact ``float64``.
-    policy:
-        Eviction policy: ``"lru"`` (default), ``"gdsf"``, or a fresh
-        :class:`repro.serving.policies.EvictionPolicy` instance (never shared
-        between caches — policies mirror one cache's key set).
     """
 
     def __init__(
@@ -190,7 +183,6 @@ class ColumnCache:
         method: str = "auto",
         dtype=np.float64,
         workers: "int | None" = None,
-        policy: "str | EvictionPolicy" = "lru",
     ) -> None:
         # Checked here, or the first miss would fail inside a flush and take
         # every future of its batch with it.
@@ -203,13 +195,15 @@ class ColumnCache:
         if method not in ("auto", "power"):
             raise ValueError(f"method must be 'auto' or 'power', got {method!r}")
         self.method = method
+        if workers is not None:
+            workers = check_positive_int(workers, "workers", strict=False)
         self.workers = workers
         self.dtype = np.dtype(dtype)
         if self.dtype not in _SUPPORTED_DTYPES:
             # An integer dtype would truncate every F/T value (all < 1) to 0.
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype}")
-        self.policy = make_policy(policy)
-        self._store: "dict[tuple, np.ndarray]" = {}
+        # Least recently used first: a hit moves its key to the end.
+        self._store: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self._lock = threading.RLock()
         self._hits = 0
         self._misses = 0
@@ -242,16 +236,13 @@ class ColumnCache:
         kind: str,
         nodes: Sequence[int],
         alpha: "float | None" = None,
-        workers: "int | None" = None,
     ) -> "list[np.ndarray]":
         """Columns for several nodes; all misses share one batched solve.
 
         Returns one read-only length-``n`` array per requested node, in
-        request order (duplicates allowed).  ``workers`` overrides the
-        cache's worker count for this call's miss solve only (the prefetch
-        path warms big batches on shard threads while interactive misses
-        stay sequential); like ``self.workers`` it never affects what a
-        column converges to, only how fast the batch fills.
+        request order (duplicates allowed).  Every lookup path goes through
+        here: :meth:`get`, :meth:`warm`, the batcher's flushes and the
+        gateway's local top-k escalations.
         """
         alpha = self.alpha if alpha is None else float(alpha)
         with self._lock, obs.span("cache.get_many", kind=kind, n=len(nodes)) as ospan:
@@ -266,7 +257,7 @@ class ColumnCache:
                 if key in resolved:
                     self._hits += 1
                 elif key in self._store:
-                    self.policy.record_hit(key)
+                    self._store.move_to_end(key)
                     resolved[key] = self._store[key]
                     self._hits += 1
                 elif key not in missing:
@@ -275,12 +266,9 @@ class ColumnCache:
                 else:
                     self._hits += 1  # duplicate miss in one request: solved once
             if missing:
-                started = time.perf_counter()
-                solved = self._solve(graph, kind, list(missing.values()), alpha, workers)
-                # Per-column solve cost feeds cost-aware policies (GDSF).
-                cost = (time.perf_counter() - started) / len(missing)
+                solved = self._solve(graph, kind, list(missing.values()), alpha)
                 for j, key in enumerate(missing):
-                    resolved[key] = self._insert(key, solved[:, j], cost)
+                    resolved[key] = self._insert(key, solved[:, j])
             ospan.set_attributes(hits=self._hits - hits0, misses=self._misses - misses0)
             _OBS_HITS.inc(self._hits - hits0, kind=kind)
             _OBS_MISSES.inc(self._misses - misses0, kind=kind)
@@ -290,7 +278,8 @@ class ColumnCache:
         self, graph: DiGraph, kind: str, node: int, alpha: "float | None" = None
     ) -> bool:
         """Whether a column is currently stored — no solve, no counter, no
-        recency update (safe for prefetch planners probing the cache)."""
+        recency update (the batcher's resident probe and the gateway's local
+        path ask this before they read)."""
         alpha = self.alpha if alpha is None else float(alpha)
         with self._lock:
             return self._key(graph, kind, node, alpha) in self._store
@@ -301,30 +290,21 @@ class ColumnCache:
         nodes: Sequence[int],
         alpha: "float | None" = None,
         kinds: Sequence[str] = _KINDS,
-        workers: "int | None" = None,
     ) -> None:
         """Precompute (and store) columns for ``nodes`` in batched solves.
 
         One :func:`repro.engine.frank_batch` / :func:`repro.engine.trank_batch`
         call per kind covers every uncached node, so warming ``m`` nodes costs
-        two multi-column solves instead of ``2 m`` single solves.  ``workers``
-        shards those solves across threads for this call only.
+        two multi-column solves instead of ``2 m`` single solves.
         """
         for kind in kinds:
-            self.get_many(graph, kind, nodes, alpha, workers=workers)
+            self.get_many(graph, kind, nodes, alpha)
 
     # ------------------------------------------------------------------ #
     # Internals (call with the lock held)
     # ------------------------------------------------------------------ #
 
-    def _solve(
-        self,
-        graph: DiGraph,
-        kind: str,
-        nodes: "list[int]",
-        alpha: float,
-        workers: "int | None" = None,
-    ) -> np.ndarray:
+    def _solve(self, graph: DiGraph, kind: str, nodes: "list[int]", alpha: float) -> np.ndarray:
         solver = frank_batch if kind == "f" else trank_batch
         columns = solver(
             graph,
@@ -333,11 +313,11 @@ class ColumnCache:
             tol=self.tol,
             max_iter=self.max_iter,
             method=self.method,
-            workers=self.workers if workers is None else workers,
+            workers=self.workers,
         )
         return columns if self.dtype == np.float64 else columns.astype(self.dtype)
 
-    def _insert(self, key: tuple, column: np.ndarray, cost: float = 1.0) -> np.ndarray:
+    def _insert(self, key: tuple, column: np.ndarray) -> np.ndarray:
         column = np.ascontiguousarray(column)
         if not column.flags.owndata:
             # A contiguous slice of the solver's output would alias writable
@@ -351,14 +331,12 @@ class ColumnCache:
             # Never storable within budget: hand it to the caller only.
             return column
         while self._current_bytes + column.nbytes > self.max_bytes:
-            victim = self.policy.victim()
-            evicted = self._store.pop(victim)
+            _, evicted = self._store.popitem(last=False)
             self._current_bytes -= evicted.nbytes
             self._evictions += 1
             self._evicted_bytes += evicted.nbytes
             _OBS_EVICTIONS.inc()
         self._store[key] = column
-        self.policy.record_insert(key, column.nbytes, cost)
         self._current_bytes += column.nbytes
         self._inserts += 1
         self._inserted_bytes += column.nbytes
@@ -387,7 +365,6 @@ class ColumnCache:
         """Drop every entry (counters keep accumulating)."""
         with self._lock:
             self._store.clear()
-            self.policy.reset()
             self._current_bytes = 0
 
     def __len__(self) -> int:
@@ -397,7 +374,7 @@ class ColumnCache:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         info = self.cache_info()
         return (
-            f"ColumnCache(policy={self.policy.name!r}, entries={info.entries}, "
+            f"ColumnCache(entries={info.entries}, "
             f"bytes={info.current_bytes}/{info.max_bytes}, hits={info.hits}, "
             f"misses={info.misses}, evictions={info.evictions})"
         )

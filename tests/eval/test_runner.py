@@ -98,6 +98,11 @@ class TestFTCache:
         with pytest.raises(ValueError, match="workers on the ColumnCache"):
             FTCache(cache=ColumnCache(), workers=2)
 
+    @pytest.mark.parametrize("workers, error", [(-1, ValueError), (2.5, TypeError)])
+    def test_bad_workers_rejected_at_construction(self, workers, error):
+        with pytest.raises(error, match="workers must be"):
+            FTCache(workers=workers)
+
     def test_returned_pairs_are_read_only(self, small_bibnet):
         # Regression: composed multi-node pairs used to be writable and
         # shared across hits — one caller mutating its (f, t) silently

@@ -191,6 +191,23 @@ class TestStats:
         ]
         gateway.close()
 
+    def test_snapshot_fields_are_the_documented_set(self, toy_graph):
+        gateway = RankGateway(toy_graph)
+        gateway.ask(0)
+        payload = gateway.snapshot().to_jsonable()
+        gateway.close()
+        assert set(payload) == {
+            "n_admitted",
+            "n_shed",
+            "shed_rate",
+            "shed_by_reason",
+            "admitted_by_tenant",
+            "shed_by_tenant",
+            "n_local_certified",
+            "n_local_escalated",
+            "lanes",
+        }
+
     def test_lane_keys_round_trip_documented_format(self, toy_graph):
         """Flattened lane keys follow graph/measure/alpha and parse back."""
         import json
@@ -458,19 +475,23 @@ class TestSolverSettingValidation:
         assert np.allclose(result, roundtriprank_plus(toy_graph, 4, beta=beta), atol=1e-9)
 
     @pytest.mark.parametrize(
-        "half_life, message",
-        [
-            (float("nan"), "half_life must be finite"),
-            (float("inf"), "half_life must be finite"),
-            (0.0, "half_life must be > 0"),
-            (-1.0, "half_life must be > 0"),
-        ],
+        "workers, error", [(-1, ValueError), (2.5, TypeError), ("2", TypeError)]
     )
-    def test_invalid_frequency_half_life_is_rejected_at_construction(
-        self, toy_graph, half_life, message
+    @pytest.mark.parametrize("own_cache", [False, True])
+    def test_invalid_workers_is_rejected_at_construction(
+        self, toy_graph, workers, error, own_cache
     ):
-        with pytest.raises(ValueError, match=message):
-            RankGateway(toy_graph, frequency_half_life=half_life)
+        # Checked even when a ready cache makes the gateway ignore it.
+        cache = ColumnCache() if own_cache else None
+        with pytest.raises(error, match="workers must be"):
+            RankGateway(toy_graph, cache=cache, workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, np.int64(3)])
+    def test_accepted_workers_reach_the_default_cache(self, toy_graph, workers):
+        gateway = RankGateway(toy_graph, workers=workers)
+        assert gateway.cache.workers == workers
+        assert type(gateway.cache.workers) is int
+        gateway.close()
 
     def test_non_integer_max_lanes_is_rejected(self, toy_graph):
         with pytest.raises(TypeError, match="max_lanes must be an integer"):

@@ -95,6 +95,21 @@ class TestEffectiveWorkers:
         with pytest.raises(ValueError):
             effective_workers(10, -1)
 
+    @pytest.mark.parametrize("workers", [2.5, "2"])
+    def test_non_integer_rejected(self, workers):
+        # int() would have run 2.5 on 2 shards.
+        with pytest.raises(TypeError, match="workers must be an integer"):
+            effective_workers(64, workers)
+
+    def test_numpy_integers_accepted(self):
+        assert effective_workers(64, np.int64(4)) == 4
+
+    @pytest.mark.parametrize("workers, error", [(2.5, TypeError), (-1, ValueError)])
+    @pytest.mark.parametrize("solver", [frank_batch, trank_batch, roundtriprank_batch])
+    def test_batch_entry_points_reject_bad_workers(self, toy_graph, solver, workers, error):
+        with pytest.raises(error, match="workers must be"):
+            solver(toy_graph, list(range(toy_graph.n_nodes)), workers=workers)
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
     def test_non_finite_tol_rejected_before_dispatch(self, toy_graph, tol, monkeypatch):
         monkeypatch.setattr(pool, "_solve_shard", _no_shard)

@@ -359,6 +359,19 @@ class TestResidentTrigger:
         batcher.flush()
         assert np.allclose(future.result(), roundtriprank(toy_graph, [0, 1]), atol=1e-10)
 
+    def test_resident_probe_moves_no_count_and_no_recency(self, toy_graph):
+        one = toy_graph.n_nodes * 8
+        cache = ColumnCache(max_bytes=2 * one)
+        cache.get(toy_graph, "f", 0)
+        cache.get(toy_graph, "f", 1)
+        batcher = MicroBatcher(toy_graph, measure="frank", cache=cache)
+        before = cache.cache_info()
+        assert batcher.resident(np.array([0]))
+        assert cache.cache_info() == before
+        cache.get(toy_graph, "f", 2)  # 0 is still the least recently used
+        assert not batcher.resident(np.array([0]))
+        assert batcher.resident(np.array([1, 2]))
+
     def test_resident_submit_to_closed_batcher_raises(self, toy_graph):
         cache = ColumnCache()
         cache.warm(toy_graph, [2])
@@ -405,6 +418,19 @@ class TestSolverSettingValidation:
     def test_invalid_beta_is_rejected(self, toy_graph, beta):
         with pytest.raises(ValueError, match="beta must be in"):
             MicroBatcher(toy_graph, measure="roundtriprank_plus", beta=beta)
+
+    @pytest.mark.parametrize(
+        "workers, error", [(-1, ValueError), (2.5, TypeError), ("2", TypeError)]
+    )
+    def test_invalid_workers_is_rejected(self, toy_graph, workers, error):
+        with pytest.raises(error, match="workers must be"):
+            MicroBatcher(toy_graph, workers=workers)
+
+    @pytest.mark.parametrize("workers", [None, 0, np.int32(2)])
+    def test_accepted_workers_are_kept_as_ints(self, toy_graph, workers):
+        batcher = MicroBatcher(toy_graph, workers=workers)
+        assert batcher.workers == workers
+        assert batcher.workers is None or type(batcher.workers) is int
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_closed_interval_ends_of_beta_are_served(self, toy_graph, beta):

@@ -105,6 +105,149 @@ class TestEviction:
         cache.get(toy_graph, "f", 1)  # B was evicted: a miss again
         assert cache.cache_info().misses == misses_before + 1
 
+    def test_victim_is_least_recently_touched(self, toy_graph):
+        one = self._column_bytes(toy_graph)
+        cache = ColumnCache(max_bytes=2 * one)
+        cache.get(toy_graph, "f", 0)
+        cache.get(toy_graph, "f", 1)
+        cache.get(toy_graph, "f", 0)  # 1 is now the least recently touched
+        cache.get(toy_graph, "f", 2)
+        assert [cache.contains(toy_graph, "f", v) for v in (0, 1, 2)] == [True, False, True]
+        cache.get(toy_graph, "f", 3)  # then 0
+        assert [cache.contains(toy_graph, "f", v) for v in (0, 2, 3)] == [False, True, True]
+
+    def test_clear_then_refill_under_a_two_column_budget(self, toy_graph):
+        one = self._column_bytes(toy_graph)
+        cache = ColumnCache(max_bytes=2 * one)
+        cache.get(toy_graph, "f", 0)
+        cache.get(toy_graph, "f", 1)
+        cache.clear()
+        for node in (2, 3, 4):
+            cache.get(toy_graph, "f", node)
+        info = cache.cache_info()
+        assert info.entries == 2
+        assert info.current_bytes <= info.max_bytes
+        assert [cache.contains(toy_graph, "f", v) for v in (3, 4)] == [True, True]
+
+    def test_hit_returns_the_stored_array(self, toy_graph):
+        one = self._column_bytes(toy_graph)
+        cache = ColumnCache(max_bytes=2 * one)
+        a = cache.get(toy_graph, "f", 3)
+        b = cache.get(toy_graph, "f", 3)
+        cache.get(toy_graph, "f", 4)
+        cache.get(toy_graph, "f", 3)  # 4 is now the least recently touched
+        cache.get(toy_graph, "f", 5)  # evicts 4, keeps 3
+        assert a is b
+        assert cache.get(toy_graph, "f", 3) is a
+
+    def test_scan_of_one_hit_columns_evicts_the_hot_column(self, toy_graph):
+        one = self._column_bytes(toy_graph)
+        cache = ColumnCache(max_bytes=2 * one)
+        for _ in range(6):
+            cache.get(toy_graph, "f", 0)  # node 0 is hot
+        for node in (1, 2, 3, 4, 5):
+            cache.get(toy_graph, "f", node)  # recency alone decides
+        assert not cache.contains(toy_graph, "f", 0)
+
+    def test_one_get_many_over_budget_keeps_its_last_columns(self, toy_graph):
+        one = self._column_bytes(toy_graph)
+        cache = ColumnCache(max_bytes=2 * one)
+        nodes = list(range(6))
+        columns = cache.get_many(toy_graph, "f", nodes)
+        expected = frank_batch(toy_graph, nodes, cache.alpha)
+        assert len(columns) == 6
+        for j, column in enumerate(columns):
+            assert np.array_equal(column, expected[:, j])
+        info = cache.cache_info()
+        assert (info.misses, info.inserts, info.evictions) == (6, 6, 4)
+        assert [cache.contains(toy_graph, "f", v) for v in nodes] == [False] * 4 + [True] * 2
+
+    def test_contains_does_not_refresh_recency(self, toy_graph):
+        one = self._column_bytes(toy_graph)
+        cache = ColumnCache(max_bytes=2 * one)
+        cache.get(toy_graph, "f", 0)
+        cache.get(toy_graph, "f", 1)
+        assert cache.contains(toy_graph, "f", 0)  # a probe, not a touch
+        cache.get(toy_graph, "f", 2)
+        assert not cache.contains(toy_graph, "f", 0)
+        assert cache.contains(toy_graph, "f", 1)
+
+    def test_hits_in_one_get_many_refresh_in_request_order(self, toy_graph):
+        one = self._column_bytes(toy_graph)
+        cache = ColumnCache(max_bytes=3 * one)
+        cache.get_many(toy_graph, "f", [0, 1, 2])
+        cache.get_many(toy_graph, "f", [2, 0])  # recency now 1, 2, 0
+        cache.get(toy_graph, "f", 3)
+        assert not cache.contains(toy_graph, "f", 1)
+        cache.get(toy_graph, "f", 4)
+        assert not cache.contains(toy_graph, "f", 2)
+        assert [cache.contains(toy_graph, "f", v) for v in (0, 3, 4)] == [True] * 3
+
+    def test_hit_evicted_later_in_the_same_call_is_still_returned(self, toy_graph):
+        one = self._column_bytes(toy_graph)
+        cache = ColumnCache(max_bytes=2 * one)
+        first = cache.get(toy_graph, "f", 0)
+        # 0 is a hit, then the inserts of 1 and 2 need its room.
+        columns = cache.get_many(toy_graph, "f", [0, 1, 2])
+        assert columns[0] is first
+        assert not cache.contains(toy_graph, "f", 0)
+        assert cache.cache_info().evictions == 1
+
+    def test_f_and_t_columns_share_one_budget_and_one_order(self, toy_graph):
+        one = self._column_bytes(toy_graph)
+        cache = ColumnCache(max_bytes=2 * one)
+        cache.get(toy_graph, "f", 0)
+        cache.get(toy_graph, "t", 0)
+        cache.get(toy_graph, "f", 1)
+        assert not cache.contains(toy_graph, "f", 0)
+        assert cache.contains(toy_graph, "t", 0) and cache.contains(toy_graph, "f", 1)
+
+    def test_warm_touches_f_then_t(self, toy_graph):
+        one = self._column_bytes(toy_graph)
+        cache = ColumnCache(max_bytes=2 * one)
+        cache.warm(toy_graph, [0])
+        cache.warm(toy_graph, [1])  # f1 evicts f0, then t1 evicts t0
+        stored = [(k, v) for k in ("f", "t") for v in (0, 1) if cache.contains(toy_graph, k, v)]
+        assert stored == [("f", 1), ("t", 1)]
+        assert cache.cache_info().evictions == 2
+
+    def test_oversized_column_evicts_nothing(self, toy_graph, small_bibnet):
+        one = self._column_bytes(toy_graph)
+        cache = ColumnCache(max_bytes=2 * one)
+        cache.get(toy_graph, "f", 0)
+        cache.get(toy_graph, "f", 1)
+        cache.get(small_bibnet.graph, "f", 0)  # larger than the whole budget
+        info = cache.cache_info()
+        assert (info.entries, info.evictions) == (2, 0)
+        assert cache.contains(toy_graph, "f", 0) and cache.contains(toy_graph, "f", 1)
+
+    def test_float32_store_fits_twice_the_columns(self, toy_graph):
+        one = self._column_bytes(toy_graph)
+        cache = ColumnCache(max_bytes=2 * one, dtype=np.float32)
+        cache.get_many(toy_graph, "f", [0, 1, 2, 3])
+        assert cache.cache_info().evictions == 0
+        cache.get(toy_graph, "f", 4)
+        assert cache.cache_info().evictions == 1
+        assert not cache.contains(toy_graph, "f", 0)
+
+    def test_evicted_column_resolves_to_the_same_bits(self, toy_graph):
+        one = self._column_bytes(toy_graph)
+        cache = ColumnCache(max_bytes=one)
+        before = cache.get(toy_graph, "t", 5)
+        cache.get(toy_graph, "t", 6)  # evicts 5
+        again = cache.get(toy_graph, "t", 5)
+        assert again is not before
+        assert np.array_equal(again, before)
+
+    def test_cyclic_scan_wider_than_the_budget_never_hits(self, toy_graph):
+        one = self._column_bytes(toy_graph)
+        cache = ColumnCache(max_bytes=3 * one)
+        for _ in range(3):
+            for node in range(4):
+                cache.get(toy_graph, "f", node)
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.evictions) == (0, 12, 9)
+
     def test_byte_budget_never_exceeded(self, toy_graph, small_bibnet):
         one_toy = self._column_bytes(toy_graph)
         cache = ColumnCache(max_bytes=3 * one_toy + 1)
@@ -218,11 +361,20 @@ class TestConstructorValidation:
             (dict(max_bytes=2.5), TypeError),
             (dict(max_bytes=float("nan")), TypeError),
             (dict(method="lanczos"), ValueError),
+            (dict(workers=-1), ValueError),
+            (dict(workers=2.5), TypeError),
+            (dict(workers="2"), TypeError),
         ],
     )
     def test_rejects_bad_solver_settings(self, kwargs, error):
         with pytest.raises(error):
             ColumnCache(**kwargs)
+
+    @pytest.mark.parametrize("workers", [None, 0, 1, 2, np.int64(4)])
+    def test_accepts_worker_counts(self, workers):
+        cache = ColumnCache(workers=workers)
+        assert cache.workers == workers
+        assert cache.workers is None or type(cache.workers) is int
 
     def test_accepts_numpy_scalars(self):
         # Budgets computed with numpy arrive as numpy scalars.
@@ -260,12 +412,11 @@ class TestThreadSafety:
         info = cache.cache_info()
         assert info.hits + info.misses == 4 * 40
 
-    @pytest.mark.parametrize("policy", ["lru", "gdsf"])
-    def test_concurrent_get_warm_clear(self, toy_graph, policy):
+    def test_concurrent_get_warm_clear(self, toy_graph):
         """get / warm / clear racing from several threads: every returned
         column is correct, counters stay conserved, budget holds."""
         one = toy_graph.n_nodes * 8
-        cache = ColumnCache(max_bytes=5 * one, policy=policy)
+        cache = ColumnCache(max_bytes=5 * one)
         expected = {
             node: frank_batch(toy_graph, [node], cache.alpha)[:, 0]
             for node in range(toy_graph.n_nodes)
@@ -315,8 +466,6 @@ class TestThreadSafety:
         assert not errors
         info = cache.cache_info()
         assert info.current_bytes <= info.max_bytes
-        # Accounting survived the races: stored bytes equal the per-entry sum
-        # and the policy tracks exactly the stored key set.
+        # Accounting survived the races: stored bytes equal the per-entry sum.
         assert info.current_bytes == sum(c.nbytes for c in cache._store.values())
-        assert len(cache.policy) == info.entries
         assert info.inserted_bytes >= info.evicted_bytes + info.current_bytes

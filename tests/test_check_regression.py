@@ -26,13 +26,11 @@ def _payload() -> dict:
         },
         "gateway": {
             "lru_hit_rate": 0.396,
-            "gdsf_hit_rate": 0.474,
             "shed_rate": 0.39,
             "max_queue_depth": 8,
             "inline_hits": 231,
             "n_local_certified": 32,
             "n_local_escalated": 1,
-            "cold_tenant_first_touch_prefetch": 0.357,
             "miss_p99_speedup": 1.5,
             "lane_p99_ms": 19.0,
             "miss_p99_ms_batcher": 32.0,
@@ -75,7 +73,7 @@ class TestGreenPath:
         current, baseline = paths
         payload = _payload()
         payload["gateway"]["miss_p99_speedup"] *= 0.8  # inside the 50% band
-        payload["gateway"]["gdsf_hit_rate"] += 0.01  # inside the 0.02 band
+        payload["gateway"]["lru_hit_rate"] += 0.01  # inside the 0.02 band
         current.write_text(json.dumps(payload))
         assert _run(current, baseline) == 0
 
@@ -133,10 +131,10 @@ class TestSeededRegressionTurnsRed:
     def test_equality_band_fails_in_both_directions(self, paths, capsys):
         current, baseline = paths
         payload = _payload()
-        payload["gateway"]["gdsf_hit_rate"] += 0.1  # "improvement" = stale baseline
+        payload["gateway"]["lru_hit_rate"] += 0.1  # "improvement" = stale baseline
         current.write_text(json.dumps(payload))
         assert _run(current, baseline) == 1
-        assert "gdsf_hit_rate" in capsys.readouterr().err
+        assert "lru_hit_rate" in capsys.readouterr().err
 
     def test_missing_metric_fails(self, paths, capsys):
         current, baseline = paths
