@@ -3,8 +3,9 @@
 Reproduces the paper's methodology end to end:
 
 - rank, filter (query node out, target type only), score with NDCG@K;
-- share one F-Rank/T-Rank computation per query node across every measure
-  that is a function of ``(f, t)`` (all of Fig. 8–10 sweeps);
+- share one F-Rank/T-Rank computation per query node and alpha across
+  every measure that is a function of ``(f, t)`` (all of Fig. 8–10 sweeps),
+  solved through one :class:`repro.serving.ColumnCache`;
 - tune each :class:`BetaTunable` measure's bias on *development* queries
   disjoint from the test queries, exactly as Sect. VI-A2 prescribes;
 - compare two measures with the paper's two-tail paired t-test.
@@ -18,12 +19,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.baselines.base import BetaTunable, ProximityMeasure
-from repro.core.frank import DEFAULT_ALPHA
 from repro.core.queries import normalize_query
 from repro.eval.metrics import ndcg_at_k, ranking_from_scores
 from repro.eval.significance import PairedTTestResult, paired_t_test
 from repro.eval.tasks import QueryCase, RankingTask
-from repro.serving.cache import DEFAULT_MAX_BYTES, ColumnCache
+from repro.serving.cache import ColumnCache
 
 DEFAULT_K_VALUES = (5, 10, 20)
 
@@ -51,61 +51,49 @@ class FTCache:
     """Bounded cache of the per-node (F-Rank, T-Rank) columns shared across
     measures.
 
-    Delegates storage to a :class:`repro.serving.ColumnCache`: what is
+    Delegates storage to a :class:`repro.serving.ColumnCache` (a
+    default-built one when ``cache`` is omitted; its solver settings and
+    byte budget are the ones every solve here uses): what is
     memoized are *per-node* F/T solution columns under the cache's LRU /
-    byte-budget eviction, so the cache no longer grows without bound across
-    graphs (the paper's edge-removal tasks give every case its own graph,
-    which used to pin every graph's vectors forever).  A multi-node case
+    byte-budget eviction, so the paper's edge-removal tasks, which give
+    every case its own graph, stay within the budget.  A multi-node case
     gets one column pair per query node, which
     :meth:`repro.baselines.base.FTMeasure.scores_from_ft` combines.
 
-    :meth:`warm` still batches: the uncached query nodes of each graph are
-    solved in one multi-column power iteration per direction, so cases that
-    share a graph pay for the sparse operator once per sweep instead of once
-    per query.  :meth:`cache_info` exposes hit/miss/eviction counters for
-    the runner's logs.
+    Every read names its ``alpha``, which is part of the column cache's
+    key, so measures at different teleport probabilities share one
+    ``FTCache`` without reading each other's columns.
+
+    :meth:`warm` batches: the uncached query nodes of each graph are solved
+    in one multi-column solve per direction, so cases that share a graph
+    pay for the sparse operator once per sweep instead of once per query.
+    :meth:`cache_info` exposes hit/miss/eviction counters for the runner's
+    logs.
     """
 
-    def __init__(
-        self,
-        alpha: float = DEFAULT_ALPHA,
-        max_bytes: "int | None" = None,
-        cache: "ColumnCache | None" = None,
-        workers: "int | None" = None,
-    ) -> None:
-        self.alpha = alpha
-        if cache is None:
-            cache = ColumnCache(
-                max_bytes=max_bytes if max_bytes is not None else DEFAULT_MAX_BYTES,
-                alpha=alpha,
-                workers=workers,
-            )
-        elif workers is not None:
-            # Solver settings live on the cache (the key-consistency
-            # contract); silently ignoring the request would let a caller
-            # believe the sweep was parallelized when nothing changed.
-            raise ValueError(
-                "pass workers on the ColumnCache itself when supplying an explicit cache"
-            )
-        self._columns = cache
+    def __init__(self, cache: "ColumnCache | None" = None) -> None:
+        self._columns = cache if cache is not None else ColumnCache()
 
     def _case_nodes(self, case: QueryCase) -> np.ndarray:
         nodes, _ = normalize_query(case.graph, case.query)
         return nodes
 
-    def warm(self, cases: Sequence[QueryCase]) -> None:
-        """Batch-compute the per-node columns of every uncached case."""
+    def warm(self, cases: Sequence[QueryCase], alpha: float) -> None:
+        """Batch-compute the per-node columns at ``alpha`` of every uncached
+        case."""
         groups: dict[int, list[QueryCase]] = {}
         for case in cases:
             groups.setdefault(id(case.graph), []).append(case)
         for members in groups.values():
             graph = members[0].graph
             nodes = sorted({int(v) for case in members for v in self._case_nodes(case)})
-            self._columns.warm(graph, nodes, self.alpha)
+            self._columns.warm(graph, nodes, alpha)
 
-    def get(self, case: QueryCase) -> "tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]":
-        """``(weights, f_columns, t_columns)`` of a case, one column pair per
-        query node, solving on first access.
+    def get(
+        self, case: QueryCase, alpha: float
+    ) -> "tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]":
+        """``(weights, f_columns, t_columns)`` of a case at ``alpha``, one
+        column pair per query node, solving on first access.
 
         Every returned column is the cache's own read-only array, shared
         across hits — a caller mutating one would otherwise silently
@@ -115,8 +103,8 @@ class FTCache:
         node_list = nodes.tolist()
         return (
             weights,
-            self._columns.get_many(case.graph, "f", node_list, self.alpha),
-            self._columns.get_many(case.graph, "t", node_list, self.alpha),
+            self._columns.get_many(case.graph, "f", node_list, alpha),
+            self._columns.get_many(case.graph, "t", node_list, alpha),
         )
 
     def cache_info(self):
@@ -134,17 +122,23 @@ def evaluate_measure(
     k_values: Sequence[int] = DEFAULT_K_VALUES,
     ft_cache: "FTCache | None" = None,
 ) -> MeasureTaskResult:
-    """Evaluate one measure over all cases of a task."""
+    """Evaluate one measure over all cases of a task.
+
+    With ``ft_cache``, an ``(f, t)`` measure scores from the shared columns
+    at its own ``alpha``; every other measure scores directly.
+    """
     k_values = tuple(k_values)
     if not k_values or any(k <= 0 for k in k_values):
         raise ValueError(f"k_values must be positive, got {k_values}")
     max_k = max(k_values)
     rows = np.zeros((len(task.cases), len(k_values)))
-    if ft_cache is not None and measure.uses_ft:
-        ft_cache.warm(task.cases)
+    shared = ft_cache is not None and measure.uses_ft
+    if shared:
+        ft_cache.warm(task.cases, measure.alpha)  # type: ignore[attr-defined]
     for i, case in enumerate(task.cases):
-        if measure.uses_ft and ft_cache is not None:
-            scores = measure.scores_from_ft(*ft_cache.get(case))  # type: ignore[attr-defined]
+        if shared:
+            ft = ft_cache.get(case, measure.alpha)  # type: ignore[attr-defined]
+            scores = measure.scores_from_ft(*ft)  # type: ignore[attr-defined]
         else:
             scores = measure.scores(case.graph, case.query)
         ranking = ranking_from_scores(
@@ -167,17 +161,9 @@ def evaluate_measures(
     measures: Iterable[ProximityMeasure],
     task: RankingTask,
     k_values: Sequence[int] = DEFAULT_K_VALUES,
-    alpha: float = DEFAULT_ALPHA,
-    workers: "int | None" = None,
 ) -> dict[str, MeasureTaskResult]:
-    """Evaluate several measures on one task with a shared (f, t) cache.
-
-    ``workers`` shards the cache-warming column solves across
-    :mod:`repro.parallel` threads — the sweep's dominant cost is the
-    batched F/T solves during :meth:`FTCache.warm`, which parallelize
-    per-column; scoring and NDCG stay on the calling thread.
-    """
-    cache = FTCache(alpha, workers=workers)
+    """Evaluate several measures on one task with a shared (f, t) cache."""
+    cache = FTCache()
     results = {}
     for measure in measures:
         results[measure.name] = evaluate_measure(measure, task, k_values, ft_cache=cache)
@@ -189,20 +175,17 @@ def tune_beta(
     dev_task: RankingTask,
     betas: Sequence[float] = tuple(np.round(np.linspace(0.0, 1.0, 11), 2)),
     k: int = 5,
-    alpha: float = DEFAULT_ALPHA,
-    workers: "int | None" = None,
 ) -> tuple[float, dict[float, float]]:
     """Pick the beta maximizing mean NDCG@k on development queries.
 
     Returns ``(best_beta, {beta: mean_ndcg})``.  Ties prefer the beta
     closest to 0.5 (the paper's default), then the smaller beta, making the
     choice deterministic.  The (f, t) cache is shared across the whole
-    sweep, so the solves happen once; ``workers`` shards them as in
-    :func:`evaluate_measures`.
+    sweep, so the solves happen once.
     """
     if not isinstance(measure, ProximityMeasure):
         raise TypeError("measure must be a ProximityMeasure with a tunable beta")
-    cache = FTCache(alpha, workers=workers)
+    cache = FTCache()
     curve: dict[float, float] = {}
     for beta in betas:
         candidate = measure.with_beta(float(beta))
@@ -273,17 +256,11 @@ def run_task_suite(
     measures: Sequence[ProximityMeasure],
     tasks: Sequence[RankingTask],
     k_values: Sequence[int] = DEFAULT_K_VALUES,
-    alpha: float = DEFAULT_ALPHA,
-    workers: "int | None" = None,
 ) -> TaskSuiteResult:
-    """Evaluate every measure on every task (one shared FT cache per task).
-
-    ``workers`` shards each task's cache-warming solves across threads
-    (see :func:`evaluate_measures`).
-    """
+    """Evaluate every measure on every task (one shared FT cache per task)."""
     suite = TaskSuiteResult(k_values=tuple(k_values))
     for task in tasks:
-        per_task = evaluate_measures(measures, task, k_values, alpha, workers=workers)
+        per_task = evaluate_measures(measures, task, k_values)
         for result in per_task.values():
             suite.add(result)
     return suite

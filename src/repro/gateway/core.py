@@ -22,7 +22,7 @@ A query whose columns are all in the shared cache is *resident*: it has
 nothing to solve, so it resolves before :meth:`RankGateway.submit` returns
 (:meth:`repro.serving.MicroBatcher.serve_resident`, a flush of that one
 query in the submitting thread) instead of waiting out the lane's deadline.
-Every other query is queued in its lane as before.
+Every other query is queued in its lane.
 
 The per-lane queue-depth bound is *hard* and counts queued queries only:
 each lane carries an admission lock held across the depth check and the
@@ -47,7 +47,6 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from repro import obs
-from repro.core.frank import DEFAULT_ALPHA
 from repro.core.queries import Query, normalize_query
 from repro.core.roundtrip_plus import DEFAULT_BETA
 from repro.engine.batch import measure_kinds
@@ -114,7 +113,11 @@ class RankGateway:
         More graphs may be added later with :meth:`add_graph`.
     cache:
         The shared :class:`ColumnCache`; built with defaults when omitted.
-        Its ``alpha`` is the gateway's default query alpha.
+        Its ``alpha`` is the gateway's default query alpha, and its solver
+        settings (``tol``, ``max_iter``, ``method``, ``workers``) are the
+        ones every lane and escalation solves with: pass
+        ``cache=ColumnCache(workers=n)`` to shard cache-miss solves across
+        :mod:`repro.parallel` threads.
     admission:
         An :class:`AdmissionConfig` (or ready controller).  The default
         config rate-limits nothing and bounds lanes at 64 pending queries.
@@ -130,7 +133,7 @@ class RankGateway:
     local_topk:
         Enable the certified local top-k fast path for top-``k`` cache
         misses (:func:`repro.topk.local.local_topk`).  An eligible query —
-        ``k`` given, float64 cache — skips the micro-batcher entirely: it
+        one with ``k`` given — skips the micro-batcher entirely: it
         is solved inline after admission (queue depth 0 — nothing is ever
         enqueued), returning an already-resolved future.  Certified results
         carry unnormalized lower-estimate scores with the oracle's exact
@@ -139,13 +142,6 @@ class RankGateway:
         (warming it exactly like a batcher miss) and match the batcher path
         bit-for-bit.  Cached columns join the sweeps as zero-error states, so
         a warm cache makes the fast path cheaper, not divergent.
-    workers:
-        Shard count for cache-miss solves, ``None`` or a non-negative
-        integer (forwarded to the default-built :class:`ColumnCache`;
-        ignored when ``cache`` is supplied).  Miss batches past the
-        crossover column-shard across :mod:`repro.parallel` threads;
-        smaller ones solve on the calling thread, with bit-identical
-        results either way.
     clock:
         Injectable monotonic clock shared by admission and stats (tests).
 
@@ -165,7 +161,6 @@ class RankGateway:
         max_delay: float = 0.01,
         beta: float = DEFAULT_BETA,
         local_topk: bool = False,
-        workers: "int | None" = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if isinstance(graphs, DiGraph):
@@ -173,13 +168,7 @@ class RankGateway:
         if not graphs:
             raise ValueError("at least one graph must be registered")
         self._graphs: "dict[str, DiGraph]" = dict(graphs)
-        # workers reaches cache-miss solves through the shared cache: miss
-        # batches past the crossover column-shard across threads.
-        # Ignored when the caller supplies a ready cache (configure workers
-        # on that cache instead), but checked either way.
-        if workers is not None:
-            workers = check_positive_int(workers, "workers", strict=False)
-        self.cache = cache if cache is not None else ColumnCache(workers=workers)
+        self.cache = cache if cache is not None else ColumnCache()
         if isinstance(admission, AdmissionController):
             self.admission = admission
         else:
@@ -312,7 +301,7 @@ class RankGateway:
         measure_kinds(measure)  # rejects an unknown measure before admission
         graph_name, graph_obj = self._resolve_graph(graph)
         if alpha is None:
-            alpha = getattr(self.cache, "alpha", DEFAULT_ALPHA)
+            alpha = self.cache.alpha
         # The solvers' own check, before admission: an invalid alpha would
         # otherwise fail inside a flush, and a NaN one (NaN != NaN) would
         # open a fresh lane per submit, evicting healthy ones.
@@ -325,10 +314,8 @@ class RankGateway:
             k = check_positive_int(k, "k")
 
         # Certified local fast path: only top-k requests (full vectors need
-        # full columns anyway) and only against a float64 cache (probed
-        # columns enter certification as zero-error states, which a lossy
-        # dtype cannot honor).
-        if self.local_topk and k is not None and self.cache.dtype == np.float64:
+        # full columns anyway).
+        if self.local_topk and k is not None:
             with obs.span(
                 "gateway.submit",
                 tenant=tenant,
@@ -429,7 +416,7 @@ class RankGateway:
         the happy path: already-exact columns join the sweeps as zero-error
         states via ``column_probe``, and an escalation solves its full
         columns *through* ``cache.get_many`` — bit-identical arithmetic to
-        :meth:`MicroBatcher._score_columns_cached`, and the columns it
+        :meth:`MicroBatcher._score_columns`, and the columns it
         stores are complete, so a partial sweep result can never poison the
         cache.
         """

@@ -7,15 +7,14 @@ quantiles (p50/p90/p99) are computed.  All methods are thread-safe; reads
 return plain frozen snapshots so callers can serialize them (the benchmark
 writes them into ``gateway.json`` as-is).
 
-Since PR 10 the counters live on a private, ungated
-:class:`repro.obs.MetricsRegistry` instance — one registry per
-``GatewayStats``, so concurrent gateways never share counts and recording
-stays exact whether or not global observability is on.  The public API is
-unchanged; :meth:`GatewayStats.snapshot` additionally benefits from the
-registry's consistent reads (all counters are read under one lock
-acquisition).  Latencies feed both the quantile reservoir (quantiles need
-raw samples) and a fixed-bucket registry histogram keyed by the flattened
-lane, so the same numbers are exportable through ``obs.render_prometheus``.
+The counters live on a private, ungated :class:`repro.obs.MetricsRegistry`
+instance — one registry per ``GatewayStats``, so concurrent gateways never
+share counts and recording stays exact whether or not global observability
+is on; :meth:`GatewayStats.snapshot` reads them all under one lock
+acquisition.  Latencies feed both the quantile reservoir (quantiles need
+raw samples, the last :data:`DEFAULT_RESERVOIR` per lane) and a
+fixed-bucket registry histogram keyed by the flattened lane, so the same
+numbers are exportable through ``obs.render_prometheus``.
 
 Lane-key format
 ---------------
@@ -131,10 +130,7 @@ class GatewayStats:
     with ``obs.render_metrics_text(stats.registry.snapshot())``.
     """
 
-    def __init__(self, reservoir: int = DEFAULT_RESERVOIR) -> None:
-        if reservoir < 1:
-            raise ValueError(f"reservoir must be >= 1, got {reservoir}")
-        self._reservoir = int(reservoir)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self.registry = obs.MetricsRegistry()
         self._admitted = self.registry.counter(
@@ -166,7 +162,7 @@ class GatewayStats:
         with self._lock:
             samples = self._latencies.get(lane)
             if samples is None:
-                samples = self._latencies[lane] = deque(maxlen=self._reservoir)
+                samples = self._latencies[lane] = deque(maxlen=DEFAULT_RESERVOIR)
             samples.append(seconds)
 
     def record_local(self, escalated: bool) -> None:

@@ -11,9 +11,11 @@ single lock, which buys two properties cheaply:
   instant (a counter can never appear to run ahead of its sibling).
 
 The registry lock is a strict *leaf* in the project's lock order: no code
-path acquires any other lock while holding it (enforced by the
-``lock-order-global`` analyzer rule and the runtime sanitizer), so callers
-may update metrics while holding their own locks without deadlock risk.
+path acquires any other lock while holding it, so callers may update
+metrics while holding their own locks without deadlock risk.  No static
+analyzer rule checks this; under ``REPRO_SANITIZE=1`` the runtime
+sanitizer's lock-order recording (:mod:`repro.analysis.sanitizer`) reports
+any lock cycle a violation would create.
 
 Gating
 ------

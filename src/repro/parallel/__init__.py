@@ -13,14 +13,16 @@ threads:
   ``workers=`` batch call (column-sharded, or sequential with the reason),
   readable via :func:`active_route`.
 
-Callers rarely touch this package directly: every batch entry point grew a
-``workers=`` knob that routes here —
+Callers rarely touch this package directly: the batch functions take a
+``workers=`` argument that routes here —
 ``frank_batch(graph, queries, workers=4)``,
-``roundtriprank_batch(..., workers=4)``,
-``MicroBatcher(graph, workers=4)``, ``ColumnCache(workers=4)``,
-``RankGateway(graph, workers=4)``, ``run_task_suite(..., workers=4)``.
-``workers`` is ``None`` or a non-negative integer, checked where it is
-given (the constructors) and again by :func:`effective_workers`.
+``roundtriprank_batch(..., workers=4)`` — and so does
+``ColumnCache(workers=4)``, the one serving-side owner of solver settings:
+the micro-batcher, the gateway (``RankGateway(graph,
+cache=ColumnCache(workers=4))``) and the evaluation runner's ``FTCache``
+solve through a cache.  ``workers`` is ``None`` or a non-negative integer,
+checked where it is given (the cache's constructor) and again by
+:func:`effective_workers`.
 ``method="power"`` results are
 bit-exact for any worker count; ``method="auto"`` stays within the verified
 residual tolerance.  Small batches fall back to the sequential path

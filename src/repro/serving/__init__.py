@@ -1,8 +1,9 @@
 """The serving layer: column caching, micro-batching, top-k selection.
 
-PR 1's batch engine made *offline* multi-query solves cheap; this package
-makes *online* serving cheap, where queries arrive one at a time, repeat
-(query logs are Zipf-distributed), and usually only need their top results:
+The batch engine (:mod:`repro.engine`) makes *offline* multi-query solves
+cheap; this package makes *online* serving cheap, where queries arrive one
+at a time, repeat (query logs are Zipf-distributed), and usually only need
+their top results:
 
 - :class:`~repro.serving.cache.ColumnCache` — byte-budgeted LRU memoization
   of per-node F-Rank / T-Rank solution columns, warmable through the batch
@@ -12,8 +13,10 @@ makes *online* serving cheap, where queries arrive one at a time, repeat
 - :class:`~repro.serving.batcher.MicroBatcher` — queues individual queries
   and flushes them as one multi-column solve on a size-or-deadline trigger;
   synchronous ``ask``/``flush`` plus a thread-based ``submit``/future API.
-  With a cache attached, a query whose columns are all cached is flushed
-  alone at ``submit`` and never waits for the deadline.
+  Every flush reads its per-node columns through a ``ColumnCache`` (its
+  own default one unless a shared cache is passed), and a query whose
+  columns are all cached is flushed alone at ``submit`` and never waits
+  for the deadline.
 - :func:`~repro.serving.topk.topk_select` — the one top-k selector:
   ``(indices, scores)`` of one score vector via ``np.argpartition``
   partial selection instead of a full-vector sort, ties broken by node id.
@@ -21,15 +24,16 @@ makes *online* serving cheap, where queries arrive one at a time, repeat
 
 Cache key contract
 ------------------
-``ColumnCache`` entries are keyed on ``(graph_id, kind, node, alpha, dtype)``
+``ColumnCache`` entries are keyed on ``(graph_id, kind, node, alpha)``
 where ``graph_id`` is a process-unique token per live graph object (graphs
 are immutable, so object identity is content identity; tokens are never
 reused — see :func:`repro.serving.cache.graph_token`), ``kind`` is ``"f"``
-or ``"t"``, ``alpha`` compares exactly as a float, and ``dtype`` is the
-storage dtype.  Solver parameters (``tol`` / ``max_iter`` / ``method``) are
-fixed per cache instance, so all entries of one cache are mutually
-consistent.  A hit returns the stored array itself (read-only), i.e. results
-are bit-exact across hits; ``current_bytes`` never exceeds ``max_bytes``.
+or ``"t"``, and ``alpha`` compares exactly as a float.  Columns are stored
+as the solver's float64.  Solver settings (``tol`` / ``max_iter`` /
+``method`` / ``workers``) are fixed per cache instance, so all entries of
+one cache are mutually consistent; the cache is the only place they are
+set.  A hit returns the stored array itself (read-only), i.e. results are
+bit-exact across hits; ``current_bytes`` never exceeds ``max_bytes``.
 
 Thread-safety guarantees
 ------------------------
@@ -44,9 +48,9 @@ the failed batch.  ``stop()`` pauses the deadline thread (restartable);
 future and makes ``submit``/``ask``/``start`` raise.  ``topk_select`` is
 pure and hence trivially thread-safe.
 
-Both ``ColumnCache`` and ``MicroBatcher`` take ``workers=`` to shard their
-solves across :mod:`repro.parallel` threads; worker count never
-changes results (it is deliberately not part of the cache key).
+``ColumnCache(workers=)`` shards miss solves across :mod:`repro.parallel`
+threads; worker count never changes results (it is deliberately not part
+of the cache key).
 """
 
 from repro.serving.batcher import BatcherStats, MicroBatcher

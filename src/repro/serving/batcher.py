@@ -4,7 +4,7 @@ The batch engine is 3-7x cheaper per query than sequential solves, but only
 when queries actually arrive as a batch.  :class:`MicroBatcher` supplies the
 missing assembly layer: callers :meth:`~MicroBatcher.submit` individual
 queries and receive :class:`concurrent.futures.Future` objects.  A query
-whose columns are all in the attached cache has nothing to solve, so it is
+whose columns are all in the batcher's cache has nothing to solve, so it is
 served at submit (the **resident trigger**): :meth:`~MicroBatcher.submit`
 flushes it alone, in the submitting thread, and returns its future already
 resolved.  Every other query joins the pending queue, which is flushed as
@@ -24,10 +24,11 @@ the gateway's admission control bounds; a resident query is never queued.
 
 Results are full score vectors, or top-k ``(indices, scores)`` pairs for
 requests submitted with ``k`` (see :func:`repro.serving.topk.topk_select`).
-When a :class:`repro.serving.cache.ColumnCache` is attached, each flush
-reuses cached per-node F/T columns and solves only the genuinely new nodes
-— the cache and the batcher compound.  A resident query runs the same
-flush on a batch of one, so its bits are those of any flush that serves it.
+Every flush reads per-node F/T columns through the batcher's
+:class:`repro.serving.cache.ColumnCache` and solves only the nodes it does
+not hold — the cache and the batcher compound.  A resident query runs the
+same flush on a batch of one, so its bits are those of any flush that
+serves it.
 """
 
 from __future__ import annotations
@@ -43,15 +44,7 @@ from repro import obs
 from repro.core.frank import DEFAULT_ALPHA
 from repro.core.queries import Query, normalize_query
 from repro.core.roundtrip_plus import DEFAULT_BETA
-from repro.engine.batch import (
-    combine_columns,
-    frank_batch,
-    measure_kinds,
-    normalize_columns,
-    roundtriprank_batch,
-    roundtriprank_plus_batch,
-    trank_batch,
-)
+from repro.engine.batch import combine_columns, measure_kinds, normalize_columns
 from repro.graph.digraph import DiGraph
 from repro.serving.cache import ColumnCache
 from repro.serving.topk import topk_select
@@ -117,8 +110,8 @@ class MicroBatcher:
     measure:
         ``"roundtriprank"`` (default), ``"roundtriprank_plus"``, ``"frank"``
         or ``"trank"`` — which score vector a flush computes per query.
-    alpha, beta, normalize, tol, max_iter, method:
-        Solver configuration, matching the batch-engine functions.
+    alpha, beta, normalize:
+        The measure's parameters, matching the batch-engine functions.
     max_batch:
         Size trigger: a submit that brings the queue to this size flushes
         inline.  A positive integer.
@@ -127,23 +120,12 @@ class MicroBatcher:
         thread running, no queued query waits longer than ~``max_delay``
         before its solve starts.
     cache:
-        Optional :class:`ColumnCache`; flushes then solve only uncached
-        query nodes and memoize the new columns, and a query whose columns
-        are all cached is served at submit.  Column solves follow the
-        *cache's* solver configuration (its ``tol`` / ``max_iter`` /
-        ``method`` / ``workers``), not this batcher's — the cache key
-        contract requires all entries of one cache to be mutually
-        consistent, so a cache shared between batchers cannot honor
-        per-batcher solver settings.  This batcher's solver arguments apply
-        only when ``cache`` is None.
-    workers:
-        Shard each flush's multi-column solve across that many
-        :mod:`repro.parallel` threads (``None`` or a non-negative integer,
-        checked here); small flushes fall back to the sequential solver via
-        the crossover heuristic (:func:`repro.parallel.effective_workers`),
-        so the shards only kick in when a flush is big enough to amortize
-        them.  Applies to the uncached path; with a cache attached, set
-        ``workers`` on the cache.
+        The :class:`ColumnCache` every flush reads its per-node columns
+        through (a default-built one when omitted): flushes solve only the
+        query nodes it does not hold and memoize the new columns, and a
+        query whose columns are all cached is served at submit.  Column
+        solves follow the cache's solver settings (``tol``, ``max_iter``,
+        ``method``, ``workers``); pass a configured cache to change them.
 
     Lifecycle
     ---------
@@ -173,10 +155,6 @@ class MicroBatcher:
         max_batch: int = 32,
         max_delay: float = 0.01,
         cache: "ColumnCache | None" = None,
-        tol: float = 1e-12,
-        max_iter: int = 1000,
-        method: str = "auto",
-        workers: "int | None" = None,
     ) -> None:
         self._kinds = measure_kinds(measure)  # the per-node columns it reads
         self.graph = graph
@@ -191,13 +169,7 @@ class MicroBatcher:
         # would kill it: both are rejected here, not at the first submit.
         self.max_batch = check_positive_int(max_batch, "max_batch")
         self.max_delay = check_positive(max_delay, "max_delay")
-        self.cache = cache
-        self.tol = tol
-        self.max_iter = max_iter
-        self.method = method
-        if workers is not None:
-            workers = check_positive_int(workers, "workers", strict=False)
-        self.workers = workers
+        self.cache = cache if cache is not None else ColumnCache()
         self.stats = BatcherStats()
         self._pending: "list[_Request]" = []
         self._lock = threading.Lock()
@@ -253,12 +225,10 @@ class MicroBatcher:
 
         A counter-free probe (:meth:`ColumnCache.contains`): it moves no
         hit or miss count and no recency, so the flush that reads the
-        columns counts them exactly as a queued flush would.  Always False
-        without a cache.
+        columns counts them exactly as a queued flush would.
         """
-        cache = self.cache
-        return cache is not None and all(
-            cache.contains(self.graph, kind, node, self.alpha)
+        return all(
+            self.cache.contains(self.graph, kind, node, self.alpha)
             for kind in self._kinds
             for node in np.asarray(nodes).tolist()
         )
@@ -517,39 +487,15 @@ class MicroBatcher:
                     request.future.set_exception(exc)
 
     def _score_columns(self, batch: "list[_Request]") -> np.ndarray:
-        queries = [request.query for request in batch]
-        if self.cache is None:
-            solver_kwargs = dict(
-                tol=self.tol,
-                max_iter=self.max_iter,
-                method=self.method,
-                workers=self.workers,
-            )
-            if self.measure == "frank":
-                return frank_batch(self.graph, queries, self.alpha, **solver_kwargs)
-            if self.measure == "trank":
-                return trank_batch(self.graph, queries, self.alpha, **solver_kwargs)
-            if self.measure == "roundtriprank":
-                return roundtriprank_batch(
-                    self.graph, queries, self.alpha, self.normalize, **solver_kwargs
-                )
-            return roundtriprank_plus_batch(
-                self.graph, queries, self.beta, self.alpha, **solver_kwargs
-            )
-        return self._score_columns_cached(batch)
-
-    def _score_columns_cached(self, batch: "list[_Request]") -> np.ndarray:
         """Combine cached per-node columns; solve only the uncached nodes.
 
         Every measure served here is a function of per-node F/T columns
         (linearity for F/T, Proposition 2 / Eq. 12 for the round-trip
         measures), so the cache's single-node columns are fully general.
         """
-        cache = self.cache
-        assert cache is not None
         union = sorted({int(v) for request in batch for v in request.nodes})
         columns = {
-            kind: np.stack(cache.get_many(self.graph, kind, union, self.alpha), axis=1)
+            kind: np.stack(self.cache.get_many(self.graph, kind, union, self.alpha), axis=1)
             for kind in self._kinds
         }
         parsed = [(request.nodes, request.weights) for request in batch]

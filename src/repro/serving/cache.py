@@ -1,16 +1,15 @@
 """LRU cache of per-node F-Rank / T-Rank columns with byte-budget accounting.
 
 Repeated queries dominate real serving workloads (the query-log graphs the
-paper targets are Zipf-distributed), yet every repeated query used to re-run
-a full sparse solve.  :class:`ColumnCache` memoizes the *per-node* solution
-columns instead of per-query score vectors: F-Rank and T-Rank are linear in
-the teleport vector (the Linearity Theorem), so any multi-node query is a
-weighted sum of cached single-node columns, and one cached column serves
-every measure derived from ``(f, t)``.
+paper targets are Zipf-distributed), so :class:`ColumnCache` memoizes the
+*per-node* solution columns instead of per-query score vectors: F-Rank and
+T-Rank are linear in the teleport vector (the Linearity Theorem), so any
+multi-node query is a weighted sum of cached single-node columns, and one
+cached column serves every measure derived from ``(f, t)``.
 
 Cache key contract
 ------------------
-An entry is keyed on ``(graph_id, kind, node, alpha, dtype)``:
+An entry is keyed on ``(graph_id, kind, node, alpha)``:
 
 - ``graph_id`` — a token unique per live :class:`~repro.graph.digraph.DiGraph`
   *object* (graphs are immutable once built, so object identity is content
@@ -19,11 +18,14 @@ An entry is keyed on ``(graph_id, kind, node, alpha, dtype)``:
 - ``kind`` — ``"f"`` (F-Rank, the ``P^T`` fixed point) or ``"t"`` (T-Rank,
   the ``P`` fixed point);
 - ``node`` — the single teleport node of the column;
-- ``alpha`` — the teleport probability, compared exactly as a float;
-- ``dtype`` — the stored dtype (``float64`` by default).
+- ``alpha`` — the teleport probability, compared exactly as a float.
 
-Solver parameters (``tol``, ``max_iter``, ``method``) are fixed per cache
-instance so that every entry of one cache is mutually consistent.
+Columns are stored as the solver's ``float64``.  The solver settings
+(``tol``, ``max_iter``, ``method``, ``workers``) are fixed per cache
+instance so that every entry of one cache is mutually consistent; the
+cache is the one owner of these settings in the serving stack (the
+micro-batcher, the gateway and the evaluation runner all solve through a
+cache).
 
 Eviction and accounting
 -----------------------
@@ -60,7 +62,6 @@ from repro import obs
 from repro.core.frank import DEFAULT_ALPHA
 from repro.engine.batch import frank_batch, trank_batch
 from repro.graph.digraph import DiGraph
-from repro.ops.operator import _SUPPORTED_DTYPES
 from repro.utils.publish import publish_guard
 from repro.utils.validation import check_in_range, check_positive, check_positive_int
 
@@ -168,10 +169,6 @@ class ColumnCache:
         key: worker count never changes what a column converges to (the
         residual contract, bit-exact under ``method="power"``), only how
         fast a cold batch fills.
-    dtype:
-        Storage dtype of cached columns, ``float32`` or ``float64``.
-        ``float32`` halves the footprint at ~1e-7 relative error; the
-        default keeps solver-exact ``float64``.
     """
 
     def __init__(
@@ -181,7 +178,6 @@ class ColumnCache:
         tol: float = 1e-12,
         max_iter: int = 1000,
         method: str = "auto",
-        dtype=np.float64,
         workers: "int | None" = None,
     ) -> None:
         # Checked here, or the first miss would fail inside a flush and take
@@ -198,10 +194,6 @@ class ColumnCache:
         if workers is not None:
             workers = check_positive_int(workers, "workers", strict=False)
         self.workers = workers
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in _SUPPORTED_DTYPES:
-            # An integer dtype would truncate every F/T value (all < 1) to 0.
-            raise ValueError(f"dtype must be float32 or float64, got {self.dtype}")
         # Least recently used first: a hit moves its key to the end.
         self._store: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self._lock = threading.RLock()
@@ -220,7 +212,7 @@ class ColumnCache:
     def _key(self, graph: DiGraph, kind: str, node: int, alpha: float) -> tuple:
         if kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-        return (graph_token(graph), kind, int(node), float(alpha), self.dtype.name)
+        return (graph_token(graph), kind, int(node), float(alpha))
 
     def get(self, graph: DiGraph, kind: str, node: int, alpha: "float | None" = None) -> np.ndarray:
         """The ``kind`` column of ``node``, solved on first access.
@@ -306,7 +298,7 @@ class ColumnCache:
 
     def _solve(self, graph: DiGraph, kind: str, nodes: "list[int]", alpha: float) -> np.ndarray:
         solver = frank_batch if kind == "f" else trank_batch
-        columns = solver(
+        return solver(
             graph,
             nodes,
             alpha,
@@ -315,7 +307,6 @@ class ColumnCache:
             method=self.method,
             workers=self.workers,
         )
-        return columns if self.dtype == np.float64 else columns.astype(self.dtype)
 
     def _insert(self, key: tuple, column: np.ndarray) -> np.ndarray:
         column = np.ascontiguousarray(column)

@@ -200,7 +200,7 @@ class TestGatewayAdmission:
                     outcomes.append(result)
                     max_seen.append(depth)
 
-        threads = [threading.Thread(target=submitter, args=(s,)) for s in range(6)]
+        threads = [threading.Thread(target=submitter, args=(s,), daemon=True) for s in range(6)]
         for t in threads:
             t.start()
         for t in threads:

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import frank_vector, roundtriprank, roundtriprank_plus, trank_vector
 from repro.engine.batch import MEASURES
-from repro.gateway import LaneKey, RankGateway, Shed
+from repro.gateway import GatewayStats, LaneKey, RankGateway, Shed
+from repro.gateway.stats import DEFAULT_RESERVOIR
 from repro.serving import ColumnCache
 
 
@@ -177,6 +178,34 @@ class TestStats:
         assert 0.0 <= stats.p50_ms <= stats.p90_ms <= stats.p99_ms <= stats.max_ms
         gateway.close()
 
+    def test_lane_reservoir_keeps_only_the_latest_samples(self):
+        stats = GatewayStats()
+        lane = ("default", "roundtriprank", 0.25)
+        for seconds in (0.001, 0.009):
+            for _ in range(DEFAULT_RESERVOIR):
+                stats.record_latency(lane, seconds)
+        summary = stats.snapshot().lanes[lane]
+        assert summary.count == DEFAULT_RESERVOIR
+        assert summary.p50_ms == pytest.approx(9.0)
+
+    def test_each_lane_keeps_its_own_reservoir(self):
+        stats = GatewayStats()
+        busy = ("default", "roundtriprank", 0.25)
+        quiet = ("default", "frank", 0.25)
+        for _ in range(DEFAULT_RESERVOIR + 10):
+            stats.record_latency(busy, 0.009)
+        for _ in range(10):
+            stats.record_latency(quiet, 0.001)
+        lanes = stats.snapshot().lanes
+        assert lanes[busy].count == DEFAULT_RESERVOIR
+        assert lanes[quiet].count == 10
+        assert lanes[quiet].p50_ms == pytest.approx(1.0)
+        assert lanes[quiet].max_ms == pytest.approx(1.0)
+
+    def test_the_reservoir_is_not_a_parameter(self):
+        with pytest.raises(TypeError, match="reservoir"):
+            GatewayStats(reservoir=8)
+
     def test_snapshot_is_jsonable(self, toy_graph):
         import json
 
@@ -271,16 +300,16 @@ class TestResidentQueries:
         assert gateway.snapshot().n_admitted == 2
         gateway.close()
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("alpha", [None, 0.6])  # the cache's alpha, and another lane's
     @pytest.mark.parametrize("k", [None, 3])
     @pytest.mark.parametrize("measure", MEASURES)
-    def test_resident_bits_equal_a_multi_request_flush(self, toy_graph, measure, k, dtype):
-        gateway = RankGateway(toy_graph, cache=ColumnCache(dtype=dtype), max_batch=1000, beta=0.3)
-        batched = [gateway.submit(q, measure=measure, k=k) for q in QUERIES]
+    def test_resident_bits_equal_a_multi_request_flush(self, toy_graph, measure, k, alpha):
+        gateway = RankGateway(toy_graph, max_batch=1000, beta=0.3)
+        batched = [gateway.submit(q, measure=measure, alpha=alpha, k=k) for q in QUERIES]
         assert not any(future.done() for future in batched)
         assert gateway.flush_all() == len(QUERIES)  # one flush solves them all
         for query, want in zip(QUERIES, batched):
-            got = gateway.submit(query, measure=measure, k=k)
+            got = gateway.submit(query, measure=measure, alpha=alpha, k=k)
             assert got.done(), f"query {query} was queued"
             assert _bits(got.result()) == _bits(want.result()), f"query {query}"
         gateway.close()
@@ -431,7 +460,7 @@ class TestInvalidKAndTriggers:
 
 
 class TestSolverSettingValidation:
-    """Bad alpha, beta, half-life or lane bound raise where they are set."""
+    """Bad alpha, beta or lane bound raise where they are set."""
 
     @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.1, float("inf")])
     def test_out_of_range_alpha_raises_at_submit(self, toy_graph, alpha):
@@ -474,24 +503,13 @@ class TestSolverSettingValidation:
             gateway.close()
         assert np.allclose(result, roundtriprank_plus(toy_graph, 4, beta=beta), atol=1e-9)
 
-    @pytest.mark.parametrize(
-        "workers, error", [(-1, ValueError), (2.5, TypeError), ("2", TypeError)]
-    )
     @pytest.mark.parametrize("own_cache", [False, True])
-    def test_invalid_workers_is_rejected_at_construction(
-        self, toy_graph, workers, error, own_cache
-    ):
-        # Checked even when a ready cache makes the gateway ignore it.
+    def test_workers_is_not_a_gateway_parameter(self, toy_graph, own_cache):
+        # Set on the cache (``cache=ColumnCache(workers=n)``): the gateway
+        # refuses it rather than dropping it beside a supplied cache.
         cache = ColumnCache() if own_cache else None
-        with pytest.raises(error, match="workers must be"):
-            RankGateway(toy_graph, cache=cache, workers=workers)
-
-    @pytest.mark.parametrize("workers", [0, np.int64(3)])
-    def test_accepted_workers_reach_the_default_cache(self, toy_graph, workers):
-        gateway = RankGateway(toy_graph, workers=workers)
-        assert gateway.cache.workers == workers
-        assert type(gateway.cache.workers) is int
-        gateway.close()
+        with pytest.raises(TypeError, match="workers"):
+            RankGateway(toy_graph, cache=cache, workers=2)
 
     def test_non_integer_max_lanes_is_rejected(self, toy_graph):
         with pytest.raises(TypeError, match="max_lanes must be an integer"):

@@ -2,7 +2,7 @@
 
 Covers the wiring contract of ``RankGateway(local_topk=True)``: parity with
 the batcher path, cache non-poisoning on certified results, cache warming
-on escalation, eligibility gating (k, cache dtype), shedding, and the
+on escalation, eligibility gating (k), shedding, and the
 observability counters.
 """
 
@@ -125,18 +125,6 @@ class TestEligibilityGating:
         gateway = _local_gateway(toy_graph)
         scores = gateway.ask(0)  # no k: full vector
         assert scores.shape == (toy_graph.n_nodes,)
-        snap = gateway.snapshot()
-        assert snap.n_local_certified + snap.n_local_escalated == 0
-        gateway.close()
-
-    def test_lossy_cache_dtype_uses_the_batcher(self, toy_graph):
-        gateway = RankGateway(
-            toy_graph,
-            cache=ColumnCache(alpha=ALPHA, dtype=np.float32),
-            local_topk=True,
-        )
-        idx, _ = gateway.ask(0, k=3)
-        assert idx.shape == (3,)
         snap = gateway.snapshot()
         assert snap.n_local_certified + snap.n_local_escalated == 0
         gateway.close()

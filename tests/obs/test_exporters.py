@@ -2,8 +2,6 @@
 
 import json
 
-import numpy as np
-
 from repro import obs
 from repro.gateway import RankGateway
 from repro.obs.registry import MetricsRegistry
@@ -160,7 +158,7 @@ class TestCacheInfoSatellite:
     def test_hit_rate_and_byte_utilization(self, small_qlog):
         from repro.serving import ColumnCache
 
-        cache = ColumnCache(dtype=np.float64)
+        cache = ColumnCache()
         info = cache.cache_info()
         assert info.hit_rate == 0.0
         assert info.byte_utilization == 0.0

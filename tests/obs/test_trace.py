@@ -2,7 +2,6 @@
 
 import threading
 
-import numpy as np
 import pytest
 
 from repro import obs
@@ -185,7 +184,7 @@ class TestGatewayTraceAcceptance:
         assert not [s for s in spans if s.name == "engine.solve"]
 
     def test_local_path_trace(self, obs_enabled, small_bibnet):
-        cache = ColumnCache(dtype=np.float64)
+        cache = ColumnCache()
         gateway = RankGateway(
             graphs={"bib": small_bibnet.graph}, cache=cache, local_topk=True
         )

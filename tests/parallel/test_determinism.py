@@ -73,8 +73,8 @@ class TestBatchSolverParity:
 
 class TestServingParity:
     def test_microbatcher_flush_matches_sequential(self, toy_graph):
-        plain = MicroBatcher(toy_graph, max_batch=64, method="power")
-        pooled = MicroBatcher(toy_graph, max_batch=64, method="power", workers=4)
+        plain = MicroBatcher(toy_graph, max_batch=64, cache=ColumnCache(method="power"))
+        pooled = MicroBatcher(toy_graph, max_batch=64, cache=ColumnCache(method="power", workers=4))
         queries = list(range(toy_graph.n_nodes))
         want = [plain.submit(q) for q in queries]
         got = [pooled.submit(q) for q in queries]

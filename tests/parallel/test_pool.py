@@ -28,7 +28,7 @@ from repro.parallel.pool import (
     solve_columns_parallel,
 )
 from repro.parallel.rows import active_route
-from repro.serving import MicroBatcher
+from repro.serving import ColumnCache, MicroBatcher
 
 
 def _no_shard(*args):
@@ -328,7 +328,7 @@ class TestShardFailure:
             return real(top, teleports, *args)
 
         monkeypatch.setattr(pool, "_solve_shard", flaky)
-        batcher = MicroBatcher(toy_graph, method="power", workers=2)
+        batcher = MicroBatcher(toy_graph, cache=ColumnCache(method="power", workers=2))
         queries = list(range(toy_graph.n_nodes))
         futures = [batcher.submit(q) for q in queries]
         batcher.flush()
@@ -340,7 +340,7 @@ class TestShardFailure:
         failing[0] = False
         futures = [batcher.submit(q) for q in queries]
         batcher.flush()
-        plain = MicroBatcher(toy_graph, method="power")
+        plain = MicroBatcher(toy_graph, cache=ColumnCache(method="power"))
         want = [plain.submit(q) for q in queries]
         plain.flush()
         for w, g in zip(want, futures):

@@ -6,6 +6,7 @@ from repro.engine import frank_batch, trank_batch
 from repro.gateway import RankGateway
 from repro.parallel import PARALLEL_MIN_QUERIES
 from repro.parallel.rows import RouteReport, active_route, record_route
+from repro.serving import ColumnCache
 
 
 class TestRouteReport:
@@ -48,9 +49,24 @@ class TestSmallBatchRouting:
 
 
 class TestGatewayPlumbing:
-    def test_gateway_workers_reach_the_cache(self, small_bibnet):
-        gateway = RankGateway(small_bibnet.graph, workers=3)
-        assert gateway.cache.workers == 3
+    def test_a_supplied_cache_shards_the_gateway_flush(self, small_bibnet):
+        graph = small_bibnet.graph
+        nodes = [int(v) for v in small_bibnet.paper_nodes[:16]]
+
+        def serve(cache):
+            gateway = RankGateway(graph, cache=cache, max_batch=1000)
+            futures = [gateway.submit(v) for v in nodes]
+            assert gateway.flush_all() == len(nodes)  # sixteen misses, one flush
+            route = active_route()
+            results = [future.result() for future in futures]
+            gateway.close()
+            return route, results
+
+        route, sharded = serve(ColumnCache(workers=2, method="power"))
+        assert route == RouteReport(routed=True, shards=2, reason=None)
+        _, sequential = serve(ColumnCache(method="power"))
+        for got, want in zip(sharded, sequential):
+            assert np.array_equal(got, want)
 
     def test_gateway_default_is_sequential(self, small_bibnet):
         assert RankGateway(small_bibnet.graph).cache.workers is None

@@ -2,12 +2,25 @@
 
 import threading
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from repro.core import frank_vector, roundtriprank, roundtriprank_plus, trank_vector
-from repro.engine.batch import MEASURES
+from repro.core import (
+    ConvergenceWarning,
+    frank_vector,
+    roundtriprank,
+    roundtriprank_plus,
+    trank_vector,
+)
+from repro.engine.batch import (
+    MEASURES,
+    frank_batch,
+    roundtriprank_batch,
+    roundtriprank_plus_batch,
+    trank_batch,
+)
 from repro.serving import ColumnCache, MicroBatcher
 
 
@@ -142,21 +155,6 @@ class TestMeasuresAndCache:
         for q, future in zip((0, 5, 9, 11), futures):
             assert np.allclose(future.result(), reference(toy_graph, q), atol=1e-9)
 
-    @pytest.mark.parametrize(
-        "measure", ["frank", "trank", "roundtriprank", "roundtriprank_plus"]
-    )
-    def test_cached_flush_matches_uncached(self, toy_graph, measure):
-        cache = ColumnCache()
-        cached = MicroBatcher(toy_graph, measure=measure, cache=cache, max_batch=8)
-        plain = MicroBatcher(toy_graph, measure=measure, max_batch=8)
-        queries = [0, 1, [2, 3], {4: 2.0, 5: 1.0}]
-        got = [cached.submit(q) for q in queries]
-        want = [plain.submit(q) for q in queries]
-        cached.flush()
-        plain.flush()
-        for g, w in zip(got, want):
-            assert np.allclose(g.result(), w.result(), atol=1e-9)
-
     def test_cache_reuse_across_flushes(self, toy_graph):
         cache = ColumnCache()
         batcher = MicroBatcher(toy_graph, cache=cache, max_batch=8)
@@ -181,6 +179,54 @@ class TestMeasuresAndCache:
         batcher = MicroBatcher(toy_graph, cache=ColumnCache(), max_batch=2)
         result = batcher.ask({0: 1.0, 1: 3.0})
         assert np.allclose(result, roundtriprank(toy_graph, {0: 1.0, 1: 3.0}), atol=1e-9)
+
+
+class TestColdCacheParity:
+    """A batcher built without a cache gives the batch engine's bits.
+
+    Its flush reads every column through its own default cache, which, when
+    cold, solves the node batch the batch functions solve: the single-node
+    queries are distinct and sorted, so a flush's node union is the list
+    itself.
+    """
+
+    @pytest.fixture(params=["toy", "bibnet"])
+    def case(self, request, toy_graph, small_bibnet):
+        """``(graph, single-node queries, multi-node queries)``."""
+        if request.param == "toy":
+            return toy_graph, [0, 3, 5, 9], [0, [2, 3], {4: 2.0, 5: 1.0}, {1: 1.0, 7: 3.0}]
+        p = [int(v) for v in small_bibnet.paper_nodes[:6]]
+        multi = [p[0], p[1:3], {p[3]: 2.0, p[4]: 1.0}, {p[0]: 1.0, p[5]: 3.0}]
+        return small_bibnet.graph, sorted(p[:4]), multi
+
+    @staticmethod
+    def _flush(graph, measure, queries):
+        batcher = MicroBatcher(graph, measure=measure, beta=0.3, max_batch=64)
+        futures = [batcher.enqueue(q) for q in queries]
+        assert batcher.flush() == len(queries)
+        return np.stack([future.result() for future in futures], axis=1)
+
+    @pytest.mark.parametrize("which", ["single", "multi"])
+    def test_round_trip_measures_give_the_batch_bits(self, case, which):
+        graph, single, multi = case
+        queries = single if which == "single" else multi
+        got = self._flush(graph, "roundtriprank", queries)
+        assert np.array_equal(got, roundtriprank_batch(graph, queries))
+        got = self._flush(graph, "roundtriprank_plus", queries)
+        assert np.array_equal(got, roundtriprank_plus_batch(graph, queries, 0.3))
+
+    @pytest.mark.parametrize("measure, solver", [("frank", frank_batch), ("trank", trank_batch)])
+    def test_single_node_f_and_t_give_the_batch_bits(self, case, measure, solver):
+        graph, single, _ = case
+        assert np.array_equal(self._flush(graph, measure, single), solver(graph, single))
+
+    @pytest.mark.parametrize("measure, solver", [("frank", frank_batch), ("trank", trank_batch)])
+    def test_multi_node_f_and_t_agree_within_1e_12(self, case, measure, solver):
+        # The batch functions solve each query's teleport mixture; the
+        # flush sums its nodes' weighted columns (the Linearity Theorem).
+        graph, _, multi = case
+        got = self._flush(graph, measure, multi)
+        assert np.abs(got - solver(graph, multi)).max() <= 1e-12
 
 
 class TestLifecycle:
@@ -252,9 +298,7 @@ class TestValidationAndErrors:
         def boom(*args, **kwargs):
             raise RuntimeError("solver exploded")
 
-        monkeypatch.setattr(
-            "repro.serving.batcher.roundtriprank_batch", boom
-        )
+        monkeypatch.setattr(batcher.cache, "_solve", boom)
         futures = [batcher.submit(q) for q in (0, 1)]
         batcher.flush()
         for future in futures:
@@ -274,7 +318,7 @@ class TestConcurrentSubmission:
                     with lock:
                         futures.append((q, future))
 
-            threads = [threading.Thread(target=worker, args=(b,)) for b in range(3)]
+            threads = [threading.Thread(target=worker, args=(b,), daemon=True) for b in range(3)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -313,13 +357,24 @@ class TestResidentTrigger:
         assert batcher.stats.n_flushes == flushes + 1
         assert np.allclose(future.result(), roundtriprank(toy_graph, 3), atol=1e-10)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_a_batcher_built_without_a_cache_serves_residents_at_submit(self, toy_graph, measure):
+        batcher = MicroBatcher(toy_graph, measure=measure, max_batch=64)
+        first = batcher.ask(4)  # fills the batcher's own cache
+        future = batcher.submit(4)
+        assert future.done()
+        assert batcher.pending == 0
+        assert np.array_equal(future.result(), first)
+
+    @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("k", [None, 3])
     @pytest.mark.parametrize("measure", MEASURES)
-    def test_resident_bits_equal_a_multi_request_flush(self, toy_graph, measure, k, dtype):
-        cache = ColumnCache(dtype=dtype)
+    def test_resident_bits_equal_a_multi_request_flush(self, toy_graph, measure, k, normalize):
+        cache = ColumnCache()
         cache.warm(toy_graph, range(toy_graph.n_nodes))
-        batcher = MicroBatcher(toy_graph, measure=measure, beta=0.3, cache=cache)
+        batcher = MicroBatcher(
+            toy_graph, measure=measure, beta=0.3, normalize=normalize, cache=cache
+        )
         batched = [batcher.enqueue(q, k=k) for q in QUERIES]
         assert batcher.flush() == len(QUERIES)
         for query, want in zip(QUERIES, batched):
@@ -419,24 +474,37 @@ class TestSolverSettingValidation:
         with pytest.raises(ValueError, match="beta must be in"):
             MicroBatcher(toy_graph, measure="roundtriprank_plus", beta=beta)
 
-    @pytest.mark.parametrize(
-        "workers, error", [(-1, ValueError), (2.5, TypeError), ("2", TypeError)]
-    )
-    def test_invalid_workers_is_rejected(self, toy_graph, workers, error):
-        with pytest.raises(error, match="workers must be"):
-            MicroBatcher(toy_graph, workers=workers)
-
-    @pytest.mark.parametrize("workers", [None, 0, np.int32(2)])
-    def test_accepted_workers_are_kept_as_ints(self, toy_graph, workers):
-        batcher = MicroBatcher(toy_graph, workers=workers)
-        assert batcher.workers == workers
-        assert batcher.workers is None or type(batcher.workers) is int
-
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_closed_interval_ends_of_beta_are_served(self, toy_graph, beta):
         batcher = MicroBatcher(toy_graph, measure="roundtriprank_plus", beta=beta)
         result = batcher.ask(5)
         assert np.allclose(result, roundtriprank_plus(toy_graph, 5, beta=beta), atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "name, value", [("tol", 1e-8), ("max_iter", 50), ("method", "power"), ("workers", 2)]
+    )
+    def test_solver_settings_are_not_batcher_parameters(self, toy_graph, name, value):
+        # They belong to the cache: the batcher refuses them, never drops them.
+        with pytest.raises(TypeError, match=name):
+            MicroBatcher(toy_graph, **{name: value})
+
+
+class TestCacheSolverSettings:
+    """A flush solves with the solver settings of the batcher's cache."""
+
+    @pytest.mark.parametrize(
+        "settings", [{"tol": 1e-4}, {"max_iter": 5}, {"method": "power"}], ids=str
+    )
+    def test_flush_bits_equal_the_batch_solve_at_the_cache_settings(self, toy_graph, settings):
+        queries = list(range(toy_graph.n_nodes))
+        batcher = MicroBatcher(toy_graph, max_batch=64, cache=ColumnCache(**settings))
+        futures = [batcher.enqueue(q) for q in queries]
+        with pytest.warns(ConvergenceWarning) if "max_iter" in settings else nullcontext():
+            batcher.flush()
+            want = roundtriprank_batch(toy_graph, queries, **settings)
+        got = np.stack([future.result() for future in futures], axis=1)
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, roundtriprank_batch(toy_graph, queries))
 
 
 class TestTopKValidation:

@@ -80,7 +80,7 @@ class TestGreenPath:
     def test_report_only_metrics_never_gate(self, paths):
         current, baseline = paths
         payload = _payload()
-        payload["gateway"]["lane_p99_ms"] *= 100.0  # info-only timing
+        payload["gateway"]["miss_p99_ms_batcher"] *= 100.0  # info-only timing
         payload["datasets"]["bibnet_2200_s"] *= 100.0  # info-only timing
         current.write_text(json.dumps(payload))
         assert _run(current, baseline) == 0
