@@ -2,7 +2,7 @@
 
 Loaded unconditionally from the rootdir ``conftest.py`` but inert unless
 :func:`repro.analysis.sanitizer.enabled` — the default test run pays
-nothing.  When armed (the CI ``analysis`` job exports ``REPRO_SANITIZE=1``)
+nothing.  When armed (the CI ``sanitized`` job exports ``REPRO_SANITIZE=1``)
 it does three things:
 
 - installs the lock-order recorder at ``pytest_configure`` (before test

@@ -1,7 +1,9 @@
-"""The built-in rule catalog: the project's invariants as AST checks.
+"""The rule catalog, :data:`RULES`: the project's invariants as AST checks.
 
-Every rule here descends from a bug this tree actually shipped and then
-fixed in review (the ``lineage`` attribute keeps the receipt).  The rules
+A rule has a ``name`` (what reports and waivers call it), a ``lineage``
+(the bug this tree shipped and then fixed in review that the rule
+descends from) and ``check(ctx)``, which yields the findings for one
+parsed module.  README's rule table documents each one.  The rules
 are deliberately *project-shaped*, not general lints: they encode naming
 and structure conventions this codebase already follows (lock attributes
 match ``*lock*``, column stores match ``*store*``, worker threads are
@@ -20,9 +22,7 @@ import ast
 import re
 from typing import Iterable, Iterator
 
-from repro.analysis.analyzer import ModuleContext, walk_scope
-from repro.analysis.findings import Finding
-from repro.analysis.registry import register
+from repro.analysis.context import Finding, ModuleContext, walk_scope
 
 _LOCKISH_RE = re.compile(r"lock", re.IGNORECASE)
 _STORE_RE = re.compile(r"store", re.IGNORECASE)
@@ -138,15 +138,10 @@ def _setflags_readonly_lines(func: ast.AST) -> "dict[str, int]":
 # --------------------------------------------------------------------------- #
 
 
-@register
 class CacheStoreReadonlyRule:
     """Arrays inserted into a ``*store*`` mapping must be read-only first."""
 
     name = "cache-store-readonly"
-    summary = (
-        "a value stored into a *store* mapping must be a local made read-only "
-        "with setflags(write=False) before the store"
-    )
     lineage = (
         "PR 3: ColumnCache cached a writable contiguous *view* of the "
         "solver's output; a caller mutating the base array silently "
@@ -184,15 +179,10 @@ class CacheStoreReadonlyRule:
                 yield ctx.finding(node, self.name, message)
 
 
-@register
 class LockAcrossBlockingRule:
     """No yield/await or blocking call while lexically holding a lock."""
 
     name = "lock-across-blocking"
-    summary = (
-        "a `with <lock>:` body must not contain yield/await or calls to "
-        ".submit/.result/.join/.add_done_callback"
-    )
     lineage = (
         "PR 4: the operator cache derived variants while holding its "
         "non-reentrant lock; the same shape with an executor .submit or a "
@@ -232,15 +222,10 @@ class LockAcrossBlockingRule:
                         )
 
 
-@register
 class LockReentryRule:
     """No call into a sibling that re-acquires the held non-reentrant lock."""
 
     name = "lock-reentry"
-    summary = (
-        "while holding a threading.Lock, do not call a sibling "
-        "function/method that acquires the same lock"
-    )
     lineage = (
         "PR 4: TransitionOperator.damped() called self.matrix() while "
         "holding self._lock, which matrix() re-acquires — a guaranteed "
@@ -400,12 +385,10 @@ class LockReentryRule:
                         )
 
 
-@register
 class ConditionWaitLoopRule:
     """``Condition.wait`` must sit in a predicate loop."""
 
     name = "condition-wait-loop"
-    summary = "Condition.wait()/wait_for-less waits must be inside a while loop"
     lineage = (
         "PR 5 MicroBatcher idle audit: a wait outside a predicate loop "
         "misses spurious wakeups and the size-flush race where another "
@@ -467,15 +450,10 @@ class ConditionWaitLoopRule:
                 )
 
 
-@register
 class ThreadLifecycleRule:
     """Worker threads are daemonized and joined by some shutdown method."""
 
     name = "thread-lifecycle"
-    summary = (
-        "threading.Thread(...) must pass daemon=True, and a class keeping a "
-        "thread attribute must join() it somewhere (a close()/stop() path)"
-    )
     lineage = (
         "PR 5: the prefetcher/batcher background threads hang interpreter "
         "exit when non-daemon, and leak across tests when no stop() joins "
@@ -539,15 +517,10 @@ class ThreadLifecycleRule:
                     )
 
 
-@register
 class NpRandomLegacyRule:
     """Randomness flows through SeedSequence plumbing, not global state."""
 
     name = "np-random-legacy"
-    summary = (
-        "legacy np.random.* global-state calls (and argless default_rng()) "
-        "are banned; take a seed/Generator through repro.utils.rng"
-    )
     lineage = (
         "PR 3: sharded Monte Carlo walks are reproducible per (seed, "
         "workers) only because every stream descends from one SeedSequence; "
@@ -586,3 +559,14 @@ class NpRandomLegacyRule:
                     "unreproducible; plumb a seed or Generator through "
                     "repro.utils.rng.ensure_rng",
                 )
+
+
+#: the catalog, in the order its rules run.
+RULES = (
+    CacheStoreReadonlyRule(),
+    LockAcrossBlockingRule(),
+    LockReentryRule(),
+    ConditionWaitLoopRule(),
+    ThreadLifecycleRule(),
+    NpRandomLegacyRule(),
+)

@@ -3,7 +3,7 @@
 The static rules in :mod:`repro.analysis.rules` catch the lexically visible
 shape of a concurrency bug; this module catches the dynamic interleavings
 they cannot see.  It is strictly opt-in — set ``REPRO_SANITIZE=1`` (the CI
-``analysis`` job does) and the pytest plugin installs it for the run; at the
+``sanitized`` job does) and the pytest plugin installs it for the run; at the
 default setting nothing here is active and production code pays nothing.
 
 Three checks:

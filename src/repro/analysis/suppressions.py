@@ -1,21 +1,18 @@
-"""Per-line ``# repro: ignore[rule]`` suppression comments.
+"""Per-line ``# repro: ignore[rule] why`` waiver comments.
 
 A finding is suppressed when the physical line it is reported on carries a
-suppression comment naming its rule — or a bare ``# repro: ignore`` that
-waives every rule for that line.  Suppressions are per-line on purpose: a
-waiver should sit next to the code it excuses, with the justification in the
-same comment, the way the tree's ``# noqa`` comments already work.
+waiver naming its rule.  Waivers are per-line on purpose: a waiver should
+sit next to the code it excuses, with the justification in the same
+comment, the way the tree's ``# noqa`` comments already work.
 
 Syntax (anywhere in the line, usually after code)::
 
     self._rng = np.random.default_rng()  # repro: ignore[np-random-legacy] plumbing
-    risky_call()  # repro: ignore  (waives all rules on this line)
-    paired()  # repro: ignore[rule-a, rule-b]
+    paired()  # repro: ignore[rule-a, rule-b] why both are safe here
 
-Unknown rule names in a suppression are tolerated — a suppression must keep
-suppressing after its rule is renamed out from under it rather than turn
-into a hard error, and :mod:`repro.analysis.cli` warns about names it does
-not recognize instead.
+A waiver that names no rule (``# repro: ignore``, ``ignore[]``) or a rule
+the analyzer does not know waives nothing; the analyzer reports it as an
+``unused-waiver`` finding.
 """
 
 from __future__ import annotations
@@ -30,11 +27,12 @@ _SUPPRESSION_RE = re.compile(r"#\s*repro:\s*ignore(?:\[(?P<rules>[^\]]*)\])?")
 def _comment_tokens(source: str) -> "list[tuple[int, str]]":
     """``(lineno, text)`` for every real comment token in ``source``.
 
-    Tokenizing (rather than regex-scanning raw lines) keeps suppression
-    syntax quoted inside strings and docstrings — like the examples in this
+    Tokenizing (rather than regex-scanning raw lines) keeps waiver syntax
+    quoted inside strings and docstrings — like the examples in this
     module's own docstring — from being treated as live waivers.  A file
-    the tokenizer rejects falls back to a plain line scan so that a bare
-    ``# repro: ignore`` can still waive a ``parse-error`` finding.
+    the tokenizer rejects falls back to a plain line scan so that
+    ``# repro: ignore[parse-error]`` can still waive a ``parse-error``
+    finding.
     """
     try:
         return [
@@ -50,35 +48,15 @@ def _comment_tokens(source: str) -> "list[tuple[int, str]]":
         ]
 
 
-def suppressed_rules(source: str) -> "dict[int, frozenset[str] | None]":
-    """Map 1-based line numbers to the rules suppressed on that line.
+def suppressed_rules(source: str) -> "dict[int, frozenset[str]]":
+    """Map each 1-based line carrying a waiver to the rule names it lists.
 
-    ``None`` means every rule is suppressed (a bare ``# repro: ignore``);
-    otherwise the value is the set of rule names listed in brackets.
+    A waiver that lists no name maps to the empty set: it waives nothing.
     """
-    table: "dict[int, frozenset[str] | None]" = {}
+    table: "dict[int, frozenset[str]]" = {}
     for lineno, text in _comment_tokens(source):
-        if "repro:" not in text:
-            continue
         match = _SUPPRESSION_RE.search(text)
-        if match is None:
-            continue
-        rules = match.group("rules")
-        if rules is None:
-            table[lineno] = None
-        else:
-            names = frozenset(name.strip() for name in rules.split(",") if name.strip())
-            # An empty bracket list suppresses nothing — treat "ignore[]" as
-            # a typo'd bare ignore rather than silently waiving everything.
-            table[lineno] = names if names else frozenset()
+        if match is not None:
+            names = (match.group("rules") or "").split(",")
+            table[lineno] = frozenset(name.strip() for name in names if name.strip())
     return table
-
-
-def is_suppressed(
-    table: "dict[int, frozenset[str] | None]", line: int, rule: str
-) -> bool:
-    """Whether ``rule`` is waived on ``line`` by the parsed suppressions."""
-    entry = table.get(line, frozenset())
-    if entry is None:
-        return True
-    return rule in entry

@@ -26,7 +26,7 @@ from repro.core.frank import DEFAULT_ALPHA, frank_vector
 from repro.core.queries import Query, normalize_query
 from repro.core.trank import trank_vector
 from repro.graph.digraph import DiGraph
-from repro.utils.validation import check_probability
+from repro.utils.validation import check_in_range, check_probability
 
 
 class ProximityMeasure(abc.ABC):
@@ -61,7 +61,9 @@ class FTMeasure(ProximityMeasure):
     uses_ft: ClassVar[bool] = True
 
     def __init__(self, alpha: float = DEFAULT_ALPHA) -> None:
-        self.alpha = check_probability(alpha, "alpha")
+        self.alpha = check_in_range(
+            alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False
+        )
 
     @abc.abstractmethod
     def combine(self, f: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -91,14 +93,21 @@ class FTMeasure(ProximityMeasure):
 class BetaTunable:
     """Mixin marking a measure whose trade-off parameter ``beta`` is tunable.
 
-    ``with_beta`` returns a copy with the new bias so tuning never mutates a
-    measure another experiment is using.
+    ``beta`` is a weight in [0, 1], checked on every assignment (the
+    constructor's included).  ``with_beta`` returns a copy with the new
+    bias so tuning never mutates a measure another experiment is using.
     """
 
-    beta: float
+    @property
+    def beta(self) -> float:
+        return self._beta
+
+    @beta.setter
+    def beta(self, value: float) -> None:
+        self._beta = check_probability(value, "beta")
 
     def with_beta(self, beta: float):
         """A copy of this measure with the specificity bias set to ``beta``."""
         clone = copy.copy(self)
-        clone.beta = check_probability(beta, "beta")
+        clone.beta = beta
         return clone

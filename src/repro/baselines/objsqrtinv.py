@@ -27,6 +27,7 @@ from repro.baselines.base import BetaTunable, ProximityMeasure
 from repro.baselines.objectrank import DEFAULT_D, inverse_objectrank, objectrank
 from repro.core.queries import Query
 from repro.graph.digraph import DiGraph
+from repro.utils.validation import check_in_range
 
 
 def objsqrtinv_scores(graph: DiGraph, query: Query, d: float = DEFAULT_D) -> np.ndarray:
@@ -40,7 +41,7 @@ class ObjSqrtInvMeasure(ProximityMeasure):
     name: ClassVar[str] = "ObjSqrtInv"
 
     def __init__(self, d: float = DEFAULT_D) -> None:
-        self.d = d
+        self.d = check_in_range(d, "d", 0.0, 1.0, inclusive_low=False, inclusive_high=False)
 
     def scores(self, graph: DiGraph, query: Query) -> np.ndarray:
         return objsqrtinv_scores(graph, query, self.d)
@@ -57,7 +58,7 @@ class ObjSqrtInvPlusMeasure(BetaTunable, ProximityMeasure):
 
     def __init__(self, beta: float = 1.0 / 3.0, d: float = DEFAULT_D) -> None:
         self.beta = beta
-        self.d = d
+        self.d = check_in_range(d, "d", 0.0, 1.0, inclusive_low=False, inclusive_high=False)
         # (graph id, query key) -> (OR, IOR); shared across with_beta copies
         # so beta tuning reuses the two PPR computations per query.
         self._cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}

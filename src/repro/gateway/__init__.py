@@ -1,8 +1,8 @@
 """The multi-tenant serving gateway: one front door over the serving layer.
 
-PR 2 built the serving primitives (column cache, micro-batcher, fused
-top-k) as single-tenant parts bound to one ``(graph, measure, alpha)``;
-this package assembles them into a service front:
+The serving primitives (column cache, micro-batcher, fused top-k) are
+single-tenant parts bound to one ``(graph, measure, alpha)``; this package
+assembles them into a service front:
 
 - :class:`~repro.gateway.core.RankGateway` — routes ``submit(query,
   tenant=, graph=, measure=, alpha=, k=)`` calls to per-``(graph, measure,

@@ -1,10 +1,6 @@
 """Unified observability: metrics registry, per-query traces, exporters.
 
-The serving stack's instrumentation was fragmented — ``GatewayStats`` for
-the gateway, ``CacheInfo`` for the cache, ``active_kernel()`` /
-``active_route()`` singletons for dispatch decisions, and nothing at all
-for solver internals.  :mod:`repro.obs` is the one layer they all report
-through:
+:mod:`repro.obs` is the layer the serving stack reports through:
 
 - :mod:`repro.obs.registry` — thread-safe counters / gauges / fixed-bucket
   histograms with labels; the gated process default is a no-op until

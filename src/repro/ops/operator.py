@@ -1,13 +1,5 @@
 """The one operator abstraction every solver multiplies through.
 
-Before this module existed, operator handling was smeared across four code
-paths: :mod:`repro.engine.batch` cached prepared CSR copies and talked to a
-private scipy entry point directly, the single-query solvers re-derived
-``P^T`` on every call, the graph's transition helpers stepped
-distributions with raw ``@``, and every :mod:`repro.parallel` worker
-rebuilt its own float32 operator copy.  A kernel improvement could not land
-anywhere without touching all four.
-
 :class:`TransitionOperator` owns one *oriented* prepared CSR (``P`` or
 ``P^T``) plus everything derived from it — per-dtype variants and
 damp-scaled copies for the Chebyshev phases — and runs ``matmat`` through
@@ -25,8 +17,7 @@ Guarantees
   single-vector ``csr_matvec`` and a wider one ``csr_matvecs``, and both
   add a row's terms in stored order (see :mod:`repro.ops.kernels`).
 - ``out=`` never aliases an input: ``matmat`` rejects overlapping ``out``
-  and ``x`` buffers outright, closing the aliasing bug class the PR 3
-  ``ColumnCache`` view fix dealt with downstream.
+  and ``x`` buffers outright.
 """
 
 from __future__ import annotations

@@ -1,36 +1,27 @@
-"""Suppression-comment parsing: comments count, strings don't."""
+"""Waiver-comment parsing: comments count, strings don't."""
 
 import textwrap
 
-from repro.analysis.suppressions import is_suppressed, suppressed_rules
+from repro.analysis.suppressions import suppressed_rules
 
 
 class TestParsing:
-    def test_bare_ignore_waives_everything(self):
-        table = suppressed_rules("x = 1  # repro: ignore\n")
-        assert table[1] is None
-        assert is_suppressed(table, 1, "any-rule")
-
-    def test_bracketed_names_waive_only_those(self):
+    def test_bracketed_names_are_listed(self):
         table = suppressed_rules("x = 1  # repro: ignore[rule-a, rule-b]\n")
-        assert table[1] == frozenset({"rule-a", "rule-b"})
-        assert is_suppressed(table, 1, "rule-a")
-        assert is_suppressed(table, 1, "rule-b")
-        assert not is_suppressed(table, 1, "rule-c")
+        assert table == {1: frozenset({"rule-a", "rule-b"})}
 
-    def test_empty_brackets_waive_nothing(self):
-        table = suppressed_rules("x = 1  # repro: ignore[]\n")
-        assert table[1] == frozenset()
-        assert not is_suppressed(table, 1, "rule-a")
+    def test_bare_ignore_lists_no_rule(self):
+        assert suppressed_rules("x = 1  # repro: ignore\n") == {1: frozenset()}
+
+    def test_empty_brackets_list_no_rule(self):
+        assert suppressed_rules("x = 1  # repro: ignore[]\n") == {1: frozenset()}
 
     def test_trailing_justification_text_is_fine(self):
         table = suppressed_rules("x = f()  # repro: ignore[rule-a] sanctioned\n")
-        assert is_suppressed(table, 1, "rule-a")
+        assert table == {1: frozenset({"rule-a"})}
 
-    def test_unsuppressed_lines_suppress_nothing(self):
-        table = suppressed_rules("x = 1\ny = 2  # plain comment\n")
-        assert not is_suppressed(table, 1, "rule-a")
-        assert not is_suppressed(table, 2, "rule-a")
+    def test_unsuppressed_lines_are_absent(self):
+        assert suppressed_rules("x = 1\ny = 2  # plain comment\n") == {}
 
 
 class TestStringImmunity:
@@ -49,8 +40,7 @@ class TestStringImmunity:
         assert suppressed_rules(source) == {}
 
     def test_unparseable_source_falls_back_to_line_scan(self):
-        # A bare ignore on a broken line must still be able to waive the
+        # A waiver on a broken line must still be able to waive the
         # parse-error finding.
-        source = "def broken(:  # repro: ignore\n"
-        table = suppressed_rules(source)
-        assert is_suppressed(table, 1, "parse-error")
+        source = "def broken(:  # repro: ignore[parse-error]\n"
+        assert suppressed_rules(source) == {1: frozenset({"parse-error"})}

@@ -1,85 +1,76 @@
-"""Waiver bookkeeping: stale waivers are findings, unknown ones warnings."""
+"""Waiver audit: a waiver that suppresses nothing is an ``unused-waiver``."""
 
 import pathlib
 
-from repro.analysis import analyze_project
-from repro.analysis.baseline import fingerprint
+import pytest
+
+from repro.analysis import analyze_project, analyze_source
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+LEGACY_SEED = "import numpy as np\nnp.random.seed(7)"
+NAMELESS_OR_UNKNOWN = ["# repro: ignore", "# repro: ignore[]", "# repro: ignore[no-such-rule]"]
+
+
+def _rules(findings):
+    return [(f.line, f.rule) for f in findings]
 
 
 class TestUnusedWaiver:
     def test_bad_fixture_fires_exactly_unused_waiver(self):
-        analysis = analyze_project([str(FIXTURES / "bad_unused_waiver.py")])
-        assert analysis.findings
-        assert {f.rule for f in analysis.findings} == {"unused-waiver"}
+        analysis = analyze_project([str(FIXTURES / "bad_unused_waiver.py.txt")])
+        assert [f.rule for f in analysis.findings] == ["unused-waiver"] * 3
         messages = " ".join(f.message for f in analysis.findings)
-        # Both shapes are covered: a bracketed known rule and a bare ignore.
-        assert "ignore[lock-reentry]" in messages
-        assert "bare" in messages
+        # All three shapes: a stale known rule, no rule, a misspelled rule.
+        assert "ignore[lock-reentry]' suppresses nothing" in messages
+        assert "names no rule" in messages
+        assert "ignore[lock-rentry]' names an unknown rule" in messages
 
     def test_good_fixture_waiver_earns_its_keep(self):
-        analysis = analyze_project([str(FIXTURES / "good_unused_waiver.py")])
+        analysis = analyze_project([str(FIXTURES / "good_unused_waiver.py.txt")])
         assert analysis.findings == [], [f.render() for f in analysis.findings]
-        assert analysis.warnings == []
 
-    def test_fingerprints_survive_a_line_shift(self, tmp_path):
-        # Stale-waiver entries sit in the baseline too, keyed without lines.
-        source = (FIXTURES / "bad_unused_waiver.py").read_text(encoding="utf-8")
-        target = tmp_path / "bad_unused_waiver.py"
+    @pytest.mark.parametrize("waiver", NAMELESS_OR_UNKNOWN, ids=["bare", "empty", "unknown"])
+    def test_waiver_naming_no_known_rule_suppresses_nothing(self, waiver):
+        findings = analyze_source(f"{LEGACY_SEED}  {waiver} why\n")
+        assert _rules(findings) == [(2, "np-random-legacy"), (2, "unused-waiver")]
+
+    @pytest.mark.parametrize("waiver", NAMELESS_OR_UNKNOWN, ids=["bare", "empty", "unknown"])
+    def test_waiver_naming_no_known_rule_is_one_finding(self, waiver):
+        assert _rules(analyze_source(f"x = 1  {waiver}\n")) == [(1, "unused-waiver")]
+
+    def test_a_known_name_beside_an_unknown_one_still_suppresses(self):
+        findings = analyze_source(f"{LEGACY_SEED}  # repro: ignore[np-random-legacy, typo]\n")
+        assert _rules(findings) == [(2, "unused-waiver")]
+        assert "ignore[typo]' names an unknown rule" in findings[0].message
+
+    def test_suppressing_unused_waiver_on_its_own_line(self):
+        # The stale waiver itself can be waived by naming the pseudo-rule:
+        # the escape hatch for a deliberately pre-placed waiver (e.g.
+        # generated code landing in a follow-up commit).
+        source = "x = 1  # repro: ignore[lock-reentry, unused-waiver] pre-placed\n"
+        assert analyze_source(source) == []
+
+    def test_the_self_waiver_does_not_excuse_an_unknown_name(self):
+        source = "x = 1  # repro: ignore[lock-rentry, unused-waiver] pre-placed\n"
+        findings = analyze_source(source)
+        assert _rules(findings) == [(1, "unused-waiver")]
+        assert "lock-rentry" in findings[0].message
+
+    def test_parse_error_is_waived_by_name(self):
+        source = "def broken(:  # repro: ignore[parse-error] generated stub\n"
+        assert analyze_source(source) == []
+        findings = analyze_source("def broken(:  # repro: ignore\n")
+        assert sorted(_rules(findings)) == [(1, "parse-error"), (1, "unused-waiver")]
+
+    def test_stale_parse_error_waiver_on_a_parsing_file(self):
+        source = "x = 1  # repro: ignore[parse-error]\n"
+        assert _rules(analyze_source(source)) == [(1, "unused-waiver")]
+
+    def test_project_and_source_report_the_same_findings(self, tmp_path):
+        source = (FIXTURES / "bad_unused_waiver.py.txt").read_text(encoding="utf-8")
+        target = tmp_path / "module.py"
         target.write_text(source, encoding="utf-8")
-        before = analyze_project([str(target)]).findings
-        target.write_text("# one more line\n" + source, encoding="utf-8")
-        after = analyze_project([str(target)]).findings
-        assert [f.line + 1 for f in before] == [f.line for f in after]
-        assert sorted(map(fingerprint, after)) == sorted(map(fingerprint, before))
-
-    def test_check_waivers_off_silences_the_pseudo_rule(self):
-        analysis = analyze_project(
-            [str(FIXTURES / "bad_unused_waiver.py")], check_waivers=False
-        )
-        assert analysis.findings == []
-
-    def test_suppressing_unused_waiver_on_its_own_line(self, tmp_path):
-        # Edge case: the stale waiver itself can be waived by naming the
-        # pseudo-rule — the escape hatch for a deliberately pre-placed
-        # waiver (e.g. generated code landing in a follow-up commit).
-        target = tmp_path / "mod.py"
-        target.write_text(
-            "x = 1  # repro: ignore[lock-reentry, unused-waiver] pre-placed\n",
-            encoding="utf-8",
-        )
-        analysis = analyze_project([str(target)])
-        assert analysis.findings == [], [f.render() for f in analysis.findings]
-
-
-class TestSelectInteraction:
-    def test_waiver_for_unselected_rule_is_not_called_stale(self, tmp_path):
-        from repro.analysis import get_rule
-
-        target = tmp_path / "mod.py"
-        target.write_text(
-            "import numpy as np\n"
-            "np.random.seed(7)  # repro: ignore[np-random-legacy] earning its keep\n",
-            encoding="utf-8",
-        )
-        # Only lock-reentry runs: the np-random waiver cannot be proven
-        # stale (its rule never looked), so no unused-waiver fires — and a
-        # bare ignore is likewise off the hook under a partial catalog.
-        analysis = analyze_project(
-            [str(target)], rules=[get_rule("lock-reentry")]
-        )
-        assert analysis.findings == []
-
-
-class TestUnknownWaiverWarnings:
-    def test_unknown_name_is_structured_not_a_finding(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("x = 1  # repro: ignore[never-heard-of-it]\n", encoding="utf-8")
-        analysis = analyze_project([str(target)])
-        assert analysis.findings == []
-        assert len(analysis.warnings) == 1
-        warning = analysis.warnings[0]
-        assert (warning.line, warning.rule) == (1, "never-heard-of-it")
-        assert warning.to_dict()["kind"] == "unknown-waiver"
-        assert "never-heard-of-it" in warning.render()
+        analysis = analyze_project([str(tmp_path)])
+        assert analysis.n_files == 1
+        assert analysis.findings == analyze_source(source, path=str(target))
