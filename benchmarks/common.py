@@ -12,7 +12,6 @@ survives pytest's output capture.  Scale is controlled by the
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,15 +90,3 @@ def report(name: str, text: str) -> None:
     print(f"\n[{name}] -> {path}")
     print(text)
 
-
-def report_json(name: str, payload: dict) -> None:
-    """Persist machine-readable metrics as ``benchmarks/results/<name>.json``.
-
-    CI's benchmark-smoke job merges these into ``ci_smoke.json`` (see
-    ``benchmarks/ci_smoke.py``), so the perf trajectory is tracked
-    per-commit as a workflow artifact.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"[{name}] metrics -> {path}")

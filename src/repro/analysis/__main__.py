@@ -3,8 +3,8 @@
 Analyzes every ``.py`` file under ``paths`` (default ``src``; a path given
 as a file is analyzed whatever its suffix) and prints one
 ``path:line:col: rule message`` line per finding, then a summary.  Exit
-code 0 means clean, 1 findings (an unparseable file and a stale or
-unknown waiver included), 2 a usage error such as a missing path.
+code 0 means clean, 1 findings (an unparseable or undecodable file and a
+stale or unknown waiver included), 2 a usage error such as a missing path.
 """
 
 from __future__ import annotations

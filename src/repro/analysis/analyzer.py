@@ -10,13 +10,16 @@ over every ``.py`` file under the given paths.
 
 A file that does not parse yields a single ``parse-error`` finding
 instead of crashing the run: an unparseable file must fail the gate, not
-dodge it.
+dodge it.  Files are decoded as Python decodes them (``tokenize.open``: a
+BOM or a ``coding`` cookie, else UTF-8), and one that cannot be decoded is
+a ``parse-error`` finding too.
 """
 
 from __future__ import annotations
 
 import ast
 import os
+import tokenize
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -106,6 +109,12 @@ def analyze_project(paths: Iterable[str]) -> ProjectAnalysis:
     n_files = 0
     for filepath in iter_python_files(paths):
         n_files += 1
-        with open(filepath, encoding="utf-8") as handle:
-            findings.extend(analyze_source(handle.read(), filepath))
+        try:
+            with tokenize.open(filepath) as handle:
+                source = handle.read()
+        except (SyntaxError, UnicodeDecodeError) as exc:
+            message = f"file does not decode: {exc}"
+            findings.append(Finding(filepath, 1, 1, PARSE_ERROR_RULE, message))
+            continue
+        findings.extend(analyze_source(source, filepath))
     return ProjectAnalysis(findings=sorted(findings), n_files=n_files)

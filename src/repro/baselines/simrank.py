@@ -32,7 +32,7 @@ from repro.baselines.base import ProximityMeasure
 from repro.core.queries import Query, normalize_query
 from repro.graph.digraph import DiGraph
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_node_id, check_probability
+from repro.utils.validation import check_node_id, check_positive_int, check_probability
 
 DEFAULT_C = 0.85
 #: above this size the dense matrix would not fit comfortably; the measure
@@ -106,6 +106,8 @@ def simrank_single_source(
     """
     query = check_node_id(query, graph.n_nodes, "query")
     c = check_probability(c, "c")
+    n_samples = check_positive_int(n_samples, "n_samples")
+    horizon = check_positive_int(horizon, "horizon")
     rng = ensure_rng(seed)
     n = graph.n_nodes
 
@@ -178,9 +180,9 @@ class SimRankMeasure(ProximityMeasure):
         seed: int = 997,
     ) -> None:
         self.c = check_probability(c, "c")
-        self.max_iter = max_iter
-        self.n_samples = n_samples
-        self.horizon = horizon
+        self.max_iter = check_positive_int(max_iter, "max_iter")
+        self.n_samples = check_positive_int(n_samples, "n_samples")
+        self.horizon = check_positive_int(horizon, "horizon")
         self.seed = seed
 
     def scores(self, graph: DiGraph, query: Query) -> np.ndarray:

@@ -38,7 +38,7 @@ from repro.baselines.base import BetaTunable, ProximityMeasure
 from repro.core.queries import Query, normalize_query
 from repro.graph.digraph import DiGraph
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_node_id
+from repro.utils.validation import check_node_id, check_positive_int
 
 DEFAULT_T = 10
 
@@ -144,8 +144,8 @@ class TCommuteMeasure(ProximityMeasure):
         seed: int = 4242,
         exact: bool = False,
     ) -> None:
-        self.horizon = horizon
-        self.n_walks = n_walks
+        self.horizon = check_positive_int(horizon, "horizon")
+        self.n_walks = check_positive_int(n_walks, "n_walks")
         self.seed = seed
         self.exact = exact
 
@@ -186,8 +186,8 @@ class TCommutePlusMeasure(BetaTunable, ProximityMeasure):
         exact: bool = False,
     ) -> None:
         self.beta = beta
-        self.horizon = horizon
-        self.n_walks = n_walks
+        self.horizon = check_positive_int(horizon, "horizon")
+        self.n_walks = check_positive_int(n_walks, "n_walks")
         self.seed = seed
         self.exact = exact
         # (graph id, node) -> (h_from, h_to); shared across with_beta copies

@@ -4,8 +4,7 @@
 gateway counts — admissions, sheds by reason, per-tenant traffic, local
 fast-path outcomes — plus a bounded latency reservoir per lane from which snapshot
 quantiles (p50/p90/p99) are computed.  All methods are thread-safe; reads
-return plain frozen snapshots so callers can serialize them (the benchmark
-writes them into ``gateway.json`` as-is).
+return plain frozen snapshots so callers can serialize them as-is.
 
 The counters live on a private, ungated :class:`repro.obs.MetricsRegistry`
 instance — one registry per ``GatewayStats``, so concurrent gateways never

@@ -11,8 +11,7 @@ Three subcommands:
   registry when no file is given.
 - ``summarize TRACE.jsonl [--max-traces N]`` — indented span trees with
   durations from a bounded JSONL trace sink (``REPRO_OBS_TRACE`` or
-  :func:`repro.obs.set_trace_file`); ``benchmarks/bench_obs.py`` writes one
-  under ``benchmarks/results/``.
+  :func:`repro.obs.set_trace_file`).
 """
 
 from __future__ import annotations

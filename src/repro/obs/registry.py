@@ -23,8 +23,9 @@ The process-default :data:`REGISTRY` is *gated*: its metrics are no-ops
 until observability is switched on with ``REPRO_OBS=1`` in the environment
 or :func:`enable` at runtime.  The disabled fast path is one module-global
 check and an immediate return — no lock, no allocation — so instrumented
-hot loops cost near nothing in production-off mode
-(``benchmarks/bench_obs.py`` asserts the bound).  Registries built directly
+hot loops cost near nothing in production-off mode (the ledger in
+``perfbench/`` runs every workload that way, so the cost is inside its
+numbers).  Registries built directly
 (``MetricsRegistry()``) are ungated: :class:`repro.gateway.GatewayStats`
 rides one so per-gateway counts stay exact whether or not global
 observability is on.

@@ -132,8 +132,7 @@ class CacheInfo:
     def to_jsonable(self) -> dict:
         """Counters plus the computed rates, ready for JSON export.
 
-        This is what gateway collectors contribute to ``obs.snapshot()``
-        and what the CI smoke record stores per commit.
+        This is what gateway collectors contribute to ``obs.snapshot()``.
         """
         return {
             "hits": self.hits,

@@ -84,6 +84,35 @@ class TestOutput:
         assert captured.err == ""
 
 
+class TestDecoding:
+    """Files are decoded as Python decodes them; an undecodable one is a finding."""
+
+    def test_coding_cookie_is_honoured(self, tmp_path, capsys):
+        target = tmp_path / "latin.py"
+        target.write_bytes("# -*- coding: latin-1 -*-\nNAME = 'é'\n".encode("latin-1"))
+        compile(target.read_bytes(), str(target), "exec")  # Python accepts the file
+        assert main([str(target)]) == 0
+        assert capsys.readouterr().out == f"clean: 1 file, {len(RULES)} rules\n"
+
+    @pytest.mark.parametrize(
+        "source",
+        [b"NAME = '\xff'\n", b"# one\n# two\nNAME = '\xff'\n"],
+        ids=["first-line", "third-line"],
+    )
+    def test_undecodable_file_is_one_parse_error(self, tmp_path, capsys, source):
+        (tmp_path / "bad.py").write_bytes(source)
+        (tmp_path / "other.py").write_text("x = 1  # repro: ignore[no-rule]\n", encoding="utf-8")
+        code = main([str(tmp_path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert [line.split(" ", 2)[:2] for line in lines[:-1]] == [
+            [f"{tmp_path / 'bad.py'}:1:1:", "parse-error"],
+            [f"{tmp_path / 'other.py'}:1:1:", "unused-waiver"],
+        ]
+        assert "does not decode" in lines[0]
+        assert lines[-1] == "2 finding(s) in 2 files"
+
+
 class TestModuleEntryPoint:
     @pytest.mark.parametrize(
         "target, expected",

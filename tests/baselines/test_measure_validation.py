@@ -4,7 +4,9 @@ Every F/T solver needs ``alpha`` in the open interval (0, 1), ObjectRank
 needs ``d`` there too, and ``beta`` is a weight in [0, 1] (the check
 ``with_beta`` uses).  A value outside those ranges raises ``ValueError``
 at construction instead of surfacing deep inside a task sweep, or as
-non-finite scores.
+non-finite scores.  The walk counts, horizons and sweep limits of
+TCommute and SimRank are integers >= 1: zero or a negative count raises
+``ValueError``, a float (NaN included) ``TypeError``.
 """
 
 import math
@@ -22,9 +24,12 @@ from repro.baselines import (
     ObjSqrtInvPlusMeasure,
     RoundTripRankMeasure,
     RoundTripRankPlusMeasure,
+    SimRankMeasure,
+    TCommuteMeasure,
     TCommutePlusMeasure,
     TRankMeasure,
 )
+from repro.baselines.simrank import simrank_single_source
 
 #: measure -> the checked parameters its constructor takes.
 MEASURES = {
@@ -38,11 +43,20 @@ MEASURES = {
     ArithmeticPlusMeasure: ("alpha", "beta"),
     ObjSqrtInvMeasure: ("d",),
     ObjSqrtInvPlusMeasure: ("beta", "d"),
-    TCommutePlusMeasure: ("beta",),
+    TCommutePlusMeasure: ("beta", "horizon", "n_walks"),
+    TCommuteMeasure: ("horizon", "n_walks"),
+    SimRankMeasure: ("max_iter", "n_samples", "horizon"),
 }
 
 OPEN_UNIT_BAD = (0.0, 1.0, -0.1, 1.5, math.nan)
-BAD_VALUES = {"alpha": OPEN_UNIT_BAD, "d": OPEN_UNIT_BAD, "beta": (-0.1, 1.5, math.nan, math.inf)}
+COUNTS = ("horizon", "n_walks", "max_iter", "n_samples")
+COUNT_BAD = (0, -1, 2.5, math.nan)
+BAD_VALUES = {
+    "alpha": OPEN_UNIT_BAD,
+    "d": OPEN_UNIT_BAD,
+    "beta": (-0.1, 1.5, math.nan, math.inf),
+    **dict.fromkeys(COUNTS, COUNT_BAD),
+}
 
 CASES = [
     pytest.param(measure, name, value, id=f"{measure.__name__}-{name}={value}")
@@ -52,10 +66,22 @@ CASES = [
 ]
 
 
+def _error(name, value):
+    """A non-integer count is a ``TypeError``; every other bad value a ``ValueError``."""
+    return TypeError if name in COUNTS and isinstance(value, float) else ValueError
+
+
 @pytest.mark.parametrize("measure, name, value", CASES)
 def test_bad_parameter_is_rejected_at_construction(measure, name, value):
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(_error(name, value), match=name):
         measure(**{name: value})
+
+
+@pytest.mark.parametrize("value", COUNT_BAD)
+@pytest.mark.parametrize("name", ("n_samples", "horizon"))
+def test_simrank_single_source_rejects_bad_counts(toy_graph, name, value):
+    with pytest.raises(_error(name, value), match=name):
+        simrank_single_source(toy_graph, 0, **{name: value})
 
 
 @pytest.mark.parametrize("measure", list(MEASURES), ids=lambda measure: measure.__name__)

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from repro.datasets import (
     BibNetConfig,
     QLogConfig,
+    TenantSpec,
     generate_bibnet,
     generate_qlog,
+    sample_multitenant_queries,
     toy_bibliographic_graph,
 )
 from repro.graph import DiGraph, graph_from_edges
@@ -44,6 +46,23 @@ def bibnet_14000():
 def small_qlog():
     """A small deterministic QLog shared across tests."""
     return generate_qlog(QLogConfig(n_concepts=120, seed=13))
+
+
+@pytest.fixture(scope="session")
+def qlog_60():
+    """QLog-60 (498 nodes, 209 phrases): the graph of the fixed replay counts."""
+    return generate_qlog(QLogConfig(n_concepts=60, seed=13))
+
+
+@pytest.fixture(scope="session")
+def tenant_log(qlog_60):
+    """500 queries over QLog-60's phrases from three Zipf tenants, one bursting 25x."""
+    tenants = [
+        TenantSpec("alpha-heavy", weight=2.0, s=1.1),
+        TenantSpec("beta-steady", weight=1.0, s=1.3),
+        TenantSpec("cold-burst", weight=0.25, s=1.3, burst_phases=(3,), burst_multiplier=25.0),
+    ]
+    return sample_multitenant_queries(qlog_60.phrase_nodes, 500, tenants, n_phases=4, seed=23)
 
 
 @pytest.fixture()

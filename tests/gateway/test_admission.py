@@ -11,6 +11,7 @@ from repro.gateway import (
     Shed,
     TokenBucket,
 )
+from repro.serving import ColumnCache
 
 
 class FakeClock:
@@ -178,6 +179,44 @@ class TestGatewayAdmission:
         for future in futures:
             assert future.result(timeout=5.0) is not None
         gateway.close()
+
+    def test_tenant_log_replay_counts(self, qlog_60, tenant_log):
+        """The 500-query tenant log, one clock tick per query: exact outcomes.
+
+        The replay clock decides every token refill and latency, so which
+        queries are shed, and which admitted ones resolve at submit (their
+        columns all cached), repeats exactly.  A ``queue_full`` shed drains
+        the lanes before the replay goes on.
+        """
+        clock = FakeClock()
+        gateway = RankGateway(
+            qlog_60.graph,
+            cache=ColumnCache(alpha=0.25),
+            admission=AdmissionConfig(rate=250.0, burst=25, max_queue_depth=8),
+            max_batch=1000,  # size trigger never fires: admission bounds the queue
+            clock=clock,
+        )
+        futures, depths, at_submit = [], [], 0
+        for tid, node in zip(tenant_log.tenant_ids.tolist(), tenant_log.nodes.tolist()):
+            clock.advance(0.001)
+            result = gateway.submit(node, tenant=tenant_log.tenants[tid], k=10)
+            depths.append(gateway.total_pending())
+            if isinstance(result, Shed):
+                if result.reason == "queue_full":
+                    gateway.flush_all()
+            else:
+                futures.append(result)
+                at_submit += result.done()
+        gateway.flush_all()
+        snap = gateway.snapshot()
+        gateway.close()
+        assert (snap.n_admitted, snap.n_shed) == (331, 169)
+        assert snap.shed_by_reason == {"rate_limit": 157, "queue_full": 12}
+        assert at_submit == 231
+        assert max(depths) == 8
+        assert len(futures) == 331 and all(future.done() for future in futures)
+        lane = snap.lanes[("default", "roundtriprank", 0.25)]
+        assert lane.p99_ms == pytest.approx(59.7, abs=1e-6)
 
     def test_depth_bound_holds_under_concurrent_submitters(self, toy_graph):
         bound = 4

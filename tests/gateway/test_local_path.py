@@ -60,6 +60,21 @@ class TestFastPathParity:
         local_gw.close()
         batch_gw.close()
 
+    def test_cold_papers_of_the_ledger_graph(self, bibnet_2200):
+        """33 cold BibNet-2200 papers all certify, each with the batcher's top-10."""
+        graph = bibnet_2200.graph
+        papers = np.random.default_rng(101).permutation(bibnet_2200.paper_nodes)[:33]
+        local_gw = _local_gateway(graph)
+        batch_gw = RankGateway(graph, cache=ColumnCache(alpha=ALPHA))
+        for node in papers.tolist():
+            local_idx, _ = local_gw.ask(node, k=K)
+            batch_idx, _ = batch_gw.ask(node, k=K)
+            assert local_idx.tolist() == batch_idx.tolist(), node
+        snap = local_gw.snapshot()
+        local_gw.close()
+        batch_gw.close()
+        assert (snap.n_local_certified, snap.n_local_escalated) == (33, 0)
+
     def test_multi_node_query(self, small_bibnet):
         graph = small_bibnet.graph
         a, b = (int(v) for v in small_bibnet.paper_nodes[:2])

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.datasets import sample_zipf_queries
 from repro.engine import frank_batch, trank_batch
 from repro.serving import CacheInfo, ColumnCache, graph_token
 
@@ -263,6 +264,32 @@ class TestEviction:
         fresh = cache.get(toy_graph, "f", 0)
         assert fresh is not None
         assert cache.cache_info().misses == 2
+
+
+class TestReplayCounts:
+    """Exact hit counts of fixed query streams on QLog-60.
+
+    No clock enters them: the stream and the cache's lookup and eviction
+    order decide every hit, so a change to either moves these numbers.
+    """
+
+    def test_lru_hits_on_the_tenant_log(self, qlog_60, tenant_log):
+        graph = qlog_60.graph
+        assert np.unique(tenant_log.nodes).size == 119
+        cache = ColumnCache(max_bytes=14 * graph.n_nodes * 8, alpha=0.25)
+        for node in tenant_log.nodes.tolist():
+            cache.get(graph, "f", node)
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.evictions) == (198, 302, 288)
+
+    def test_zipf_stream_hits_without_eviction(self, qlog_60):
+        stream = sample_zipf_queries(qlog_60.phrase_nodes, 150, s=1.1, seed=23)
+        cache = ColumnCache(alpha=0.25)
+        for node in stream.tolist():
+            cache.get(qlog_60.graph, "f", node)
+            cache.get(qlog_60.graph, "t", node)
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.evictions) == (178, 122, 0)
 
 
 class TestWarmAndInfo:

@@ -1,9 +1,21 @@
 """Tests for the benchmark harness helpers and late additions."""
 
+import importlib
+import pathlib
+
 import numpy as np
 import pytest
 
 from benchmarks.common import SCALES, bench_scale, report
+
+BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+#: every bench module: the figure benches, the ablation and the crossover script.
+BENCH_MODULES = sorted(path.stem for path in BENCH_DIR.glob("bench_*.py")) + ["workers_crossover"]
+
+
+@pytest.mark.parametrize("module", BENCH_MODULES)
+def test_bench_module_imports(module):
+    importlib.import_module(f"benchmarks.{module}")
 
 
 class TestBenchScale:
