@@ -390,9 +390,10 @@ class ConditionWaitLoopRule:
 
     name = "condition-wait-loop"
     lineage = (
-        "PR 5 MicroBatcher idle audit: a wait outside a predicate loop "
-        "misses spurious wakeups and the size-flush race where another "
-        "thread drains the queue between notify and wakeup"
+        "the idle audit of the gateway lane's deadline loop "
+        "(repro.serving.batcher): a wait outside a predicate loop misses "
+        "spurious wakeups and the size-flush race where another thread "
+        "drains the queue between notify and wakeup"
     )
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:

@@ -69,6 +69,7 @@ def simrank_matrix(
     Raises on graphs with more than 20 000 nodes (dense blow-up guard).
     """
     c = check_probability(c, "c")
+    max_iter = check_positive_int(max_iter, "max_iter")
     n = graph.n_nodes
     if n > 20000:
         raise ValueError(

@@ -49,8 +49,7 @@ def hitting_time_to(graph: DiGraph, target: int, horizon: int = DEFAULT_T) -> np
     Dynamic program backward in horizon; ``horizon`` sparse mat-vecs.
     """
     target = check_node_id(target, graph.n_nodes, "target")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    horizon = check_positive_int(horizon, "horizon")
     p = graph.transition
     # h^0 = 0 everywhere: E[min(hit, 0)] = 0.  Each sweep adds one step of
     # lookahead; values stay in [0, horizon] with no explicit capping.
@@ -92,10 +91,8 @@ def hitting_time_from_sampled(
     error shrinks as ``1/sqrt(n_walks)``.
     """
     source = check_node_id(source, graph.n_nodes, "source")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if n_walks < 1:
-        raise ValueError(f"n_walks must be >= 1, got {n_walks}")
+    horizon = check_positive_int(horizon, "horizon")
+    n_walks = check_positive_int(n_walks, "n_walks")
     rng = ensure_rng(seed)
     p = graph.transition
     indptr, indices, data = p.indptr, p.indices, p.data

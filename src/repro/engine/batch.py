@@ -68,8 +68,8 @@ _PHASE_BUDGET = 120
 
 #: The per-node columns each served measure reads: F-Rank, T-Rank, or both
 #: for RoundTripRank (their product, Proposition 2) and RoundTripRank+
-#: (``f^(1-beta) * t^beta``, Eq. 12).  The micro-batcher, the gateway and
-#: local top-k check a measure and pick its columns here.
+#: (``f^(1-beta) * t^beta``, Eq. 12).  The gateway, its lanes and local
+#: top-k check a measure and pick its columns here.
 MEASURE_KINDS = {
     "roundtriprank": ("f", "t"),
     "roundtriprank_plus": ("f", "t"),
@@ -607,7 +607,7 @@ def combine_columns(
     (``"trank"``), ``f * t`` (``"roundtriprank"``, Proposition 2) or
     ``f^(1-beta) * t^beta`` (``"roundtriprank_plus"``, Eq. 12).  Every path
     that serves these measures from per-node columns (the batch engine, the
-    cached micro-batcher and the local top-k escalation) combines them
+    gateway's cached lanes and the local top-k escalation) combines them
     here, so equal columns give equal bits on every path.  Unnormalized.
     """
     # Imported lazily: roundtrip_plus rewires onto this module, so a

@@ -1,17 +1,17 @@
 """The multi-tenant serving gateway: one front door over the serving layer.
 
-The serving primitives (column cache, micro-batcher, fused top-k) are
-single-tenant parts bound to one ``(graph, measure, alpha)``; this package
-assembles them into a service front:
+The serving primitives (column cache, fused top-k) are single-tenant
+parts; this package assembles them into the one serving front door:
 
 - :class:`~repro.gateway.core.RankGateway` — routes ``submit(query,
-  tenant=, graph=, measure=, alpha=, k=)`` calls to per-``(graph, measure,
-  alpha)`` :class:`~repro.serving.MicroBatcher` *lanes*, created lazily,
-  bounded by ``max_lanes`` (LRU lane eviction closes the lane, resolving
-  its futures), all sharing **one** :class:`~repro.serving.ColumnCache`
-  and hence the :mod:`repro.ops` operator cache.  A query whose columns
-  are all cached resolves before ``submit`` returns; only the others
-  queue.
+  tenant=, graph=, measure=, alpha=, k=)`` calls to private per-``(graph,
+  measure, alpha)`` micro-batching *lanes* (:mod:`repro.serving.batcher`),
+  created lazily, bounded by ``max_lanes`` (LRU lane eviction closes the
+  lane, resolving its futures), all sharing **one**
+  :class:`~repro.serving.ColumnCache` and hence the :mod:`repro.ops`
+  operator cache.  A query whose columns are all cached resolves before
+  ``submit`` returns; only the others queue.  A single-graph caller uses
+  ``RankGateway(graph)``.
 - :mod:`~repro.gateway.admission` — per-tenant token-bucket rate limiting
   plus per-lane queue-depth load shedding (the depth counts queued queries,
   so a query served from the cache is only rate-limited); rejected

@@ -8,11 +8,11 @@
   local top-k escalations land in the same per-node column store, so a
   column solved for one tenant serves every tenant (columns are per-node
   facts, not per-tenant data);
-- a bounded set of **lanes**: one :class:`repro.serving.MicroBatcher` per
-  ``(graph, measure, alpha)``, created lazily on first use and evicted
-  least-recently-used when ``max_lanes`` would be exceeded (an evicted lane
-  is closed, which flushes and resolves its outstanding futures — eviction
-  never strands a caller);
+- a bounded set of **lanes**: one private micro-batching
+  :class:`repro.serving.batcher.Lane` per ``(graph, measure, alpha)``,
+  created lazily on first use and evicted least-recently-used when
+  ``max_lanes`` would be exceeded (an evicted lane is closed, which flushes
+  and resolves its outstanding futures — eviction never strands a caller);
 - an :class:`repro.gateway.admission.AdmissionController` consulted *before*
   enqueueing (or serving), so a shed query never owns a future;
 - a :class:`repro.gateway.stats.GatewayStats` recording admissions, sheds,
@@ -20,7 +20,7 @@
 
 A query whose columns are all in the shared cache is *resident*: it has
 nothing to solve, so it resolves before :meth:`RankGateway.submit` returns
-(:meth:`repro.serving.MicroBatcher.serve_resident`, a flush of that one
+(:meth:`repro.serving.batcher.Lane.serve_resident`, a flush of that one
 query in the submitting thread) instead of waiting out the lane's deadline.
 Every other query is queued in its lane.
 
@@ -53,7 +53,7 @@ from repro.engine.batch import measure_kinds
 from repro.gateway.admission import AdmissionConfig, AdmissionController, Shed
 from repro.gateway.stats import GatewaySnapshot, GatewayStats, lane_key_to_str
 from repro.graph.digraph import DiGraph
-from repro.serving.batcher import MicroBatcher
+from repro.serving.batcher import Lane
 from repro.serving.cache import ColumnCache
 from repro.utils.validation import (
     check_in_range,
@@ -93,16 +93,6 @@ class LaneKey(NamedTuple):
     alpha: float
 
 
-class _Lane:
-    """A batcher plus the admission lock that makes its depth bound hard."""
-
-    __slots__ = ("batcher", "admission_lock")
-
-    def __init__(self, batcher: MicroBatcher) -> None:
-        self.batcher = batcher
-        self.admission_lock = threading.Lock()
-
-
 class RankGateway:
     """Route multi-tenant ranking queries to shared-cache batcher lanes.
 
@@ -125,21 +115,21 @@ class RankGateway:
         Upper bound on simultaneously-live lanes; the least recently *used*
         lane is closed (flushing its futures) to admit a new one.
     max_batch, max_delay:
-        Per-lane :class:`MicroBatcher` trigger configuration: a positive
-        integer and a finite, positive number of seconds.
+        Every lane's size and deadline triggers: a positive integer, and a
+        finite, positive number of seconds.
     beta:
         The ``roundtriprank_plus`` interpolation, in [0, 1], used by
         plus-measure lanes.
     local_topk:
         Enable the certified local top-k fast path for top-``k`` cache
         misses (:func:`repro.topk.local.local_topk`).  An eligible query —
-        one with ``k`` given — skips the micro-batcher entirely: it
+        one with ``k`` given — skips the lanes entirely: it
         is solved inline after admission (queue depth 0 — nothing is ever
         enqueued), returning an already-resolved future.  Certified results
         carry unnormalized lower-estimate scores with the oracle's exact
         set and ranking and *never* write partial columns into the cache;
         escalated queries solve their full columns through the shared cache
-        (warming it exactly like a batcher miss) and match the batcher path
+        (warming it exactly like a lane miss) and match the lane path
         bit-for-bit.  Cached columns join the sweeps as zero-error states, so
         a warm cache makes the fast path cheaper, not divergent.
     clock:
@@ -181,7 +171,7 @@ class RankGateway:
         self.local_topk = bool(local_topk)
         self.stats = GatewayStats()
         self._clock = clock
-        self._lanes: "OrderedDict[LaneKey, _Lane]" = OrderedDict()
+        self._lanes: "OrderedDict[LaneKey, Lane]" = OrderedDict()
         self._registry_lock = threading.Lock()
         self._started = False
         self._closed = False
@@ -225,7 +215,7 @@ class RankGateway:
     # Lane management
     # ------------------------------------------------------------------ #
 
-    def _lane(self, key: LaneKey) -> "tuple[_Lane | None, _Lane | None]":
+    def _lane(self, key: LaneKey) -> "tuple[Lane | None, Lane | None]":
         """Get-or-create the lane for ``key``; returns ``(lane, evicted)``.
 
         Returns ``(None, None)`` when the gateway closed concurrently — a
@@ -241,18 +231,17 @@ class RankGateway:
             if lane is not None:
                 self._lanes.move_to_end(key)
                 return lane, None
-            batcher = MicroBatcher(
+            lane = Lane(
                 self._graphs[key.graph],
-                measure=key.measure,
-                alpha=key.alpha,
-                beta=self.beta,
-                max_batch=self.max_batch,
-                max_delay=self.max_delay,
-                cache=self.cache,
+                key.measure,
+                key.alpha,
+                self.beta,
+                self.max_batch,
+                self.max_delay,
+                self.cache,
             )
             if self._started:
-                batcher.start()
-            lane = _Lane(batcher)
+                lane.start()
             self._lanes[key] = lane
             evicted = None
             if len(self._lanes) > self.max_lanes:
@@ -268,7 +257,7 @@ class RankGateway:
         """Queries queued across all lanes (never the resident or local ones)."""
         with self._registry_lock:
             lanes = list(self._lanes.values())
-        return sum(lane.batcher.pending for lane in lanes)
+        return sum(lane.pending for lane in lanes)
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -298,6 +287,19 @@ class RankGateway:
         ``(indices, scores)`` when ``k`` is given), or to the solver's
         exception.
         """
+        return self._submit(query, tenant, graph, measure, alpha, k)[0]
+
+    def _submit(
+        self,
+        query: Query,
+        tenant: str = "default",
+        graph: "str | None" = None,
+        measure: str = "roundtriprank",
+        alpha: "float | None" = None,
+        k: "int | None" = None,
+    ) -> "tuple[Union[Future, Shed], Lane | None]":
+        """:meth:`submit`, plus the lane that queued or served the query
+        (``None`` on the local path and when shed)."""
         measure_kinds(measure)  # rejects an unknown measure before admission
         graph_name, graph_obj = self._resolve_graph(graph)
         if alpha is None:
@@ -323,9 +325,10 @@ class RankGateway:
                 k=int(k),
                 path="local",
             ):
-                return self._submit_local(
+                local = self._submit_local(
                     query, tenant, graph_obj, key, measure, alpha, k, nodes, weights
                 )
+                return local, None
 
         with obs.span(
             "gateway.submit",
@@ -340,18 +343,18 @@ class RankGateway:
                     shed = Shed(reason="closed", tenant=tenant, lane=tuple(key))
                     self.stats.record_shed(tenant, shed.reason)
                     root_span.set_attributes(outcome="shed", reason=shed.reason)
-                    return shed
+                    return shed, None
                 if evicted is not None:
-                    self._close_lane(evicted)
+                    evicted.close()
                 # Probed before the admission lock: the probe takes the cache
                 # lock, which other lanes hold across their miss solves.
-                resident = lane.batcher.resident(nodes)
+                resident = lane.resident(nodes)
                 with lane.admission_lock:
-                    if lane.batcher.closed:
+                    if lane.closed:
                         continue  # evicted between lookup and lock: retry fresh
                     # A resident query is never queued: it is admitted at
                     # depth 0, so only the rate limit can shed it.
-                    depth = 0 if resident else lane.batcher.pending
+                    depth = 0 if resident else lane.pending
                     with obs.span("gateway.admission", tenant=tenant, depth=depth) as adm:
                         shed = self.admission.admit(tenant, tuple(key), depth)
                         if shed is not None:
@@ -361,7 +364,7 @@ class RankGateway:
                     if shed is not None:
                         self.stats.record_shed(tenant, shed.reason)
                         root_span.set_attributes(outcome="shed", reason=shed.reason)
-                        return shed
+                        return shed, None
                     started = self._clock()
                     # Queueing under the admission lock is the hard depth
                     # bound: admission-check and enqueue must be atomic or two
@@ -373,9 +376,7 @@ class RankGateway:
                     # on the request so the flush joins this trace.
                     if not resident:
                         with obs.span("gateway.lane", depth=depth) as lane_span:
-                            future = lane.batcher.enqueue(
-                                query, k=k, parsed=(nodes, weights), trace=lane_span.context()
-                            )
+                            future = lane.enqueue(nodes, weights, k, lane_span.context())
                 break
             if resident:
                 # Served after the admission lock is released, so submitters
@@ -383,9 +384,7 @@ class RankGateway:
                 # the cache lock.  A column evicted since the probe is
                 # re-solved inline, as _submit_local's probe allows.
                 with obs.span("gateway.lane", depth=0) as lane_span:
-                    future = lane.batcher.serve_resident(
-                        query, k=k, parsed=(nodes, weights), trace=lane_span.context()
-                    )
+                    future = lane.serve_resident(nodes, weights, k, lane_span.context())
             root_span.set_attributes(outcome="admitted")
 
         self.stats.record_admitted(tenant)
@@ -395,7 +394,7 @@ class RankGateway:
             self.stats.record_latency(lane_key, clock() - t0)
 
         future.add_done_callback(_record)
-        return future
+        return future, lane
 
     def _submit_local(
         self,
@@ -416,9 +415,9 @@ class RankGateway:
         the happy path: already-exact columns join the sweeps as zero-error
         states via ``column_probe``, and an escalation solves its full
         columns *through* ``cache.get_many`` — bit-identical arithmetic to
-        :meth:`MicroBatcher._score_columns`, and the columns it
-        stores are complete, so a partial sweep result can never poison the
-        cache.
+        a lane flush (:meth:`repro.serving.batcher.Lane._score_columns`),
+        and the columns it stores are complete, so a partial sweep result
+        can never poison the cache.
         """
         from repro.topk.local import local_topk as _local_topk
 
@@ -473,22 +472,24 @@ class RankGateway:
     def ask(self, query: Query, **kwargs):
         """Synchronous convenience: submit, flush the lane, return scores.
 
-        Raises ``RuntimeError`` if the query is shed — the synchronous
-        caller has no queue to retry from.
+        Only the query's own lane is flushed; other lanes keep their queues
+        for their own triggers.  Raises ``RuntimeError`` if the query is
+        shed — the synchronous caller has no queue to retry from.
         """
-        result = self.submit(query, **kwargs)
+        result, lane = self._submit(query, **kwargs)
         if isinstance(result, Shed):
             raise RuntimeError(
                 f"query shed ({result.reason}) for tenant {result.tenant!r}"
             )
-        self.flush_all()
+        if lane is not None:
+            lane.flush()
         return result.result()
 
     def flush_all(self) -> int:
         """Force-solve everything pending in every lane; total flushed."""
         with self._registry_lock:
             lanes = list(self._lanes.values())
-        return sum(lane.batcher.flush() for lane in lanes)
+        return sum(lane.flush() for lane in lanes)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -502,12 +503,8 @@ class RankGateway:
             self._started = True
             lanes = list(self._lanes.values())
         for lane in lanes:
-            lane.batcher.start()
+            lane.start()  # a lane evicted since the copy stays closed
         return self
-
-    def _close_lane(self, lane: _Lane) -> None:
-        with lane.admission_lock:
-            lane.batcher.close()
 
     def close(self) -> None:
         """Terminal: close every lane (their futures resolve), shed new work."""
@@ -518,7 +515,7 @@ class RankGateway:
             lanes = list(self._lanes.values())
             self._lanes.clear()
         for lane in lanes:
-            self._close_lane(lane)
+            lane.close()
         obs.unregister_collector(self._obs_name)
 
     @property

@@ -18,7 +18,7 @@ Callers rarely touch this package directly: the batch functions take a
 ``frank_batch(graph, queries, workers=4)``,
 ``roundtriprank_batch(..., workers=4)`` — and so does
 ``ColumnCache(workers=4)``, the one serving-side owner of solver settings:
-the micro-batcher, the gateway (``RankGateway(graph,
+the gateway and its lanes (``RankGateway(graph,
 cache=ColumnCache(workers=4))``) and the evaluation runner's ``FTCache``
 solve through a cache.  ``workers`` is ``None`` or a non-negative integer,
 checked where it is given (the cache's constructor) and again by

@@ -10,13 +10,14 @@ their top results:
   engine.  Because F/T are linear in the teleport vector, single-node
   columns compose into any multi-node query and any ``(f, t)``-derived
   measure, so one cache serves every measure in the library.
-- :class:`~repro.serving.batcher.MicroBatcher` — queues individual queries
-  and flushes them as one multi-column solve on a size-or-deadline trigger;
-  synchronous ``ask``/``flush`` plus a thread-based ``submit``/future API.
-  Every flush reads its per-node columns through a ``ColumnCache`` (its
-  own default one unless a shared cache is passed), and a query whose
-  columns are all cached is flushed alone at ``submit`` and never waits
-  for the deadline.
+- :mod:`repro.serving.batcher` — the private micro-batching lane that
+  :class:`repro.gateway.RankGateway`, the one public way to serve queries
+  online, builds per ``(graph, measure, alpha)``; this package does not
+  export it.  A lane queues queries and flushes them as one multi-column
+  solve on a size-or-deadline trigger.  Every flush reads its per-node
+  columns through the gateway's ``ColumnCache``, and a query whose columns
+  are all cached is flushed alone at submit and never waits for the
+  deadline.
 - :func:`~repro.serving.topk.topk_select` — the one top-k selector:
   ``(indices, scores)`` of one score vector via ``np.argpartition``
   partial selection instead of a full-vector sort, ties broken by node id.
@@ -40,26 +41,21 @@ Thread-safety guarantees
 ``ColumnCache`` serializes all public methods behind one reentrant lock:
 counters and byte accounting are exact under concurrency, and a miss solves
 under the lock so concurrent readers never duplicate a solve.
-``MicroBatcher`` accepts ``submit``/``flush``/``ask`` from any thread; the
-queue lock is never held during a solve, futures resolve exactly once, and
-solver failures propagate through ``Future.set_exception`` to every query of
-the failed batch.  ``stop()`` pauses the deadline thread (restartable);
-``close()`` is terminal and idempotent — it flushes every outstanding
-future and makes ``submit``/``ask``/``start`` raise.  ``topk_select`` is
-pure and hence trivially thread-safe.
+A gateway lane takes queries from any thread; its queue lock is never held
+during a solve, futures resolve exactly once, and solver failures propagate
+through ``Future.set_exception`` to every query of the failed batch.  Its
+``close()`` is terminal and idempotent: it flushes every outstanding
+future.  ``topk_select`` is pure and hence trivially thread-safe.
 
 ``ColumnCache(workers=)`` shards miss solves across :mod:`repro.parallel`
 threads; worker count never changes results (it is deliberately not part
 of the cache key).
 """
 
-from repro.serving.batcher import BatcherStats, MicroBatcher
 from repro.serving.cache import DEFAULT_MAX_BYTES, CacheInfo, ColumnCache, graph_token
 from repro.serving.topk import topk_select
 
 __all__ = [
-    "BatcherStats",
-    "MicroBatcher",
     "CacheInfo",
     "ColumnCache",
     "DEFAULT_MAX_BYTES",

@@ -24,8 +24,7 @@ Columns are stored as the solver's ``float64``.  The solver settings
 (``tol``, ``max_iter``, ``method``, ``workers``) are fixed per cache
 instance so that every entry of one cache is mutually consistent; the
 cache is the one owner of these settings in the serving stack (the
-micro-batcher, the gateway and the evaluation runner all solve through a
-cache).
+gateway, its lanes and the evaluation runner all solve through a cache).
 
 Eviction and accounting
 -----------------------

@@ -2,9 +2,9 @@
 
 :func:`topk_select` is the library's one top-k selector.  It picks the top
 ``k`` of one score vector with ``np.argpartition`` (``O(n + k log k)``)
-and returns ``(indices, scores)``.  The micro-batcher's ``k`` requests
-(and so the gateway's), local top-k's claims and escalations and
-``naive_topk`` (2SBound's exact oracle) all rank with it.  To rank a
+and returns ``(indices, scores)``.  The gateway lanes' ``k`` requests,
+local top-k's claims and escalations and ``naive_topk`` (2SBound's exact
+oracle) all rank with it.  To rank a
 batch, select over each column of :func:`repro.engine.roundtriprank_batch`
 or any other batch solve.
 

@@ -29,7 +29,8 @@ from repro.baselines import (
     TCommutePlusMeasure,
     TRankMeasure,
 )
-from repro.baselines.simrank import simrank_single_source
+from repro.baselines.simrank import simrank_matrix, simrank_single_source
+from repro.baselines.tcommute import hitting_time_from_sampled, hitting_time_to
 
 #: measure -> the checked parameters its constructor takes.
 MEASURES = {
@@ -82,6 +83,29 @@ def test_bad_parameter_is_rejected_at_construction(measure, name, value):
 def test_simrank_single_source_rejects_bad_counts(toy_graph, name, value):
     with pytest.raises(_error(name, value), match=name):
         simrank_single_source(toy_graph, 0, **{name: value})
+
+
+@pytest.mark.parametrize("value", COUNT_BAD)
+def test_simrank_matrix_rejects_a_bad_max_iter(toy_graph, value):
+    # Unchecked, 0 and -1 ran no iteration and returned the identity.
+    with pytest.raises(_error("max_iter", value), match="max_iter"):
+        simrank_matrix(toy_graph, max_iter=value)
+
+
+@pytest.mark.parametrize("value", (2.5, math.nan))  # zero and below raised already
+@pytest.mark.parametrize(
+    "function, name",
+    [
+        (hitting_time_to, "horizon"),
+        (hitting_time_from_sampled, "horizon"),
+        (hitting_time_from_sampled, "n_walks"),
+    ],
+    ids=lambda arg: getattr(arg, "__name__", arg),
+)
+def test_hitting_times_reject_non_integer_counts(toy_graph, function, name, value):
+    # Unchecked, they failed in range() with a TypeError naming no parameter.
+    with pytest.raises(TypeError, match=name):
+        function(toy_graph, 0, **{name: value})
 
 
 @pytest.mark.parametrize("measure", list(MEASURES), ids=lambda measure: measure.__name__)

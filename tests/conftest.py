@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.datasets import (
     BibNetConfig,
     QLogConfig,
@@ -16,6 +17,23 @@ from repro.datasets import (
     toy_bibliographic_graph,
 )
 from repro.graph import DiGraph, graph_from_edges
+
+
+@pytest.fixture()
+def obs_enabled():
+    """Enable global observability for one test, restoring the off state.
+
+    The switch and the span ring are process state: every test that turns
+    observability on goes through here, so the switch is always restored
+    and the ring never leaks spans into a neighbour test.
+    """
+    obs.clear_spans()
+    obs.enable()
+    try:
+        yield
+    finally:
+        obs.disable()
+        obs.clear_spans()
 
 
 @pytest.fixture(scope="session")

@@ -289,14 +289,13 @@ class TestBatchValidation:
 class TestMeasureTable:
     """One table says which measures exist and which columns each reads."""
 
-    @pytest.mark.parametrize("entry", ["batcher", "gateway", "local_topk"])
+    @pytest.mark.parametrize("entry", ["ask", "gateway", "local_topk"])
     def test_unknown_measure_rejected_alike(self, toy_graph, entry):
         from repro.gateway import RankGateway
-        from repro.serving import MicroBatcher
         from repro.topk import local_topk
 
         calls = {
-            "batcher": lambda: MicroBatcher(toy_graph, measure="ppr"),
+            "ask": lambda: RankGateway(toy_graph).ask(0, measure="ppr"),
             "gateway": lambda: RankGateway(toy_graph).submit(0, measure="ppr"),
             "local_topk": lambda: local_topk(toy_graph, 0, 3, measure="ppr"),
         }

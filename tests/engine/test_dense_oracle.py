@@ -22,9 +22,10 @@ The serving routes are checked against the same dense columns:
 - a :class:`~repro.serving.ColumnCache` miss lands within ``tol / alpha``
   of its column (plus a float32 store's rounding), and the hit that
   follows returns the same bits;
-- a :class:`~repro.serving.MicroBatcher` flush, the resident path that
-  serves a query from cached columns at submit, and the fused top-k give,
-  for every measure, the scores composed from the dense columns.
+- a gateway lane's flush (:class:`~repro.gateway.RankGateway`), the
+  resident path that serves a query from cached columns at submit, and the
+  fused top-k give, for every measure, the scores composed from the dense
+  columns (RoundTripRank's normalized to sum to one, as lanes serve it).
 
 The certified local route (:mod:`repro.topk.local`) is checked against the
 same dense columns:
@@ -48,8 +49,9 @@ from hypothesis import strategies as st
 from repro.core import combine_beta, frank_vector, trank_vector
 from repro.engine import frank_batch, roundtriprank_batch, roundtriprank_plus_batch, trank_batch
 from repro.engine.batch import MEASURES
+from repro.gateway import RankGateway
 from repro.graph import graph_from_edges
-from repro.serving import ColumnCache, MicroBatcher
+from repro.serving import ColumnCache
 from repro.serving.topk import topk_select
 from repro.topk import ColumnPush, local_topk
 from repro.topk.local import MAX_SWEEPS
@@ -178,31 +180,45 @@ def score_bound(measure: str, alpha: float) -> float:
     }[measure]
 
 
+def lane_scores(graph, query: int, alpha: float, measure: str) -> "tuple[np.ndarray, float]":
+    """The dense scores a gateway lane serves, and the max-abs bound on them.
+
+    A lane normalizes RoundTripRank to sum to one.  With served scores ``u``
+    within ``e = score_bound`` of the dense ``s`` entry-wise, the totals
+    differ by at most ``n e``, and since ``0 <= s <= S``,
+    ``|u / U - s / S| = |(u - s) S + s (S - U)| / (S U) <= (n + 1) e / U``
+    with ``U >= S - n e``.  ``S >= alpha^2 > n e`` here: the query's own F
+    and T scores are at least ``alpha`` each.
+    """
+    expected = dense_scores(graph, query, alpha)[measure]
+    bound = score_bound(measure, alpha)
+    if measure == "roundtriprank":
+        total, n = expected.sum(), graph.n_nodes
+        expected, bound = expected / total, (n + 1) * bound / (total - n * bound)
+    return expected, bound
+
+
+def lane_gateway(graph, queries) -> RankGateway:
+    """A gateway whose lanes queue every query of ``queries`` until a flush."""
+    return RankGateway(graph, cache=ColumnCache(tol=TOL), max_batch=len(queries) + 1, beta=BETA)
+
+
 @pytest.mark.parametrize("measure", MEASURES)
 @settings(max_examples=30, deadline=None)
 @given(case=oracle_cases())
 def test_batcher_flush_and_resident_path_give_the_dense_scores(case, measure):
     graph, queries, alpha = case
-    bound = score_bound(measure, alpha)
-    batcher = MicroBatcher(
-        graph,
-        measure=measure,
-        alpha=alpha,
-        beta=BETA,
-        normalize=False,
-        max_batch=len(queries) + 1,
-        cache=ColumnCache(tol=TOL),
-    )
-    flushed = [batcher.enqueue(q) for q in queries]
-    assert batcher.flush() == len(queries)
+    gateway = lane_gateway(graph, queries)
+    flushed = [gateway.submit(q, measure=measure, alpha=alpha) for q in queries]
+    assert gateway.flush_all() == len(queries)
     for q, future in zip(queries, flushed):
-        expected = dense_scores(graph, q, alpha)[measure]
+        expected, bound = lane_scores(graph, q, alpha, measure)
         assert np.abs(future.result() - expected).max() <= bound, f"flush {q}"
         # Every column is cached now, so submit serves the query at once.
-        resident = batcher.submit(q)
+        resident = gateway.submit(q, measure=measure, alpha=alpha)
         assert resident.done(), f"query {q} was queued"
         assert np.abs(resident.result() - expected).max() <= bound, f"resident {q}"
-    batcher.close()
+    gateway.close()
 
 
 @pytest.mark.parametrize("measure", MEASURES)
@@ -210,27 +226,18 @@ def test_batcher_flush_and_resident_path_give_the_dense_scores(case, measure):
 @given(case=oracle_cases(), k=st.integers(min_value=1, max_value=4))
 def test_batcher_topk_carries_the_dense_top_scores(case, measure, k):
     graph, queries, alpha = case
-    bound = score_bound(measure, alpha)
-    batcher = MicroBatcher(
-        graph,
-        measure=measure,
-        alpha=alpha,
-        beta=BETA,
-        normalize=False,
-        max_batch=len(queries) + 1,
-        cache=ColumnCache(tol=TOL),
-    )
-    flushed = [batcher.enqueue(q, k=k) for q in queries]
-    batcher.flush()
+    gateway = lane_gateway(graph, queries)
+    flushed = [gateway.submit(q, measure=measure, alpha=alpha, k=k) for q in queries]
+    assert gateway.flush_all() == len(queries)
     for q, future in zip(queries, flushed):
-        expected = dense_scores(graph, q, alpha)[measure]
+        expected, bound = lane_scores(graph, q, alpha, measure)
         indices, scores = future.result()
         _, top = topk_select(expected, k)
         # Tied or near-tied nodes may swap places, but the k values are the
         # dense top-k values, and each returned node's dense score is its own.
         assert np.abs(scores - top).max() <= bound, f"top-{k} values {q}"
         assert np.abs(scores - expected[indices]).max() <= bound, f"top-{k} nodes {q}"
-    batcher.close()
+    gateway.close()
 
 
 @settings(max_examples=60, deadline=None)

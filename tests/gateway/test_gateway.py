@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import frank_vector, roundtriprank, roundtriprank_plus, trank_vector
+from repro.core.queries import normalize_query
+from repro.core.roundtrip_plus import DEFAULT_BETA
 from repro.engine.batch import MEASURES
 from repro.gateway import GatewayStats, LaneKey, RankGateway, Shed
 from repro.gateway.stats import DEFAULT_RESERVOIR
 from repro.serving import ColumnCache
+from repro.serving.batcher import Lane
 
 
 class TestRouting:
@@ -143,6 +146,54 @@ class TestLanes:
         info = cache.cache_info()
         assert info.misses == misses
         assert info.hits >= 1
+        gateway.close()
+
+    def test_cache_reuse_across_flushes(self, toy_graph):
+        gateway = RankGateway(toy_graph, max_batch=8)
+        gateway.ask(0)
+        misses_after_first = gateway.cache.cache_info().misses
+        gateway.ask(0)  # second flush of the lane: pure cache hits
+        info = gateway.cache.cache_info()
+        assert info.misses == misses_after_first
+        assert info.hits >= 2
+        gateway.close()
+
+    def test_ask_flushes_only_its_own_lane(self, toy_graph):
+        gateway = RankGateway(toy_graph, max_batch=100)
+        other = gateway.submit(3, alpha=0.6)
+        assert gateway.total_pending() == 1
+        result = gateway.ask(0)
+        assert np.allclose(result, roundtriprank(toy_graph, 0), atol=1e-10)
+        # The other lane's query waits for its own lane's trigger.
+        assert not other.done()
+        assert gateway.total_pending() == 1
+        gateway.close()
+        assert other.done()
+
+    def test_start_skips_a_lane_evicted_while_starting(self, toy_graph, monkeypatch):
+        gateway = RankGateway(toy_graph, max_lanes=2, max_batch=100, max_delay=0.005)
+        for alpha in (0.2, 0.3):
+            gateway.ask(0, alpha=alpha)  # the 0.2 lane is least recently used
+        first = gateway._lanes[LaneKey("default", "roundtriprank", 0.2)]
+        start = first.start
+
+        def evict_then_start():
+            # A submit racing start() opens a third lane, which evicts and
+            # closes this one before it is started.
+            gateway.submit(1, alpha=0.6)
+            start()
+
+        monkeypatch.setattr(first, "start", evict_then_start)
+        gateway.start()
+        assert first.closed
+        assert [key.alpha for key in gateway.lanes()] == [0.3, 0.6]
+        # Each live lane's deadline thread runs: a queued miss resolves with
+        # no explicit flush.
+        for alpha in (0.3, 0.6):
+            future = gateway.submit(2, alpha=alpha)
+            assert np.allclose(
+                future.result(timeout=5.0), roundtriprank(toy_graph, 2, alpha=alpha), atol=1e-9
+            )
         gateway.close()
 
     def test_started_gateway_starts_new_lanes(self, toy_graph):
@@ -315,20 +366,18 @@ class TestResidentQueries:
         gateway.close()
 
     def test_cache_counts_equal_a_flush_only_run(self, toy_graph):
-        from repro.serving import MicroBatcher
-
         stream = [0, 1, 0, {0: 1.0, 1: 2.0}, 1, [5, 0], 5, 0]
         gateway = RankGateway(toy_graph, max_batch=1000)
         resident = 0
         for query in stream:
             resident += gateway.submit(query, k=3).done()
             gateway.flush_all()
-        # The same stream with every query queued and flushed alone.
+        # The same stream with every query queued in a lane and flushed alone.
         cache = ColumnCache()
-        batcher = MicroBatcher(toy_graph, cache=cache, alpha=cache.alpha)
+        lane = Lane(toy_graph, "roundtriprank", cache.alpha, DEFAULT_BETA, 1000, 0.01, cache)
         for query in stream:
-            batcher.enqueue(query, k=3)
-            batcher.flush()
+            lane.enqueue(*normalize_query(toy_graph, query), 3, None)
+            lane.flush()
         got, want = gateway.cache.cache_info(), cache.cache_info()
         assert (got.hits, got.misses, got.inserts) == (want.hits, want.misses, want.inserts)
         assert resident == 5
@@ -340,6 +389,8 @@ class TestResidentQueries:
         future = gateway.submit(1)
         assert not future.done()
         assert gateway.total_pending() == 1
+        # An F-Rank lane reads only F columns: node 1 is resident there.
+        assert gateway.submit(1, measure="frank").done()
         gateway.flush_all()
         assert np.allclose(future.result(), roundtriprank(toy_graph, 1), atol=1e-10)
         gateway.close()
@@ -448,6 +499,15 @@ class TestInvalidKAndTriggers:
         with pytest.raises(ValueError, match=f"{name} must be > 0"):
             RankGateway(toy_graph, **{name: 0})
 
+    def test_infinite_max_delay_is_rejected_before_it_kills_a_deadline_thread(self, toy_graph):
+        with pytest.raises(ValueError, match="max_delay must be finite"):
+            RankGateway(toy_graph, max_delay=float("inf"))
+
+    @pytest.mark.parametrize("max_batch", [2.5, 4.0])
+    def test_non_integer_max_batch_is_rejected(self, toy_graph, max_batch):
+        with pytest.raises(TypeError, match="max_batch must be an integer"):
+            RankGateway(toy_graph, max_batch=max_batch)
+
     def test_nan_max_delay_is_rejected_before_a_lane_spins(self, toy_graph):
         with pytest.raises(ValueError, match="max_delay must be finite"):
             gateway = RankGateway(toy_graph, max_delay=float("nan")).start()
@@ -510,6 +570,12 @@ class TestSolverSettingValidation:
         cache = ColumnCache() if own_cache else None
         with pytest.raises(TypeError, match="workers"):
             RankGateway(toy_graph, cache=cache, workers=2)
+
+    @pytest.mark.parametrize("name, value", [("tol", 1e-8), ("max_iter", 50), ("method", "power")])
+    def test_solver_settings_are_not_gateway_parameters(self, toy_graph, name, value):
+        # They belong to the cache: the gateway refuses them, never drops them.
+        with pytest.raises(TypeError, match=name):
+            RankGateway(toy_graph, **{name: value})
 
     def test_non_integer_max_lanes_is_rejected(self, toy_graph):
         with pytest.raises(TypeError, match="max_lanes must be an integer"):

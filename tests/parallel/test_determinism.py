@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.engine import frank_batch, roundtriprank_batch, trank_batch
-from repro.serving import ColumnCache, MicroBatcher
+from repro.gateway import RankGateway
+from repro.serving import ColumnCache
 
 
 def _queries(graph, count, seed=23):
@@ -72,16 +73,17 @@ class TestBatchSolverParity:
 
 
 class TestServingParity:
-    def test_microbatcher_flush_matches_sequential(self, toy_graph):
-        plain = MicroBatcher(toy_graph, max_batch=64, cache=ColumnCache(method="power"))
-        pooled = MicroBatcher(toy_graph, max_batch=64, cache=ColumnCache(method="power", workers=4))
+    def test_lane_flush_matches_sequential(self, toy_graph):
+        plain = RankGateway(toy_graph, max_batch=64, cache=ColumnCache(method="power"))
+        pooled = RankGateway(toy_graph, max_batch=64, cache=ColumnCache(method="power", workers=4))
         queries = list(range(toy_graph.n_nodes))
         want = [plain.submit(q) for q in queries]
         got = [pooled.submit(q) for q in queries]
-        plain.flush()
-        pooled.flush()
+        assert plain.flush_all() == pooled.flush_all() == len(queries)
         for w, g in zip(want, got):
             assert np.array_equal(w.result(), g.result())
+        plain.close()
+        pooled.close()
 
     def test_column_cache_workers_is_not_part_of_the_key(self, toy_graph):
         sequential = ColumnCache(method="power")

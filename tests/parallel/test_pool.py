@@ -20,6 +20,7 @@ from repro.engine import (
     stack_teleports,
     trank_batch,
 )
+from repro.gateway import RankGateway
 from repro.ops import get_operator
 from repro.parallel import pool
 from repro.parallel.pool import (
@@ -28,7 +29,7 @@ from repro.parallel.pool import (
     solve_columns_parallel,
 )
 from repro.parallel.rows import active_route
-from repro.serving import ColumnCache, MicroBatcher
+from repro.serving import ColumnCache
 
 
 def _no_shard(*args):
@@ -328,23 +329,25 @@ class TestShardFailure:
             return real(top, teleports, *args)
 
         monkeypatch.setattr(pool, "_solve_shard", flaky)
-        batcher = MicroBatcher(toy_graph, cache=ColumnCache(method="power", workers=2))
+        gateway = RankGateway(toy_graph, cache=ColumnCache(method="power", workers=2))
         queries = list(range(toy_graph.n_nodes))
-        futures = [batcher.submit(q) for q in queries]
-        batcher.flush()
+        futures = [gateway.submit(q) for q in queries]
+        assert gateway.flush_all() == len(queries)
         assert active_route().shards == 2
         for future in futures:
             with pytest.raises(RuntimeError, match="shard failure"):
                 future.result(timeout=0)
 
         failing[0] = False
-        futures = [batcher.submit(q) for q in queries]
-        batcher.flush()
-        plain = MicroBatcher(toy_graph, cache=ColumnCache(method="power"))
+        futures = [gateway.submit(q) for q in queries]
+        assert gateway.flush_all() == len(queries)  # the failed flush cached nothing
+        plain = RankGateway(toy_graph, cache=ColumnCache(method="power"))
         want = [plain.submit(q) for q in queries]
-        plain.flush()
+        plain.flush_all()
         for w, g in zip(want, futures):
             assert np.array_equal(w.result(timeout=0), g.result(timeout=0))
+        gateway.close()
+        plain.close()
 
 
 def _traced(call):

@@ -1,21 +1,84 @@
 """Tests for the benchmark harness helpers and late additions."""
 
 import importlib
+import json
 import pathlib
+import threading
 
 import numpy as np
 import pytest
 
 from benchmarks.common import SCALES, bench_scale, report
+from perfbench import trace as perfbench_trace
+from repro.engine import batch as engine_batch
+from repro.gateway import RankGateway
+from repro.ops import TransitionOperator
+from repro.serving import ColumnCache
+from repro.topk import local as topk_local
+from repro.topk import twosbound as topk_twosbound
 
-BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH_DIR = ROOT / "benchmarks"
 #: every bench module: the figure benches, the ablation and the crossover script.
 BENCH_MODULES = sorted(path.stem for path in BENCH_DIR.glob("bench_*.py")) + ["workers_crossover"]
+#: every module the performance ledger charges a layer to.
+LEDGER = json.loads((ROOT / "perfbench" / "ledger.json").read_text(encoding="utf-8"))
+LEDGER_MODULES = [module for layer in LEDGER["layers"] for module in layer["modules"]]
 
 
 @pytest.mark.parametrize("module", BENCH_MODULES)
 def test_bench_module_imports(module):
     importlib.import_module(f"benchmarks.{module}")
+
+
+class TestLedgerPins:
+    """The names in ``src/`` that the ledger (``perfbench/``) reads.
+
+    Renaming any of them breaks the benchmark, not a test under ``src/``'s
+    own suites, so each is pinned here.
+    """
+
+    @pytest.mark.parametrize("module", LEDGER_MODULES)
+    def test_every_ledger_module_imports(self, module):
+        importlib.import_module(module)
+
+    def test_deadline_flushes_run_on_the_thread_the_tracer_keys_on(self, toy_graph, monkeypatch):
+        gateway = RankGateway(toy_graph, max_delay=0.005).start()
+        get_many, threads = gateway.cache.get_many, []
+
+        def recording(*args, **kwargs):
+            threads.append(threading.current_thread().name)
+            return get_many(*args, **kwargs)
+
+        monkeypatch.setattr(gateway.cache, "get_many", recording)
+        gateway.submit(3).result(timeout=5.0)  # a miss: queued for the deadline
+        gateway.close()
+        assert threads and set(threads) == {perfbench_trace.DEADLINE_THREAD}
+
+    def test_the_gateway_keeps_its_max_delay(self, toy_graph):
+        # The zipf-gateway workload reads it as the timer it charges.
+        gateway = RankGateway(toy_graph, max_delay=0.02)
+        assert gateway.max_delay == 0.02
+        gateway.close()
+
+    def test_tracer_uninstall_restores_every_wrapped_callable(self):
+        wrapped = [
+            (RankGateway, "submit"),
+            (ColumnCache, "get_many"),
+            (engine_batch, "power_iteration_batch"),
+            (TransitionOperator, "matmat"),
+            (topk_local, "local_topk"),
+            (topk_twosbound, "twosbound_topk"),
+        ]
+        originals = [getattr(owner, name) for owner, name in wrapped]
+        tracer = perfbench_trace.Tracer().install()
+        try:
+            installed = [getattr(owner, name) for owner, name in wrapped]
+        finally:
+            tracer.uninstall()
+        assert not any(now is was for now, was in zip(installed, originals))
+        restored = [getattr(owner, name) for owner, name in wrapped]
+        assert all(now is was for now, was in zip(restored, originals))
 
 
 class TestBenchScale:
