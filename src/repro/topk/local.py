@@ -49,13 +49,26 @@ drops to plain sweeps from its current iterate for good, so such a graph
 costs extra sweeps, never a wrong answer.
 
 Certification contract (the part that keeps the project's exactness
-promise): the clamped iterates pick the claimed top-k and the gap signal
+promise): the clamped iterates pick the claimed top-k and the binding gap
 that aims the next round; a result is returned *certified* only when the
 per-node lower and upper score bounds prove, with margin ``CERT_MARGIN``,
 that the claimed k nodes beat every other node (set) and that each
 consecutive claimed pair is strictly ordered (ranking).  Strict separation
 of the *true* scores makes tie-breaking irrelevant, so a certified ranking
-equals the full-solve oracle's ranking.
+equals the full-solve oracle's ranking.  A check combines the states'
+points and upper bounds over every node, but their lower bounds only at
+the k claimed nodes, the one place they are read.
+
+Sweep schedule.  Each state sweeps until its drive (``max|r'| / alpha``)
+is at most its own target, ``DEFAULT_TARGET`` in round 1.  A failing check
+names the binding inequality: the failing pair, claimed node ``a`` and
+rival ``b``, with the smallest point gap ``needed``.  It certifies once its
+bound width ``(point(a) - lower(a)) + (upper(b) - point(b))`` falls below
+``needed - CERT_MARGIN``.  A state's bounds scale with its drive, so each
+state's next target is its drive scaled by that gap over its own share of
+the width (:func:`_aim`): the side whose bounds bind sweeps, the other need not
+(Fujiwara et al.'s exact top-k likewise stops once the k-th node
+separates from the (k+1)-th).
 
 The one exception is a proven exact tie.  Two nodes are *twins* when their
 out-rows and their in-rows of ``P`` are identical (:func:`twin_classes`).
@@ -87,6 +100,7 @@ cache-miss fast path (``RankGateway(local_topk=True)``, see
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 import weakref
@@ -128,20 +142,21 @@ MIN_TARGET = 1e-11
 #: full solve at default tolerance computes.
 CERT_MARGIN = 1e-10
 
-#: First-round residual drive target (see :meth:`ColumnPush.drive`);
-#: shrunk adaptively toward the observed k-th/(k+1)-th score gap.
+#: First-round residual drive target of every sweep state (see
+#: :meth:`ColumnPush.drive`).  Each later round aims each state's own target
+#: at its share of the binding inequality's bound width (see :func:`_aim`).
 DEFAULT_TARGET = 1e-2
 
-#: Fallback shrink factor per round when the score gaps give no signal.
+#: Fallback shrink factor of every state's drive per round when the score
+#: gaps give no signal (the points tie).
 TARGET_SHRINK = 16.0
+
+#: Safety factor of the per-state aim: the states' shares of the binding
+#: width are aimed to sum to this fraction of the point gap they must clear.
+_AIM_SAFETY = 0.9
 
 #: Sweep rounds before a query stops trying to certify and escalates.
 MAX_ROUNDS = 12
-
-#: Safety inflation added to the cached in-mass vector, dominating the
-#: 1e-12-tolerance solve error it carries (at most n * 3 * tol, under the
-#: slack below ~33k nodes) so the f-side bound stays sound.
-_INMASS_SLACK = 1e-7
 
 #: Consecutive sweeps without a new lowest drive after which an F-Rank
 #: state stops extrapolating and sweeps plainly.  On a real spectrum the
@@ -175,10 +190,19 @@ def inmass_vector(graph: DiGraph, alpha: float) -> np.ndarray:
     ``c(v) = sum_u f_u(v)`` (row sums of the F-Rank resolvent) equals ``n``
     times the uniform-teleport PPR, so one full solve — amortized across
     every local query on the graph — yields the per-node f-side error
-    coefficient.  The returned array is shared and read-only.  A solve
-    that exhausts its sweeps warns with a
-    :class:`repro.core.frank.ConvergenceWarning`: an in-mass short of its
-    fixed point understates ``c``, and the f-side bound with it.
+    coefficient.  The returned array is shared and read-only.
+
+    The slack comes from the solve itself.  The power solve climbs from
+    ``alpha / n`` toward a fixed point of mass one (rows of ``P`` sum to
+    one), so its iterate ``x`` is short of the fixed point at every node,
+    and by at most the missing mass ``1 - sum(x)`` at any one: ``c`` needs
+    ``n * max(1 - sum(x), 0)`` more.  ``n**2 * eps`` more covers rounding:
+    the float sum of ``n`` non-negative entries is off by at most
+    ``n * eps`` of mass, and the scaling by ``n`` multiplies that.  The
+    bound takes ``c`` times the residual drive, so rounding inside the
+    solve itself sits far below ``CERT_MARGIN``.  A solve that exhausts its
+    sweeps still warns with a :class:`repro.core.frank.ConvergenceWarning`;
+    its missing mass is then large, and so is the slack.
     """
     key = float(alpha)
     with _inmass_lock:
@@ -193,8 +217,9 @@ def inmass_vector(graph: DiGraph, alpha: float) -> np.ndarray:
     # racing duplicate solve is wasted work, not a bug.
     n = graph.n_nodes
     op = get_operator(graph, transpose=True)
-    c = n * power_iteration(op, np.full(n, 1.0 / n), alpha, tol=1e-12)
-    c += _INMASS_SLACK
+    x = power_iteration(op, np.full(n, 1.0 / n), alpha, tol=1e-12)
+    c = n * x
+    c += n * (max(1.0 - float(x.sum()), 0.0) + n * np.finfo(np.float64).eps)
     c.setflags(write=False)
     with _inmass_lock:
         existing = per_graph.get(key)
@@ -307,9 +332,11 @@ class ColumnPush:
     Chebyshev weights (:func:`repro.engine.batch.chebyshev_weights`) and
     drops to plain sweeps for good once its drive sets no new low for
     ``_STALL_SWEEPS`` sweeps in a row; the t-side sweeps plainly
-    throughout.  :meth:`bounds` turns the residual into per-node lower and
-    upper bounds on the exact column, :meth:`drive` is the scalar residual
-    signal :meth:`advance` sweeps down.
+    throughout.  :attr:`estimate` and :meth:`error` turn the residual into
+    per-node bounds on the exact column (the driver reads them, and the
+    clamped iterate, through ``_view``, at every node or only at the nodes
+    it asks for); :meth:`drive` is the scalar residual signal
+    :meth:`advance` sweeps down.
     """
 
     __slots__ = (
@@ -331,7 +358,6 @@ class ColumnPush:
         "_neg",
         "_best",
         "_stalls",
-        "_bounds",
     )
 
     def __init__(self, graph: DiGraph, node: int, alpha: float, kind: str) -> None:
@@ -364,45 +390,48 @@ class ColumnPush:
         self._pos, self._neg = 1.0, 0.0
         self._best = 1.0
         self._stalls = 0
-        self._bounds = None
 
     def drive(self) -> float:
         """Scalar residual signal ``max|r'| / alpha``: the bounds scale with it."""
         return max(self._pos, self._neg)
 
-    def bounds(self) -> "tuple[np.ndarray, np.ndarray]":
-        """Per-node ``(lower, upper)`` bounds on the exact column.
+    def _view(self, name: str, at=...) -> np.ndarray:
+        """The ``"lower"`` bound, ``"point"`` or ``"upper"`` bound at the nodes ``at``.
+
+        ``at`` indexes the column (``...``, the default, is every node).
 
         ``x* - x = sum_u r'(u) / alpha * x_u``, and the columns ``x_u`` are
         non-negative, so the positive residual entries bound the error from
         above and the negative ones from below, each by its largest entry
-        times ``sum_u x_u(v)``: the in-mass ``c(v)`` on the f-side, exactly
-        one on the t-side (rows of ``P`` sum to one).  The lower bound is
-        clamped at zero and the upper at the lower; plain sweeps from zero
-        leave no negative residual, so there ``x`` itself is the lower bound.
+        times ``s(v) = sum_u x_u(v)``: the in-mass ``c(v)`` on the f-side,
+        exactly one on the t-side (rows of ``P`` sum to one).  The point is
+        the iterate clamped at zero, the state's best guess at the column.
+        The bounds ``x -/+ r'_-/+ / alpha * s`` are clamped at zero too;
+        plain sweeps from zero leave no negative residual, so there ``x``
+        itself is the lower bound.  The upper bound never falls below the
+        lower: ``r'_+``, ``r'_-`` and ``s`` are non-negative and rounding is
+        monotone, so ``x + r'_+ / alpha * s`` rounds to at least
+        ``x - r'_- / alpha * s``, and clamping both at zero keeps the order.
         """
-        if self._bounds is None:
-            coef = self.inmass if self.inmass is not None else 1.0
-            lower = self._x - self._neg * coef
-            np.maximum(lower, 0.0, out=lower)
-            upper = self._x + self._pos * coef
-            np.maximum(upper, lower, out=upper)
-            self._bounds = (lower, upper)
-        return self._bounds
+        x = self._x[at]
+        if name == "point":
+            return np.maximum(x, 0.0)
+        coef = self.inmass[at] if self.inmass is not None else 1.0
+        bound = x - self._neg * coef if name == "lower" else x + self._pos * coef
+        return np.maximum(bound, 0.0, out=bound)
 
     @property
     def estimate(self) -> np.ndarray:
         """The lower bound on the exact column."""
-        return self.bounds()[0]
+        return self._view("lower")
 
     def error(self) -> np.ndarray:
         """Per-node width of the bounds: ``estimate + error()`` is the upper bound."""
-        lower, upper = self.bounds()
-        return upper - lower
+        return self._view("upper") - self._view("lower")
 
     def point(self) -> np.ndarray:
         """The iterate clamped at zero: the state's best guess at the column."""
-        return np.maximum(self._x, 0.0)
+        return self._view("point")
 
     def advance(self, target: float, work_limit: int) -> None:
         """Sweep until ``drive() <= target``, the sweep limit, or drain-out.
@@ -443,7 +472,6 @@ class ColumnPush:
         y[self.node] += self.alpha
         self._y = y
         self.work += 1
-        self._bounds = None
         residual = np.subtract(y, new, out=self._scratch)
         self._pos = max(float(residual.max()), 0.0) / self.alpha
         self._neg = max(-float(residual.min()), 0.0) / self.alpha
@@ -474,11 +502,8 @@ class _ExactColumn:
     def drive(self) -> float:
         return 0.0
 
-    def bounds(self) -> "tuple[np.ndarray, np.ndarray]":
-        return self.estimate, self.estimate
-
-    def point(self) -> np.ndarray:
-        return self.estimate
+    def _view(self, name: str, at=...) -> np.ndarray:
+        return self.estimate[at]
 
     def advance(self, target: float, work_limit: int) -> None:
         pass
@@ -510,42 +535,96 @@ class LocalTopKResult:
     work: int
 
 
-def _views(state) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """A sweep state's ``(lower, point, upper)`` vectors."""
-    lower, upper = state.bounds()
-    return lower, state.point(), upper
-
-
-def _combine_scores(
+def _scores(
     measure: str,
     beta: float,
     weights: np.ndarray,
     f_states: "list | None",
     t_states: "list | None",
-    n: int,
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Dense per-node ``(lower, point, upper)`` scores for the whole query.
+    view: str,
+    at=...,
+    only=None,
+) -> np.ndarray:
+    """The query's scores from its states' ``view`` at the nodes ``at``.
 
-    ``lower`` and ``upper`` combine the states' bounds, ``point`` their
-    clamped iterates.  Linearity over query nodes: every weighted term is
-    combined separately and summed.  Monotonicity of the per-measure
-    combination (product, or ``combine_beta``, on non-negative arguments)
-    makes both bounds sound.
+    ``view`` is ``"lower"``, ``"point"`` or ``"upper"``: the states' bounds
+    combine into the scores' bounds, their clamped iterates into the point
+    scores.  Linearity over query nodes: every weighted term is combined
+    separately and summed.  Monotonicity of the per-measure combination
+    (product, or ``combine_beta``, on non-negative arguments) makes both
+    bounds sound.  With ``only``, that one state is read at ``view`` and
+    every other at its point (see :func:`_pair_width`).  The weighted terms sum
+    from the first, not from zeros, and a weight of one multiplies nothing:
+    the values are those of a sum over zeros (a zero's sign aside).
     """
-    combined = (np.zeros(n), np.zeros(n), np.zeros(n))
+
+    def read(state) -> np.ndarray:
+        return state._view(view if only is None or state is only else "point", at)
+
+    total = None
     for i, w in enumerate(weights.tolist()):
-        fv = _views(f_states[i]) if f_states is not None else None
-        tv = _views(t_states[i]) if t_states is not None else None
-        for j, total in enumerate(combined):
-            if measure == "frank":
-                total += w * fv[j]
-            elif measure == "trank":
-                total += w * tv[j]
-            elif measure == "roundtriprank":
-                total += w * (fv[j] * tv[j])
-            else:  # roundtriprank_plus
-                total += w * combine_beta(fv[j], tv[j], beta)
-    return combined
+        f = read(f_states[i]) if f_states is not None else None
+        t = read(t_states[i]) if t_states is not None else None
+        if measure == "frank":
+            term = f
+        elif measure == "trank":
+            term = t
+        elif measure == "roundtriprank":
+            term = f * t
+        else:  # roundtriprank_plus
+            term = combine_beta(f, t, beta)
+        if w != 1.0:
+            term = w * term
+        total = term if total is None else total + term
+    return total
+
+
+def _pair_width(combine: Callable, pair: np.ndarray, only=None) -> float:
+    """The binding inequality's bound width, or one state's share of it.
+
+    ``combine`` is :func:`_scores` bound to the query and its states.
+    ``pair`` holds the claimed node ``a`` and its rival ``b``; the width is
+    ``(point(a) - lower(a)) + (upper(b) - point(b))``.  With ``only``, the
+    state's share: the width its own bounds open with every other state at
+    its point, the first-order part of what the width loses when that
+    state's bounds collapse onto its iterate.  For RoundTripRank's f-state
+    of a one-node query that is ``(f - f_lo)(a) * t(a) + (f_up - f)(b) *
+    t(b)``; an exact column's share is zero.
+    """
+    low, mid, up = (combine(view, pair, only) for view in ("lower", "point", "upper"))
+    return float((mid[0] - low[0]) + (up[1] - mid[1]))
+
+
+def _aim(states: list, targets: "list[float]", needed: float, shares: "list[float]") -> list:
+    """Each state's next drive target, aimed at the inequality that binds.
+
+    The binding inequality (``needed`` is its point gap) certifies once its
+    bound width falls below ``gap = needed - CERT_MARGIN``; a gap at or
+    below the margin never certifies, so there ``gap = needed``, which
+    resolves it for the margin-limited exit.  A state's bounds scale with
+    its drive, so the target ``drive * gap * _AIM_SAFETY / (m * share)``,
+    over the ``m`` states with a positive share, brings the shares' sum to
+    ``_AIM_SAFETY * gap``; it is capped at the state's drive and floored at
+    ``MIN_TARGET``, and a state with no share keeps its target.  When no
+    state would sweep, the largest share among the states above the floor
+    halves its drive.  With no positive gap (``needed`` 0: the points tie)
+    every state's drive shrinks by ``TARGET_SHRINK``.
+    """
+    if needed <= 0.0:
+        return [max(MIN_TARGET, s.drive() / TARGET_SHRINK) for s in states]
+    gap = needed - CERT_MARGIN if needed > CERT_MARGIN else needed
+    m = sum(share > 0.0 for share in shares)
+    aimed = [
+        min(s.drive(), max(MIN_TARGET, s.drive() * gap * _AIM_SAFETY / (m * share)))
+        if share > 0.0
+        else target
+        for s, target, share in zip(states, targets, shares)
+    ]
+    if all(target >= s.drive() for s, target in zip(states, aimed)):
+        movable = [i for i, s in enumerate(states) if s.drive() > MIN_TARGET]
+        i = max(movable, key=shares.__getitem__)
+        aimed[i] = max(MIN_TARGET, states[i].drive() / 2.0)
+    return aimed
 
 
 _OBS_LOCAL = obs.counter(
@@ -577,12 +656,14 @@ def local_topk(
     """Exact top-``k`` for one query via certified early-stopped sweeps.
 
     Sweeps the query's F/T columns until the score bounds certify the
-    top-``k`` set and ranking (see the module docstring for the contract),
-    shrinking the residual target toward the observed k-th/(k+1)-th score
-    gap each round; when certification is impossible within ``MAX_SWEEPS``
-    sweeps or ``MAX_ROUNDS`` rounds the query escalates: its full F/T
-    columns are solved and ranked exactly, matching the full-solve path
-    bit-for-bit.
+    top-``k`` set and ranking (see the module docstring for the contract).
+    Each round checks the claim, then aims every column's own residual
+    target at the inequality that binds: the failing pair of nodes with the
+    smallest point gap (the k-th/(k+1)-th gap, or a claimed pair not yet
+    ordered), in proportion to that column's share of the pair's bound
+    width.  When certification is impossible within ``MAX_SWEEPS`` sweeps
+    or ``MAX_ROUNDS`` rounds the query escalates: its full F/T columns are
+    solved and ranked exactly, matching the full-solve path bit-for-bit.
 
     Hooks: ``solve_columns(kind, nodes) -> n x m`` column stack replaces the
     engine solves (``frank_batch`` / ``trank_batch`` at ``tol`` /
@@ -604,7 +685,6 @@ def local_topk(
     check_positive_int(max_iter, "max_iter")
     with obs.span("topk.local", k=k, measure=measure) as ospan:
         nodes, weights = normalize_query(graph, query)
-        n = graph.n_nodes
         twins = _query_twins(graph, nodes)
 
         f_states = t_states = None
@@ -613,8 +693,9 @@ def local_topk(
         if "t" in kinds:
             t_states = [_make_state(graph, int(v), alpha, "t", column_probe) for v in nodes]
         states = (f_states or []) + (t_states or [])
+        combine = functools.partial(_scores, measure, beta, weights, f_states, t_states)
         work_budget = MAX_SWEEPS
-        target = DEFAULT_TARGET
+        targets = [DEFAULT_TARGET] * len(states)
 
         def total_work() -> int:
             return sum(s.work for s in states)
@@ -623,20 +704,21 @@ def local_topk(
         rounds = 0
         while True:
             rounds += 1
-            for state in states:
+            for state, target in zip(states, targets):
                 remaining = work_budget - total_work()
                 if remaining <= 0:
                     break
                 state.advance(target, state.work + remaining)
 
-            lower, point, upper = _combine_scores(measure, beta, weights, f_states, t_states, n)
+            point, upper = combine("point"), combine("upper")
             # The iterates pick the claim and the gap signal: they sit near
             # the exact scores, while the lower bounds trail them by a
-            # width that differs from node to node.
+            # width that differs from node to node.  Only the claimed
+            # nodes' lower bounds are read, so only they are formed.
             order, _ = topk_select(point, k, exclude=exclude, candidate_mask=candidate_mask)
-            low_vals = lower[order]
-            certified, needed = _certify(
-                lower, upper, point, order, low_vals, exclude, candidate_mask, twins
+            low_vals = combine("lower", order)
+            certified, needed, pair = _certify(
+                upper, point, order, low_vals, exclude, candidate_mask, twins, return_pair=True
             )
             width = float(np.max(upper[order] - low_vals)) if order.size else 0.0
             if certified:
@@ -652,29 +734,28 @@ def local_topk(
                 break
             out_of_road = (
                 total_work() >= work_budget
-                or target <= MIN_TARGET
                 or rounds >= MAX_ROUNDS
-                or all(s.drained for s in states)
+                # Every state is drained or swept to the floor.
+                or all(s.drive() <= MIN_TARGET for s in states)
                 # Margin-limited: the bounds have resolved the binding gap
                 # (the widths are down to it) and it is too small for
                 # CERT_MARGIN — or the widths already sit at the margin floor
                 # against an exact tie.  No amount of sweeping certifies; the
-                # exact solve is the fast exit.
+                # exact solve is the fast exit.  The widest claimed node
+                # need not shrink while the states aim at the binding pair,
+                # so a gap under the margin also exits once the pair's own
+                # width is down to it.
                 or (needed > 0.0 and needed <= ESCALATE_GAP and width <= needed)
+                or (0.0 < needed <= CERT_MARGIN and _pair_width(combine, pair) <= needed)
                 or (needed == 0.0 and 0.0 < width <= 2.0 * ESCALATE_GAP)
             )
             if out_of_road:
                 break
-            # Aim the next round at the observed gaps (the k-th/(k+1)-th
-            # rule): score widths decay linearly with the residual drive, so
-            # scale the target by the needed-over-achieved width ratio; with
-            # no usable gap (ties in the points) fall back to the
-            # geometric schedule.
-            if needed > 0.0 and width > 0.0:
-                ratio = needed / (2.0 * width)
-                target = max(MIN_TARGET, min(target / 4.0, target * ratio))
-            else:
-                target = max(MIN_TARGET, target / TARGET_SHRINK)
+            # Aim each state at the binding pair (the k-th/(k+1)-th rule,
+            # per inequality): its share of that pair's bound width sets
+            # how far it must sweep.
+            shares = [_pair_width(combine, pair, s) for s in states] if needed > 0.0 else None
+            targets = _aim(states, targets, needed, shares)
 
         if result is None:
             node_list = [int(v) for v in nodes]
@@ -725,7 +806,6 @@ def _make_state(graph, node, alpha, kind, column_probe):
 
 
 def _certify(
-    lower: np.ndarray,
     upper: np.ndarray,
     point: np.ndarray,
     order: np.ndarray,
@@ -733,51 +813,68 @@ def _certify(
     exclude,
     candidate_mask,
     twins: np.ndarray,
-) -> "tuple[bool, float]":
+    return_pair: bool = False,
+) -> tuple:
     """Check the set and ranking inequalities; report the binding gap.
 
     The claim ``order`` is certified when every claimed node's lower bound
-    clears the next claimed node's upper bound, and the last one clears
-    every other eligible node's, each by ``CERT_MARGIN``.  Twins (``twins``,
-    the query's twin labels: see :func:`twin_classes`) tie exactly and rank
-    by id, so a consecutive claimed pair of twins in ascending id needs no
-    inequality, and the last claimed node's higher-id twins are no rivals.
-    Returns ``(certified, needed)`` where ``needed`` is the smallest
-    positive ``point`` gap among the failing inequalities (the signal for
-    the next width target), or 0.0 when the points give none (ties).
+    (``low_vals``, in claim order) clears the next claimed node's upper
+    bound, and the last one clears every other eligible node's, each by
+    ``CERT_MARGIN``.  Twins (``twins``, the query's twin labels: see
+    :func:`twin_classes`) tie exactly and rank by id, so a consecutive
+    claimed pair of twins in ascending id needs no inequality, and the last
+    claimed node's higher-id twins are no rivals.  Returns ``(certified,
+    needed)`` where ``needed`` is the smallest positive ``point`` gap among
+    the failing inequalities (the signal for the next round's targets), or
+    0.0 when the points give none (ties).  With ``return_pair`` a third
+    item names that inequality: ``[a, b]``, the claimed node and the rival
+    whose point gap is ``needed`` (``None`` when ``needed`` is 0.0).
     """
+    verdict = (True, 0.0, None)
     if order.size == 0:
-        return True, 0.0
-    # Upper bounds of every eligible node outside the claimed set; the dense
-    # array already covers untouched nodes via their unseen error bounds.
-    rest_upper = upper.copy()
-    if candidate_mask is not None:
-        rest_upper[~np.asarray(candidate_mask, dtype=bool)] = -np.inf
-    if exclude:
-        rest_upper[list(exclude)] = -np.inf
+        return verdict if return_pair else verdict[:2]
     last = order[-1]
+    later_twins = None
     if twins[last] >= 0:
         tied = np.flatnonzero(twins == twins[last])
-        rest_upper[tied[tied > last]] = -np.inf
-    rest_point = np.where(np.isneginf(rest_upper), -np.inf, point)
-    rest_upper[order] = -np.inf
-    rest_point[order] = -np.inf
+        later_twins = tied[tied > last]
+
+    def rest(values: np.ndarray) -> np.ndarray:
+        """``values`` of every eligible node outside the claimed set, -inf elsewhere."""
+        out = values.copy()
+        if candidate_mask is not None:
+            out[~np.asarray(candidate_mask, dtype=bool)] = -np.inf
+        if exclude:
+            out[list(exclude)] = -np.inf
+        if later_twins is not None:
+            out[later_twins] = -np.inf
+        out[order] = -np.inf
+        return out
+
+    # The dense upper bounds already cover untouched nodes via their unseen
+    # error bounds.
+    rest_upper = rest(upper)
     rest_up = float(rest_upper.max()) if rest_upper.size else -np.inf
     set_ok = not np.isfinite(rest_up) or low_vals[-1] > rest_up + CERT_MARGIN
     head, tail = order[:-1], order[1:]
-    ordered = (low_vals[:-1] > upper[tail] + CERT_MARGIN) | (
-        (twins[head] >= 0) & (twins[head] == twins[tail]) & (head < tail)
-    )
+    ordered = low_vals[:-1] > upper[tail] + CERT_MARGIN
+    if not ordered.all():
+        ordered |= (twins[head] >= 0) & (twins[head] == twins[tail]) & (head < tail)
     order_ok = bool(np.all(ordered))
     if set_ok and order_ok:
-        return True, 0.0
-    gaps = []
+        return verdict if return_pair else verdict[:2]
+    gaps = []  # (point gap, claimed node, rival) per failing kind
     if not set_ok and np.isfinite(rest_up):
-        rest_best = float(rest_point.max())
-        if np.isfinite(rest_best):
-            gaps.append(float(point[last]) - rest_best)
+        rest_point = rest(point)
+        rival = int(np.argmax(rest_point))
+        if np.isfinite(rest_point[rival]):
+            gaps.append((float(point[last]) - float(rest_point[rival]), int(last), rival))
     if not order_ok:
-        failing = (point[head] - point[tail])[~ordered]
-        gaps.append(float(failing.min()))
-    positive = [g for g in gaps if g > 0.0]
-    return False, min(positive) if positive else 0.0
+        failing = np.flatnonzero(~ordered)
+        failing_gaps = point[head[failing]] - point[tail[failing]]
+        j = int(np.argmin(failing_gaps))
+        gaps.append((float(failing_gaps[j]), int(head[failing[j]]), int(tail[failing[j]])))
+    positive = [g for g in gaps if g[0] > 0.0]
+    needed, a, b = min(positive, key=lambda g: g[0]) if positive else (0.0, None, None)
+    verdict = (False, needed, None if a is None else np.array([a, b]))
+    return verdict if return_pair else verdict[:2]

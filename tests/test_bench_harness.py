@@ -80,6 +80,26 @@ class TestLedgerPins:
         restored = [getattr(owner, name) for owner, name in wrapped]
         assert all(now is was for now, was in zip(restored, originals))
 
+    def test_a_local_result_carries_the_counts_the_tracer_sums(self, small_bibnet, monkeypatch):
+        # cold-topk-local's local.* counts sum these fields over every call,
+        # and local.work reads as sweeps on both sides, escalations included.
+        graph = small_bibnet.graph
+        isolated = np.flatnonzero((graph.out_degrees == 0) & (graph.in_degrees == 0))
+        sweep, kinds = topk_local.ColumnPush._sweep, []
+
+        def counting(state):
+            kinds.append(state.kind)
+            sweep(state)
+
+        monkeypatch.setattr(topk_local.ColumnPush, "_sweep", counting)
+        paper = int(small_bibnet.paper_nodes[0])
+        for query, outcome in ((paper, "certified"), (int(isolated[0]), "escalated")):
+            kinds.clear()
+            result = topk_local.local_topk(graph, query, 10, 0.25)
+            counts = {key: getattr(result, key) for key in perfbench_trace._LOCAL_FIELDS}
+            assert counts[outcome] is True and result.rounds >= 1
+            assert counts["work"] == len(kinds) and set(kinds) == {"f", "t"}
+
 
 class TestBenchScale:
     def test_default_is_small(self, monkeypatch):

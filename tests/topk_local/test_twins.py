@@ -125,7 +125,7 @@ class TestCertifyRule:
     def certify(self, order, twins, upper=None):
         order = np.array(order)
         upper = self.upper if upper is None else upper
-        return _certify(self.lower, upper, self.point, order, self.lower[order], None, None, twins)
+        return _certify(upper, self.point, order, self.lower[order], None, None, twins)
 
     def test_an_ascending_twin_pair_needs_no_margin(self):
         assert self.certify([0, 1, 3], self.twins) == (True, 0.0)
