@@ -21,17 +21,20 @@
 A query whose columns are all in the shared cache is *resident*: it has
 nothing to solve, so it resolves before :meth:`RankGateway.submit` returns
 (:meth:`repro.serving.batcher.Lane.serve_resident`, a flush of that one
-query in the submitting thread) instead of waiting out the lane's deadline.
-Every other query is queued in its lane.
+query in the submitting thread) instead of waiting for the lane's thread.
+At the default linger of 0, so does a miss that finds its started lane
+free (:meth:`repro.serving.batcher.Lane.serve_claimed`): it is solved in the
+submitting thread, with no handoff to the lane's.  Every other query is
+queued in its lane.
 
 The per-lane queue-depth bound is *hard* and counts queued queries only:
 each lane carries an admission lock held across the depth check and the
 enqueue, so concurrent submitters cannot overshoot ``max_queue_depth``
 (asserted under thread churn by the gateway test suite).  A resident query
-is admitted under the same lock (the rate limit applies) but never queued,
-so it never counts toward the depth; it is served after the lock is
-released.  The lock is per-lane — one lane's inline size-trigger solve
-never blocks admission to other lanes.
+(or a claimed miss) is admitted under the same lock (the rate limit
+applies) but never queued, so it never counts toward the depth; it is
+served after the lock is released.  The lock is per-lane — one lane's
+inline size-trigger solve never blocks admission to other lanes.
 """
 
 from __future__ import annotations
@@ -116,7 +119,12 @@ class RankGateway:
         lane is closed (flushing its futures) to admit a new one.
     max_batch, max_delay:
         Every lane's size and deadline triggers: a positive integer, and a
-        finite, positive number of seconds.
+        finite number of seconds, at least 0.  At the default, 0, a started
+        gateway solves a miss at once: in the submitting thread when its
+        lane is free, and otherwise in the lane thread's next flush, which
+        takes every query that queued while the lane was busy.  A positive
+        ``max_delay`` holds each query up to that long for others to join
+        its batch.
     beta:
         The ``roundtriprank_plus`` interpolation, in [0, 1], used by
         plus-measure lanes.
@@ -148,7 +156,7 @@ class RankGateway:
         admission: "AdmissionConfig | AdmissionController | None" = None,
         max_lanes: int = 8,
         max_batch: int = 32,
-        max_delay: float = 0.01,
+        max_delay: float = 0.0,
         beta: float = DEFAULT_BETA,
         local_topk: bool = False,
         clock: Callable[[], float] = time.monotonic,
@@ -166,7 +174,7 @@ class RankGateway:
         self.max_lanes = check_positive_int(max_lanes, "max_lanes")
         # Checked here, not when the first lane is built inside a submit.
         self.max_batch = check_positive_int(max_batch, "max_batch")
-        self.max_delay = check_positive(max_delay, "max_delay")
+        self.max_delay = check_positive(max_delay, "max_delay", strict=False)
         self.beta = check_probability(beta, "beta")
         self.local_topk = bool(local_topk)
         self.stats = GatewayStats()
@@ -277,7 +285,9 @@ class RankGateway:
         A resident query (every column it reads is cached) is admitted at
         queue depth 0, so only the rate limit can shed it, and its future
         is already resolved when this returns.  Any other query is admitted
-        against its lane's queue depth and queued for the lane's flush.
+        against its lane's queue depth and queued for the lane's flush,
+        unless at linger 0 it finds its started lane free: then it is solved
+        before this returns.
 
         Invalid *queries* (unknown graph/measure, out-of-range nodes, an
         ``alpha`` outside (0, 1), a ``k`` that is not a positive integer)
@@ -366,6 +376,10 @@ class RankGateway:
                         root_span.set_attributes(outcome="shed", reason=shed.reason)
                         return shed, None
                     started = self._clock()
+                    # At linger 0 a miss that finds its started lane free
+                    # claims the lane's next flush and is served like a
+                    # resident query; queries that arrive meanwhile queue.
+                    claimed = not resident and lane.claim()
                     # Queueing under the admission lock is the hard depth
                     # bound: admission-check and enqueue must be atomic or two
                     # racing callers can both pass the check and overfill the
@@ -374,7 +388,7 @@ class RankGateway:
                     # futures it resolves, run under this lane's lock (never
                     # another lane's).  The enqueue-time span context rides
                     # on the request so the flush joins this trace.
-                    if not resident:
+                    if not resident and not claimed:
                         with obs.span("gateway.lane", depth=depth) as lane_span:
                             future = lane.enqueue(nodes, weights, k, lane_span.context())
                 break
@@ -385,6 +399,10 @@ class RankGateway:
                 # re-solved inline, as _submit_local's probe allows.
                 with obs.span("gateway.lane", depth=0) as lane_span:
                     future = lane.serve_resident(nodes, weights, k, lane_span.context())
+            elif claimed:
+                # Also after the lock: submitters queue behind this solve.
+                with obs.span("gateway.lane", depth=0) as lane_span:
+                    future = lane.serve_claimed(nodes, weights, k, lane_span.context())
             root_span.set_attributes(outcome="admitted")
 
         self.stats.record_admitted(tenant)

@@ -15,11 +15,11 @@ their top results:
   online, builds per ``(graph, measure, alpha)``; this package does not
   export it.  A lane queues queries and flushes them as one multi-column
   solve on a size-or-deadline trigger.  Every flush reads its per-node
-  columns through the gateway's ``ColumnCache``, and a query whose columns
-  are all cached is flushed alone at submit and never waits for the
-  deadline.
+  columns through the gateway's ``ColumnCache``.  A query whose columns
+  are all cached is flushed alone at submit and never queues, and so, at
+  the default linger of 0, is a miss that finds its started lane free.
 - :func:`~repro.serving.topk.topk_select` — the one top-k selector:
-  ``(indices, scores)`` of one score vector via ``np.argpartition``
+  ``(indices, scores)`` of one score vector via ``np.partition``
   partial selection instead of a full-vector sort, ties broken by node id.
   Batcher flushes, local top-k and ``naive_topk`` all rank with it.
 

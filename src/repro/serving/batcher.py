@@ -4,12 +4,12 @@ The batch engine is 3-7x cheaper per query than sequential solves, but only
 when queries actually arrive as a batch.  A :class:`Lane` is that assembly
 layer for one ``(graph, measure, alpha)`` of a
 :class:`repro.gateway.RankGateway`, the only code that builds one.  The
-gateway admits each query, then hands it to the lane in one of two ways.
-A query whose columns are all in the shared cache has nothing to solve, so
-it is served at once (the **resident trigger**): :meth:`~Lane.serve_resident`
-flushes it alone, in the submitting thread.  Every other query joins the
-lane's queue (:meth:`~Lane.enqueue`), which is flushed as *one*
-multi-column solve when either
+gateway admits each query, then hands it to the lane.  A query whose
+columns are all in the shared cache has nothing to solve, so it is served at
+once (the **resident trigger**): :meth:`~Lane.serve_resident` flushes it
+alone, in the submitting thread.  Every other query joins the lane's queue
+(:meth:`~Lane.enqueue`), which is flushed as *one* multi-column solve when
+either
 
 - the **size trigger** fires — ``max_batch`` queries are pending (flushed
   inline in the submitting thread), or
@@ -18,8 +18,18 @@ multi-column solve when either
   thread, started with :meth:`~Lane.start`), or
 - the caller forces it with :meth:`~Lane.flush`.
 
+At the gateway's default ``max_delay`` of 0 a query has met its deadline
+when it arrives, and a started lane runs one deadline flush at a time.  A
+query that finds the lane free claims that flush (:meth:`~Lane.claim`) and
+is never queued: :meth:`~Lane.serve_claimed` flushes it alone in the
+submitting thread, as a resident query is, so a lone miss is solved with no
+handoff to the lane's thread.  Queries that arrive while a flush runs are
+queued and leave together in the thread's next flush: batches form under
+load, with no timer.
+
 Only queued queries count toward :attr:`~Lane.pending`, the depth the
-gateway's admission control bounds; a resident query is never queued.
+gateway's admission control bounds; a resident or claimed query is never
+queued.
 
 Results are full score vectors, or top-k ``(indices, scores)`` pairs for
 requests with ``k`` (see :func:`repro.serving.topk.topk_select`).  Every
@@ -77,7 +87,8 @@ class Lane:
     before handing it over, so the lane checks nothing again.
 
     ``admission_lock`` is held by the gateway across its depth check and
-    :meth:`enqueue`, which makes the depth bound hard, and by :meth:`close`
+    :meth:`claim` or :meth:`enqueue`, which makes the depth bound hard (a
+    claimed query is served after the lock is released), and by :meth:`close`
     while it sets the closed flag, so a query is never queued into a closed
     lane.  The queue has a lock of its own; solves run outside it, so
     submissions keep queueing for the *next* batch while one is being
@@ -108,6 +119,9 @@ class Lane:
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._thread: "threading.Thread | None" = None
+        # A deadline flush is running: the thread's own, or one a submitter
+        # claimed at linger 0.  While it is set, queries queue for the next.
+        self._busy = False
         self._closed = False
 
     def resident(self, nodes: np.ndarray) -> bool:
@@ -167,6 +181,41 @@ class Lane:
         self._solve([request], trigger="resident")
         return request.future
 
+    def claim(self) -> bool:
+        """Take the next deadline flush for the calling thread, if it is free.
+
+        Only at ``max_delay`` 0, on a started lane with no flush of the
+        thread's or of another claim running and nothing queued.  A claim
+        must be followed by :meth:`serve_claimed`; until that returns,
+        queries queue for the thread's next flush.
+        """
+        with self._lock:
+            if self.max_delay > 0 or self._thread is None or self._busy or self._pending:
+                return False
+            self._busy = True
+            return True
+
+    def serve_claimed(
+        self,
+        nodes: np.ndarray,
+        weights: np.ndarray,
+        k: "int | None",
+        trace: "obs.SpanContext | None",
+    ) -> Future:
+        """Flush one parsed query alone, now, in the calling thread, after a
+        successful :meth:`claim`; then hand the lane back to its thread.
+
+        The deadline trigger at linger 0, run where the query arrived: its
+        future is resolved when this returns, and queries queued meanwhile
+        leave together in the thread's next flush.
+        """
+        request = _Request(nodes, weights, k, Future(), time.monotonic(), trace)
+        try:
+            self._solve([request], trigger="deadline")
+        finally:
+            self._release()
+        return request.future
+
     def flush(self) -> int:
         """Solve everything pending right now; returns the batch size."""
         with self._lock:
@@ -222,12 +271,14 @@ class Lane:
         # Idle contract: with an empty queue this thread blocks in the
         # *untimed* ``wait()`` below — no timeout, no periodic wakeup, no
         # solve.  Timed waits happen only while a request is pending (to
-        # meet its deadline).  ``repro_batcher_wakeups_total`` counts passes
-        # through this loop, so tests can assert an idle lane never spins.
+        # meet its deadline), and never at ``max_delay`` 0.  A claimed flush
+        # (``_busy``, only at 0) holds the queue until it ends and wakes us.
+        # ``repro_batcher_wakeups_total`` counts passes through this loop,
+        # so tests can assert an idle lane never spins.
         while True:
             with self._lock:
                 _OBS_WAKEUPS.inc()
-                while not self._pending and not self._closed:
+                while (not self._pending or self._busy) and not self._closed:
                     self._wakeup.wait()
                 if self._closed:
                     return
@@ -242,8 +293,19 @@ class Lane:
                     or self._closed
                 ):
                     batch = self._drain()
+                    self._busy = True
             if batch:
-                self._solve(batch, trigger="deadline")
+                try:
+                    self._solve(batch, trigger="deadline")
+                finally:
+                    self._release()
+
+    def _release(self) -> None:
+        """End a deadline flush; wake the thread for what queued meanwhile."""
+        with self._lock:
+            self._busy = False
+            if self._pending:
+                self._wakeup.notify_all()
 
     def _drain(self) -> "list[_Request]":
         """Take ownership of the pending queue (call with the lock held)."""

@@ -1,7 +1,7 @@
 """Top-k selection: partial selection instead of full-vector sorts.
 
 :func:`topk_select` is the library's one top-k selector.  It picks the top
-``k`` of one score vector with ``np.argpartition`` (``O(n + k log k)``)
+``k`` of one score vector with ``np.partition`` (``O(n + k log k)``)
 and returns ``(indices, scores)``.  The gateway lanes' ``k`` requests,
 local top-k's claims and escalations and ``naive_topk`` (2SBound's exact
 oracle) all rank with it.  To rank a
@@ -12,7 +12,8 @@ Tie-breaking contract: results are *identical* to the library's full-vector
 ranking convention (score descending, node id ascending — what
 ``np.argsort(-scores, kind="stable")`` and
 :func:`repro.eval.metrics.ranking_from_scores` produce), including across
-ties that straddle the ``k`` boundary.  Exact ties between twins (nodes
+ties that straddle the ``k`` boundary, between ``0.0`` and ``-0.0``, and
+for NaN, which ranks below every number.  Exact ties between twins (nodes
 with identical rows and columns of ``P``) therefore rank in node-id order,
 the order :mod:`repro.topk.local` certifies them in.
 """
@@ -37,7 +38,8 @@ def topk_select(
 
     Equivalent to ranking all eligible nodes with a stable descending sort
     and truncating to ``k`` — bit-identical indices, ties broken by node id —
-    but via ``np.argpartition``, so the full-vector sort is avoided.  Fewer
+    but via ``np.partition``, so the full-vector sort is avoided (a vector
+    with a NaN in its top ``k`` is ranked by the stable sort itself).  Fewer
     than ``k`` eligible nodes return all of them; ``k`` must be a positive
     integer (as for ``local_topk`` and ``naive_topk``) and a
     ``candidate_mask`` must have one entry per score.
@@ -56,15 +58,21 @@ def topk_select(
 
     m = scores.shape[0]
     if k < m:
-        # Partition once, then resolve boundary ties by node id: every value
-        # strictly above the k-th largest survives; values equal to it fill
-        # the remaining slots in ascending-index order.
-        part = np.argpartition(-scores, k - 1)
-        kth_value = scores[part[k - 1]]
-        above = np.flatnonzero(scores > kth_value)
-        n_ties = k - above.size
-        tied = np.flatnonzero(scores == kth_value)[:n_ties]
-        chosen = np.concatenate([above, tied])
+        # Partition once and keep every value at or above the k-th largest.
+        kth_value = np.partition(scores, m - k)[m - k]
+        chosen = np.flatnonzero(scores >= kth_value)
+        if chosen.size > k:
+            # Ties at the boundary: every value strictly above the k-th
+            # survives; values equal to it fill the remaining slots in
+            # ascending-index order.
+            kept = scores[chosen]
+            above = chosen[kept > kth_value]
+            chosen = np.concatenate([above, chosen[kept == kth_value][: k - above.size]])
+        elif chosen.size < k:
+            # Only a NaN in the top k leaves fewer: the partition puts NaN
+            # above every number and ``>=`` keeps none, while the stable
+            # sort ranks it last.
+            chosen = np.argsort(-scores, kind="stable")[:k]
     else:
         chosen = np.arange(m)
     order = chosen[np.argsort(-scores[chosen], kind="stable")]

@@ -43,7 +43,7 @@ same dense columns:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import combine_beta, frank_vector, trank_vector
@@ -295,11 +295,26 @@ def claims_twin_tie(indices: np.ndarray, labels: np.ndarray) -> bool:
     return bool(labels[last] >= 0 and np.any(labels[last + 1 :] == labels[last]))
 
 
+def twin_hub() -> tuple:
+    """An oracle case that certifies a twin tie under every measure.
+
+    Hub 0 wired both ways to the twin leaves 1..4 (weight 2), plus a tail
+    0 -> 5 <-> 6 -> 0 that scores unlike any leaf; from the hub at k = 2
+    the top-2 is the hub and leaf 1, ahead of its tied twins 2-4.  (The
+    twin tests' ``hub_graph``, built here because they import this module.)
+    """
+    edges = [(0, 5, 1.0), (5, 6, 1.0), (6, 0, 1.0), (6, 5, 1.0)]
+    for leaf in range(1, 5):
+        edges += [(0, leaf, 2.0), (leaf, 0, 2.0)]
+    return graph_from_edges(7, edges), [0], 0.25
+
+
 def test_local_topk_is_certified_exact_or_escalated_bit_identical():
     twin_ties = []
 
     @settings(max_examples=60, deadline=None)
     @given(case=oracle_cases(), k=st.integers(min_value=1, max_value=4))
+    @example(case=twin_hub(), k=2)
     def check(case, k):
         graph, queries, alpha = case
         for q in queries:

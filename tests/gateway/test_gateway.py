@@ -494,10 +494,19 @@ class TestInvalidKAndTriggers:
             assert np.array_equal(indices, np.argsort(-full, kind="stable")[:3])
         gateway.close()
 
-    @pytest.mark.parametrize("name", ["max_delay", "max_batch"])
-    def test_zero_trigger_is_rejected_at_construction(self, toy_graph, name):
-        with pytest.raises(ValueError, match=f"{name} must be > 0"):
-            RankGateway(toy_graph, **{name: 0})
+    def test_zero_max_batch_is_rejected_at_construction(self, toy_graph):
+        with pytest.raises(ValueError, match="max_batch must be > 0"):
+            RankGateway(toy_graph, max_batch=0)
+
+    def test_zero_max_delay_is_accepted_at_construction(self, toy_graph):
+        # A linger of 0 flushes a miss as soon as the lane's thread is free.
+        gateway = RankGateway(toy_graph, max_delay=0)
+        assert gateway.max_delay == 0.0
+        gateway.close()
+
+    def test_negative_max_delay_is_rejected_at_construction(self, toy_graph):
+        with pytest.raises(ValueError, match="max_delay must be >= 0"):
+            RankGateway(toy_graph, max_delay=-0.001)
 
     def test_infinite_max_delay_is_rejected_before_it_kills_a_deadline_thread(self, toy_graph):
         with pytest.raises(ValueError, match="max_delay must be finite"):

@@ -9,6 +9,7 @@ obs registry's
 ``repro_batcher_wakeups_total``, with obs on through ``obs_enabled``.
 """
 
+import sys
 import threading
 import time
 from contextlib import nullcontext
@@ -114,6 +115,7 @@ class TestTriggers:
         assert np.allclose(future.result(), roundtriprank(toy_graph, 2), atol=1e-10)
 
     def test_below_size_trigger_stays_pending(self, toy_graph):
+        # Unstarted, so even at the default linger, 0, nothing claims it.
         gateway = RankGateway(toy_graph, max_batch=10)
         future = gateway.submit(0)
         assert not future.done()
@@ -157,6 +159,119 @@ class TestTriggers:
         gateway.close()
 
 
+class TestNaturalBatching:
+    """At the default linger, 0, a started lane runs one flush at a time.
+
+    A miss that finds the lane free is solved at once, in the submitting
+    thread; the queries that queue while a flush runs leave together in
+    the lane thread's next flush.
+    """
+
+    def test_a_lone_miss_is_solved_in_the_submitting_thread(self, toy_graph, monkeypatch):
+        gateway = RankGateway(toy_graph).start()
+        get_many, threads = gateway.cache.get_many, []
+
+        def recording(*args, **kwargs):
+            threads.append(threading.current_thread().name)
+            return get_many(*args, **kwargs)
+
+        monkeypatch.setattr(gateway.cache, "get_many", recording)
+        for q in (2, 7):
+            future = gateway.submit(q)
+            assert future.done()  # no handoff to the lane's thread
+            assert np.allclose(future.result(), roundtriprank(toy_graph, q), atol=1e-10)
+        assert threads and set(threads) == {threading.current_thread().name}
+        assert gateway.total_pending() == 0
+        gateway.close()
+
+    def test_concurrent_misses_never_overlap_their_flushes(self, toy_graph, monkeypatch):
+        # More clients than cores, every query of a round a distinct node, so
+        # none is resident: a claimed flush and the thread's take turns, no
+        # query is stranded, and every answer is right whichever ran it.
+        want = {q: roundtriprank(toy_graph, q) for q in range(toy_graph.n_nodes)}
+        get_many, lock = ColumnCache.get_many, threading.Lock()
+        running, most = [0], [0]
+
+        def counted(cache, graph, kind, nodes, *args):
+            if kind != "f":
+                return get_many(cache, graph, kind, nodes, *args)
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            try:
+                time.sleep(0.001)  # room for the other clients to arrive
+                return get_many(cache, graph, kind, nodes, *args)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(ColumnCache, "get_many", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                gateway = RankGateway(toy_graph).start()
+                results: dict = {}
+
+                def client(base: int, gateway=gateway, results=results) -> None:
+                    for q in range(base, toy_graph.n_nodes, 4):
+                        results[q] = gateway.submit(q).result(timeout=5.0)
+
+                threads = [
+                    threading.Thread(target=client, args=(b,), daemon=True) for b in range(4)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30.0)
+                assert not any(t.is_alive() for t in threads)
+                gateway.close()
+                assert sorted(results) == list(range(toy_graph.n_nodes))
+                for q, result in results.items():
+                    assert np.allclose(result, want[q], atol=1e-9)
+        finally:
+            sys.setswitchinterval(interval)
+        assert most[0] == 1
+
+    def test_queries_queued_behind_a_flush_share_the_next_one(
+        self, toy_graph, monkeypatch, obs_enabled
+    ):
+        gateway = RankGateway(toy_graph).start()
+        get_many, widths, threads = gateway.cache.get_many, [], []
+        entered, release = threading.Event(), threading.Event()
+
+        def held(graph, kind, nodes, *args):
+            if kind == "f":
+                widths.append(len(nodes))
+                threads.append(threading.current_thread().name)
+            entered.set()
+            release.wait(timeout=5.0)
+            return get_many(graph, kind, nodes, *args)
+
+        monkeypatch.setattr(gateway.cache, "get_many", held)
+        before = flushes("deadline")
+        first: list = []
+        submitter = threading.Thread(
+            target=lambda: first.append(gateway.submit(0)), name="first-client", daemon=True
+        )
+        submitter.start()
+        assert entered.wait(timeout=5.0)  # its flush is under way, unlingered
+        queued = [gateway.submit(q) for q in (3, 6, 9)]
+        assert gateway.total_pending() == 3
+        release.set()
+        submitter.join(timeout=5.0)
+        assert not submitter.is_alive()
+        results = [future.result(timeout=5.0) for future in first + queued]
+        assert widths == [1, 3]
+        assert threads == ["first-client", "microbatcher-deadline"]
+        assert flushes("deadline") == before + 2
+        # A batch keeps each answer's bits: asked alone, each query is
+        # served from the same cached columns.
+        for q, result in zip((0, 3, 6, 9), results):
+            assert result.tobytes() == gateway.ask(q).tobytes(), f"query {q}"
+        gateway.close()
+
+
 class TestSizeFlushParity:
     """A flush of several queries gives each one its direct solver's scores."""
 
@@ -182,16 +297,19 @@ class TestSizeFlushParity:
 class TestIdleContract:
     """The deadline loop of an idle lane sleeps; it never polls."""
 
-    @staticmethod
-    def _idle(toy_graph, max_delay: float) -> RankGateway:
+    #: Every gateway's linger here; the subclass below reruns each test at
+    #: the default, 0.
+    max_delay = 0.005
+
+    def _idle(self, toy_graph) -> RankGateway:
         """An unstarted gateway with one lane and nothing queued."""
-        gateway = RankGateway(toy_graph, max_batch=64, max_delay=max_delay)
+        gateway = RankGateway(toy_graph, max_batch=64, max_delay=self.max_delay)
         gateway.cache.warm(toy_graph, [0])
         assert gateway.submit(0).done()  # builds the lane; a hit never queues
         return gateway
 
     def test_idle_lane_performs_zero_solves(self, toy_graph, obs_enabled):
-        gateway = self._idle(toy_graph, 0.005)
+        gateway = self._idle(toy_graph)
         before = flushes()
         gateway.start()
         time.sleep(0.25)  # ~50 deadline periods with nothing queued
@@ -202,7 +320,7 @@ class TestIdleContract:
         # The deadline thread parks in an *untimed* condition wait while the
         # queue is empty: once started it enters the loop exactly once and
         # must not iterate again, however many max_delay periods pass.
-        gateway = self._idle(toy_graph, 0.005)
+        gateway = self._idle(toy_graph)
         before = wakeups()
         gateway.start()
         time.sleep(0.25)
@@ -211,7 +329,7 @@ class TestIdleContract:
 
     def test_idle_then_submit_still_meets_deadline(self, toy_graph, obs_enabled):
         # Sleeping idle must not cost wakeup latency when work arrives.
-        gateway = self._idle(toy_graph, 0.02).start()
+        gateway = self._idle(toy_graph).start()
         time.sleep(0.1)  # park the thread in the untimed wait
         before = flushes("deadline")
         result = gateway.submit(3).result(timeout=5.0)
@@ -222,7 +340,7 @@ class TestIdleContract:
     def test_wakeups_stop_once_work_drains(self, toy_graph, obs_enabled):
         # A few submits may wake the loop a few times each (notify plus
         # deadline re-checks), but wakeups track work, not wall time.
-        gateway = RankGateway(toy_graph, max_batch=64, max_delay=0.01).start()
+        gateway = RankGateway(toy_graph, max_batch=64, max_delay=self.max_delay).start()
         for q in range(3):
             gateway.submit(q).result(timeout=5.0)
         time.sleep(0.2)  # idle tail: no further wakeups may accrue
@@ -230,6 +348,13 @@ class TestIdleContract:
         time.sleep(0.2)
         assert wakeups() == after_work
         gateway.close()
+
+
+class TestIdleContractAtZero(TestIdleContract):
+    """The same contract at linger 0, where a started lane's lone miss is
+    solved in the submitting thread and never wakes the loop."""
+
+    max_delay = 0.0
 
 
 class TestSolverErrors:

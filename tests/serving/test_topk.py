@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.engine import roundtriprank_batch, roundtriprank_plus_batch
 from repro.eval.metrics import ranking_from_scores
@@ -10,6 +12,22 @@ from repro.serving import topk_select
 
 def full_ranking(scores, k):
     return np.argsort(-scores, kind="stable")[:k]
+
+
+# Few distinct values, so most vectors tie at the k boundary; both zeros,
+# both infinities and NaN, which the stable sort ranks below -inf.
+TIE_VALUES = (0.0, -0.0, 0.25, 1.0, -1.0, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def selection_cases(draw):
+    """``(scores, k, exclude, candidate_mask)`` over a tie-heavy vector."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    scores = np.array(draw(st.lists(st.sampled_from(TIE_VALUES), min_size=n, max_size=n)))
+    k = draw(st.integers(min_value=1, max_value=n + 2))
+    exclude = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    mask = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n).map(np.array))
+    return scores, k, exclude, mask
 
 
 class TestTopkSelect:
@@ -56,6 +74,20 @@ class TestTopkSelect:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             topk_select(np.ones(3), 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=selection_cases())
+    # The k-th largest is NaN, which no comparison keeps; ranked [1, 0].
+    @example(case=(np.array([np.nan, 1.0, np.nan]), 2, set(), None))
+    def test_equals_the_stable_sort_on_every_input(self, case):
+        scores, k, exclude, mask = case
+        indices, values = topk_select(scores, k, exclude=exclude, candidate_mask=mask)
+        eligible = np.ones(scores.size, dtype=bool) if mask is None else mask.copy()
+        eligible[sorted(exclude)] = False
+        nodes = np.flatnonzero(eligible)
+        expected = nodes[full_ranking(scores[nodes], k)]
+        assert indices.tolist() == expected.tolist()
+        assert values.tobytes() == scores[expected].tobytes()  # the zeros' signs too
 
     @pytest.mark.parametrize("k", [7.5, 2.5, np.float64(3.0)])
     def test_non_integer_k_rejected(self, k):

@@ -55,10 +55,29 @@ class TestLedgerPins:
         gateway.close()
         assert threads and set(threads) == {perfbench_trace.DEADLINE_THREAD}
 
+    def test_a_claimed_flush_is_traced_inside_its_submit(self, toy_graph):
+        # At the default linger a started lane's lone miss is solved inside
+        # submit, so the tracer counts it as one flush of one request, as it
+        # does a resident hit's.
+        gateway = RankGateway(toy_graph).start()
+        tracer = perfbench_trace.Tracer()
+        with tracer:
+            tracer.begin_request(0)
+            gateway.submit(3).result(timeout=5.0)
+        gateway.close()
+        assert tracer.flushes == [(threading.current_thread().name, 1)]
+
     def test_the_gateway_keeps_its_max_delay(self, toy_graph):
         # The zipf-gateway workload reads it as the timer it charges.
         gateway = RankGateway(toy_graph, max_delay=0.02)
         assert gateway.max_delay == 0.02
+        gateway.close()
+
+    def test_the_default_max_delay_is_zero(self, toy_graph):
+        # zipf-gateway builds its gateway with the default linger and
+        # charges it to every request as uncalibrated timer time.
+        gateway = RankGateway(toy_graph)
+        assert gateway.max_delay == 0.0
         gateway.close()
 
     def test_tracer_uninstall_restores_every_wrapped_callable(self):
