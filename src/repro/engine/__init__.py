@@ -11,13 +11,15 @@ The single-query functions in :mod:`repro.core` are one-column
 ``method="power"`` calls of these paths, so ``method="power"`` batch
 columns match them bit for bit.  The module also holds the one measure table,
 :data:`repro.engine.batch.MEASURE_KINDS`: which of F and T each served
-measure reads.  Online serving stacks on the same two batch entry points:
-:class:`repro.serving.ColumnCache` misses and warms solve through
-``frank_batch`` / ``trank_batch`` (optionally sharded with ``workers=``),
-and so do the gateway's batcher lanes and local top-k escalations through
-that cache.  Every operator product goes through :mod:`repro.ops` (the
-prepared per-graph :class:`~repro.ops.TransitionOperator` and its matmat
-kernel).
+measure reads.  A batch of more than 32 columns is solved as contiguous
+column blocks at once, one per usable core, with the same bytes on any
+core count (the last split is readable via
+:func:`repro.parallel.active_route`).  Online serving stacks on the same
+two batch entry points: :class:`repro.serving.ColumnCache` misses and
+warms solve through ``frank_batch`` / ``trank_batch``, and so do the
+gateway's batcher lanes and local top-k escalations through that cache.
+Every operator product goes through :mod:`repro.ops` (the prepared
+per-graph :class:`~repro.ops.TransitionOperator` and its matmat kernel).
 """
 
 from repro.engine.batch import (

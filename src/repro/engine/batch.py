@@ -38,6 +38,14 @@ Two solve methods share that multi-column sweep:
   fallback holds more).  Roughly 3-7x faster than sequential single-query
   solves on one core.
 
+Each column is its own fixed point, so a batch of more than 32 columns
+splits into independent contiguous column blocks of at most 32, solved at
+once on up to as many threads as the process has usable cores (the
+calling thread takes the first).  scipy's CSR products and numpy's
+elementwise passes release the GIL, so the blocks' sweeps overlap.  The
+split depends on the batch width alone, and the last one is readable via
+:func:`repro.parallel.active_route`.
+
 All operator products go through :class:`repro.ops.TransitionOperator` —
 the per-graph prepared CSR (both orientations, per-dtype variants, damped
 copies) and its matmat kernel live in :mod:`repro.ops`.
@@ -46,7 +54,9 @@ copies) and its matmat kernel live in :mod:`repro.ops`.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -56,7 +66,8 @@ from repro.core.frank import DEFAULT_ALPHA, ConvergenceWarning
 from repro.core.queries import Query, normalize_query
 from repro.graph.digraph import DiGraph
 from repro.ops import TransitionOperator, as_operator, get_operator
-from repro.utils.validation import check_in_range, check_positive
+from repro.parallel.rows import RouteReport, record_route
+from repro.utils.validation import check_in_range, check_positive, check_positive_int
 
 #: L1-delta floor reliably reachable by the float32 Chebyshev phases; below
 #: this, progress must come from float64 residual correction.
@@ -65,6 +76,12 @@ _F32_FLOOR = 2e-6
 #: Sweep budget for one float32 Chebyshev phase (a phase typically needs
 #: ~20 sweeps; the budget only matters when float32 stalls).
 _PHASE_BUDGET = 120
+
+#: Widest column block one solve sweeps.  A wider batch splits into
+#: ``ceil(q / 32)`` near-equal blocks solved at once, one per usable core:
+#: a 64-column batch is two equal blocks for two cores (README, "Wide
+#: solves on every core", has the widths measured against it).
+_BLOCK_COLUMNS = 32
 
 #: The per-node columns each served measure reads: F-Rank, T-Rank, or both
 #: for RoundTripRank (their product, Proposition 2) and RoundTripRank+
@@ -140,9 +157,23 @@ def _jacobi_masked(top: TransitionOperator, base, damp, x, tol, budget):
     sweeps_used)``; the caller's ``x`` may be updated in place or not.
     """
     n_cols = base.shape[1]
+    sweeps = 0
+    if n_cols == 1:
+        # One column (every ``power_iteration`` and every one-column polish)
+        # keeps its step a Python float: the same sweeps and bits without
+        # the mask's small-array bookkeeping.  ``not step >= tol`` lets a
+        # NaN step leave the loop, as the mask drops a NaN column.
+        step = math.inf
+        while sweeps < budget:
+            x_next = base + damp * top.matmat(x)
+            step = float(np.abs(x_next - x).sum(axis=0)[0])
+            x = x_next
+            sweeps += 1
+            if not step >= tol:
+                break
+        return x, np.array([step]), sweeps
     active = np.arange(n_cols)
     deltas = np.full(n_cols, np.inf)
-    sweeps = 0
     while sweeps < budget and active.size:
         if active.size == n_cols:
             x_next = base + damp * top.matmat(x)
@@ -267,7 +298,7 @@ def _solve_auto(top: TransitionOperator, teleports, alpha, tol, max_iter):
     column norms are L1 and *verified* in float64 — the accuracy contract
     never rests on the float32/Chebyshev assumptions.  The float32 damped
     operator comes from the operator's own variant cache, so repeated solves
-    (and column shards on other threads) never re-derive it.
+    (and the other blocks of a split batch) never re-derive it.
 
     A float32 Chebyshev phase on ``alpha * teleports`` runs to the float32
     floor ``_F32_FLOOR`` (or to a looser ``tol``).  Each correction round
@@ -369,18 +400,75 @@ def _solve_auto(top: TransitionOperator, teleports, alpha, tol, max_iter):
             return x, col_res, max_iter - sweeps_left
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on (its affinity set, where the OS
+    reports one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _solve_block(top: TransitionOperator, teleports, alpha, tol, max_iter, method):
+    """``(x, per_column_residual, sweeps)`` of one column block.
+
+    The masked loop returns a zero-width block without a sweep, so an
+    empty ``auto`` block takes it too.
+    """
+    if method == "power" or teleports.shape[1] == 0:
+        base = alpha * teleports
+        return _jacobi_masked(top, base, 1.0 - alpha, base.copy(), tol, max_iter)
+    return _solve_auto(top, teleports, alpha, tol, max_iter)
+
+
+def _solve_split(top: TransitionOperator, teleports, alpha, tol, max_iter, method, n_blocks):
+    """Solve ``teleports`` as ``n_blocks`` near-equal contiguous column blocks.
+
+    Each column is its own fixed point, so the blocks are independent
+    solves, each on a column view of ``teleports``.  The layout depends on
+    the batch width alone, never on the host.  ``T`` threads, at most
+    :func:`_usable_cores`, solve them at once: the calling thread takes
+    block 0 and every ``T``-th block after it, and up to ``T - 1`` helper
+    threads of a per-call pool take the rest.  Every helper is joined
+    before this returns.  Once every block has finished, the error of the
+    lowest-numbered failed block is raised; otherwise the columns, their
+    residuals and the largest sweep count come back in column order.
+    """
+    width = teleports.shape[1]
+    bounds = [b * width // n_blocks for b in range(n_blocks + 1)]
+    threads = min(_usable_cores(), n_blocks)
+    record_route(RouteReport(width, n_blocks, threads))
+
+    def attempt(b):
+        block = teleports[:, bounds[b] : bounds[b + 1]]
+        try:
+            return _solve_block(top, block, alpha, tol, max_iter, method), None
+        except Exception as exc:  # raised below, once every block has finished
+            return None, exc
+
+    with ThreadPoolExecutor(max(1, threads - 1), thread_name_prefix="engine-block") as helpers:
+        helped = {b: helpers.submit(attempt, b) for b in range(n_blocks) if b % threads}
+        mine = {b: attempt(b) for b in range(0, n_blocks, threads)}
+    # Leaving the ``with`` joined every helper thread.
+    outcomes = [mine[b] if b in mine else helped[b].result() for b in range(n_blocks)]
+    for _, error in outcomes:
+        if error is not None:
+            raise error
+    xs, norms, sweeps = zip(*(result for result, _ in outcomes))
+    return np.concatenate(xs, axis=1), np.concatenate(norms), max(sweeps)
+
+
 def solve_columns(operator, teleports, alpha, tol, max_iter, method):
     """The solve of :func:`power_iteration_batch`, without its warning.
 
     Validates the arguments as it does, runs the ``engine.solve`` span and
-    returns ``(x, per_column_residual, sweeps)``; a caller that solves a
-    batch in parts (:mod:`repro.parallel` runs one call per column shard)
-    reassembles them and reports once through :func:`warn_unconverged`.
+    returns ``(x, per_column_residual, sweeps)``.  A batch of more than
+    :data:`_BLOCK_COLUMNS` columns is solved as ``ceil(q / 32)``
+    near-equal contiguous column blocks at once (:func:`_solve_split`);
+    ``sweeps`` is then the largest block's count.
     """
     alpha = check_in_range(alpha, "alpha", 0.0, 1.0, inclusive_low=False, inclusive_high=False)
     check_positive(tol, "tol")
-    if max_iter <= 0:
-        raise ValueError(f"max_iter must be > 0, got {max_iter}")
+    max_iter = check_positive_int(max_iter, "max_iter")
     if method not in ("auto", "power"):
         raise ValueError(f"method must be 'auto' or 'power', got {method!r}")
     top = as_operator(operator)
@@ -392,14 +480,13 @@ def solve_columns(operator, teleports, alpha, tol, max_iter, method):
         # "converged" with no warning.
         raise ValueError("teleports must be finite")
     n_queries = teleports.shape[1]
+    n_blocks = -(-n_queries // _BLOCK_COLUMNS)
 
-    with obs.span("engine.solve", method=method, queries=n_queries) as solve_span:
-        # The masked loop returns a zero-width block without a sweep.
-        if method == "power" or n_queries == 0:
-            base = alpha * teleports
-            x, norms, sweeps = _jacobi_masked(top, base, 1.0 - alpha, base.copy(), tol, max_iter)
+    with obs.span("engine.solve", method=method, queries=n_queries, blocks=n_blocks) as solve_span:
+        if n_blocks > 1:
+            x, norms, sweeps = _solve_split(top, teleports, alpha, tol, max_iter, method, n_blocks)
         else:
-            x, norms, sweeps = _solve_auto(top, teleports, alpha, tol, max_iter)
+            x, norms, sweeps = _solve_block(top, teleports, alpha, tol, max_iter, method)
         _record_solve(solve_span, method, x, norms, sweeps)
     return x, norms, sweeps
 
@@ -449,10 +536,18 @@ def power_iteration_batch(
     ``teleports`` and the result included (see :func:`_solve_auto` for the
     layout and for how tightly each correction round solves).
 
+    A batch of more than 32 columns is solved as ``ceil(q / 32)``
+    near-equal contiguous column blocks, one per usable core at once, the
+    calling thread taking the first; every thread is joined before this
+    returns.  The layout depends on the width alone, so the result's bytes
+    never depend on the host's core count, and a ``"power"`` column keeps
+    its bits.
+
     Columns still above ``tol`` when the sweep budget ``max_iter`` is
     exhausted trigger one :class:`repro.core.frank.ConvergenceWarning`
-    that reports the sweeps run.  Non-finite ``teleports`` raise
-    ``ValueError`` before any sweep.
+    that reports the sweeps run (the most any block ran).  Non-finite
+    ``teleports`` and a ``max_iter`` that is not a positive integer raise
+    before any sweep.
     """
     x, norms, sweeps = solve_columns(operator, teleports, alpha, tol, max_iter, method)
     warn_unconverged(norms, sweeps, max_iter, tol)
@@ -467,27 +562,13 @@ def _solve_queries(
     tol: float,
     max_iter: int,
     method: str,
-    workers: "int | None",
 ) -> np.ndarray:
     """F-Rank (``transpose=True``) or T-Rank columns of ``queries``.
 
-    Sharded across :mod:`repro.parallel` threads when ``workers`` clears
-    the crossover, otherwise one :func:`power_iteration_batch` call (the
-    engine entry point tracers wrap).  Either path issues at most one
-    :class:`ConvergenceWarning` with the same text, attributed to this
-    module.
+    One :func:`power_iteration_batch` call through the module global (the
+    engine entry point tracers wrap), so its one
+    :class:`ConvergenceWarning` is attributed to this module.
     """
-    if workers is not None:
-        # Lazy: repro.parallel imports repro.engine at module level.
-        from repro.parallel.pool import maybe_solve_batch_parallel
-
-        solved = maybe_solve_batch_parallel(
-            graph, queries, transpose, alpha, tol, max_iter, method, workers
-        )
-        if solved is not None:
-            x, norms, sweeps = solved
-            warn_unconverged(norms, sweeps, max_iter, tol)
-            return x
     return power_iteration_batch(
         get_operator(graph, transpose=transpose),
         stack_teleports(graph, queries),
@@ -505,22 +586,16 @@ def frank_batch(
     tol: float = 1e-12,
     max_iter: int = 1000,
     method: str = "auto",
-    workers: "int | None" = None,
 ) -> np.ndarray:
     """F-Rank of every node for every query, as an ``n x q`` column stack.
 
     Column ``j`` equals ``frank_vector(graph, queries[j], alpha)`` (to the
-    verified ``tol``; bit-exact with ``method="power"``).
-
-    ``workers`` shards the columns across that many :mod:`repro.parallel`
-    threads, all sweeping the graph's one cached operator.  Batches below
-    the shards' crossover (see :func:`repro.parallel.effective_workers`) run
-    the sequential path; either way the decision is recorded in
-    :func:`repro.parallel.active_route`.  Results are independent of the
-    worker count (bit-exact for ``method="power"``, within the verified
-    residual ``tol`` for ``method="auto"``).
+    verified ``tol``; bit-exact with ``method="power"``).  A batch of more
+    than 32 queries is solved as column blocks at once, one per usable
+    core, all sweeping the graph's one cached operator (see
+    :func:`power_iteration_batch`).
     """
-    return _solve_queries(graph, queries, True, alpha, tol, max_iter, method, workers)
+    return _solve_queries(graph, queries, True, alpha, tol, max_iter, method)
 
 
 def trank_batch(
@@ -530,15 +605,14 @@ def trank_batch(
     tol: float = 1e-12,
     max_iter: int = 1000,
     method: str = "auto",
-    workers: "int | None" = None,
 ) -> np.ndarray:
     """T-Rank of every node for every query, as an ``n x q`` column stack.
 
     Column ``j`` equals ``trank_vector(graph, queries[j], alpha)`` (to the
-    verified ``tol``; bit-exact with ``method="power"``).  ``workers``
-    behaves exactly as in :func:`frank_batch`.
+    verified ``tol``; bit-exact with ``method="power"``); solved as in
+    :func:`frank_batch`.
     """
-    return _solve_queries(graph, queries, False, alpha, tol, max_iter, method, workers)
+    return _solve_queries(graph, queries, False, alpha, tol, max_iter, method)
 
 
 def _per_node_ft(
@@ -548,7 +622,6 @@ def _per_node_ft(
     tol: float,
     max_iter: int,
     method: str,
-    workers: "int | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray, list[int]]":
     """Batched (F, T) columns for the union of single query nodes.
 
@@ -560,8 +633,8 @@ def _per_node_ft(
     """
     all_nodes = np.unique(np.concatenate([nodes for nodes, _ in parsed]))
     columns = [int(v) for v in all_nodes]
-    f = frank_batch(graph, columns, alpha, tol, max_iter, method, workers)
-    t = trank_batch(graph, columns, alpha, tol, max_iter, method, workers)
+    f = frank_batch(graph, columns, alpha, tol, max_iter, method)
+    t = trank_batch(graph, columns, alpha, tol, max_iter, method)
     return f, t, columns
 
 
@@ -639,15 +712,13 @@ def roundtriprank_batch(
     tol: float = 1e-12,
     max_iter: int = 1000,
     method: str = "auto",
-    workers: "int | None" = None,
 ) -> np.ndarray:
     """RoundTripRank of every node for every query, as an ``n x q`` stack.
 
     Column ``j`` equals ``roundtriprank(graph, queries[j], alpha)``.  All
     distinct query nodes across the batch share two multi-column solves (F
     and T); per-query scores are the weighted per-node ``f * t`` products of
-    Proposition 2.  ``workers`` shards both solves across
-    :mod:`repro.parallel` threads as in :func:`frank_batch`.
+    Proposition 2.
 
     With ``normalize=True`` each column sums to one *when it has positive
     mass*; a zero-mass column stays all-zeros and triggers a
@@ -656,7 +727,7 @@ def roundtriprank_batch(
     if len(queries) == 0:
         raise ValueError("queries must not be empty")
     parsed = [normalize_query(graph, q) for q in queries]
-    f, t, columns = _per_node_ft(graph, parsed, alpha, tol, max_iter, method, workers)
+    f, t, columns = _per_node_ft(graph, parsed, alpha, tol, max_iter, method)
     scores = combine_columns("roundtriprank", f, t, columns, parsed)
     if normalize:
         scores = normalize_columns(scores, "roundtriprank_batch")
@@ -671,16 +742,15 @@ def roundtriprank_plus_batch(
     tol: float = 1e-12,
     max_iter: int = 1000,
     method: str = "auto",
-    workers: "int | None" = None,
 ) -> np.ndarray:
     """RoundTripRank+ (Eq. 12) of every node for every query, ``n x q``.
 
     Column ``j`` equals ``roundtriprank_plus(graph, queries[j], beta, alpha)``
     — the ``f^(1-beta) * t^beta`` combination, unnormalized as in the
-    single-query function.  ``workers`` behaves as in :func:`frank_batch`.
+    single-query function.
     """
     if len(queries) == 0:
         raise ValueError("queries must not be empty")
     parsed = [normalize_query(graph, q) for q in queries]
-    f, t, columns = _per_node_ft(graph, parsed, alpha, tol, max_iter, method, workers)
+    f, t, columns = _per_node_ft(graph, parsed, alpha, tol, max_iter, method)
     return combine_columns("roundtriprank_plus", f, t, columns, parsed, beta)

@@ -107,10 +107,9 @@ class RankGateway:
     cache:
         The shared :class:`ColumnCache`; built with defaults when omitted.
         Its ``alpha`` is the gateway's default query alpha, and its solver
-        settings (``tol``, ``max_iter``, ``method``, ``workers``) are the
-        ones every lane and escalation solves with: pass
-        ``cache=ColumnCache(workers=n)`` to shard cache-miss solves across
-        :mod:`repro.parallel` threads.
+        settings (``tol``, ``max_iter``, ``method``) are the ones every
+        lane and escalation solves with.  A flush of more than 32 missing
+        columns is solved as column blocks on every usable core.
     admission:
         An :class:`AdmissionConfig` (or ready controller).  The default
         config rate-limits nothing and bounds lanes at 64 pending queries.

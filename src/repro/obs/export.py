@@ -6,8 +6,9 @@ Three consumers, three shapes:
   every registered **collector** (live components such as gateways publish
   their own stats/cache views here), the trace-sink occupancy, and the
   process-wide :func:`repro.ops.active_kernel` /
-  :func:`repro.parallel.active_route` reports, so kernel and routing
-  decisions are visible in the same document as the counters they explain.
+  :func:`repro.parallel.active_route` reports, so the kernel and the
+  engine's last block split are visible in the same document as the
+  counters they explain.
 - :func:`render_prometheus` — the ``text/plain; version=0.0.4`` exposition
   format (``# HELP`` / ``# TYPE`` headers, cumulative ``_bucket{le=...}``
   histogram rows) for scrape endpoints; deterministic ordering so goldens
@@ -88,7 +89,7 @@ def _runtime_reports() -> dict:
         },
         "route": None
         if route is None
-        else {"routed": route.routed, "shards": route.shards, "reason": route.reason},
+        else {"columns": route.columns, "blocks": route.blocks, "threads": route.threads},
     }
 
 
@@ -203,8 +204,8 @@ def render_prometheus(
         lines.append("# TYPE repro_active_route_shards gauge")
         lines.append(
             "repro_active_route_shards"
-            + _fmt_labels({"routed": str(route["routed"]).lower()})
-            + f" {route['shards']}"
+            + _fmt_labels({"threads": str(route["threads"])})
+            + f" {route['blocks']}"
         )
     return text + "\n".join(lines) + "\n"
 

@@ -18,10 +18,10 @@ hot path:
   (:mod:`repro.topk.fbound`, :mod:`repro.topk.tbound`) and the local
   top-k sweeps (:mod:`repro.topk.local`).
 
-Consumers: :mod:`repro.engine.batch` (all batch sweeps),
-:mod:`repro.core.frank` / :mod:`repro.core.trank` (single-query paths),
-the top-K oracle (:mod:`repro.topk.naive`), and the :mod:`repro.parallel`
-column shards (threads that share one graph's cached operator).
+Consumers: :mod:`repro.engine.batch` (all batch sweeps, including the
+column blocks of a wide batch, threads that share one graph's cached
+operator), :mod:`repro.core.frank` / :mod:`repro.core.trank`
+(single-query paths) and the top-K oracle (:mod:`repro.topk.naive`).
 """
 
 from repro.ops.kernels import HAS_CSR_MATVECS, KernelReport, active_kernel

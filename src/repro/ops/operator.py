@@ -67,8 +67,7 @@ class TransitionOperator:
     from any scipy sparse matrix (detached).  Instances are immutable in
     value; all mutation is memoization of derived state (dtype variants,
     damped copies) guarded by a lock, so an operator can be shared across
-    threads (the serving layer and :mod:`repro.parallel`'s column shards
-    do).
+    threads (the serving layer and the batch engine's column blocks do).
     """
 
     def __init__(self, matrix: sp.csr_matrix, *, transpose: "bool | None" = None) -> None:

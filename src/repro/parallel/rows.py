@@ -1,11 +1,10 @@
-"""The last ``workers=`` routing decision, readable via :func:`active_route`.
+"""The engine's last block split, readable via :func:`active_route`.
 
-A ``workers=``-carrying batch solve either column-shards across threads
-(:func:`repro.parallel.pool.maybe_solve_batch_parallel`) or runs
-sequentially because the batch is below the shards' crossover
-(:func:`repro.parallel.effective_workers`).  Either way the decision and its
-reason are recorded here, in the style of :func:`repro.ops.active_kernel`,
-so ``workers=`` is never silently ignored.
+A batch solve of more than 32 columns splits into near-equal contiguous
+column blocks solved on up to as many threads as the process has usable
+cores (:func:`repro.engine.batch.solve_columns`).  Each split is recorded
+here, in the style of :func:`repro.ops.active_kernel`, so the blocks and
+threads a wide solve used can be read back.
 
 The module keeps its historical path because readers import
 :func:`active_route` from it: :func:`repro.obs.snapshot` and the ledger
@@ -17,27 +16,21 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro import obs
-
-_OBS_ROUTES = obs.counter(
-    "repro_route_decisions_total",
-    "Column-shard routing decisions of workers= batch solves by outcome.",
-    labels=("routed",),
-)
-
 
 @dataclass(frozen=True)
 class RouteReport:
-    """One routing decision (cf. :class:`repro.ops.KernelReport`).
+    """One split (cf. :class:`repro.ops.KernelReport`): a ``columns``-wide
+    batch in ``blocks`` contiguous column blocks, solved on ``threads``
+    threads, the calling thread one of them."""
 
-    ``routed`` with ``shards >= 2`` means the columns were split across
-    that many threads; otherwise ``shards == 0`` and ``reason`` says why
-    the solve stayed sequential.
-    """
+    columns: int
+    blocks: int
+    threads: int
 
-    routed: bool
-    shards: int
-    reason: "str | None"
+    @property
+    def reason(self) -> str:
+        """The split in words (the ledger's provenance line prints it)."""
+        return f"{self.columns} columns in {self.blocks} blocks on {self.threads} threads"
 
 
 _route_lock = threading.Lock()
@@ -45,17 +38,16 @@ _last_route: "RouteReport | None" = None
 
 
 def record_route(report: RouteReport) -> None:
-    """Record a routing decision for :func:`active_route` diagnostics."""
+    """Record a split for :func:`active_route` diagnostics."""
     global _last_route
     with _route_lock:
         _last_route = report
-    _OBS_ROUTES.inc(routed="true" if report.routed else "false")
 
 
 def active_route() -> "RouteReport | None":
-    """The most recent ``workers=`` routing decision in this process.
+    """The engine's most recent block split in this process.
 
-    ``None`` until a batch entry point runs with ``workers`` set.
+    ``None`` until a batch of more than 32 columns is solved.
     """
     with _route_lock:
         return _last_route

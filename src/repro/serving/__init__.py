@@ -31,10 +31,10 @@ are immutable, so object identity is content identity; tokens are never
 reused — see :func:`repro.serving.cache.graph_token`), ``kind`` is ``"f"``
 or ``"t"``, and ``alpha`` compares exactly as a float.  Columns are stored
 as the solver's float64.  Solver settings (``tol`` / ``max_iter`` /
-``method`` / ``workers``) are fixed per cache instance, so all entries of
-one cache are mutually consistent; the cache is the only place they are
-set.  A hit returns the stored array itself (read-only), i.e. results are
-bit-exact across hits; ``current_bytes`` never exceeds ``max_bytes``.
+``method``) are fixed per cache instance, so all entries of one cache are
+mutually consistent; the cache is the only place they are set.  A hit
+returns the stored array itself (read-only), i.e. results are bit-exact
+across hits; ``current_bytes`` never exceeds ``max_bytes``.
 
 Thread-safety guarantees
 ------------------------
@@ -47,9 +47,9 @@ through ``Future.set_exception`` to every query of the failed batch.  Its
 ``close()`` is terminal and idempotent: it flushes every outstanding
 future.  ``topk_select`` is pure and hence trivially thread-safe.
 
-``ColumnCache(workers=)`` shards miss solves across :mod:`repro.parallel`
-threads; worker count never changes results (it is deliberately not part
-of the cache key).
+A wide miss batch (more than 32 columns, as a bulk :meth:`ColumnCache.warm`
+makes) is solved by the engine as column blocks on every usable core, with
+the same bytes on any core count; there is no thread knob to set.
 """
 
 from repro.serving.cache import DEFAULT_MAX_BYTES, CacheInfo, ColumnCache, graph_token

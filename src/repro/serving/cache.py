@@ -21,10 +21,12 @@ An entry is keyed on ``(graph_id, kind, node, alpha)``:
 - ``alpha`` — the teleport probability, compared exactly as a float.
 
 Columns are stored as the solver's ``float64``.  The solver settings
-(``tol``, ``max_iter``, ``method``, ``workers``) are fixed per cache
-instance so that every entry of one cache is mutually consistent; the
-cache is the one owner of these settings in the serving stack (the
-gateway, its lanes and the evaluation runner all solve through a cache).
+(``tol``, ``max_iter``, ``method``) are fixed per cache instance so that
+every entry of one cache is mutually consistent; the cache is the one
+owner of these settings in the serving stack (the gateway, its lanes and
+the evaluation runner all solve through a cache).  A miss batch of more
+than 32 columns (a wide :meth:`ColumnCache.warm`) is solved by the engine
+as column blocks on every usable core; that changes no column's key.
 
 Eviction and accounting
 -----------------------
@@ -159,14 +161,9 @@ class ColumnCache:
         Solver configuration used for cache misses; part of the consistency
         contract (``alpha`` may also be overridden per call, it is part of
         the key).  ``method="auto"`` is the batch engine's accelerated path.
-    workers:
-        Shard miss solves across that many :mod:`repro.parallel` threads
-        (``None`` or a non-negative integer); small miss batches fall back
-        to the sequential solver automatically
-        (:func:`repro.parallel.effective_workers`).  Not part of the cache
-        key: worker count never changes what a column converges to (the
-        residual contract, bit-exact under ``method="power"``), only how
-        fast a cold batch fills.
+        A miss batch of more than 32 nodes is solved as column blocks on
+        every usable core (:func:`repro.engine.power_iteration_batch`),
+        with bytes that do not depend on the core count.
     """
 
     def __init__(
@@ -176,7 +173,6 @@ class ColumnCache:
         tol: float = 1e-12,
         max_iter: int = 1000,
         method: str = "auto",
-        workers: "int | None" = None,
     ) -> None:
         # Checked here, or the first miss would fail inside a flush and take
         # every future of its batch with it.
@@ -189,9 +185,6 @@ class ColumnCache:
         if method not in ("auto", "power"):
             raise ValueError(f"method must be 'auto' or 'power', got {method!r}")
         self.method = method
-        if workers is not None:
-            workers = check_positive_int(workers, "workers", strict=False)
-        self.workers = workers
         # Least recently used first: a hit moves its key to the end.
         self._store: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self._lock = threading.RLock()
@@ -303,7 +296,6 @@ class ColumnCache:
             tol=self.tol,
             max_iter=self.max_iter,
             method=self.method,
-            workers=self.workers,
         )
 
     def _insert(self, key: tuple, column: np.ndarray) -> np.ndarray:

@@ -247,16 +247,20 @@ def _sanitized_pytest(tmp_path, source):
 
 class TestModuleThreadCheck:
     def test_sharded_solves_leave_the_module_clean(self, tmp_path):
+        # 36 columns split into two blocks, solved at once on a helper
+        # thread and the calling one.
         result = _sanitized_pytest(
             tmp_path,
             """
             from repro.datasets import toy_bibliographic_graph
-            from repro.engine import frank_batch, roundtriprank_batch
+            from repro.engine import batch, frank_batch, trank_batch
 
-            def test_sharded_solves():
+            def test_sharded_solves(monkeypatch):
+                monkeypatch.setattr(batch, "_usable_cores", lambda: 2)
                 graph = toy_bibliographic_graph()
-                frank_batch(graph, list(range(12)), workers=4)
-                roundtriprank_batch(graph, list(range(12)), method="power", workers=2)
+                queries = list(range(12)) * 3
+                frank_batch(graph, queries)
+                trank_batch(graph, queries, method="power")
             """,
         )
         assert result.returncode == 0, result.stdout + result.stderr

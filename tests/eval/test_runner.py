@@ -210,12 +210,11 @@ class TestSharedColumnsReadTheMeasureAlpha:
 class TestRemovedArguments:
     """The shared columns' settings live on their ``ColumnCache`` alone."""
 
-    @pytest.mark.parametrize("name", ["alpha", "max_bytes", "workers"])
+    @pytest.mark.parametrize("name", ["alpha", "max_bytes"])
     def test_ft_cache_takes_only_a_cache(self, name):
         with pytest.raises(TypeError, match=name):
             FTCache(**{name: 1})
 
-    @pytest.mark.parametrize("name", ["alpha", "workers"])
     @pytest.mark.parametrize(
         "call",
         [
@@ -225,9 +224,9 @@ class TestRemovedArguments:
         ],
         ids=["evaluate_measures", "tune_beta", "run_task_suite"],
     )
-    def test_suite_functions_take_no_alpha_or_workers(self, call, name):
-        with pytest.raises(TypeError, match=name):
-            call(**{name: 1})
+    def test_suite_functions_take_no_alpha(self, call):
+        with pytest.raises(TypeError, match="alpha"):
+            call(alpha=1)
 
 
 class TestEvaluateMeasures:

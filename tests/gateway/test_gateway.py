@@ -572,14 +572,6 @@ class TestSolverSettingValidation:
             gateway.close()
         assert np.allclose(result, roundtriprank_plus(toy_graph, 4, beta=beta), atol=1e-9)
 
-    @pytest.mark.parametrize("own_cache", [False, True])
-    def test_workers_is_not_a_gateway_parameter(self, toy_graph, own_cache):
-        # Set on the cache (``cache=ColumnCache(workers=n)``): the gateway
-        # refuses it rather than dropping it beside a supplied cache.
-        cache = ColumnCache() if own_cache else None
-        with pytest.raises(TypeError, match="workers"):
-            RankGateway(toy_graph, cache=cache, workers=2)
-
     @pytest.mark.parametrize("name, value", [("tol", 1e-8), ("max_iter", 50), ("method", "power")])
     def test_solver_settings_are_not_gateway_parameters(self, toy_graph, name, value):
         # They belong to the cache: the gateway refuses them, never drops them.

@@ -373,9 +373,6 @@ class TestConstructorValidation:
             (dict(max_bytes=2.5), TypeError),
             (dict(max_bytes=float("nan")), TypeError),
             (dict(method="lanczos"), ValueError),
-            (dict(workers=-1), ValueError),
-            (dict(workers=2.5), TypeError),
-            (dict(workers="2"), TypeError),
         ],
     )
     def test_rejects_bad_solver_settings(self, kwargs, error):
@@ -388,12 +385,6 @@ class TestConstructorValidation:
         cache = ColumnCache()
         assert cache.get(toy_graph, "f", 0).dtype == np.float64
         assert cache.cache_info().current_bytes == toy_graph.n_nodes * 8
-
-    @pytest.mark.parametrize("workers", [None, 0, 1, 2, np.int64(4)])
-    def test_accepts_worker_counts(self, workers):
-        cache = ColumnCache(workers=workers)
-        assert cache.workers == workers
-        assert cache.workers is None or type(cache.workers) is int
 
     def test_accepts_numpy_scalars(self):
         # Budgets computed with numpy arrive as numpy scalars.

@@ -19,8 +19,8 @@ from repro.topk import twosbound as topk_twosbound
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_DIR = ROOT / "benchmarks"
-#: every bench module: the figure benches, the ablation and the crossover script.
-BENCH_MODULES = sorted(path.stem for path in BENCH_DIR.glob("bench_*.py")) + ["workers_crossover"]
+#: every bench module: the figure benches and the ablation.
+BENCH_MODULES = sorted(path.stem for path in BENCH_DIR.glob("bench_*.py"))
 #: every module the performance ledger charges a layer to.
 LEDGER = json.loads((ROOT / "perfbench" / "ledger.json").read_text(encoding="utf-8"))
 LEDGER_MODULES = [module for layer in LEDGER["layers"] for module in layer["modules"]]
